@@ -12,8 +12,7 @@ bound can be maximized with analytic gradients.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .blocks import (
     boundary_marginals,
     check_class_distribution,
     inclusion_pairs,
+    popcounts,
     reduce_family,
 )
 from .bounds import LN2, BoundReport
@@ -53,20 +53,12 @@ class BlockDistribution:
 
     def even_density(self) -> float:
         """Expected fraction of 1s on the even sublattice."""
-        pops = _population_counts(self.family)
+        pops = self.family.population_counts()
         return float(pops @ self.probs) / self.n ** 2
 
     def mask_probabilities(self) -> np.ndarray:
         """Per-arrangement probability of every raw mask."""
         return self.probs[self.family.class_of]
-
-
-def _population_counts(family: BlockFamily) -> np.ndarray:
-    cached = getattr(family, "_population_cache", None)
-    if cached is None:
-        cached = family.population_counts()
-        family._population_cache = cached
-    return cached
 
 
 def uniform_distribution(family: BlockFamily) -> BlockDistribution:
@@ -134,8 +126,7 @@ def block_bound(dist: BlockDistribution) -> BoundReport:
 
 def optimize_block_bound(family: BlockFamily, *, seed: int = 0,
                          starts: int = 8, x0=None, tol: float = 1e-10,
-                         max_iter: int = 2000, callback=None,
-                         track_history: bool = False):
+                         max_iter: int = 2000, track_history: bool = False):
     """Maximize the block bound over the class simplex.
 
     x0 (a BlockDistribution or raw class probabilities) seeds the first
@@ -155,8 +146,7 @@ def optimize_block_bound(family: BlockFamily, *, seed: int = 0,
 
     res = optimize.maximize(objective, domain, gradient=gradient, tol=tol,
                             max_iter=max_iter, seed=seed, starts=starts,
-                            x0=x0, callback=callback,
-                            track_history=track_history)
+                            x0=x0, track_history=track_history)
     dist = BlockDistribution(family, res.argmax)
     report = block_bound(dist)
     meta = {"iterations": res.iterations, "starts": res.starts_used,
@@ -164,10 +154,7 @@ def optimize_block_bound(family: BlockFamily, *, seed: int = 0,
             "gradient_norm": res.gradient_norm_at_solution}
     if track_history:
         meta["history"] = res.history
-    report = BoundReport(lattice=report.lattice, scheme=report.scheme,
-                         value=report.value, params=report.params,
-                         densities=report.densities, n=report.n, meta=meta)
-    return dist, report
+    return dist, replace(report, meta=meta)
 
 
 def check_monotonicity(dist: BlockDistribution, tol: float = 1e-6,
@@ -224,14 +211,6 @@ class DensityProfile:
         return float((k - m) ** 2 @ self.occupancy_probs)
 
 
-def _popcounts_upto(nbits: int) -> np.ndarray:
-    masks = np.arange(1 << nbits, dtype=np.int64)
-    out = np.zeros(len(masks), dtype=np.int64)
-    for i in range(nbits):
-        out += (masks >> i) & 1
-    return out
-
-
 def _region_pmf(dist: BlockDistribution, region: int) -> np.ndarray:
     """Popcount distribution of mask & region under the block measure."""
     m = dist.n
@@ -276,7 +255,7 @@ def density_profile(n: int, generator: BlockDistribution) -> DensityProfile:
         raise ValueError(f"generator side {m} exceeds window side {n}")
     label = f"{m}x{m}"
     if m == n:
-        pops = _popcounts_upto(m * m)
+        pops = popcounts(m * m)
         pmf = np.bincount(pops, weights=generator.mask_probabilities(),
                           minlength=n * n + 1)
         return DensityProfile(n, pmf, label)

@@ -25,28 +25,32 @@ as multiplicity * prob.
 """
 from __future__ import annotations
 
+import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 CACHE_VERSION = 1
-MAX_N = 5
+MAX_N = 4  # 2^25 masks at n=5 exceed the supported budget
 
 
-def _check_n(n: int, cap: int = MAX_N) -> int:
+def _check_n(n: int) -> int:
     n = int(n)
-    if not 1 <= n <= cap:
-        raise ValueError(f"block side must be in [1, {cap}], got {n}")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"block side must be in [1, {MAX_N}], got {n}")
     return n
 
 
-def enumerate_blocks(n: int):
-    """Yield every n x n mask exactly once."""
-    n = _check_n(n)
-    return iter(range(1 << (n * n)))
+def popcounts(nbits: int) -> np.ndarray:
+    """Number of 1s in every mask 0 .. 2^nbits - 1."""
+    masks = np.arange(1 << nbits, dtype=np.int64)
+    out = np.zeros(len(masks), dtype=np.int64)
+    for i in range(nbits):
+        out += (masks >> i) & 1
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -153,17 +157,6 @@ def weak_sites(n: int, mask: int) -> set[int]:
     return out
 
 
-@dataclass(frozen=True)
-class BlockClass:
-    representative: int           # lexicographically smallest member
-    members: tuple
-    multiplicity: int
-    weak_core: int                # member with fewest 1s (lex-min tiebreak)
-
-    def __post_init__(self):
-        assert self.multiplicity == len(self.members)
-
-
 @dataclass
 class BlockFamily:
     """Partition of all n x n masks into equivalence classes."""
@@ -173,9 +166,13 @@ class BlockFamily:
     class_of: np.ndarray          # mask -> class id, shape 2^(n^2)
     representatives: np.ndarray   # class id -> canonical mask
     multiplicities: np.ndarray    # class id -> member count
+    # derived data, filled on first use
+    _population_counts: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _marginal_count_cache: tuple | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._classes = None
         total = 1 << (self.n * self.n)
         if len(self.class_of) != total:
             raise ValueError("class index length mismatch")
@@ -192,44 +189,13 @@ class BlockFamily:
         normalization constraint."""
         return self.class_count - 1
 
-    @property
-    def index(self) -> np.ndarray:
-        return self.class_of
-
-    def members_of(self, cid: int) -> np.ndarray:
-        return np.nonzero(self.class_of == cid)[0]
-
-    @property
-    def classes(self) -> list[BlockClass]:
-        if self._classes is None:
-            order = np.argsort(self.class_of, kind="stable")
-            bounds = np.searchsorted(self.class_of[order],
-                                     np.arange(self.class_count + 1))
-            out = []
-            for cid in range(self.class_count):
-                mem = order[bounds[cid]:bounds[cid + 1]]
-                pops = np.array([bin(int(m)).count("1") for m in mem])
-                core = mem[np.lexsort((mem, pops))[0]]
-                out.append(BlockClass(int(self.representatives[cid]),
-                                      tuple(int(m) for m in mem),
-                                      int(self.multiplicities[cid]),
-                                      int(core)))
-            self._classes = out
-        return self._classes
-
     def population_counts(self) -> np.ndarray:
         """Total number of 1s over each class's members."""
-        masks = np.arange(1 << (self.n * self.n), dtype=np.int64)
-        pops = _popcount(masks, self.n * self.n)
-        return np.bincount(self.class_of, weights=pops,
-                           minlength=self.class_count)
-
-
-def _popcount(masks: np.ndarray, nbits: int) -> np.ndarray:
-    out = np.zeros(len(masks), dtype=np.int64)
-    for i in range(nbits):
-        out += (masks >> i) & 1
-    return out
+        if self._population_counts is None:
+            self._population_counts = np.bincount(
+                self.class_of, weights=popcounts(self.n * self.n),
+                minlength=self.class_count)
+        return self._population_counts
 
 
 def _union_pairs(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -251,7 +217,7 @@ def _union_pairs(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 def reduce_family(n: int, use_weak: bool = True) -> BlockFamily:
     """Build the D4 (and optionally weak-site) quotient of all n x n masks."""
-    n = _check_n(n, cap=4)  # 2^25 masks at n=5 exceed the supported budget
+    n = _check_n(n)
     N = n * n
     total = 1 << N
     masks = np.arange(total, dtype=np.int64)
@@ -292,14 +258,27 @@ def reduce_family(n: int, use_weak: bool = True) -> BlockFamily:
 
 
 def save_family(family: BlockFamily, path) -> None:
-    """Serialize to the versioned cache layout."""
-    np.savez(path,
-             version=np.array([CACHE_VERSION]),
-             n=np.array([family.n]),
-             use_weak=np.array([int(family.use_weak)]),
-             class_of=family.class_of,
-             representatives=family.representatives,
-             multiplicities=family.multiplicities)
+    """Serialize to the versioned cache layout (".npz" is appended to a
+    path without it).  The archive is written to a temporary file in the
+    same directory and renamed into place, so a crash mid-write never
+    leaves a truncated file under the final name."""
+    path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_name(path.name + ".npz")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh,
+                     version=np.array([CACHE_VERSION]),
+                     n=np.array([family.n]),
+                     use_weak=np.array([int(family.use_weak)]),
+                     class_of=family.class_of,
+                     representatives=family.representatives,
+                     multiplicities=family.multiplicities)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_family(path) -> BlockFamily:
@@ -386,12 +365,11 @@ def _zero_count_matrix(family: BlockFamily, position_masks) -> np.ndarray:
 
 
 def _marginal_counts(family: BlockFamily):
-    cached = getattr(family, "_marginal_count_cache", None)
-    if cached is None:
+    if family._marginal_count_cache is None:
         pos = _marginal_position_masks(family.n)
-        cached = tuple(_zero_count_matrix(family, pm) for pm in pos)
-        family._marginal_count_cache = cached
-    return cached
+        family._marginal_count_cache = tuple(
+            _zero_count_matrix(family, pm) for pm in pos)
+    return family._marginal_count_cache
 
 
 def check_class_distribution(family: BlockFamily, probs,

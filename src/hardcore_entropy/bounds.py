@@ -4,18 +4,21 @@ Every bound here comes from a sequential fill-in construction: sublattices
 are filled in order with independent Bernoulli entries, a site staying 0
 whenever an already-placed neighbor carries a 1, and the final sublattice's
 unforced sites contribute ln 2 per site (or h_B(p') when a final Bernoulli
-parameter is given).  All values are nats per full-lattice site.
+parameter is given).  `staged_bound` is that one formula for every lattice,
+fed by the table of unforced fractions U_s in `STAGE_UNFORCED`; the
+three-hex bounds fill the first stage with tile clusters instead.  All
+values are nats per full-lattice site.
 
 Convention 0 * ln 0 = 0 throughout.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+from .lattices import LatticeKind, build_lattice
 
 LN2 = math.log(2.0)
-
-SIMPLEX_TOL = 1e-12
 
 
 def _xlogx(p: float) -> float:
@@ -105,97 +108,95 @@ class BoundReport:
         return out
 
 
-def bound_bipartite(p: float, m: int) -> BoundReport:
-    """Two-stage bound on a bipartite lattice whose odd sites have m even
-    neighbors (square m=4, honeycomb m=3).
+def _lattice_key(lattice) -> str:
+    return getattr(lattice, "value", str(lattice))
 
-    value = 1/2 { h_B(p) + (1-p)^m ln 2 }.
+
+# U_s: the fraction of stage-s sites left unforced once the earlier stages
+# are filled, as a function of all stage probabilities.  An unforced site
+# needs every earlier neighbor at 0; s = 1 - (1-p) q is P(a dot site is 0
+# given its circle neighbors are).  On the tripartite lattices a stage-2
+# site has m neighbors in each earlier stage (triangular 3, kagome 2); the
+# last exponent is m, not 2, which would overshoot the triangular optimum.
+
+def _unforced_bipartite(m):
+    return lambda probs: (1.0, (1.0 - probs[0]) ** m)
+
+
+def _unforced_tripartite(m):
+    def unforced(probs):
+        p, q = probs[0], probs[1]
+        dot = (1.0 - p) ** m
+        return (1.0, dot, dot * (1.0 - (1.0 - p) * q) ** m)
+    return unforced
+
+
+def _unforced_square_moore(probs):
+    p, q, r = probs[0], probs[1], probs[2]
+    s = 1.0 - (1.0 - p) * q
+    dot = (1.0 - p) ** 2
+    return (1.0, dot, dot * s ** 4,
+            (1.0 - p) ** 4 * (1.0 - q) ** 2 * (1.0 - s ** 2 * r) ** 2)
+
+
+STAGE_UNFORCED = {
+    "square": _unforced_bipartite(4),
+    "honeycomb": _unforced_bipartite(3),
+    "triangular": _unforced_tripartite(3),
+    "kagome": _unforced_tripartite(2),
+    "square_moore": _unforced_square_moore,
+}
+
+_PARAM_NAMES = ("p", "q", "r")
+
+
+def stage_probabilities(lattice, probs) -> tuple[float, ...]:
+    """All k stage probabilities of a k-partite lattice: the k - 1 given
+    ones followed by 1/2, or k explicit ones."""
+    key = _lattice_key(lattice)
+    if key not in STAGE_UNFORCED:
+        raise ValueError(f"no closed-form scheme for lattice {key!r}")
+    k = build_lattice(LatticeKind(key)).partite_count
+    probs = tuple(float(p) for p in probs)
+    if len(probs) == k - 1:
+        probs = probs + (0.5,)
+    elif len(probs) != k:
+        raise ValueError(
+            f"{key} takes {k - 1} stage probabilities (final stage 1/2) "
+            f"or {k} explicit ones, got {len(probs)}")
+    for p in probs:
+        _check_prob(p, "stage probability")
+    return probs
+
+
+def stage_unforced(lattice, probs) -> tuple[float, ...]:
+    """U_s for every stage s, given the stage probabilities (k - 1 of them
+    with a final B(1/2) stage, or all k)."""
+    key = _lattice_key(lattice)
+    return STAGE_UNFORCED[key](stage_probabilities(key, probs))
+
+
+def staged_bound(lattice, probs) -> BoundReport:
+    """The sequential fill-in bound of a k-partite lattice.
+
+    value = (1/k) sum_s U_s h_B(p_s), where stage s is filled with
+    B(p_s) on its unforced sites.  With k - 1 probabilities the final
+    stage is B(1/2) (scheme "closed"); an explicit final p' gives the
+    scheme "equalized".  Densities are p_s U_s per sublattice.
     """
-    p = _check_prob(p)
-    if m not in (3, 4):
-        raise ValueError(f"m must be 3 or 4, got {m}")
-    unforced = (1.0 - p) ** m
-    value = 0.5 * (entropy_bernoulli(p) + unforced * LN2)
-    lattice = "square" if m == 4 else "honeycomb"
-    return BoundReport(lattice, "closed", value, {"p": p},
-                       (p, unforced / 2.0))
-
-
-def bound_tripartite(p: float, q: float, m_prime: int) -> BoundReport:
-    """Three-stage bound on a tripartite lattice (triangular m'=3, kagome
-    m'=2), where a stage-2 site has m' neighbors in each earlier stage.
-
-    value = 1/3 { h_B(p) + (1-p)^m' [ h_B(q) + (1 - (1-p) q)^m' ln 2 ] }.
-
-    The final factor's exponent is m': the last-stage site sees m' stage-2
-    neighbors, each occupied independently with probability (1-p) q given
-    the stage-1 neighborhood is empty.  (A variant with that exponent fixed
-    to 2 is exercised in the regression tests; it only agrees for m' = 2
-    and overshoots the known triangular optimum.)
-    """
-    p = _check_prob(p, "p")
-    q = _check_prob(q, "q")
-    if m_prime not in (2, 3):
-        raise ValueError(f"m_prime must be 2 or 3, got {m_prime}")
-    dot_unforced = (1.0 - p) ** m_prime
-    tri_unforced = dot_unforced * (1.0 - (1.0 - p) * q) ** m_prime
-    value = (entropy_bernoulli(p)
-             + dot_unforced * (entropy_bernoulli(q)
-                               + (1.0 - (1.0 - p) * q) ** m_prime * LN2)) / 3.0
-    lattice = "triangular" if m_prime == 3 else "kagome"
-    return BoundReport(lattice, "closed", value, {"p": p, "q": q},
-                       (p, dot_unforced * q, tri_unforced / 2.0))
-
-
-def bound_square_moore(p: float, q: float, r: float) -> BoundReport:
-    """Four-stage bound on the square lattice with the 8-site Moore
-    neighborhood (4-partite by coordinate parity).
-
-    value = 1/4 { h_B(p) + (1-p)^2 [ h_B(q) + (1-(1-p)q)^4 h_B(r)
-            + (1-p)^2 (1-q)^2 (1 - (1-(1-p)q)^2 r)^2 ln 2 ] }.
-    """
-    p = _check_prob(p, "p")
-    q = _check_prob(q, "q")
-    r = _check_prob(r, "r")
-    s = 1.0 - (1.0 - p) * q          # P(a dot site is 0 | its circles are 0)
-    dot_unforced = (1.0 - p) ** 2
-    tri_unforced = dot_unforced * s ** 4
-    dia_unforced = (1.0 - p) ** 4 * (1.0 - q) ** 2 * (1.0 - s ** 2 * r) ** 2
-    value = (entropy_bernoulli(p)
-             + dot_unforced * (entropy_bernoulli(q)
-                               + s ** 4 * entropy_bernoulli(r)
-                               + (1.0 - p) ** 2 * (1.0 - q) ** 2
-                               * (1.0 - s ** 2 * r) ** 2 * LN2)) / 4.0
-    return BoundReport("square_moore", "closed", value,
-                       {"p": p, "q": q, "r": r},
-                       (p, dot_unforced * q, tri_unforced * r, dia_unforced / 2.0))
-
-
-def equalized_odd_parameter(p: float, m: int) -> float:
-    """The odd-stage Bernoulli parameter p' = p (1-p)^(-m) that makes the
-    odd-sublattice density equal the even one."""
-    p = _check_prob(p)
-    return p * (1.0 - p) ** (-m)
-
-
-def bound_equalized_bipartite(p: float, m: int) -> BoundReport:
-    """Bipartite bound with the final stage at B(p') instead of B(1/2),
-    tuned so both sublattices carry density p.
-
-    Feasible only while p' = p (1-p)^(-m) <= 1.
-    """
-    p = _check_prob(p)
-    if m not in (3, 4):
-        raise ValueError(f"m must be 3 or 4, got {m}")
-    p_prime = equalized_odd_parameter(p, m)
-    if p_prime > 1.0 + SIMPLEX_TOL:
-        raise ValueError(f"equalization infeasible at this p: p'={p_prime} > 1")
-    p_prime = min(p_prime, 1.0)
-    value = 0.5 * (entropy_bernoulli(p)
-                   + (1.0 - p) ** m * entropy_bernoulli(p_prime))
-    lattice = "square" if m == 4 else "honeycomb"
-    return BoundReport(lattice, "equalized", value,
-                       {"p": p, "p_prime": p_prime}, (p, p))
+    key = _lattice_key(lattice)
+    given = tuple(probs)
+    probs = stage_probabilities(key, given)
+    unforced = STAGE_UNFORCED[key](probs)
+    k = len(probs)
+    value = sum(u * entropy_bernoulli(p) for u, p in zip(unforced, probs)) / k
+    params = dict(zip(_PARAM_NAMES, probs[:k - 1]))
+    scheme = "closed"
+    if len(given) == k:
+        params["p_prime"] = probs[-1]
+        scheme = "equalized"
+    return BoundReport(key, scheme, value, params,
+                       tuple(p * u for p, u in zip(probs, unforced)))
 
 
 def bound_three_hex_honeycomb(pvec) -> BoundReport:
@@ -250,28 +251,21 @@ def bound_three_hex_triangular(pvec, q: float) -> BoundReport:
 
 # ------------------------------------------------------- optimizer drivers
 
-def _lattice_key(lattice) -> str:
-    return getattr(lattice, "value", str(lattice))
-
-
 def _attach_meta(report: BoundReport, res) -> BoundReport:
-    meta = {"iterations": res.iterations, "starts": res.starts_used,
-            "converged": res.converged,
-            "gradient_norm": res.gradient_norm_at_solution}
-    return BoundReport(report.lattice, report.scheme, report.value,
-                       report.params, report.densities, report.n, meta)
+    return replace(report, meta={
+        "iterations": res.iterations, "starts": res.starts_used,
+        "converged": res.converged,
+        "gradient_norm": res.gradient_norm_at_solution})
 
 
-_CLOSED_FORM_SCHEMES = {
-    "square": (1, lambda x: bound_bipartite(x[0], 4)),
-    "honeycomb": (1, lambda x: bound_bipartite(x[0], 3)),
-    "triangular": (2, lambda x: bound_tripartite(x[0], x[1], 3)),
-    "kagome": (2, lambda x: bound_tripartite(x[0], x[1], 2)),
-    "square_moore": (3, lambda x: bound_square_moore(x[0], x[1], x[2])),
+# p' = p / U_1(p) stays a probability only below these caps
+EQUALIZED_CAPS = {"square": 0.275, "honeycomb": 0.317}
+
+# lattice -> (Bernoulli stages after the cluster simplex, bound builder)
+THREE_HEX_SCHEMES = {
+    "honeycomb": (0, lambda x: bound_three_hex_honeycomb(x)),
+    "triangular": (1, lambda x: bound_three_hex_triangular(x[:4], x[4])),
 }
-
-# p' = p (1-p)^(-m) stays a probability only below these caps
-_EQUALIZED_CAPS = {"square": (4, 0.275), "honeycomb": (3, 0.317)}
 
 _THREE_HEX_WEIGHTS = (1.0, 3.0, 3.0, 1.0)
 
@@ -282,29 +276,33 @@ def optimize_closed_form(lattice, *, seed: int = 0, starts: int = 16,
     Bernoulli parameters."""
     from . import optimize
     key = _lattice_key(lattice)
-    if key not in _CLOSED_FORM_SCHEMES:
+    if key not in STAGE_UNFORCED:
         raise ValueError(f"no closed-form scheme for lattice {key!r}")
-    arity, build = _CLOSED_FORM_SCHEMES[key]
+    arity = build_lattice(LatticeKind(key)).partite_count - 1
     domain = optimize.Domain([optimize.Box(0.0, 1.0)] * arity)
-    res = optimize.maximize(lambda x: build(x).value, domain, seed=seed,
-                            starts=starts, tol=tol)
-    return _attach_meta(build(res.argmax), res)
+    res = optimize.maximize(lambda x: staged_bound(key, x).value, domain,
+                            seed=seed, starts=starts, tol=tol)
+    return _attach_meta(staged_bound(key, res.argmax), res)
 
 
 def optimize_equalized(lattice, *, seed: int = 0, starts: int = 16,
                        tol: float = 1e-10) -> BoundReport:
-    """Maximize the density-equalized two-stage bound (final stage B(p')
-    chosen so both sublattice densities equal p)."""
+    """Maximize the density-equalized two-stage bound: the final stage is
+    B(p') with p' = p / U_1(p), so both sublattice densities equal p."""
     from . import optimize
     key = _lattice_key(lattice)
-    if key not in _EQUALIZED_CAPS:
+    if key not in EQUALIZED_CAPS:
         raise ValueError(f"equalized scheme needs a bipartite lattice, "
                          f"got {key!r}")
-    m, cap = _EQUALIZED_CAPS[key]
-    domain = optimize.Domain([optimize.Box(0.0, cap)])
-    res = optimize.maximize(lambda x: bound_equalized_bipartite(x[0], m).value,
-                            domain, seed=seed, starts=starts, tol=tol)
-    return _attach_meta(bound_equalized_bipartite(res.argmax[0], m), res)
+
+    def build(x):
+        p = x[0]
+        return staged_bound(key, (p, p / stage_unforced(key, (p,))[1]))
+
+    domain = optimize.Domain([optimize.Box(0.0, EQUALIZED_CAPS[key])])
+    res = optimize.maximize(lambda x: build(x).value, domain, seed=seed,
+                            starts=starts, tol=tol)
+    return _attach_meta(build(res.argmax), res)
 
 
 def optimize_three_hex(lattice, *, seed: int = 0, starts: int = 16,
@@ -313,18 +311,11 @@ def optimize_three_hex(lattice, *, seed: int = 0, starts: int = 16,
     (plus the dot-stage parameter on the triangular lattice)."""
     from . import optimize
     key = _lattice_key(lattice)
-    if key == "honeycomb":
-        domain = optimize.Domain([optimize.Simplex(_THREE_HEX_WEIGHTS)])
-        res = optimize.maximize(
-            lambda x: bound_three_hex_honeycomb(x).value, domain,
-            seed=seed, starts=starts, tol=tol)
-        return _attach_meta(bound_three_hex_honeycomb(res.argmax), res)
-    if key == "triangular":
-        domain = optimize.Domain([optimize.Simplex(_THREE_HEX_WEIGHTS),
-                                  optimize.Box(0.0, 1.0)])
-        res = optimize.maximize(
-            lambda x: bound_three_hex_triangular(x[:4], x[4]).value, domain,
-            seed=seed, starts=starts, tol=tol)
-        return _attach_meta(bound_three_hex_triangular(res.argmax[:4],
-                                                       res.argmax[4]), res)
-    raise ValueError(f"no three-hex scheme for lattice {key!r}")
+    if key not in THREE_HEX_SCHEMES:
+        raise ValueError(f"no three-hex scheme for lattice {key!r}")
+    boxes, build = THREE_HEX_SCHEMES[key]
+    domain = optimize.Domain([optimize.Simplex(_THREE_HEX_WEIGHTS)]
+                             + [optimize.Box(0.0, 1.0)] * boxes)
+    res = optimize.maximize(lambda x: build(x).value, domain, seed=seed,
+                            starts=starts, tol=tol)
+    return _attach_meta(build(res.argmax), res)

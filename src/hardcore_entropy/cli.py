@@ -41,9 +41,9 @@ LATTICES = tuple(k.value for k in LatticeKind)
 SCHEMES = ("closed", "equalized", "three-hex", "block")
 
 _SCHEME_LATTICES = {
-    "closed": LATTICES,
-    "equalized": ("square", "honeycomb"),
-    "three-hex": ("honeycomb", "triangular"),
+    "closed": tuple(bounds.STAGE_UNFORCED),
+    "equalized": tuple(bounds.EQUALIZED_CAPS),
+    "three-hex": tuple(bounds.THREE_HEX_SCHEMES),
     "block": ("square",),
 }
 
@@ -389,7 +389,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         arity = build_lattice(kind).partite_count - 1
         for _ in range(2):
             params = tuple(rng.uniform(0.05, 0.45, size=max(arity, 1)))
-            analytic = oracles.stage_unforced_analytic(kind, params)
+            analytic = bounds.stage_unforced(kind, params)
             for stage in range(1, len(analytic)):
                 exhaustive = oracles.window_probability_exhaustive(
                     kind, params, stage)
@@ -411,7 +411,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     for p in (0.05, 0.15, 0.1702, 0.25, 0.45):
         dist = block_bounds.BlockDistribution(fam1, np.array([1.0 - p, p]))
         worst = max(worst, abs(block_bounds.bound_value(dist)
-                               - bounds.bound_bipartite(p, 4).value))
+                               - bounds.staged_bound("square", (p,)).value))
     checks.append(("unit_block_equals_closed_form",
                    worst <= 1e-12, f"max |diff| = {worst:.2e}"))
 
@@ -562,7 +562,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     _write_bundle(cfg, rows, started,
                   extra={"hard_core_valid": valid,
                          "dims": list(dims), "stage_probabilities":
-                         list(oracles._stage_probabilities(kind, params))})
+                         list(bounds.stage_probabilities(kind, params))})
     if not valid or z_max > _SAMPLE_Z_LIMIT:
         print(f"sampler statistics outside {_SAMPLE_Z_LIMIT} standard errors",
               file=sys.stderr)
@@ -606,8 +606,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:
+        # configuration problems arrive as ConfigError; anything else is
+        # a numerical failure such as a non-finite objective
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -1,15 +1,19 @@
-"""Lattice definitions, sublattice splits, and the hard-core constraint checker.
+"""The lattice table, and everything derived from it.
 
-Five lattices are supported.  Each is k-partite; the sublattices are named
-after the fill-in order circle -> dot -> triangle -> diamond.  Sites are plain
-tuples:
+Five lattices are supported.  `LatticeSpec` is the single description of
+each: per-cell neighbor offsets and a periodic stage coloring.  Neighbor
+lists, sublattice labels, the torus side rule, the stage-index array, the
+hard-core checker and the sampler's "some neighbor carries a 1" test are all
+computed from those two fields, with no per-lattice code.
 
-* SQUARE, SQUARE_MOORE, TRIANGULAR: ``(x, y)`` integer coordinates.
-* HONEYCOMB, KAGOME: ``(x, y, t)`` where ``(x, y)`` indexes a unit cell and
-  ``t`` the site within the cell (honeycomb: 2 sites, kagome: 3 sites).
+Sites are plain tuples.  A lattice with one site per unit cell (SQUARE,
+SQUARE_MOORE, TRIANGULAR) uses ``(x, y)``; HONEYCOMB (2 sites per cell) and
+KAGOME (3) use ``(x, y, t)``, where ``t`` is the site within cell ``(x, y)``.
+The sublattices are named after the fill-in order
+circle -> dot -> triangle -> diamond.
 
 TRIANGULAR uses axial coordinates with neighbor offsets
-(+-1,0), (0,+-1), (1,-1), (-1,1); the three sublattices are (x - y) mod 3.
+(+-1,0), (0,+-1), (1,-1), (-1,1); its three sublattices are (x - y) mod 3.
 KAGOME is the line graph of the honeycomb: site (x, y, t) is kagome vertex
 t of cell (x, y); every site lies in exactly two triangles and has four
 neighbors.  SQUARE_MOORE is the square lattice with the 8-site Chebyshev
@@ -19,8 +23,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+FILL_ORDER = ("circle", "dot", "triangle", "diamond")
 
 
 class LatticeKind(enum.Enum):
@@ -35,29 +42,66 @@ class LatticeKind(enum.Enum):
 class LatticeSpec:
     """Static description of one lattice.
 
-    neighborhood_exponents[i] is the number of already-filled neighbors a
-    stage-i site has; that site is unforced iff all of them carry 0.
+    neighbors[t] lists (dx, dy, t2): site t of cell (x, y) is adjacent to
+    site t2 of cell (x + dx, y + dy).  The fill stage of site (x, y, t) is
+    coloring[t][y % py][x % px], with (px, py) the coloring's period.
     """
 
     kind: LatticeKind
-    coordination: int
-    partite_count: int
-    fill_order: tuple[str, ...]
-    neighborhood_exponents: tuple[int, ...]
+    neighbors: tuple
+    coloring: tuple
+
+    @property
+    def sites_per_cell(self) -> int:
+        return len(self.neighbors)
+
+    @property
+    def period(self) -> tuple[int, int]:
+        return len(self.coloring[0][0]), len(self.coloring[0])
+
+    @cached_property
+    def partite_count(self) -> int:
+        return 1 + max(s for plane in self.coloring for row in plane
+                       for s in row)
+
+    @cached_property
+    def fill_order(self) -> tuple[str, ...]:
+        return FILL_ORDER[:self.partite_count]
 
 
 _SPECS = {
     LatticeKind.SQUARE: LatticeSpec(
-        LatticeKind.SQUARE, 4, 2, ("circle", "dot"), (0, 4)),
+        LatticeKind.SQUARE,
+        (((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)),),
+        (((0, 1), (1, 0)),)),
+    # Honeycomb: t=0 (A) connects to the three B sites of cells (x,y),
+    # (x-1,y), (x,y-1); t=1 (B) is the mirror image.
     LatticeKind.HONEYCOMB: LatticeSpec(
-        LatticeKind.HONEYCOMB, 3, 2, ("circle", "dot"), (0, 3)),
+        LatticeKind.HONEYCOMB,
+        (((0, 0, 1), (-1, 0, 1), (0, -1, 1)),
+         ((0, 0, 0), (1, 0, 0), (0, 1, 0))),
+        (((0,),), ((1,),))),
     LatticeKind.TRIANGULAR: LatticeSpec(
-        LatticeKind.TRIANGULAR, 6, 3, ("circle", "dot", "triangle"), (0, 3, 6)),
+        LatticeKind.TRIANGULAR,
+        (((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, -1, 0),
+          (-1, 1, 0)),),
+        (((0, 1, 2), (2, 0, 1), (1, 2, 0)),)),
+    # Kagome via the honeycomb line graph: kagome vertex (x,y,t) = honeycomb
+    # edge e_t of cell (x,y) where e0 = A(x,y)-B(x,y), e1 = A(x,y)-B(x-1,y),
+    # e2 = A(x,y)-B(x,y-1).  Two vertices are adjacent iff their edges share
+    # a honeycomb endpoint, which yields one "A triangle" per cell
+    # {e0,e1,e2} and one "B triangle" per cell {e0(x,y), e1(x+1,y), e2(x,y+1)}.
     LatticeKind.KAGOME: LatticeSpec(
-        LatticeKind.KAGOME, 4, 3, ("circle", "dot", "triangle"), (0, 2, 4)),
+        LatticeKind.KAGOME,
+        (((0, 0, 1), (0, 0, 2), (1, 0, 1), (0, 1, 2)),
+         ((0, 0, 0), (0, 0, 2), (-1, 0, 0), (-1, 1, 2)),
+         ((0, 0, 0), (0, 0, 1), (0, -1, 0), (1, -1, 1))),
+        (((0,),), ((1,),), ((2,),))),
     LatticeKind.SQUARE_MOORE: LatticeSpec(
-        LatticeKind.SQUARE_MOORE, 8, 4,
-        ("circle", "dot", "triangle", "diamond"), (0, 2, 6, 8)),
+        LatticeKind.SQUARE_MOORE,
+        (tuple((dx, dy, 0) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+               if (dx, dy) != (0, 0)),),
+        (((0, 1), (2, 3)),)),
 }
 
 
@@ -65,110 +109,82 @@ def build_lattice(kind: LatticeKind) -> LatticeSpec:
     return _SPECS[kind]
 
 
-# Neighbor offsets.  For cell-based lattices each entry maps a site index t
-# to a list of (dx, dy, t2) triples.
-
-_TRI_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
-
-# Honeycomb: t=0 (A) connects to the three B sites of cells (x,y), (x-1,y),
-# (x,y-1); t=1 (B) is the mirror image.
-_HONEY_NBRS = {
-    0: ((0, 0, 1), (-1, 0, 1), (0, -1, 1)),
-    1: ((0, 0, 0), (1, 0, 0), (0, 1, 0)),
-}
-
-# Kagome via the honeycomb line graph: kagome vertex (x,y,t) = honeycomb edge
-# e_t of cell (x,y) where e0 = A(x,y)-B(x,y), e1 = A(x,y)-B(x-1,y),
-# e2 = A(x,y)-B(x,y-1).  Two vertices are adjacent iff their edges share a
-# honeycomb endpoint, which yields one "A triangle" per cell {e0,e1,e2} and
-# one "B triangle" per cell {e0(x,y), e1(x+1,y), e2(x,y+1)}.
-_KAGOME_NBRS = {
-    0: ((0, 0, 1), (0, 0, 2), (1, 0, 1), (0, 1, 2)),
-    1: ((0, 0, 0), (0, 0, 2), (-1, 0, 0), (-1, 1, 2)),
-    2: ((0, 0, 0), (0, 0, 1), (0, -1, 0), (1, -1, 1)),
-}
-
-
-def _validate_dims(kind: LatticeKind, dims) -> tuple[int, int]:
+def _validate_dims(spec: LatticeSpec, dims) -> tuple[int, int]:
     w, h = int(dims[0]), int(dims[1])
     if w < 2 or h < 2:
         raise ValueError(f"torus dimensions must be at least 2x2, got {w}x{h}")
-    if kind in (LatticeKind.SQUARE, LatticeKind.SQUARE_MOORE):
-        if w % 2 or h % 2:
-            raise ValueError(
-                f"{kind.value} torus needs even side lengths for a consistent "
-                f"2-coloring, got {w}x{h}")
-    elif kind is LatticeKind.TRIANGULAR:
-        if w % 3 or h % 3:
-            raise ValueError(
-                f"triangular torus needs side lengths divisible by 3, got {w}x{h}")
+    px, py = spec.period
+    if w % px or h % py:
+        raise ValueError(
+            f"{spec.kind.value} torus needs side lengths divisible by the "
+            f"coloring period {px}x{py}, got {w}x{h}")
     return w, h
 
 
-def _site_in_range(kind: LatticeKind, dims, site) -> bool:
-    w, h = dims
-    if kind in (LatticeKind.HONEYCOMB, LatticeKind.KAGOME):
-        if len(site) != 3:
-            return False
-        x, y, t = site
-        tmax = 2 if kind is LatticeKind.HONEYCOMB else 3
-        return 0 <= x < w and 0 <= y < h and 0 <= t < tmax
-    if len(site) != 2:
-        return False
-    x, y = site
-    return 0 <= x < w and 0 <= y < h
+def _split_site(spec: LatticeSpec, site) -> tuple:
+    """(x, y, t) of a site; t is 0 on lattices with one site per cell."""
+    return tuple(site) + ((0,) if spec.sites_per_cell == 1 else ())
 
 
 def neighbor_sites(spec: LatticeSpec, config_dims, site) -> list:
     """All nearest neighbors of `site` on the torus, as a list of sites.
 
-    Returns exactly spec.coordination entries; on very small tori some may
-    coincide (parallel edges), but a site is never its own neighbor.
+    On very small tori some entries may coincide (parallel edges), but a
+    site is never its own neighbor.
     """
-    kind = spec.kind
-    w, h = _validate_dims(kind, config_dims)
-    if not _site_in_range(kind, (w, h), site):
-        raise ValueError(f"site {site!r} out of range for {kind.value} {w}x{h}")
-    if kind is LatticeKind.SQUARE:
-        x, y = site
-        return [((x + 1) % w, y), ((x - 1) % w, y),
-                (x, (y + 1) % h), (x, (y - 1) % h)]
-    if kind is LatticeKind.SQUARE_MOORE:
-        x, y = site
-        return [((x + dx) % w, (y + dy) % h)
-                for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                if (dx, dy) != (0, 0)]
-    if kind is LatticeKind.TRIANGULAR:
-        x, y = site
-        return [((x + dx) % w, (y + dy) % h) for dx, dy in _TRI_OFFSETS]
-    if kind is LatticeKind.HONEYCOMB:
-        x, y, t = site
-        return [((x + dx) % w, (y + dy) % h, t2) for dx, dy, t2 in _HONEY_NBRS[t]]
-    x, y, t = site
-    return [((x + dx) % w, (y + dy) % h, t2) for dx, dy, t2 in _KAGOME_NBRS[t]]
+    w, h = _validate_dims(spec, config_dims)
+    coords = _split_site(spec, site)
+    if len(coords) != 3 or not all(0 <= c < m for c, m in zip(
+            coords, (w, h, spec.sites_per_cell))):
+        raise ValueError(
+            f"site {site!r} out of range for {spec.kind.value} {w}x{h}")
+    x, y, t = coords
+    out = [((x + dx) % w, (y + dy) % h, t2) for dx, dy, t2 in spec.neighbors[t]]
+    return [s[:2] for s in out] if spec.sites_per_cell == 1 else out
+
+
+def stage_of(spec: LatticeSpec, site) -> int:
+    """Fill stage of a site (a pure function of its coordinates)."""
+    x, y, t = _split_site(spec, site)
+    px, py = spec.period
+    return spec.coloring[t][y % py][x % px]
 
 
 def sublattice_of(spec: LatticeSpec, site) -> str:
-    """Sublattice label of a site (a pure function of its coordinates)."""
-    kind = spec.kind
-    if kind is LatticeKind.SQUARE:
-        x, y = site
-        return spec.fill_order[(x + y) % 2]
-    if kind is LatticeKind.SQUARE_MOORE:
-        x, y = site
-        return spec.fill_order[(x % 2) + 2 * (y % 2)]
-    if kind is LatticeKind.TRIANGULAR:
-        x, y = site
-        return spec.fill_order[(x - y) % 3]
-    return spec.fill_order[site[2]]
+    """Sublattice label of a site."""
+    return spec.fill_order[stage_of(spec, site)]
+
+
+def stage_index(spec: LatticeSpec, dims) -> np.ndarray:
+    """Fill stage of every site, shaped like TorusConfiguration.values."""
+    w, h = _validate_dims(spec, dims)
+    px, py = spec.period
+    # one period of the coloring, indexed (y, x, t)
+    cell = np.array(spec.coloring, dtype=np.int8).transpose(1, 2, 0)
+    stages = np.tile(cell, (h // py, w // px, 1))
+    return stages[..., 0] if spec.sites_per_cell == 1 else stages
+
+
+def occupied_neighbor(spec: LatticeSpec, values: np.ndarray) -> np.ndarray:
+    """Boolean array shaped like `values`: some neighbor carries a 1."""
+    # one contiguous (h, w) plane per site of the cell: rolling the strided
+    # values[..., t] slices instead is several times slower
+    planes = np.ascontiguousarray(np.moveaxis(
+        values.reshape(values.shape[:2] + (-1,)), -1, 0), dtype=bool)
+    out = np.zeros(planes.shape, dtype=bool)
+    for t, offsets in enumerate(spec.neighbors):
+        for dx, dy, t2 in offsets:
+            # out[t, y, x] |= planes[t2, (y + dy) % h, (x + dx) % w]
+            out[t] |= np.roll(planes[t2], (-dy, -dx), axis=(0, 1))
+    return np.moveaxis(out, 0, -1).reshape(values.shape)
 
 
 @dataclass
 class TorusConfiguration:
     """A periodic 0/1 configuration on a finite torus.
 
-    `values` has shape (height, width) for the point lattices and
-    (height, width, sites_per_cell) for honeycomb/kagome, indexed
+    `values` has shape (height, width) for the lattices with one site per
+    cell and (height, width, sites_per_cell) for honeycomb/kagome, indexed
     values[y, x] / values[y, x, t].
     """
 
@@ -177,7 +193,7 @@ class TorusConfiguration:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        w, h = _validate_dims(self.kind, self.dims)
+        w, h = _validate_dims(build_lattice(self.kind), self.dims)
         self.dims = (w, h)
         expect = self._shape(self.kind, w, h)
         v = np.asarray(self.values, dtype=np.int8)
@@ -189,94 +205,40 @@ class TorusConfiguration:
 
     @staticmethod
     def _shape(kind, w, h):
-        if kind is LatticeKind.HONEYCOMB:
-            return (h, w, 2)
-        if kind is LatticeKind.KAGOME:
-            return (h, w, 3)
-        return (h, w)
+        t_max = build_lattice(kind).sites_per_cell
+        return (h, w) if t_max == 1 else (h, w, t_max)
 
     @classmethod
     def empty(cls, kind: LatticeKind, dims) -> "TorusConfiguration":
-        w, h = _validate_dims(kind, dims)
+        w, h = _validate_dims(build_lattice(kind), dims)
         return cls(kind, (w, h), np.zeros(cls._shape(kind, w, h), dtype=np.int8))
 
     def sites(self):
-        w, h = self.dims
-        if self.kind in (LatticeKind.HONEYCOMB, LatticeKind.KAGOME):
-            tmax = self.values.shape[2]
-            for y in range(h):
-                for x in range(w):
-                    for t in range(tmax):
-                        yield (x, y, t)
-        else:
-            for y in range(h):
-                for x in range(w):
-                    yield (x, y)
+        for y, x, *t in np.ndindex(self.values.shape):
+            yield (x, y, *t)
+
+    @staticmethod
+    def _index(site):
+        x, y, *t = site
+        return (y, x, *t)
 
     def __getitem__(self, site):
-        if len(site) == 3:
-            x, y, t = site
-            return int(self.values[y, x, t])
-        x, y = site
-        return int(self.values[y, x])
+        return int(self.values[self._index(site)])
 
     def __setitem__(self, site, value):
-        if len(site) == 3:
-            x, y, t = site
-            self.values[y, x, t] = value
-        else:
-            x, y = site
-            self.values[y, x] = value
-
-
-def _edge_overlaps(config: TorusConfiguration):
-    """One boolean array per edge direction: both endpoints carry 1."""
-    g = config.values
-    kind = config.kind
-    if kind is LatticeKind.SQUARE:
-        return [g & np.roll(g, -1, axis=1), g & np.roll(g, -1, axis=0)]
-    if kind is LatticeKind.SQUARE_MOORE:
-        down = np.roll(g, -1, axis=0)
-        return [g & np.roll(g, -1, axis=1), g & down,
-                g & np.roll(down, -1, axis=1), g & np.roll(down, 1, axis=1)]
-    if kind is LatticeKind.TRIANGULAR:
-        return [g & np.roll(g, -1, axis=1), g & np.roll(g, -1, axis=0),
-                g & np.roll(np.roll(g, -1, axis=1), 1, axis=0)]
-    if kind is LatticeKind.HONEYCOMB:
-        a, b = g[..., 0], g[..., 1]
-        return [a & b, a & np.roll(b, 1, axis=1), a & np.roll(b, 1, axis=0)]
-    t0, t1, t2 = g[..., 0], g[..., 1], g[..., 2]
-    t1r = np.roll(t1, -1, axis=1)   # t1 of cell (x+1, y)
-    t2r = np.roll(t2, -1, axis=0)   # t2 of cell (x, y+1)
-    return [t0 & t1, t0 & t2, t1 & t2, t0 & t1r, t0 & t2r, t1r & t2r]
+        self.values[self._index(site)] = value
 
 
 def verify_hard_core(config: TorusConfiguration) -> bool:
     """True iff no two adjacent sites both carry 1."""
-    return not any(e.any() for e in _edge_overlaps(config))
-
-
-def sublattice_mask(config: TorusConfiguration, label: str) -> np.ndarray:
-    """Boolean mask over config.values selecting one sublattice."""
-    spec = build_lattice(config.kind)
-    if label not in spec.fill_order:
-        raise ValueError(f"unknown sublattice {label!r} for {config.kind.value}")
-    stage = spec.fill_order.index(label)
-    w, h = config.dims
-    yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    kind = config.kind
-    if kind is LatticeKind.SQUARE:
-        return (xx + yy) % 2 == stage
-    if kind is LatticeKind.SQUARE_MOORE:
-        return (xx % 2) + 2 * (yy % 2) == stage
-    if kind is LatticeKind.TRIANGULAR:
-        return (xx - yy) % 3 == stage
-    mask = np.zeros(config.values.shape, dtype=bool)
-    mask[..., stage] = True
-    return mask
+    g = config.values.astype(bool)
+    return not (g & occupied_neighbor(build_lattice(config.kind), g)).any()
 
 
 def sublattice_density(config: TorusConfiguration, label: str) -> float:
     """Fraction of 1's among the sites of one sublattice."""
-    mask = sublattice_mask(config, label)
+    spec = build_lattice(config.kind)
+    if label not in spec.fill_order:
+        raise ValueError(f"unknown sublattice {label!r} for {config.kind.value}")
+    mask = stage_index(spec, config.dims) == spec.fill_order.index(label)
     return float(config.values[mask].mean())

@@ -201,16 +201,15 @@ def _sobol_starts(dim, starts, seed, spread=2.5):
 
 def maximize(objective, domain: Domain, *, gradient=None, tol: float = 1e-10,
              max_iter: int = 2000, seed: int = 0, starts: int = 16,
-             x0=None, callback=None,
-             track_history: bool = False) -> OptimizationResult:
+             x0=None, track_history: bool = False) -> OptimizationResult:
     """Maximize `objective` over `domain`.
 
     objective takes the concatenated component vector; gradient, when
     given, returns d objective/d x at that vector (finite differences are
-    used in the reparameterized space otherwise).  `callback(x, value)`
-    fires once per quasi-Newton iteration.  Multistart winner is the best
-    value, ties broken by lowest start index.  x0, a feasible interior
-    point, replaces the default center start.
+    used in the reparameterized space otherwise).  track_history records
+    the objective once per quasi-Newton iteration.  Multistart winner is
+    the best value, ties broken by lowest start index.  x0, a feasible
+    interior point, replaces the default center start.
     """
     dim = domain.size
 
@@ -225,23 +224,19 @@ def maximize(objective, domain: Domain, *, gradient=None, tol: float = 1e-10,
         return -v, -domain.chain_gradient(t, x, g)
 
     history = []
+
+    def _record(tk):
+        history.append(objective(domain.to_interior(tk)))
+
     best = None
     nit_total = 0
     start_points = _sobol_starts(dim, starts, seed)
     if x0 is not None:
         start_points[0] = domain.from_interior(x0)
-    for idx, t0 in enumerate(start_points):
-        def _cb(tk):
-            xk = domain.to_interior(tk)
-            vk = objective(xk)
-            if track_history:
-                history.append(vk)
-            if callback is not None:
-                callback(xk, vk)
-
+    for t0 in start_points:
         res = minimize(neg, t0, jac=(None if gradient is None else True),
                        method="L-BFGS-B",
-                       callback=_cb if (track_history or callback) else None,
+                       callback=_record if track_history else None,
                        options={"maxiter": max_iter, "ftol": tol,
                                 "gtol": 1e-7, "maxcor": 20})
         nit_total += res.nit

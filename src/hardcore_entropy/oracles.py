@@ -1,9 +1,10 @@
 """Independent verification machinery.
 
-Nothing here reuses the bound formulas: transfer matrices, Monte Carlo
-fill-in, exhaustive window enumeration, and exact rational blocking-share
-arithmetic each provide a second route to numbers the rest of the package
-computes analytically.
+Transfer matrices, Monte Carlo fill-in, exhaustive window enumeration, and
+exact rational blocking-share arithmetic each provide a second route to
+numbers the rest of the package computes analytically.  The sampler and the
+window enumeration work from the lattice geometry alone and are compared
+against `bounds.stage_unforced`, the same U_s table the staged bounds use.
 """
 from __future__ import annotations
 
@@ -14,16 +15,15 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import bisect
 
-from .bounds import LN2, entropy_bernoulli
+from .bounds import LN2, entropy_bernoulli, stage_probabilities, stage_unforced
 from .lattices import (
     LatticeKind,
     TorusConfiguration,
-    _HONEY_NBRS,
-    _KAGOME_NBRS,
-    _TRI_OFFSETS,
     build_lattice,
     neighbor_sites,
-    sublattice_of,
+    occupied_neighbor,
+    stage_index,
+    stage_of,
 )
 
 MAX_STRIP_WIDTH = 14
@@ -88,88 +88,6 @@ def strip_entropy(spec, boundary: str = "free") -> float:
 
 # ---------------------------------------------------------------- sampler
 
-def _stage_probabilities(kind: LatticeKind, params) -> tuple[float, ...]:
-    spec = build_lattice(kind)
-    k = spec.partite_count
-    probs = tuple(float(p) for p in params)
-    if len(probs) == k - 1:
-        probs = probs + (0.5,)
-    elif len(probs) != k:
-        raise ValueError(
-            f"{kind.value} takes {k - 1} stage probabilities (final stage "
-            f"1/2) or {k} explicit ones, got {len(probs)}")
-    for p in probs:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"stage probability {p} outside [0, 1]")
-    return probs
-
-
-def stage_unforced_analytic(kind: LatticeKind, params) -> tuple[float, ...]:
-    """Expected fraction of each stage's sites left unforced, given all
-    earlier stages were filled with their Bernoulli parameters."""
-    probs = _stage_probabilities(kind, params)
-    p = probs[0]
-    if kind is LatticeKind.SQUARE:
-        return (1.0, (1 - p) ** 4)
-    if kind is LatticeKind.HONEYCOMB:
-        return (1.0, (1 - p) ** 3)
-    q = probs[1]
-    s = 1 - (1 - p) * q
-    if kind is LatticeKind.TRIANGULAR:
-        return (1.0, (1 - p) ** 3, (1 - p) ** 3 * s ** 3)
-    if kind is LatticeKind.KAGOME:
-        return (1.0, (1 - p) ** 2, (1 - p) ** 2 * s ** 2)
-    r = probs[2]
-    return (1.0, (1 - p) ** 2, (1 - p) ** 2 * s ** 4,
-            (1 - p) ** 4 * (1 - q) ** 2 * (1 - s ** 2 * r) ** 2)
-
-
-def _stage_masks(kind: LatticeKind, shape) -> list[np.ndarray]:
-    if kind in (LatticeKind.HONEYCOMB, LatticeKind.KAGOME):
-        h, w, tmax = shape
-        return [np.arange(tmax)[None, None, :] == t for t in range(tmax)]
-    h, w = shape
-    x = np.arange(w)[None, :]
-    y = np.arange(h)[:, None]
-    if kind is LatticeKind.SQUARE:
-        s = (x + y) % 2
-        return [s == 0, s == 1]
-    if kind is LatticeKind.SQUARE_MOORE:
-        s = (x % 2) + 2 * (y % 2)
-        return [s == i for i in range(4)]
-    s = (x - y) % 3
-    return [s == i for i in range(3)]
-
-
-def _shift(plane: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    # result[y, x] = plane[(y + dy) % h, (x + dx) % w]
-    return np.roll(np.roll(plane, -dy, axis=0), -dx, axis=1)
-
-
-def _occupied_neighbor(kind: LatticeKind, g: np.ndarray) -> np.ndarray:
-    """Boolean array: some neighbor of this site currently carries a 1."""
-    if kind is LatticeKind.SQUARE:
-        offs = ((1, 0), (-1, 0), (0, 1), (0, -1))
-    elif kind is LatticeKind.SQUARE_MOORE:
-        offs = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                     if (dx, dy) != (0, 0))
-    elif kind is LatticeKind.TRIANGULAR:
-        offs = _TRI_OFFSETS
-    else:
-        nbrs = _HONEY_NBRS if kind is LatticeKind.HONEYCOMB else _KAGOME_NBRS
-        out = np.zeros(g.shape, dtype=bool)
-        for t, entries in nbrs.items():
-            acc = np.zeros(g.shape[:2], dtype=bool)
-            for dx, dy, t2 in entries:
-                acc |= _shift(g[..., t2], dx, dy).astype(bool)
-            out[..., t] = acc
-        return out
-    blocked = np.zeros(g.shape, dtype=bool)
-    for dx, dy in offs:
-        blocked |= _shift(g, dx, dy).astype(bool)
-    return blocked
-
-
 def _tile_stderr(indicator: np.ndarray, where: np.ndarray,
                  tile: int = 8) -> float:
     """Standard error of the mean of indicator over `where` sites, from the
@@ -229,17 +147,17 @@ def fill_in_sample(kind: LatticeKind, params, dims, seed: int):
     unaffected by how many earlier stages exist.
     """
     spec = build_lattice(kind)
-    probs = _stage_probabilities(kind, params)
+    probs = stage_probabilities(kind, params)
     config = TorusConfiguration.empty(kind, dims)
     g = config.values
-    masks = _stage_masks(kind, g.shape)
-    analytic = stage_unforced_analytic(kind, probs)
+    stages = stage_index(spec, config.dims)
+    analytic = stage_unforced(kind, probs)
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(seed).spawn(len(probs))]
     stats = []
     for s, label in enumerate(spec.fill_order):
-        mask = np.broadcast_to(masks[s], g.shape)
-        blocked = _occupied_neighbor(kind, g) if s else \
+        mask = stages == s
+        blocked = occupied_neighbor(spec, g) if s else \
             np.zeros(g.shape, dtype=bool)
         unforced = mask & ~blocked
         draws = streams[s].random(g.shape) < probs[s]
@@ -267,23 +185,15 @@ _REFERENCE_DIMS = {
 }
 
 
-def _stage_of(spec, site) -> int:
-    return spec.fill_order.index(sublattice_of(spec, site))
-
-
 def _target_site(spec, dims, stage: int):
+    """The first stage-`stage` site scanning from the torus center."""
     w, h = dims
-    cx, cy = w // 2, h // 2
-    candidates = ([(x, y) for y in range(cy, h) for x in range(cx, w)]
-                  if spec.kind in (LatticeKind.SQUARE, LatticeKind.SQUARE_MOORE,
-                                   LatticeKind.TRIANGULAR)
-                  else [(cx, cy, t) for t in range(spec.partite_count + 1)])
-    for site in candidates:
-        try:
-            if _stage_of(spec, site) == stage:
-                return site
-        except (ValueError, IndexError):
-            continue
+    for y in range(h // 2, h):
+        for x in range(w // 2, w):
+            for t in range(spec.sites_per_cell):
+                site = (x, y) if spec.sites_per_cell == 1 else (x, y, t)
+                if stage_of(spec, site) == stage:
+                    return site
     raise ValueError(f"no stage-{stage} site found")
 
 
@@ -301,9 +211,9 @@ def influence_window(kind: LatticeKind, stage: int) -> tuple:
     seen = {target}
     while frontier:
         site = frontier.pop()
-        s = _stage_of(spec, site)
+        s = stage_of(spec, site)
         for nb in neighbor_sites(spec, dims, site):
-            if _stage_of(spec, nb) < s and nb not in seen:
+            if stage_of(spec, nb) < s and nb not in seen:
                 seen.add(nb)
                 window.append(nb)
                 frontier.append(nb)
@@ -320,7 +230,7 @@ def window_probability_exhaustive(kind: LatticeKind, params, stage: int,
     measure the exact marginal.  window=None uses the canonical closure.
     """
     spec = build_lattice(kind)
-    probs = _stage_probabilities(kind, params)
+    probs = stage_probabilities(kind, params)
     dims = _REFERENCE_DIMS[kind]
     if window is None:
         target, window = influence_window(kind, stage)
@@ -331,13 +241,13 @@ def window_probability_exhaustive(kind: LatticeKind, params, stage: int,
     if m > MAX_WINDOW_SITES:
         raise ValueError(f"window of {m} sites exceeds the exhaustive "
                          f"enumeration cap {MAX_WINDOW_SITES}")
-    order = sorted(window, key=lambda s: _stage_of(spec, s))
+    order = sorted(window, key=lambda s: stage_of(spec, s))
     pos = {site: j for j, site in enumerate(order)}
 
     def earlier_neighbors(site, s):
         out = []
         for nb in set(neighbor_sites(spec, dims, site)):
-            if _stage_of(spec, nb) < s:
+            if stage_of(spec, nb) < s:
                 if nb not in pos:
                     raise ValueError(
                         f"window is not dependency-closed: {site} needs {nb}")
@@ -348,7 +258,7 @@ def window_probability_exhaustive(kind: LatticeKind, params, stage: int,
     bits = [(idx >> j) & 1 for j in range(m)]
     weights = np.ones(1 << m)
     for j, site in enumerate(order):
-        s = _stage_of(spec, site)
+        s = stage_of(spec, site)
         p = probs[s]
         b = bits[j]
         if s == 0:

@@ -217,7 +217,7 @@ def test_criterion_08_oracle_checks():
         arity = build_lattice(kind).partite_count - 1
         for _ in range(5):
             params = tuple(rng.uniform(0.05, 0.45, size=max(arity, 1)))
-            analytic = oracles.stage_unforced_analytic(kind, params)
+            analytic = bounds.stage_unforced(kind, params)
             for stage in range(1, len(analytic)):
                 got = oracles.window_probability_exhaustive(kind, params,
                                                             stage)

@@ -18,7 +18,7 @@ from hardcore_entropy.block_bounds import (
     uniform_distribution,
     value_and_gradient,
 )
-from hardcore_entropy.bounds import LN2, bound_bipartite
+from hardcore_entropy.bounds import LN2, staged_bound
 from hardcore_entropy.optimize import finite_difference_gradient_check
 
 FAMILIES = {n: blocks.reduce_family(n) for n in (1, 2, 3)}
@@ -132,7 +132,7 @@ class TestBoundAndGradient:
         fam = FAMILIES[1]
         for p in np.linspace(0.0, 1.0, 11):
             dist = BlockDistribution(fam, np.array([1 - p, p]))
-            want = bound_bipartite(float(p), 4)
+            want = staged_bound("square", (float(p),))
             assert block_bound(dist).value == pytest.approx(want.value,
                                                             abs=1e-12)
 

@@ -1,4 +1,4 @@
-"""Block enumeration, symmetry/weak-site reduction, and marginals."""
+"""Block symmetry/weak-site reduction, the family cache, and marginals."""
 import itertools
 
 import numpy as np
@@ -11,7 +11,6 @@ from hardcore_entropy.blocks import (
     corner_positions,
     d4_canonical,
     d4_images,
-    enumerate_blocks,
     forced_odd_sites,
     inclusion_pairs,
     load_family,
@@ -26,17 +25,17 @@ def bit(n, x, y):
     return 1 << (y * n + x)
 
 
-class TestEnumeration:
-    def test_counts(self):
-        assert len(list(enumerate_blocks(1))) == 2
-        assert len(list(enumerate_blocks(2))) == 16
-        assert len(list(enumerate_blocks(3))) == 512
+def members(fam, cid):
+    return np.nonzero(fam.class_of == cid)[0]
 
+
+class TestEnumeration:
     def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            list(enumerate_blocks(0))
-        with pytest.raises(ValueError):
-            list(enumerate_blocks(6))
+        for n in (0, 5):
+            with pytest.raises(ValueError, match="block side"):
+                reduce_family(n)
+            with pytest.raises(ValueError, match="block side"):
+                blocks.d4_position_maps(n)
 
 
 class TestD4:
@@ -113,9 +112,10 @@ class TestReduceFamily:
 
     def test_representatives_are_lex_min_members(self):
         fam = reduce_family(3, use_weak=True)
-        for cls in fam.classes:
-            assert cls.representative == min(cls.members)
-            assert fam.class_of[cls.representative] == fam.class_of[cls.members[-1]]
+        for cid, rep in enumerate(fam.representatives):
+            mem = members(fam, cid)
+            assert rep == mem.min()
+            assert len(mem) == fam.multiplicities[cid]
 
     def test_n2_orbit_census(self):
         fam = reduce_family(2)
@@ -123,12 +123,6 @@ class TestReduceFamily:
         mult = fam.multiplicities.tolist()
         assert reps == [0b0, 0b1, 0b11, 0b110, 0b111, 0b1111]
         assert mult == [1, 4, 4, 2, 4, 1]
-
-    def test_weak_core_minimizes_population(self):
-        fam = reduce_family(3, use_weak=True)
-        for cls in fam.classes:
-            pops = [bin(m).count("1") for m in cls.members]
-            assert bin(cls.weak_core).count("1") == min(pops)
 
     def test_matches_brute_force_closure(self):
         # independent oracle: saturate each mask's orbit under all dihedral
@@ -162,11 +156,11 @@ class TestReduceFamily:
         # the whole point of the reduction: members of one weak class force
         # the same odd sites up to a dihedral symmetry
         fam = reduce_family(3, use_weak=True)
-        for cls in fam.classes[:20]:
+        for cid in range(20):
             want = sorted(
                 bin(forced_odd_sites(3, im)).count("1")
-                for im in d4_images(3, cls.representative))
-            for m in cls.members:
+                for im in d4_images(3, int(fam.representatives[cid])))
+            for m in members(fam, cid).tolist():
                 got = sorted(bin(forced_odd_sites(3, im)).count("1")
                              for im in d4_images(3, m))
                 assert got == want
@@ -293,6 +287,33 @@ class TestCache:
         with pytest.warns(UserWarning, match="rebuilding"):
             back = load_or_build_family(2, cache_dir=tmp_path)
         np.testing.assert_array_equal(back.class_of, fam.class_of)
+
+    def test_interrupted_save_keeps_cache_consistent(self, tmp_path,
+                                                     monkeypatch):
+        fam = reduce_family(2)
+        path = tmp_path / "fam.npz"
+        real_savez = np.savez
+
+        def savez_dies_midway(file, **arrays):
+            file.write(b"PK\x03\x04 truncated archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_dies_midway)
+        with pytest.raises(OSError, match="disk full"):
+            save_family(fam, path)
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []  # no temporary left behind
+
+        # a failed overwrite leaves the earlier valid cache loadable
+        monkeypatch.setattr(np, "savez", real_savez)
+        save_family(fam, path)
+        monkeypatch.setattr(np, "savez", savez_dies_midway)
+        with pytest.raises(OSError, match="disk full"):
+            save_family(reduce_family(2, use_weak=False), path)
+        back = load_family(path)
+        assert back.use_weak
+        np.testing.assert_array_equal(back.class_of, fam.class_of)
+        assert [p.name for p in tmp_path.iterdir()] == ["fam.npz"]
 
     def test_partition_violation_rejected(self, tmp_path):
         fam = reduce_family(2)

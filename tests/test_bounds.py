@@ -1,14 +1,14 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardcore_entropy.bounds import (
-    LN2, BoundReport, bound_bipartite, bound_equalized_bipartite,
-    bound_square_moore, bound_three_hex_honeycomb, bound_three_hex_triangular,
-    bound_tripartite, entropy_bernoulli, entropy_three_hex,
-    equalized_odd_parameter, three_hex_a,
+    LN2, BoundReport, bound_three_hex_honeycomb, bound_three_hex_triangular,
+    entropy_bernoulli, entropy_three_hex, stage_unforced, staged_bound,
+    three_hex_a,
 )
+from hardcore_entropy.lattices import LatticeKind, build_lattice
+from hardcore_entropy.oracles import window_probability_exhaustive
 
 # Known optimized values and densities (frozen reference table).
 KNOWN_CLOSED = {
@@ -18,6 +18,11 @@ KNOWN_CLOSED = {
     "kagome": (0.3826, (0.1944, 0.1948, 0.1866)),
     "square_moore": (0.2858, (0.119, 0.127, 0.130, 0.126)),
 }
+
+
+def equalized(lattice, p):
+    """Bipartite bound with the final stage at p' = p / U_1(p)."""
+    return staged_bound(lattice, (p, p / stage_unforced(lattice, (p,))[1]))
 
 
 def test_entropy_bernoulli_basics():
@@ -34,59 +39,95 @@ def test_entropy_bernoulli_basics():
 
 
 def test_bound_bipartite_reference_points():
-    rep = bound_bipartite(0.1702, 4)
+    rep = staged_bound("square", (0.1702,))
     assert rep.value == pytest.approx(0.3924, abs=5e-5)
     assert rep.densities == pytest.approx((0.1702, 0.2370), abs=5e-4)
-    rep = bound_bipartite(0.2202, 3)
+    rep = staged_bound("honeycomb", (0.2202,))
     assert rep.value == pytest.approx(0.4279, abs=5e-5)
     assert rep.densities == pytest.approx((0.2202, 0.2371), abs=5e-4)
 
 
 def test_bound_bipartite_degenerate():
-    rep = bound_bipartite(0.0, 4)
+    rep = staged_bound("square", (0.0,))
     assert rep.value == pytest.approx(0.5 * LN2, abs=1e-15)
     assert rep.densities == (0.0, 0.5)
 
 
 def test_bound_tripartite_reference_points():
-    rep = bound_tripartite(0.1457, 0.2501, 3)
+    rep = staged_bound("triangular", (0.1457, 0.2501))
     assert rep.value == pytest.approx(0.3253, abs=5e-5)
     assert rep.densities == pytest.approx((0.1457, 0.1559, 0.1517), abs=5e-4)
-    rep = bound_tripartite(0.1944, 0.3002, 2)
+    rep = staged_bound("kagome", (0.1944, 0.3002))
     assert rep.value == pytest.approx(0.3826, abs=5e-5)
     assert rep.densities == pytest.approx((0.1944, 0.1948, 0.1866), abs=5e-4)
 
 
 def test_bound_tripartite_degenerate():
-    rep = bound_tripartite(0.0, 0.0, 3)
+    rep = staged_bound("triangular", (0.0, 0.0))
     assert rep.value == pytest.approx(LN2 / 3.0, abs=1e-15)
 
 
 def test_bound_square_moore_reference_point():
     # q, r recovered from the printed 3-decimal densities, so the evaluated
     # point sits slightly off the exact argmax
-    rep = bound_square_moore(0.119, 0.1636, 0.3122)
+    rep = staged_bound("square_moore", (0.119, 0.1636, 0.3122))
     assert rep.value == pytest.approx(0.2858, abs=1e-4)
     assert rep.densities == pytest.approx((0.119, 0.127, 0.130, 0.126), abs=5e-3)
-    rep0 = bound_square_moore(0.0, 0.0, 0.0)
+    rep0 = staged_bound("square_moore", (0.0, 0.0, 0.0))
     assert rep0.value == pytest.approx(LN2 / 4.0, abs=1e-15)
 
 
 def test_equalized_bipartite():
     # square optimum sits near joint density 0.2015
-    rep = bound_equalized_bipartite(0.2015, 4)
+    rep = equalized("square", 0.2015)
     assert rep.value == pytest.approx(0.3921, abs=5e-5)
-    assert rep.densities == (0.2015, 0.2015)
-    rep = bound_equalized_bipartite(0.2284, 3)
+    assert rep.densities == pytest.approx((0.2015, 0.2015), abs=1e-15)
+    rep = equalized("honeycomb", 0.2284)
     assert rep.value == pytest.approx(0.427875, abs=5e-5)
-    assert bound_equalized_bipartite(0.0, 4).value == 0.0
+    assert equalized("square", 0.0).value == 0.0
 
 
 def test_equalized_infeasible():
     # p (1-p)^-4 crosses 1 near p = 0.2755
-    assert equalized_odd_parameter(0.275, 4) < 1.0
-    with pytest.raises(ValueError, match="infeasible"):
-        bound_equalized_bipartite(0.30, 4)
+    assert 0.275 / stage_unforced("square", (0.275,))[1] < 1.0
+    with pytest.raises(ValueError, match="outside"):
+        equalized("square", 0.30)
+
+
+def test_staged_bound_params_and_scheme():
+    rep = staged_bound("square_moore", (0.1, 0.2, 0.3))
+    assert (rep.lattice, rep.scheme) == ("square_moore", "closed")
+    assert rep.params == {"p": 0.1, "q": 0.2, "r": 0.3}
+    rep = staged_bound(LatticeKind.SQUARE, (0.2, 0.4))
+    assert (rep.lattice, rep.scheme) == ("square", "equalized")
+    assert rep.params == {"p": 0.2, "p_prime": 0.4}
+    with pytest.raises(ValueError, match="stage probabilities"):
+        staged_bound("square", (0.1, 0.2, 0.3))
+    with pytest.raises(ValueError, match="no closed-form scheme"):
+        staged_bound("hexagonal", (0.1,))
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(kind=st.sampled_from(list(LatticeKind)),
+       probs=st.lists(_UNIT, min_size=4, max_size=4),
+       explicit_final=st.booleans())
+def test_staged_bound_matches_window_oracle(kind, probs, explicit_final):
+    """The one formula against the geometry: U_s from exhaustive window
+    enumeration, assembled as (1/k) sum_s U_s h_B(p_s)."""
+    k = build_lattice(kind).partite_count
+    given = tuple(probs[:k if explicit_final else k - 1])
+    stage_probs = given if explicit_final else given + (0.5,)
+    unforced = [1.0] + [window_probability_exhaustive(kind, given, s)
+                        for s in range(1, k)]
+    rep = staged_bound(kind, given)
+    want = sum(u * entropy_bernoulli(p)
+               for u, p in zip(unforced, stage_probs)) / k
+    assert rep.value == pytest.approx(want, abs=1e-12)
+    assert rep.densities == pytest.approx(
+        [p * u for p, u in zip(stage_probs, unforced)], abs=1e-12)
 
 
 def test_three_hex_param_validation():
@@ -112,7 +153,8 @@ def test_three_hex_honeycomb_reference_point():
 def test_three_hex_honeycomb_degenerate():
     rep = bound_three_hex_honeycomb((1.0, 0.0, 0.0, 0.0))
     assert rep.value == pytest.approx(0.5 * LN2, abs=1e-15)
-    assert rep.value == pytest.approx(bound_bipartite(0.0, 3).value, abs=1e-15)
+    assert rep.value == pytest.approx(staged_bound("honeycomb", (0.0,)).value,
+                                      abs=1e-15)
 
 
 def test_three_hex_triangular_reference_point():
@@ -126,7 +168,7 @@ def test_three_hex_triangular_reduces_to_tripartite():
     # single-tile limit: cluster scheme with empty clusters = plain scheme
     for q in np.linspace(0.0, 1.0, 11):
         lhs = bound_three_hex_triangular((1.0, 0.0, 0.0, 0.0), q).value
-        rhs = bound_tripartite(0.0, q, 3).value
+        rhs = staged_bound("triangular", (0.0, q)).value
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -141,16 +183,18 @@ def test_bounds_stay_below_reference_estimates():
     rng = np.random.default_rng(2)
     for _ in range(50):
         p, q = rng.random(2) * 0.9
-        for rep in (bound_bipartite(p, 4), bound_equalized_bipartite(min(p, 0.27), 4)):
+        for rep in (staged_bound("square", (p,)),
+                    equalized("square", min(p, 0.27))):
             assert 0.0 <= rep.value <= reference["square"]
-        assert bound_bipartite(p, 3).value <= reference["honeycomb"]
-        assert bound_tripartite(p, q, 3).value <= reference["triangular"]
-        assert 0.0 <= bound_tripartite(p, q, 2).value <= LN2
-        assert 0.0 <= bound_square_moore(p, q, rng.random()).value <= LN2
+        assert staged_bound("honeycomb", (p,)).value <= reference["honeycomb"]
+        assert staged_bound("triangular", (p, q)).value <= reference["triangular"]
+        assert 0.0 <= staged_bound("kagome", (p, q)).value <= LN2
+        assert 0.0 <= staged_bound("square_moore",
+                                   (p, q, rng.random())).value <= LN2
 
 
 def test_report_shape():
-    rep = bound_bipartite(0.1, 4)
+    rep = staged_bound("square", (0.1,))
     assert isinstance(rep, BoundReport)
     assert rep.lattice == "square"
     assert len(rep.densities) == 2

@@ -2,10 +2,12 @@
 import csv
 import io
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
 
-from hardcore_entropy import cli
+from hardcore_entropy import bounds, cli
 
 
 def run(argv):
@@ -67,6 +69,15 @@ def test_bound_scheme_lattice_mismatch(capsys):
                 "triangular"]) == 2
     assert run(["bound", "--scheme", "three-hex", "--lattice",
                 "square"]) == 2
+
+
+def test_bound_non_finite_objective_exits_one(monkeypatch, capsys):
+    # a numerical failure, not a configuration error
+    monkeypatch.setattr(bounds, "staged_bound",
+                        lambda lattice, probs: SimpleNamespace(value=math.nan))
+    assert run(["bound", "--scheme", "closed", "--lattice", "square",
+                "--starts", "1"]) == 1
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_bound_equalized_densities_agree(tmp_path, capsys):

@@ -20,21 +20,58 @@ SMALL_DIMS = {
 }
 
 
+# Reference data: coordination number, and per stage the number of
+# neighbors a site has in earlier stages (all of which must carry 0 for it
+# to be unforced).
+COORDINATION = {
+    LatticeKind.SQUARE: 4,
+    LatticeKind.HONEYCOMB: 3,
+    LatticeKind.TRIANGULAR: 6,
+    LatticeKind.KAGOME: 4,
+    LatticeKind.SQUARE_MOORE: 8,
+}
+EARLIER_NEIGHBORS = {
+    LatticeKind.SQUARE: (0, 4),
+    LatticeKind.HONEYCOMB: (0, 3),
+    LatticeKind.TRIANGULAR: (0, 3, 6),
+    LatticeKind.KAGOME: (0, 2, 4),
+    LatticeKind.SQUARE_MOORE: (0, 2, 6, 8),
+}
+
+
 def test_spec_table():
-    expect = {
-        LatticeKind.SQUARE: (4, 2),
-        LatticeKind.HONEYCOMB: (3, 2),
-        LatticeKind.TRIANGULAR: (6, 3),
-        LatticeKind.KAGOME: (4, 3),
-        LatticeKind.SQUARE_MOORE: (8, 4),
-    }
-    for kind, (coord, parts) in expect.items():
+    for kind, earlier in EARLIER_NEIGHBORS.items():
         spec = build_lattice(kind)
-        assert spec.coordination == coord
+        parts = len(earlier)
         assert spec.partite_count == parts
         assert len(spec.fill_order) == parts
-        assert len(spec.neighborhood_exponents) == parts
-        assert spec.neighborhood_exponents[0] == 0
+        dims = tuple(2 * d for d in SMALL_DIMS[kind])
+        counts = {}
+        for site in TorusConfiguration.empty(kind, dims).sites():
+            nbrs = neighbor_sites(spec, dims, site)
+            assert len(nbrs) == COORDINATION[kind]
+            stage = spec.fill_order.index(sublattice_of(spec, site))
+            n_earlier = sum(spec.fill_order.index(sublattice_of(spec, o))
+                            < stage for o in nbrs)
+            counts.setdefault(stage, set()).add(n_earlier)
+        # constant over every site of a stage
+        assert counts == {s: {c} for s, c in enumerate(earlier)}
+
+
+def test_kagome_is_line_graph_of_honeycomb():
+    # kagome vertex (x, y, t) is the honeycomb edge from A site (x, y, 0)
+    # to its t-th neighbor; two vertices are adjacent iff the edges meet
+    dims = (4, 4)
+    honey = build_lattice(LatticeKind.HONEYCOMB)
+    kagome = build_lattice(LatticeKind.KAGOME)
+    edge = {}
+    for x, y, t in TorusConfiguration.empty(LatticeKind.KAGOME, dims).sites():
+        b = neighbor_sites(honey, dims, (x, y, 0))[t]
+        edge[(x, y, t)] = frozenset({(x, y, 0), b})
+    assert len(set(edge.values())) == len(edge)  # a bijection onto edges
+    for v, e in edge.items():
+        line_nbrs = {u for u, f in edge.items() if u != v and e & f}
+        assert set(neighbor_sites(kagome, dims, v)) == line_nbrs
 
 
 def test_fill_order_labels():
@@ -79,8 +116,8 @@ def test_neighbor_symmetry_degree_partiteness(kind):
     cfg = TorusConfiguration.empty(kind, dims)
     for site in cfg.sites():
         nbrs = neighbor_sites(spec, dims, site)
-        assert len(nbrs) == spec.coordination
-        assert len(set(nbrs)) == spec.coordination
+        assert len(nbrs) == COORDINATION[kind]
+        assert len(set(nbrs)) == COORDINATION[kind]
         assert site not in nbrs
         for other in nbrs:
             # involution symmetry

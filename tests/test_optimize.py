@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hardcore_entropy.bounds import (
-    bound_bipartite, bound_equalized_bipartite, bound_square_moore,
-    bound_three_hex_honeycomb, bound_three_hex_triangular, bound_tripartite,
+    bound_three_hex_honeycomb, bound_three_hex_triangular, stage_unforced,
+    staged_bound,
 )
 from hardcore_entropy.optimize import (
     Box, Domain, OptimizationResult, Simplex, finite_difference_gradient_check,
@@ -65,7 +65,7 @@ def test_mixed_domain_split():
 
 def test_gradient_check_bipartite():
     def obj(x):
-        return bound_bipartite(x[0], 4).value
+        return staged_bound("square", x).value
 
     def grad(x):
         p = x[0]
@@ -105,15 +105,15 @@ def test_projected_gradient_small_at_three_hex_optimum():
 # The six single-parameter-family optima; each must be recovered within
 # 5e-4 in value and 5e-3 in parameters, in under 10 seconds.
 RECOVERY_CASES = [
-    ("square", lambda x: bound_bipartite(x[0], 4).value,
+    ("square", lambda x: staged_bound("square", x).value,
      Domain((Box(0.0, 1.0),)), 0.3924, [0.1702]),
-    ("honeycomb", lambda x: bound_bipartite(x[0], 3).value,
+    ("honeycomb", lambda x: staged_bound("honeycomb", x).value,
      Domain((Box(0.0, 1.0),)), 0.4279, [0.2202]),
-    ("triangular", lambda x: bound_tripartite(x[0], x[1], 3).value,
+    ("triangular", lambda x: staged_bound("triangular", x).value,
      Domain((Box(0.0, 1.0), Box(0.0, 1.0))), 0.3253, [0.1457, 0.2501]),
-    ("kagome", lambda x: bound_tripartite(x[0], x[1], 2).value,
+    ("kagome", lambda x: staged_bound("kagome", x).value,
      Domain((Box(0.0, 1.0), Box(0.0, 1.0))), 0.3826, [0.1944, 0.3002]),
-    ("square_moore", lambda x: bound_square_moore(x[0], x[1], x[2]).value,
+    ("square_moore", lambda x: staged_bound("square_moore", x).value,
      Domain((Box(0.0, 1.0),) * 3), 0.2858, [0.119, 0.1636, 0.3122]),
     ("three_hex_honeycomb",
      lambda x: bound_three_hex_honeycomb(tuple(x)).value,
@@ -133,14 +133,22 @@ def test_known_optimum_recovery(name, obj, dom, val, params):
     assert dom.feasible(res.argmax)
 
 
+def _equalized_value(lattice):
+    def value(x):
+        p = x[0]
+        return staged_bound(lattice,
+                            (p, p / stage_unforced(lattice, (p,))[1])).value
+    return value
+
+
 def test_equalized_optima_recovered():
     # equalization is only feasible up to p about 0.2755 on the square
-    res = maximize(lambda x: bound_equalized_bipartite(x[0], 4).value,
+    res = maximize(_equalized_value("square"),
                    Domain((Box(0.0, 0.275),)), starts=8)
     assert res.value == pytest.approx(0.3921, abs=5e-4)
     assert res.argmax[0] == pytest.approx(0.2015, abs=5e-3)
     # honeycomb equalization feasible while p (1-p)^-3 <= 1, i.e. p <= 0.3177
-    res = maximize(lambda x: bound_equalized_bipartite(x[0], 3).value,
+    res = maximize(_equalized_value("honeycomb"),
                    Domain((Box(0.0, 0.317),)), starts=8)
     assert res.value == pytest.approx(0.427875, abs=5e-4)
     assert res.argmax[0] == pytest.approx(0.2284, abs=5e-3)

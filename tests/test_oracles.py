@@ -18,7 +18,6 @@ from hardcore_entropy.oracles import (
     fill_in_sample,
     influence_window,
     legal_columns,
-    stage_unforced_analytic,
     strip_entropy,
     window_probability_exhaustive,
 )
@@ -73,7 +72,7 @@ class TestStrips:
     def test_closed_form_bounds_below_strip(self):
         ceiling = strip_entropy(12)
         for p in np.linspace(0.01, 0.6, 8):
-            assert bounds.bound_bipartite(float(p), 4).value < ceiling
+            assert bounds.staged_bound("square", (float(p),)).value < ceiling
 
     def test_width_validation(self):
         for w in (0, 15, -3):
@@ -209,10 +208,10 @@ class TestSampler:
 
     def test_analytic_fractions_known_points(self):
         p = 0.1702
-        assert stage_unforced_analytic(LatticeKind.SQUARE, (p,)) == \
+        assert bounds.stage_unforced(LatticeKind.SQUARE, (p,)) == \
             pytest.approx((1.0, (1 - p) ** 4))
         p, q = 0.1457, 0.2501
-        frac = stage_unforced_analytic(LatticeKind.TRIANGULAR, (p, q))
+        frac = bounds.stage_unforced(LatticeKind.TRIANGULAR, (p, q))
         assert frac[2] == pytest.approx(0.3032, abs=5e-4)
 
 
