@@ -40,7 +40,7 @@ if __name__ == "__main__":
         print(f"  {lattice:<13} {rep.value:.4f}  ({dens})")
 
     print("\nSquare-lattice n x n blocks (weak-site reduced variables):")
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         family = blocks.reduce_family(n)
         _, rep = block_bounds.optimize_block_bound(family, seed=0, starts=8)
         dens = ", ".join(f"{d:.4f}" for d in rep.densities)

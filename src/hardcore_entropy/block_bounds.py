@@ -125,7 +125,7 @@ def block_bound(dist: BlockDistribution) -> BoundReport:
 
 
 def optimize_block_bound(family: BlockFamily, *, seed: int = 0,
-                         starts: int = 8, x0=None, tol: float = 1e-10,
+                         starts: int = 8, x0=None, tol: float = optimize.TOL,
                          max_iter: int = 2000, track_history: bool = False):
     """Maximize the block bound over the class simplex.
 
@@ -150,7 +150,7 @@ def optimize_block_bound(family: BlockFamily, *, seed: int = 0,
     dist = BlockDistribution(family, res.argmax)
     report = block_bound(dist)
     meta = {"iterations": res.iterations, "starts": res.starts_used,
-            "converged": res.converged,
+            "converged": res.converged, "stationarity": res.stationarity,
             "gradient_norm": res.gradient_norm_at_solution}
     if track_history:
         meta["history"] = res.history

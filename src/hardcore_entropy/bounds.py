@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from . import optimize
 from .lattices import LatticeKind, build_lattice
 
 LN2 = math.log(2.0)
@@ -254,7 +255,7 @@ def bound_three_hex_triangular(pvec, q: float) -> BoundReport:
 def _attach_meta(report: BoundReport, res) -> BoundReport:
     return replace(report, meta={
         "iterations": res.iterations, "starts": res.starts_used,
-        "converged": res.converged,
+        "converged": res.converged, "stationarity": res.stationarity,
         "gradient_norm": res.gradient_norm_at_solution})
 
 
@@ -271,10 +272,9 @@ _THREE_HEX_WEIGHTS = (1.0, 3.0, 3.0, 1.0)
 
 
 def optimize_closed_form(lattice, *, seed: int = 0, starts: int = 16,
-                         tol: float = 1e-10) -> BoundReport:
+                         tol: float = optimize.TOL) -> BoundReport:
     """Maximize the staged closed-form bound of one lattice over its
     Bernoulli parameters."""
-    from . import optimize
     key = _lattice_key(lattice)
     if key not in STAGE_UNFORCED:
         raise ValueError(f"no closed-form scheme for lattice {key!r}")
@@ -286,10 +286,9 @@ def optimize_closed_form(lattice, *, seed: int = 0, starts: int = 16,
 
 
 def optimize_equalized(lattice, *, seed: int = 0, starts: int = 16,
-                       tol: float = 1e-10) -> BoundReport:
+                       tol: float = optimize.TOL) -> BoundReport:
     """Maximize the density-equalized two-stage bound: the final stage is
     B(p') with p' = p / U_1(p), so both sublattice densities equal p."""
-    from . import optimize
     key = _lattice_key(lattice)
     if key not in EQUALIZED_CAPS:
         raise ValueError(f"equalized scheme needs a bipartite lattice, "
@@ -306,10 +305,9 @@ def optimize_equalized(lattice, *, seed: int = 0, starts: int = 16,
 
 
 def optimize_three_hex(lattice, *, seed: int = 0, starts: int = 16,
-                       tol: float = 1e-10) -> BoundReport:
+                       tol: float = optimize.TOL) -> BoundReport:
     """Maximize the three-tile cluster bound over the tile-count simplex
     (plus the dot-stage parameter on the triangular lattice)."""
-    from . import optimize
     key = _lattice_key(lattice)
     if key not in THREE_HEX_SCHEMES:
         raise ValueError(f"no three-hex scheme for lattice {key!r}")

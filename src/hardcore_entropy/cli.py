@@ -28,14 +28,14 @@ from fractions import Fraction
 import numpy as np
 import scipy
 
-from . import block_bounds, blocks, bounds, oracles
+from . import block_bounds, blocks, bounds, optimize, oracles
 from .lattices import LatticeKind, build_lattice, verify_hard_core
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 LATTICES = tuple(k.value for k in LatticeKind)
 SCHEMES = ("closed", "equalized", "three-hex", "block")
@@ -74,11 +74,10 @@ class RunConfig:
     n: int = 3
     seed: int = 0
     starts: int = 16
-    tol: float = 1e-10
+    tol: float = optimize.TOL
     max_iter: int = 2000
     out: str | None = None
     cache_dir: str | None = None
-    long: bool = False
     href: float = 0.4075
     params: str | None = None
     dims: str | None = None
@@ -112,25 +111,13 @@ class RunConfig:
                 raise ConfigError(
                     f"scheme {self.scheme!r} supports lattices "
                     f"{', '.join(allowed)}")
-            if self.scheme == "block" and self.n >= 4 and not self.long:
-                raise ConfigError(
-                    "n=4 block optimization is a long run; pass --long")
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
 
 
 _CONFIG_PARSERS = {
     "lattice": str, "scheme": str, "n": int, "seed": int, "starts": int,
     "tol": float, "max_iter": int, "out": str, "cache_dir": str,
-    "long": _parse_bool, "href": float, "params": str, "dims": str,
-    "generators": str, "width": int, "max_width": int, "boundary": str,
+    "href": float, "params": str, "dims": str, "generators": str,
+    "width": int, "max_width": int, "boundary": str,
 }
 
 COMMANDS = ("bound", "reduce", "verify", "profile", "sample", "strip")
@@ -180,7 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file; flags win")
         p.add_argument("--seed", type=int)
         p.add_argument("--starts", type=int)
-        p.add_argument("--tol", type=float)
+        p.add_argument("--tol", type=float,
+                       help="log-space stationarity that stops the optimizer "
+                            f"and defines converged (default {optimize.TOL:g})")
         p.add_argument("--max-iter", type=int, dest="max_iter")
         p.add_argument("--out", help="write the JSON or CSV payload here")
         p.add_argument("--cache-dir", dest="cache_dir",
@@ -191,8 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", choices=LATTICES + ("all",))
     p.add_argument("--scheme", choices=SCHEMES)
     p.add_argument("--n", type=int, help="block side for --scheme block")
-    p.add_argument("--long", action="store_true", default=None,
-                   help="allow long runs (n=4 block optimization)")
 
     p = sub.add_parser("reduce", help="build or load a block family")
     common(p)

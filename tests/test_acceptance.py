@@ -50,14 +50,15 @@ TABLE_BLOCK = {
     1: (0.392421, 1e-5, (0.1702, 0.2370)),
     2: (0.39877, 2e-4, (0.1993, 0.2254)),
     3: (0.4014, 5e-4, (0.2073, 0.2254)),
+    4: (0.402823, 1e-5, (0.2130, 0.2246)),
 }
 
 
 @pytest.fixture(scope="module")
 def block_optima():
-    """Optimized block distributions for n = 1..3, with wall times."""
+    """Optimized block distributions for n = 1..4, with wall times."""
     out = {}
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         family = blocks.reduce_family(n)
         started = time.perf_counter()
         dist, rep = block_bounds.optimize_block_bound(family, seed=0,
@@ -282,25 +283,53 @@ def test_criterion_09_sampler_consistency():
     assert ok
 
 
+def _cover_pairs(family):
+    """Class pairs (small, big) of masks that differ by one added 1.
+
+    They generate the inclusion order that `blocks.inclusion_pairs`
+    enumerates in full, which at n=4 (3^16 submask pairs) takes minutes.
+    On a weak-site family every such pair with distinct classes is strict.
+    """
+    masks = np.arange(1 << family.n ** 2)
+    pairs = set()
+    for b in range(family.n ** 2):
+        small = masks[(masks >> b) & 1 == 0]
+        cs = family.class_of[small]
+        cb = family.class_of[small | (1 << b)]
+        keep = cs != cb
+        pairs.update(zip(cs[keep].tolist(), cb[keep].tolist()))
+    return [(cs, cb, "strict") for cs, cb in sorted(pairs)]
+
+
 def test_criterion_10_monotonicity_at_optima(block_optima):
     counts = {}
     spread = 0.0
-    for n in (2, 3):
+    for n in (2, 3, 4):
         dist, _, _ = block_optima[n]
-        violations = block_bounds.check_monotonicity(dist, tol=1e-6)
-        counts[n] = (len(blocks.inclusion_pairs(dist.family)),
-                     len(violations))
+        family = dist.family
+        covers = _cover_pairs(family)
+        if n < 4:
+            pairs = blocks.inclusion_pairs(family)
+            assert set(covers) <= set(pairs)
+        else:
+            pairs = covers
+        violations = block_bounds.check_monotonicity(dist, tol=1e-6,
+                                                     pairs=pairs)
+        counts[n] = (len(pairs), len(violations))
         # weak-equal blocks share one class variable, so their mask
         # probabilities are identical by construction
         mask_probs = dist.mask_probabilities()
-        for c in range(dist.family.class_count):
-            members = mask_probs[dist.family.class_of == c]
-            spread = max(spread, float(members.max() - members.min()))
-    ok = (counts[2][1] == 0 and counts[3][1] == 0 and spread == 0.0)
+        lo = np.full(family.class_count, np.inf)
+        hi = np.full(family.class_count, -np.inf)
+        np.minimum.at(lo, family.class_of, mask_probs)
+        np.maximum.at(hi, family.class_of, mask_probs)
+        spread = max(spread, float((hi - lo).max()))
+    ok = all(bad == 0 for _, bad in counts.values()) and spread == 0.0
     ok = report(10, ok,
-                f"n=2: {counts[2][1]} violations/{counts[2][0]} pairs, "
-                f"n=3: {counts[3][1]} violations/{counts[3][0]} pairs, "
-                f"within-class spread {spread}")
+                ", ".join(f"n={n}: {bad} violations/{total} "
+                          f"{'cover ' if n == 4 else ''}pairs"
+                          for n, (total, bad) in counts.items())
+                + f", within-class spread {spread}")
     assert ok
 
 

@@ -32,7 +32,7 @@ def test_bound_closed_single_lattice(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "square" in table and "0.3924" in table
     bundle = read_bundle(out)
-    assert bundle["schema_version"] == 1
+    assert bundle["schema_version"] == 2
     assert bundle["command"] == "bound"
     (rep,) = bundle["reports"]
     assert rep["value_nats"] == pytest.approx(0.392421, abs=5e-4)
@@ -59,9 +59,24 @@ def test_bound_block_scheme(tmp_path, capsys):
     assert rep["optimizer"]["converged"] is True
 
 
-def test_bound_block_n4_requires_long(capsys):
-    assert run(["bound", "--scheme", "block", "--n", "4"]) == 2
-    assert "--long" in capsys.readouterr().err
+def test_bound_block_n4(tmp_path, capsys):
+    out = tmp_path / "block4.json"
+    assert run(["bound", "--scheme", "block", "--n", "4", "--starts", "1",
+                "--out", str(out)]) == 0
+    (rep,) = read_bundle(out)["reports"]
+    assert rep["optimizer"]["converged"] is True
+    assert rep["value_nats"] >= 0.40282
+
+
+def test_bound_not_converged_exits_one(tmp_path, capsys):
+    out = tmp_path / "short.json"
+    assert run(["bound", "--scheme", "block", "--n", "3", "--max-iter", "3",
+                "--out", str(out)]) == 1
+    assert "optimizer did not converge" in capsys.readouterr().err
+    bundle = read_bundle(out)
+    (rep,) = bundle["reports"]
+    assert rep["optimizer"]["converged"] is False
+    assert rep["optimizer"]["stationarity"] > bundle["config"]["tol"]
 
 
 def test_bound_scheme_lattice_mismatch(capsys):

@@ -23,6 +23,39 @@ def test_quadratic_box():
     assert res.converged
 
 
+def test_converged_is_stationarity_within_tol():
+    # finite differences (no gradient) and an analytic gradient, each
+    # stopped early and run to completion
+    dom = Domain((Simplex((1.0, 3.0, 3.0, 1.0)),))
+
+    def obj(x):
+        return float(-(x * np.log(x)).sum())
+
+    def grad(x):
+        return -(np.log(x) + 1.0)
+
+    tol = 1e-9
+    for gradient in (None, grad):
+        for max_iter in (1, 2000):
+            res = maximize(obj, dom, gradient=gradient, tol=tol, starts=2,
+                           max_iter=max_iter)
+            assert res.converged == (res.stationarity <= tol)
+            assert res.converged == (max_iter > 1)
+
+
+def test_start_that_met_stopping_rule_wins():
+    # x = 1/2 is a stationary local maximum (value 0); the values rise
+    # towards x = 1 (1/4), but starts cut short there have not converged
+    def obj(x):
+        u = x[0] - 0.5
+        return float(u * u * (4 * u - 1))
+
+    short = maximize(obj, UNIT, starts=4, max_iter=2)
+    assert short.converged and short.value == 0.0
+    full = maximize(obj, UNIT, starts=4)
+    assert full.converged and full.value == pytest.approx(0.25, abs=1e-8)
+
+
 def test_entropy_simplex_uniform():
     dom = Domain((Simplex((1.0,) * 4),))
     res = maximize(lambda x: float(-(x * np.log(x)).sum()), dom, starts=4)
