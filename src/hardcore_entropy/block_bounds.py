@@ -99,7 +99,7 @@ def value_and_gradient(family: BlockFamily, probs: np.ndarray):
     """Bound value and its gradient in the class probabilities."""
     n2 = family.n ** 2
     w = family.multiplicities.astype(float)
-    a_int, a_dom, a_cor = _marginal_counts(family)
+    a_int, a_dom, a_cor, int_cover = _marginal_counts(family)
     p = np.asarray(probs, dtype=float)
     logp = np.log(np.maximum(p, 1e-300))
     h = -float(w @ (p * logp)) / n2
@@ -110,7 +110,7 @@ def value_and_gradient(family: BlockFamily, probs: np.ndarray):
               + 0.25 * (p_cor ** 4).sum()) / n2
     value = 0.5 * (h + u * LN2)
     dh = -w * (logp + 1.0) / n2
-    du = (a_int.sum(axis=0) + a_dom.T @ p_dom + a_cor.T @ p_cor ** 3) / n2
+    du = (int_cover + a_dom.T @ p_dom + a_cor.T @ p_cor ** 3) / n2
     return value, 0.5 * (dh + LN2 * du)
 
 
@@ -138,15 +138,10 @@ def optimize_block_bound(family: BlockFamily, *, seed: int = 0,
     domain = optimize.Domain(
         [optimize.Simplex(tuple(float(m) for m in family.multiplicities))])
 
-    def objective(x):
-        return value_and_gradient(family, x)[0]
-
-    def gradient(x):
-        return value_and_gradient(family, x)[1]
-
-    res = optimize.maximize(objective, domain, gradient=gradient, tol=tol,
-                            max_iter=max_iter, seed=seed, starts=starts,
-                            x0=x0, track_history=track_history)
+    res = optimize.maximize(lambda x: value_and_gradient(family, x), domain,
+                            gradient=True, tol=tol, max_iter=max_iter,
+                            seed=seed, starts=starts, x0=x0,
+                            track_history=track_history)
     dist = BlockDistribution(family, res.argmax)
     report = block_bound(dist)
     meta = {"iterations": res.iterations, "starts": res.starts_used,

@@ -11,17 +11,19 @@ block boundary are shared with neighboring blocks.
 Two reductions shrink the 2^(n^2) variables:
 
 * D4: masks related by the dihedral symmetries of the square are identified
-  (the maximal-entropy measure is isotropic).
+  (the maximal-entropy measure is isotropic).  A mask's orbit is named by
+  its smallest image.
 * Weak sites: position s is weak in mask b when every odd site adjacent to s
   is already adjacent to some 1 of b other than s, so b[s] has no effect on
   which odd sites the block forces.  Toggling a weak site preserves the
-  forced set; masks connected by chains of weak toggles are identified.
-  Corner positions have an odd neighbor touching no other position, hence
-  are never weak.
+  forced set; the classes are the connected components of the graph on
+  orbits whose edges are weak toggles.  Corner positions have an odd
+  neighbor touching no other position, hence are never weak.
 
 The quotient family keeps one probability variable per class, stored per
 arrangement: the probability of one specific member, entering normalization
-as multiplicity * prob.
+as multiplicity * prob.  Classes are numbered in order of their smallest
+member, which is their representative.
 """
 from __future__ import annotations
 
@@ -32,6 +34,8 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 CACHE_VERSION = 1
 MAX_N = 4  # 2^25 masks at n=5 exceed the supported budget
@@ -198,60 +202,50 @@ class BlockFamily:
         return self._population_counts
 
 
-def _union_pairs(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    # sequential union-find with path halving; union by smaller root so the
-    # final root of each class is its lexicographically smallest member
-    for x, y in zip(a.tolist(), b.tolist()):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        while parent[y] != y:
-            parent[y] = parent[parent[y]]
-            y = parent[y]
-        if x != y:
-            if x < y:
-                parent[y] = x
-            else:
-                parent[x] = y
-
-
 def reduce_family(n: int, use_weak: bool = True) -> BlockFamily:
     """Build the D4 (and optionally weak-site) quotient of all n x n masks."""
     n = _check_n(n)
     N = n * n
     total = 1 << N
-    masks = np.arange(total, dtype=np.int64)
+    masks = np.arange(total, dtype=np.int32)  # n <= 4: every mask fits
     bits = [(masks >> i) & 1 for i in range(N)]
-    parent = np.arange(total, dtype=np.int64)
-
+    orbit = masks.copy()
     for perm in d4_position_maps(n)[1:]:
-        img = np.zeros(total, dtype=np.int64)
+        img = np.zeros(total, dtype=np.int32)
         for i in range(N):
             img |= bits[i] << perm[i]
-        _union_pairs(parent, masks, img)
+        np.minimum(orbit, img, out=orbit)
 
     if use_weak:
         _, per_pos = _odd_geometry(n)
         corners = corner_positions(n)
+        ends = [np.zeros(0, dtype=np.int64)]  # n = 1 has only corners
         for s in range(N):
             if s in corners:
                 continue
-            forced_wo = np.zeros(total, dtype=np.int64)
+            forced_wo = np.zeros(total, dtype=np.int32)
             for t in range(N):
                 if t != s:
                     forced_wo |= bits[t] * per_pos[t]
-            is_weak = (per_pos[s] & ~forced_wo) == 0
-            idx = masks[is_weak]
-            _union_pairs(parent, idx, idx ^ (1 << s))
+            idx = masks[(per_pos[s] & ~forced_wo) == 0]
+            # weakness of s does not depend on bit s, so each toggle edge
+            # appears in both directions; keep one
+            a, b = orbit[idx], orbit[idx ^ (1 << s)]
+            keep = a < b
+            ends.append(a[keep].astype(np.int64) * total + b[keep])
+        # np.unique sorts the edge keys, grouping them by first end as the
+        # rows of a CSR matrix
+        rows, cols = np.divmod(np.unique(np.concatenate(ends)), total)
+        graph = csr_matrix((np.ones(len(cols)), cols,
+                            np.searchsorted(rows, np.arange(total + 1))),
+                           shape=(total, total))
+        _, comp = connected_components(graph, connection="weak")
+        # a component's smallest node is its smallest orbit id, hence the
+        # smallest member of the class
+        _, smallest = np.unique(comp, return_index=True)
+        orbit = smallest[comp[orbit]]
 
-    # resolve roots to fixpoint
-    roots = parent[masks]
-    while True:
-        nxt = parent[roots]
-        if (nxt == roots).all():
-            break
-        roots = nxt
-    reps, class_of, mult = np.unique(roots, return_inverse=True,
+    reps, class_of, mult = np.unique(orbit, return_inverse=True,
                                      return_counts=True)
     return BlockFamily(n, use_weak, class_of.astype(np.int32),
                        reps.astype(np.int64), mult.astype(np.int64))
@@ -365,10 +359,12 @@ def _zero_count_matrix(family: BlockFamily, position_masks) -> np.ndarray:
 
 
 def _marginal_counts(family: BlockFamily):
+    """(A_interior, A_dominoes, A_corners, column sums of A_interior)."""
     if family._marginal_count_cache is None:
         pos = _marginal_position_masks(family.n)
-        family._marginal_count_cache = tuple(
-            _zero_count_matrix(family, pm) for pm in pos)
+        a_int, a_dom, a_cor = (_zero_count_matrix(family, pm) for pm in pos)
+        family._marginal_count_cache = (a_int, a_dom, a_cor,
+                                        a_int.sum(axis=0))
     return family._marginal_count_cache
 
 
@@ -388,7 +384,7 @@ def check_class_distribution(family: BlockFamily, probs,
 def boundary_marginals(family: BlockFamily, probs) -> BoundaryMarginals:
     """Exact all-zero marginals of one block under per-class probabilities."""
     probs = check_class_distribution(family, probs)
-    a_int, a_dom, a_cor = _marginal_counts(family)
+    a_int, a_dom, a_cor, _ = _marginal_counts(family)
     return BoundaryMarginals(a_int @ probs, a_dom @ probs, a_cor @ probs)
 
 

@@ -210,43 +210,44 @@ def _sobol_starts(dim, starts, seed, spread=2.5):
     return pts
 
 
-def maximize(objective, domain: Domain, *, gradient=None, tol: float = TOL,
+def maximize(objective, domain: Domain, *, gradient=False, tol: float = TOL,
              max_iter: int = 2000, seed: int = 0, starts: int = 16,
              x0=None, track_history: bool = False) -> OptimizationResult:
     """Maximize `objective` over `domain` by multistart L-BFGS.
 
-    objective takes the concatenated component vector; gradient, when
-    given, returns d objective/d x at that vector and is chained to the
-    unconstrained coordinates t; otherwise d objective/d t is a central
-    difference in t.  Each start stops when the inf-norm of that t-space
-    gradient is at most `tol`; the result is converged exactly when its
-    `stationarity`, the same norm at the winning point, is.  The x-space
-    projected-gradient norm is reported alongside.  track_history
-    records the objective once per quasi-Newton iteration.  Multistart
-    winner is the best value among the starts that met the stopping rule
-    (among all starts if none did), ties broken by lowest start index.
-    x0, a feasible interior point, replaces the default center start.
+    objective takes the concatenated component vector.  With gradient=True
+    it returns the pair (value, d objective/d x), as scipy's jac=True, and
+    the gradient is chained to the unconstrained coordinates t; otherwise
+    it returns the value and d objective/d t is a central difference in t.
+    Each start stops when the inf-norm of that t-space gradient is at most
+    `tol`; the result is converged exactly when its `stationarity`, the
+    same norm at the winning point, is.  The x-space projected-gradient
+    norm is reported alongside.  track_history records the objective value
+    once per quasi-Newton iteration.  Multistart winner is the best value
+    among the starts that met the stopping rule (among all starts if none
+    did), ties broken by lowest start index.  x0, a feasible interior
+    point, replaces the default center start.
     """
-    def value(t):
-        x = domain.to_interior(t)
-        v = objective(x)
+    def evaluate(x):
+        v, g = objective(x) if gradient else (objective(x), None)
         if not math.isfinite(v):
             raise ValueError(f"objective returned non-finite value {v} at {x}")
-        return v
+        return v, g
 
-    def t_gradient(t):
-        if gradient is None:
-            return _finite_difference(value, t, FD_STEP)
-        x = domain.to_interior(t)
-        return domain.chain_gradient(t, x, np.asarray(gradient(x), dtype=float))
+    def value(t):
+        return evaluate(domain.to_interior(t))[0]
 
     def neg(t):
-        return -value(t), -t_gradient(t)
+        if not gradient:
+            return -value(t), -_finite_difference(value, t, FD_STEP)
+        x = domain.to_interior(t)
+        v, g = evaluate(x)
+        return -v, -domain.chain_gradient(t, x, np.asarray(g, dtype=float))
 
     history = []
 
     def _record(tk):
-        history.append(objective(domain.to_interior(tk)))
+        history.append(value(tk))
 
     best = None
     nit_total = 0
@@ -272,8 +273,8 @@ def maximize(objective, domain: Domain, *, gradient=None, tol: float = TOL,
 
     converged, val, stationarity, t_best = best
     x_best = domain.to_interior(t_best)
-    if gradient is not None:
-        g = np.asarray(gradient(x_best), dtype=float)
+    if gradient:
+        g = np.asarray(objective(x_best)[1], dtype=float)
     else:
         g = _finite_difference(objective, x_best, FD_STEP)
     gnorm = float(np.linalg.norm(domain.projected_gradient(x_best, g)))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hardcore_entropy import blocks
+from hardcore_entropy import block_bounds, blocks, optimize
 from hardcore_entropy.block_bounds import (
     BlockDistribution,
     DensityProfile,
@@ -188,6 +188,28 @@ class TestOptima:
     def test_refinement_monotonicity(self, optima):
         v1, v2, v3 = (optima[n][1].value for n in (1, 2, 3))
         assert v1 < v2 < v3
+
+    def test_one_evaluation_per_lbfgs_step(self, monkeypatch):
+        # each L-BFGS function evaluation needs the value and the gradient;
+        # one value_and_gradient call must serve both
+        vg_calls, nfev = [], []
+        real_vg, real_minimize = value_and_gradient, optimize.minimize
+
+        def counted_vg(family, probs):
+            vg_calls.append(1)
+            return real_vg(family, probs)
+
+        def counted_minimize(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(block_bounds, "value_and_gradient", counted_vg)
+        monkeypatch.setattr(optimize, "minimize", counted_minimize)
+        starts = 2
+        optimize_block_bound(blocks.reduce_family(3), starts=starts)
+        assert len(nfev) == starts and sum(nfev) > 10
+        assert len(vg_calls) <= sum(nfev) + 2 * starts
 
 
 class TestMonotonicity:

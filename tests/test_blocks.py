@@ -1,5 +1,7 @@
 """Block symmetry/weak-site reduction, the family cache, and marginals."""
+import hashlib
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -91,24 +93,53 @@ class TestWeakSites:
 class TestReduceFamily:
     @pytest.mark.parametrize("n,use_weak,classes", [
         (1, True, 2),
+        (1, False, 2),
         (2, True, 6),
         (2, False, 6),
         (3, False, 102),
         (3, True, 47),
+        (4, False, 8548),
     ])
     def test_class_counts(self, n, use_weak, classes):
         fam = reduce_family(n, use_weak=use_weak)
         assert fam.class_count == classes
         assert fam.free_variables == classes - 1
         assert int(fam.multiplicities.sum()) == 1 << (n * n)
+        # classes are numbered by their smallest member, the representative
+        assert (np.diff(fam.representatives) > 0).all()
+        np.testing.assert_array_equal(fam.class_of[fam.representatives],
+                                      np.arange(classes))
 
     def test_n4_counts_and_speed(self):
-        import time
-        t0 = time.time()
+        t0 = time.perf_counter()
         fam = reduce_family(4, use_weak=True)
-        assert time.time() - t0 < 60
+        assert time.perf_counter() - t0 < 10
         assert fam.class_count == 992
         assert fam.free_variables == 991
+
+    @pytest.mark.parametrize("use_weak,classes,digest", [
+        (True, 992,
+         "d103783b98228d6a39784c69ebe3762b8e50a930f3b6d7329e813aae23508650"),
+        (False, 8548,
+         "a2630dec5720add86c7e68970ceb1d122c48c8f7a28ebd6955b302df95fcbfda"),
+    ])
+    def test_n4_class_index_pinned(self, use_weak, classes, digest):
+        # SHA-256 of the little-endian int32 class index, as cached on disk
+        fam = reduce_family(4, use_weak=use_weak)
+        assert fam.class_count == classes
+        raw = np.ascontiguousarray(fam.class_of, dtype="<i4").tobytes()
+        assert hashlib.sha256(raw).hexdigest() == digest
+
+    def test_d4_family_is_canonical_image(self):
+        # without weak merges, two masks share a class exactly when they
+        # have the same smallest dihedral image
+        fam = reduce_family(3, use_weak=False)
+        canon = np.array([d4_canonical(3, m) for m in range(512)])
+        same_class = fam.class_of[:, None] == fam.class_of[None, :]
+        np.testing.assert_array_equal(same_class,
+                                      canon[:, None] == canon[None, :])
+        np.testing.assert_array_equal(fam.representatives[fam.class_of],
+                                      canon)
 
     def test_representatives_are_lex_min_members(self):
         fam = reduce_family(3, use_weak=True)

@@ -31,14 +31,14 @@ def test_converged_is_stationarity_within_tol():
     def obj(x):
         return float(-(x * np.log(x)).sum())
 
-    def grad(x):
-        return -(np.log(x) + 1.0)
+    def obj_and_grad(x):
+        return obj(x), -(np.log(x) + 1.0)
 
     tol = 1e-9
-    for gradient in (None, grad):
+    for objective, gradient in ((obj, False), (obj_and_grad, True)):
         for max_iter in (1, 2000):
-            res = maximize(obj, dom, gradient=gradient, tol=tol, starts=2,
-                           max_iter=max_iter)
+            res = maximize(objective, dom, gradient=gradient, tol=tol,
+                           starts=2, max_iter=max_iter)
             assert res.converged == (res.stationarity <= tol)
             assert res.converged == (max_iter > 1)
 
