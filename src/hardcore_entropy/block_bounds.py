@@ -125,8 +125,9 @@ def block_bound(dist: BlockDistribution) -> BoundReport:
 
 
 def optimize_block_bound(family: BlockFamily, *, seed: int = 0,
-                         starts: int = 8, x0=None, tol: float = optimize.TOL,
-                         max_iter: int = 2000, track_history: bool = False):
+                         starts: int = optimize.STARTS, x0=None,
+                         tol: float = optimize.TOL, max_iter: int = 2000,
+                         track_history: bool = False):
     """Maximize the block bound over the class simplex.
 
     x0 (a BlockDistribution or raw class probabilities) seeds the first

@@ -32,6 +32,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from zipfile import BadZipFile
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -275,22 +276,23 @@ def save_family(family: BlockFamily, path) -> None:
         raise
 
 
-def load_family(path) -> BlockFamily:
-    """Load a cached family; raises ValueError on any inconsistency."""
+def load_family(path, n: int, use_weak: bool) -> BlockFamily:
+    """Load the cached (n, use_weak) family; ValueError if it is unusable."""
     path = Path(path)
     try:
         with np.load(path) as z:
-            if int(z["version"][0]) != CACHE_VERSION:
-                raise ValueError(f"cache version {z['version'][0]} unsupported")
-            fam = BlockFamily(int(z["n"][0]), bool(z["use_weak"][0]),
-                              z["class_of"].astype(np.int32),
+            found = (int(z["version"][0]), int(z["n"][0]),
+                     bool(z["use_weak"][0]))
+            if found != (CACHE_VERSION, n, use_weak):
+                raise ValueError("holds version=%d, n=%d, use_weak=%s" % found)
+            fam = BlockFamily(n, use_weak, z["class_of"].astype(np.int32),
                               z["representatives"].astype(np.int64),
                               z["multiplicities"].astype(np.int64))
-    except (OSError, KeyError, ValueError) as exc:
+        if (fam.class_of[fam.representatives]
+                != np.arange(fam.class_count)).any():
+            raise ValueError("index mismatch")
+    except (OSError, EOFError, LookupError, ValueError, BadZipFile) as exc:
         raise ValueError(f"unusable family cache {path}: {exc}") from exc
-    if (fam.class_of[fam.representatives]
-            != np.arange(fam.class_count)).any():
-        raise ValueError(f"unusable family cache {path}: index mismatch")
     return fam
 
 
@@ -305,7 +307,7 @@ def load_or_build_family(n: int, use_weak: bool = True,
     path = cache_dir / f"blocks_n{n}_{tag}_v{CACHE_VERSION}.npz"
     if path.exists():
         try:
-            return load_family(path)
+            return load_family(path, n, use_weak)
         except ValueError as exc:
             warnings.warn(f"rebuilding block family: {exc}")
     fam = reduce_family(n, use_weak)

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import optimize
+from .optimize import STARTS, TOL
 from .lattices import LatticeKind, build_lattice
 
 LN2 = math.log(2.0)
@@ -271,8 +272,8 @@ THREE_HEX_SCHEMES = {
 _THREE_HEX_WEIGHTS = (1.0, 3.0, 3.0, 1.0)
 
 
-def optimize_closed_form(lattice, *, seed: int = 0, starts: int = 16,
-                         tol: float = optimize.TOL) -> BoundReport:
+def optimize_closed_form(lattice, *, seed: int = 0, starts: int = STARTS,
+                         tol: float = TOL) -> BoundReport:
     """Maximize the staged closed-form bound of one lattice over its
     Bernoulli parameters."""
     key = _lattice_key(lattice)
@@ -285,8 +286,8 @@ def optimize_closed_form(lattice, *, seed: int = 0, starts: int = 16,
     return _attach_meta(staged_bound(key, res.argmax), res)
 
 
-def optimize_equalized(lattice, *, seed: int = 0, starts: int = 16,
-                       tol: float = optimize.TOL) -> BoundReport:
+def optimize_equalized(lattice, *, seed: int = 0, starts: int = STARTS,
+                       tol: float = TOL) -> BoundReport:
     """Maximize the density-equalized two-stage bound: the final stage is
     B(p') with p' = p / U_1(p), so both sublattice densities equal p."""
     key = _lattice_key(lattice)
@@ -304,8 +305,8 @@ def optimize_equalized(lattice, *, seed: int = 0, starts: int = 16,
     return _attach_meta(build(res.argmax), res)
 
 
-def optimize_three_hex(lattice, *, seed: int = 0, starts: int = 16,
-                       tol: float = optimize.TOL) -> BoundReport:
+def optimize_three_hex(lattice, *, seed: int = 0, starts: int = STARTS,
+                       tol: float = TOL) -> BoundReport:
     """Maximize the three-tile cluster bound over the tile-count simplex
     (plus the dot-stage parameter on the triangular lattice)."""
     key = _lattice_key(lattice)

@@ -5,8 +5,8 @@ block-family cache, ``verify`` executes the oracle cross-checks,
 ``profile`` emits occupancy profiles as CSV, ``sample`` draws fill-in
 configurations, and ``strip`` tabulates transfer-matrix strip entropies.
 
-Exit codes: 0 all checks pass, 1 numerical failure, 2 configuration
-error.  Reports are JSON (schema versioned, deterministic for a fixed
+Exit codes: 0 all checks pass, 1 numerical failure, 2 bad configuration
+or path.  Reports are JSON (schema versioned, deterministic for a fixed
 config and seed apart from the timing field); profiles and strip tables
 are CSV.  A flat INI config file can preload any flag: values from the
 ``[common]`` section apply to every command, a section named after the
@@ -73,7 +73,7 @@ class RunConfig:
     scheme: str = "closed"
     n: int = 3
     seed: int = 0
-    starts: int = 16
+    starts: int = optimize.STARTS
     tol: float = optimize.TOL
     max_iter: int = 2000
     out: str | None = None
@@ -589,7 +589,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_run_config(args)
         return _HANDLERS[cfg.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:

@@ -16,8 +16,8 @@ log-space KKT residual, so classes of tiny probability weigh in at their
 own scale.  No second method runs after L-BFGS; among the multistart
 results, one that met the stopping rule outranks one that did not.
 
-Multistart initial points come from a scrambled Sobol sequence seeded from
-`seed`, with the first start always at the domain center (t = 0), so results
+Multistart initial points are the domain center (t = 0), then uniform draws
+in [-SPREAD, SPREAD]^d from numpy's generator seeded with `seed`, so results
 are reproducible bit-for-bit for a fixed (objective, domain, settings, seed).
 """
 from __future__ import annotations
@@ -27,12 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import qmc
 
 BOX_EPS = 1e-12
 # the one stationarity tolerance: inf-norm of d objective/d t
 TOL = 1e-9
 FD_STEP = 1e-6
+STARTS = 16
+SPREAD = 2.5  # half-width of the t-cube holding the non-center starts
 
 
 @dataclass(frozen=True)
@@ -199,19 +200,14 @@ def finite_difference_gradient_check(objective, gradient, point, h=1e-6) -> floa
     return float(np.max(np.abs(g_an - g_fd) / scale))
 
 
-def _sobol_starts(dim, starts, seed, spread=2.5):
-    pts = [np.zeros(dim)]
-    if starts > 1:
-        n = starts - 1
-        sob = qmc.Sobol(d=dim, scramble=True, seed=seed)
-        # draw a power-of-two batch to keep the sequence balanced
-        raw = sob.random_base2(max(1, math.ceil(math.log2(n))))[:n]
-        pts.extend(spread * (2.0 * raw - 1.0))
-    return pts
+def _start_points(dim, starts, seed):
+    """The center t = 0, then starts - 1 seeded points in the SPREAD cube."""
+    u = np.random.default_rng(seed).random((starts - 1, dim))
+    return [np.zeros(dim), *SPREAD * (2.0 * u - 1.0)]
 
 
 def maximize(objective, domain: Domain, *, gradient=False, tol: float = TOL,
-             max_iter: int = 2000, seed: int = 0, starts: int = 16,
+             max_iter: int = 2000, seed: int = 0, starts: int = STARTS,
              x0=None, track_history: bool = False) -> OptimizationResult:
     """Maximize `objective` over `domain` by multistart L-BFGS.
 
@@ -251,7 +247,7 @@ def maximize(objective, domain: Domain, *, gradient=False, tol: float = TOL,
 
     best = None
     nit_total = 0
-    start_points = _sobol_starts(domain.size, starts, seed)
+    start_points = _start_points(domain.size, starts, seed)
     if x0 is not None:
         start_points[0] = domain.from_interior(x0)
     for t0 in start_points:

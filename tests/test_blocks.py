@@ -296,7 +296,7 @@ class TestCache:
         fam = reduce_family(3, use_weak=True)
         path = tmp_path / "fam.npz"
         save_family(fam, path)
-        back = load_family(path)
+        back = load_family(path, fam.n, fam.use_weak)
         assert back.n == 3 and back.use_weak
         np.testing.assert_array_equal(back.class_of, fam.class_of)
         np.testing.assert_array_equal(back.representatives, fam.representatives)
@@ -314,10 +314,46 @@ class TestCache:
         path = next(tmp_path.glob("*.npz"))
         path.write_bytes(b"not an archive")
         with pytest.raises(ValueError, match="unusable"):
-            load_family(path)
+            load_family(path, fam.n, fam.use_weak)
         with pytest.warns(UserWarning, match="rebuilding"):
             back = load_or_build_family(2, cache_dir=tmp_path)
         np.testing.assert_array_equal(back.class_of, fam.class_of)
+
+    @pytest.mark.parametrize("damage", ["half", "empty"])
+    def test_truncated_or_empty_cache_rebuilds(self, tmp_path, damage):
+        fam = load_or_build_family(2, cache_dir=tmp_path)
+        path = next(tmp_path.glob("*.npz"))
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2] if damage == "half" else b"")
+        with pytest.raises(ValueError, match="unusable"):
+            load_family(path, 2, True)
+        with pytest.warns(UserWarning, match="rebuilding"):
+            back = load_or_build_family(2, cache_dir=tmp_path)
+        np.testing.assert_array_equal(back.class_of, fam.class_of)
+        assert load_family(path, 2, True).class_count == fam.class_count
+
+    def test_cache_of_another_family_rejected(self, tmp_path):
+        path = tmp_path / f"blocks_n3_weak_v{blocks.CACHE_VERSION}.npz"
+        save_family(reduce_family(2), path)
+        with pytest.raises(ValueError, match="unusable.*n=2"):
+            load_family(path, 3, True)
+        with pytest.raises(ValueError, match="unusable.*use_weak=True"):
+            load_family(path, 2, False)
+        with pytest.warns(UserWarning, match="rebuilding"):
+            back = load_or_build_family(3, cache_dir=tmp_path)
+        assert back.n == 3 and back.class_count == 47
+        assert load_family(path, 3, True).class_count == 47
+
+    def test_out_of_range_representative_rejected(self, tmp_path):
+        fam = reduce_family(2)
+        path = tmp_path / "fam.npz"
+        np.savez(path, version=np.array([blocks.CACHE_VERSION]),
+                 n=np.array([2]), use_weak=np.array([1]),
+                 class_of=fam.class_of,
+                 representatives=fam.representatives + 100,
+                 multiplicities=fam.multiplicities)
+        with pytest.raises(ValueError, match="unusable"):
+            load_family(path, 2, True)
 
     def test_interrupted_save_keeps_cache_consistent(self, tmp_path,
                                                      monkeypatch):
@@ -341,7 +377,7 @@ class TestCache:
         monkeypatch.setattr(np, "savez", savez_dies_midway)
         with pytest.raises(OSError, match="disk full"):
             save_family(reduce_family(2, use_weak=False), path)
-        back = load_family(path)
+        back = load_family(path, fam.n, fam.use_weak)
         assert back.use_weak
         np.testing.assert_array_equal(back.class_of, fam.class_of)
         assert [p.name for p in tmp_path.iterdir()] == ["fam.npz"]
@@ -358,4 +394,4 @@ class TestCache:
         bad.multiplicities[0] += 1
         save_family(bad, path)
         with pytest.raises(ValueError, match="unusable"):
-            load_family(path)
+            load_family(path, fam.n, fam.use_weak)

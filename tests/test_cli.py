@@ -3,6 +3,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -138,6 +142,14 @@ def test_reduce_corrupt_cache_rebuilds(tmp_path, capsys):
     assert "6 (5 free)" in capsys.readouterr().out
 
 
+def test_reduce_unusable_cache_dir_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert run(["reduce", "--n", "2", "--cache-dir",
+                str(blocker / "sub")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cache_dir_from_environment(tmp_path, monkeypatch, capsys):
     cache = tmp_path / "envcache"
     monkeypatch.setenv("HC_CACHE_DIR", str(cache))
@@ -271,6 +283,14 @@ def test_strip_width_out_of_range(capsys):
     assert run(["strip", "--width", "15"]) == 2
 
 
+def test_strip_unusable_out_path_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert run(["strip", "--max-width", "3",
+                "--out", str(blocker / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ----------------------------------------------------- config file merge
 
 def test_config_file_sections_and_flag_priority(tmp_path, capsys):
@@ -325,6 +345,17 @@ def test_unknown_flag_exits_two(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
+
+
+def test_import_does_not_load_scipy_stats():
+    # a fresh interpreter: the test process itself may import scipy.stats
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import hardcore_entropy.cli, sys; "
+         "sys.exit('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_bound_json_deterministic(tmp_path):

@@ -9,8 +9,8 @@ from hardcore_entropy.bounds import (
     staged_bound,
 )
 from hardcore_entropy.optimize import (
-    Box, Domain, OptimizationResult, Simplex, finite_difference_gradient_check,
-    maximize,
+    SPREAD, Box, Domain, OptimizationResult, Simplex, _start_points,
+    finite_difference_gradient_check, maximize,
 )
 
 UNIT = Domain((Box(0.0, 1.0),))
@@ -54,6 +54,32 @@ def test_start_that_met_stopping_rule_wins():
     assert short.converged and short.value == 0.0
     full = maximize(obj, UNIT, starts=4)
     assert full.converged and full.value == pytest.approx(0.25, abs=1e-8)
+
+
+def test_start_points_center_then_seeded_uniform():
+    pts = np.array(_start_points(5, 16, seed=3))
+    assert pts.shape == (16, 5)
+    assert (pts[0] == 0.0).all()
+    assert (np.abs(pts[1:]) <= SPREAD).all()
+    assert len(np.unique(pts, axis=0)) == 16
+    np.testing.assert_array_equal(pts, _start_points(5, 16, seed=3))
+    assert not np.array_equal(pts, _start_points(5, 16, seed=4))
+    assert len(_start_points(5, 1, seed=3)) == 1
+    assert (_start_points(5, 1, seed=3)[0] == 0.0).all()
+
+
+def test_x0_replaces_center_start():
+    dom = Domain((Box(0.0, 1.0), Simplex((1.0, 2.0))))
+    x0 = np.array([0.2, 0.6, 0.2])
+    for start, first in ((None, [0.5, 1 / 3, 1 / 3]), (x0, x0)):
+        seen = []
+
+        def obj(x):
+            seen.append(x.copy())
+            return float(-((x - 0.3) ** 2).sum())
+
+        maximize(obj, dom, starts=1, max_iter=1, x0=start)
+        np.testing.assert_allclose(seen[0], first, atol=1e-12)
 
 
 def test_entropy_simplex_uniform():
