@@ -22,7 +22,7 @@ from .blocks import (
     _marginal_counts,
     boundary_marginals,
     check_class_distribution,
-    inclusion_pairs,
+    cover_pairs,
     popcounts,
     reduce_family,
 )
@@ -145,34 +145,36 @@ def optimize_block_bound(family: BlockFamily, *, seed: int = 0,
                             track_history=track_history)
     dist = BlockDistribution(family, res.argmax)
     report = block_bound(dist)
+    # monotonicity is reported only: a violation marks a suboptimal point,
+    # and any class distribution still gives a valid lower bound
     meta = {"iterations": res.iterations, "starts": res.starts_used,
             "converged": res.converged, "stationarity": res.stationarity,
-            "gradient_norm": res.gradient_norm_at_solution}
+            "gradient_norm": res.gradient_norm_at_solution,
+            "monotonicity_violations": len(check_monotonicity(dist))}
     if track_history:
         meta["history"] = res.history
     return dist, replace(report, meta=meta)
 
 
-def check_monotonicity(dist: BlockDistribution, tol: float = 1e-6,
-                       pairs=None) -> list[tuple[int, int, str, float, float]]:
+def check_monotonicity(dist: BlockDistribution, tol: float = 1e-6
+                       ) -> list[tuple[int, int, str, float, float]]:
     """Inclusion-monotonicity violations of an optimizer output.
 
-    At an optimum, adding 1s to a block can only lower its probability:
-    strict pairs need p[small] > p[big] - tol; equal-tagged pairs (weak-site
-    differences) need |p[small] - p[big]| <= tol, which holds structurally
-    when the family already merges weak classes.  Returns
-    (small_class, big_class, tag, p_small, p_big) per violation.
+    At an optimum, adding 1s to a block can only lower its probability.
+    The check runs over `blocks.cover_pairs`, which generate the inclusion
+    order: strict pairs need p[small] > p[big] - tol; equal pairs (the
+    added 1 is on a weak site) need |p[small] - p[big]| <= tol, which holds
+    structurally when the family already merges weak classes.  Checking
+    covers only, a chain of k <= n^2 covers is held to k * tol rather than
+    tol (exact when tol = 0).  Returns (small_class, big_class, tag,
+    p_small, p_big) per violation, tag "equal" or "strict".
     """
-    if pairs is None:
-        pairs = inclusion_pairs(dist.family)
-    p = dist.probs
-    out = []
-    for cs, cb, tag in pairs:
-        ps, pb = float(p[cs]), float(p[cb])
-        bad = (abs(ps - pb) > tol) if tag == "equal" else (ps <= pb - tol)
-        if bad:
-            out.append((cs, cb, tag, ps, pb))
-    return out
+    small, big, equal = cover_pairs(dist.family)
+    ps, pb = dist.probs[small], dist.probs[big]
+    bad = np.where(equal, np.abs(ps - pb) > tol, ps <= pb - tol)
+    return [(int(cs), int(cb), "equal" if eq else "strict", float(a), float(b))
+            for cs, cb, eq, a, b in zip(small[bad], big[bad], equal[bad],
+                                        ps[bad], pb[bad])]
 
 
 @dataclass(frozen=True)
@@ -314,8 +316,8 @@ def extend_distribution(opt: BlockDistribution,
 
 
 def equalized_unit_generator(family: BlockFamily | None = None, *,
-                             seed: int = 0,
-                             starts: int = 8) -> BlockDistribution:
+                             seed: int = 0, starts: int = optimize.STARTS,
+                             tol: float = optimize.TOL) -> BlockDistribution:
     """Single-site generator at the density-equalized square-lattice optimum.
 
     The raw single-site optimum puts more mass on the odd sublattice than
@@ -329,5 +331,6 @@ def equalized_unit_generator(family: BlockFamily | None = None, *,
         family = reduce_family(1)
     if family.n != 1:
         raise ValueError("unit generator needs the 1x1 family")
-    p = optimize_equalized("square", seed=seed, starts=starts).densities[0]
+    p = optimize_equalized("square", seed=seed, starts=starts,
+                           tol=tol).densities[0]
     return BlockDistribution(family, np.array([1.0 - p, p]))

@@ -390,38 +390,33 @@ def boundary_marginals(family: BlockFamily, probs) -> BoundaryMarginals:
     return BoundaryMarginals(a_int @ probs, a_dom @ probs, a_cor @ probs)
 
 
-def _submasks(mask: int):
-    """All proper submasks of mask, including 0 (for mask != 0)."""
-    s = mask
-    while True:
-        s = (s - 1) & mask
-        yield s
-        if s == 0:
-            return
+def cover_pairs(family: BlockFamily):
+    """Class pairs of masks that differ by one added 1.
 
-
-def inclusion_pairs(family: BlockFamily) -> list[tuple[int, int, str]]:
-    """Ordered class pairs (small, big, tag) with 1-set inclusion between
-    some members.
-
-    Tag "equal" when a witness pair differs only on weak sites (the two
-    masks then share a weak-equivalence class and their optimal
-    probabilities coincide); "strict" otherwise, predicting
-    p[small] > p[big] at any optimum.  Cost grows as 3^(n^2); intended for
-    n <= 3.
+    Returns (small, big, equal): small[k] and big[k] are distinct classes
+    holding masks s and s | 1<<b, sorted by (small, big).  Covers generate
+    the inclusion order: any s subset of t is a chain of
+    popcount(t) - popcount(s) <= n^2 covers, so the class-level transitive
+    closure of these pairs is the class-level inclusion relation.
+    equal[k] is set when some witness pair shares a weak class (the added 1
+    sits on a weak site), so the two optimal probabilities coincide; on a
+    weak-site family such masks share a class and no pair is equal.
     """
+    n2 = family.n * family.n
     weak_cls = (family.class_of if family.use_weak
                 else reduce_family(family.n, use_weak=True).class_of)
-    tags: dict[tuple[int, int], bool] = {}
-    for m in range(1, 1 << (family.n * family.n)):
-        cb = int(family.class_of[m])
-        wb = int(weak_cls[m])
-        for s in _submasks(m):
-            cs = int(family.class_of[s])
-            if cs == cb:
-                continue
-            key = (cs, cb)
-            equal = wb == int(weak_cls[s])
-            tags[key] = tags.get(key, False) or equal
-    return [(cs, cb, "equal" if eq else "strict")
-            for (cs, cb), eq in sorted(tags.items())]
+    masks = np.arange(1 << n2, dtype=np.int64)
+    keys, equal = [], []
+    for b in range(n2):
+        small = masks[(masks >> b) & 1 == 0]
+        big = small | (1 << b)
+        cs, cb = family.class_of[small], family.class_of[big]
+        keep = cs != cb
+        keys.append(cs[keep].astype(np.int64) * family.class_count + cb[keep])
+        equal.append(weak_cls[small[keep]] == weak_cls[big[keep]])
+    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    # a class pair is equal if any of its witness pairs is
+    equal = np.bincount(inverse, weights=np.concatenate(equal),
+                        minlength=len(keys)) > 0
+    small, big = np.divmod(keys, family.class_count)
+    return small, big, equal

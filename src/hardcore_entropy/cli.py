@@ -35,7 +35,7 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 LATTICES = tuple(k.value for k in LatticeKind)
 SCHEMES = ("closed", "equalized", "three-hex", "block")
@@ -452,7 +452,7 @@ def cmd_profile(cfg: RunConfig) -> int:
             # flat reference: the density-equalized single-site scheme,
             # comparable with the block optima whose densities agree
             generators[g] = block_bounds.equalized_unit_generator(
-                family, seed=cfg.seed)
+                family, seed=cfg.seed, starts=cfg.starts, tol=cfg.tol)
         else:
             generators[g], _ = block_bounds.optimize_block_bound(
                 family, seed=cfg.seed, starts=cfg.starts, tol=cfg.tol,

@@ -283,39 +283,14 @@ def test_criterion_09_sampler_consistency():
     assert ok
 
 
-def _cover_pairs(family):
-    """Class pairs (small, big) of masks that differ by one added 1.
-
-    They generate the inclusion order that `blocks.inclusion_pairs`
-    enumerates in full, which at n=4 (3^16 submask pairs) takes minutes.
-    On a weak-site family every such pair with distinct classes is strict.
-    """
-    masks = np.arange(1 << family.n ** 2)
-    pairs = set()
-    for b in range(family.n ** 2):
-        small = masks[(masks >> b) & 1 == 0]
-        cs = family.class_of[small]
-        cb = family.class_of[small | (1 << b)]
-        keep = cs != cb
-        pairs.update(zip(cs[keep].tolist(), cb[keep].tolist()))
-    return [(cs, cb, "strict") for cs, cb in sorted(pairs)]
-
-
 def test_criterion_10_monotonicity_at_optima(block_optima):
     counts = {}
     spread = 0.0
     for n in (2, 3, 4):
         dist, _, _ = block_optima[n]
         family = dist.family
-        covers = _cover_pairs(family)
-        if n < 4:
-            pairs = blocks.inclusion_pairs(family)
-            assert set(covers) <= set(pairs)
-        else:
-            pairs = covers
-        violations = block_bounds.check_monotonicity(dist, tol=1e-6,
-                                                     pairs=pairs)
-        counts[n] = (len(pairs), len(violations))
+        violations = block_bounds.check_monotonicity(dist, tol=1e-6)
+        counts[n] = (len(blocks.cover_pairs(family)[0]), len(violations))
         # weak-equal blocks share one class variable, so their mask
         # probabilities are identical by construction
         mask_probs = dist.mask_probabilities()
@@ -326,8 +301,7 @@ def test_criterion_10_monotonicity_at_optima(block_optima):
         spread = max(spread, float((hi - lo).max()))
     ok = all(bad == 0 for _, bad in counts.values()) and spread == 0.0
     ok = report(10, ok,
-                ", ".join(f"n={n}: {bad} violations/{total} "
-                          f"{'cover ' if n == 4 else ''}pairs"
+                ", ".join(f"n={n}: {bad} violations/{total} cover pairs"
                           for n, (total, bad) in counts.items())
                 + f", within-class spread {spread}")
     assert ok

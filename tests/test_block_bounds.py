@@ -219,10 +219,11 @@ class TestMonotonicity:
             assert check_monotonicity(dist, tol=1e-6) == []
 
     def test_pair_census(self):
-        assert len(blocks.inclusion_pairs(FAMILIES[2])) == 14
-        pairs3 = blocks.inclusion_pairs(FAMILIES[3])
-        assert len(pairs3) == 631
-        assert all(tag == "strict" for _, _, tag in pairs3)
+        # cover pairs: masks differing by one added 1
+        assert len(blocks.cover_pairs(FAMILIES[2])[0]) == 6
+        _, _, equal3 = blocks.cover_pairs(FAMILIES[3])
+        assert len(equal3) == 163
+        assert not equal3.any()
 
     def test_adversarial_violation_detected(self):
         fam = FAMILIES[2]
@@ -230,8 +231,8 @@ class TestMonotonicity:
         probs[fam.class_of[0]] = 0.1
         probs[fam.class_of[0b1111]] = 0.9
         viol = check_monotonicity(BlockDistribution(fam, probs))
-        assert any(cs == fam.class_of[0] and cb == fam.class_of[0b1111]
-                   for cs, cb, tag, _, _ in viol)
+        assert any(cs == fam.class_of[0b0111] and cb == fam.class_of[0b1111]
+                   and tag == "strict" for cs, cb, tag, _, _ in viol)
 
     def test_equal_pair_violation_on_unreduced_family(self):
         fam = blocks.reduce_family(3, use_weak=False)

@@ -11,10 +11,10 @@ from hardcore_entropy.blocks import (
     BlockFamily,
     boundary_marginals,
     corner_positions,
+    cover_pairs,
     d4_canonical,
     d4_images,
     forced_odd_sites,
-    inclusion_pairs,
     load_family,
     load_or_build_family,
     reduce_family,
@@ -258,19 +258,44 @@ class TestBoundaryMarginals:
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-class TestInclusionPairs:
-    def test_empty_block_included_in_everything(self):
-        fam = reduce_family(2)
-        empty = int(fam.class_of[0])
-        smalls = {cs for cs, cb, tag in inclusion_pairs(fam) if cb != empty}
-        assert empty in smalls
-        for cs, cb, tag in inclusion_pairs(fam):
-            assert cs != cb
+def class_closure(k, small, big):
+    """Transitive closure of a relation on k classes, as a k x k matrix."""
+    rel = np.zeros((k, k), dtype=np.int64)
+    rel[small, big] = 1
+    while True:
+        grown = ((rel + rel @ rel) > 0).astype(np.int64)
+        if (grown == rel).all():
+            return rel.astype(bool)
+        rel = grown
 
-    def test_n2_all_strict(self):
-        # no weak sites at n=2, so every cross-class inclusion is strict
-        pairs = inclusion_pairs(reduce_family(2))
-        assert pairs and all(tag == "strict" for _, _, tag in pairs)
+
+class TestCoverPairs:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("use_weak", [True, False])
+    def test_closure_is_inclusion_relation(self, n, use_weak):
+        fam = reduce_family(n, use_weak=use_weak)
+        masks = np.arange(1 << (n * n))
+        sub, sup = np.nonzero((masks[:, None] & ~masks[None, :]) == 0)
+        want = np.zeros((fam.class_count,) * 2, dtype=bool)
+        want[fam.class_of[sub], fam.class_of[sup]] = True
+        np.fill_diagonal(want, False)
+        small, big, _ = cover_pairs(fam)
+        got = class_closure(fam.class_count, small, big)
+        np.fill_diagonal(got, False)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n,use_weak,count,equal", [
+        (2, True, 6, 0), (2, False, 6, 0),
+        (3, True, 163, 0), (3, False, 339, 73),
+        (4, True, 7707, 0), (4, False, 66024, 18624),
+    ])
+    def test_counts(self, n, use_weak, count, equal):
+        # weak-equal masks share a class on a weak family, so no cover
+        # there is equal
+        small, big, eq = cover_pairs(reduce_family(n, use_weak=use_weak))
+        assert len(small) == len(big) == len(eq) == count
+        assert int(eq.sum()) == equal
+        assert (small != big).all()
 
     def test_weak_difference_tagged_equal_on_d4_family(self):
         fam = reduce_family(3, use_weak=False)
@@ -279,15 +304,23 @@ class TestInclusionPairs:
         sub, sup = fam.class_of[m], fam.class_of[m | bit(3, 1, 1)]
         assert sub != sup  # D4 alone keeps them apart
         assert weak_fam.class_of[m] == weak_fam.class_of[m | bit(3, 1, 1)]
-        tags = {(cs, cb): tag for cs, cb, tag in inclusion_pairs(fam)}
-        assert tags[(int(sub), int(sup))] == "equal"
+        tags = {(int(cs), int(cb)): eq
+                for cs, cb, eq in zip(*cover_pairs(fam))}
+        assert tags[(int(sub), int(sup))]
 
-    def test_chain_through_popcounts(self):
+    def test_n4_speed(self):
+        fam = reduce_family(4)
+        t0 = time.perf_counter()
+        cover_pairs(fam)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_chain_elements_are_covers(self):
         fam = reduce_family(2)
         by_rep = {int(r): i for i, r in enumerate(fam.representatives)}
-        pairs = {(cs, cb) for cs, cb, _ in inclusion_pairs(fam)}
+        small, big, _ = cover_pairs(fam)
+        pairs = set(zip(small.tolist(), big.tolist()))
         chain = [0b0, 0b1, 0b11, 0b111, 0b1111]
-        for a, b in itertools.combinations(chain, 2):
+        for a, b in itertools.pairwise(chain):
             assert (by_rep[a], by_rep[b]) in pairs
 
 

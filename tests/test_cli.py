@@ -36,7 +36,7 @@ def test_bound_closed_single_lattice(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "square" in table and "0.3924" in table
     bundle = read_bundle(out)
-    assert bundle["schema_version"] == 2
+    assert bundle["schema_version"] == 3
     assert bundle["command"] == "bound"
     (rep,) = bundle["reports"]
     assert rep["value_nats"] == pytest.approx(0.392421, abs=5e-4)
@@ -61,6 +61,15 @@ def test_bound_block_scheme(tmp_path, capsys):
     assert rep["n"] == 2
     assert rep["value_nats"] == pytest.approx(0.39877, abs=2e-4)
     assert rep["optimizer"]["converged"] is True
+
+
+def test_bound_block_reports_monotonicity(tmp_path, capsys):
+    out = tmp_path / "block3.json"
+    assert run(["bound", "--scheme", "block", "--n", "3",
+                "--out", str(out)]) == 0
+    (rep,) = read_bundle(out)["reports"]
+    assert rep["optimizer"]["converged"] is True
+    assert rep["optimizer"]["monotonicity_violations"] == 0
 
 
 def test_bound_block_n4(tmp_path, capsys):
@@ -211,6 +220,21 @@ def test_profile_three_generators(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "variance order: 1 < 2 < 3" in err
     assert "between k=3 and k=4" in err
+
+
+def test_profile_unit_generator_honours_starts_and_tol(monkeypatch,
+                                                      capsys):
+    seen = []
+    real = bounds.optimize_equalized
+
+    def recording(lattice, **kwargs):
+        seen.append((kwargs["starts"], kwargs["tol"]))
+        return real(lattice, **kwargs)
+
+    monkeypatch.setattr(bounds, "optimize_equalized", recording)
+    assert run(["profile", "--n", "2", "--generators", "1", "--starts", "3",
+                "--tol", "1e-8"]) == 0
+    assert seen == [(3, 1e-8)]
 
 
 def test_profile_generator_larger_than_window(capsys):
