@@ -61,11 +61,6 @@ class BlockDistribution:
         return self.probs[self.family.class_of]
 
 
-def uniform_distribution(family: BlockFamily) -> BlockDistribution:
-    total = 1 << (family.n * family.n)
-    return BlockDistribution(family, np.full(family.class_count, 1.0 / total))
-
-
 def block_entropy_term(dist: BlockDistribution) -> float:
     """Entropy of the block distribution in nats per even site:
     -(1/n^2) sum multiplicity * p * ln p, with 0 ln 0 = 0."""
@@ -125,35 +120,25 @@ def block_bound(dist: BlockDistribution) -> BoundReport:
 
 
 def optimize_block_bound(family: BlockFamily, *, seed: int = 0,
-                         starts: int = optimize.STARTS, x0=None,
-                         tol: float = optimize.TOL, max_iter: int = 2000,
-                         track_history: bool = False):
+                         starts: int = optimize.STARTS,
+                         tol: float = optimize.TOL,
+                         max_iter: int = optimize.MAX_ITER):
     """Maximize the block bound over the class simplex.
 
-    x0 (a BlockDistribution or raw class probabilities) seeds the first
-    start.  Returns (distribution, report); the report carries optimizer
-    metadata.
+    Returns (distribution, report); the report carries optimizer metadata.
     """
-    if isinstance(x0, BlockDistribution):
-        x0 = x0.probs
     domain = optimize.Domain(
         [optimize.Simplex(tuple(float(m) for m in family.multiplicities))])
 
     res = optimize.maximize(lambda x: value_and_gradient(family, x), domain,
                             gradient=True, tol=tol, max_iter=max_iter,
-                            seed=seed, starts=starts, x0=x0,
-                            track_history=track_history)
+                            seed=seed, starts=starts)
     dist = BlockDistribution(family, res.argmax)
-    report = block_bound(dist)
     # monotonicity is reported only: a violation marks a suboptimal point,
     # and any class distribution still gives a valid lower bound
-    meta = {"iterations": res.iterations, "starts": res.starts_used,
-            "converged": res.converged, "stationarity": res.stationarity,
-            "gradient_norm": res.gradient_norm_at_solution,
+    meta = {**res.meta(),
             "monotonicity_violations": len(check_monotonicity(dist))}
-    if track_history:
-        meta["history"] = res.history
-    return dist, replace(report, meta=meta)
+    return dist, replace(block_bound(dist), meta=meta)
 
 
 def check_monotonicity(dist: BlockDistribution, tol: float = 1e-6
@@ -280,44 +265,11 @@ def density_profile(n: int, generator: BlockDistribution) -> DensityProfile:
     return DensityProfile(n, acc / m ** 2, label)
 
 
-def extend_distribution(opt: BlockDistribution,
-                        target_family: BlockFamily | None = None
-                        ) -> BlockDistribution:
-    """Seed an (n+1) x (n+1) distribution from an n x n optimum.
-
-    The big block keeps the optimal law on its lower-left n x n subblock and
-    fills the added half frame (2n+1 sites) with independent Bernoulli(p)
-    entries, p being the optimum's even-sublattice density; the mask-level
-    product law is then averaged within each class of the target family.
-    """
-    n = opt.n
-    big = n + 1
-    if target_family is None:
-        target_family = reduce_family(big, use_weak=opt.family.use_weak)
-    if target_family.n != big:
-        raise ValueError(f"target family side {target_family.n}, need {big}")
-    p = opt.even_density()
-    masks = np.arange(1 << (big * big), dtype=np.int64)
-    sub = np.zeros(len(masks), dtype=np.int64)
-    for y in range(n):
-        for x in range(n):
-            sub |= ((masks >> (y * big + x)) & 1) << (y * n + x)
-    frame_bits = [(x, n) for x in range(big)] + [(n, y) for y in range(n)]
-    frame_pop = np.zeros(len(masks), dtype=np.int64)
-    for x, y in frame_bits:
-        frame_pop += (masks >> (y * big + x)) & 1
-    k = len(frame_bits)  # 2n + 1
-    mask_prob = (opt.probs[opt.family.class_of[sub]]
-                 * p ** frame_pop * (1.0 - p) ** (k - frame_pop))
-    class_tot = np.bincount(target_family.class_of, weights=mask_prob,
-                            minlength=target_family.class_count)
-    return BlockDistribution(target_family,
-                             class_tot / target_family.multiplicities)
-
-
 def equalized_unit_generator(family: BlockFamily | None = None, *,
                              seed: int = 0, starts: int = optimize.STARTS,
-                             tol: float = optimize.TOL) -> BlockDistribution:
+                             tol: float = optimize.TOL,
+                             max_iter: int = optimize.MAX_ITER
+                             ) -> BlockDistribution:
     """Single-site generator at the density-equalized square-lattice optimum.
 
     The raw single-site optimum puts more mass on the odd sublattice than
@@ -331,6 +283,6 @@ def equalized_unit_generator(family: BlockFamily | None = None, *,
         family = reduce_family(1)
     if family.n != 1:
         raise ValueError("unit generator needs the 1x1 family")
-    p = optimize_equalized("square", seed=seed, starts=starts,
-                           tol=tol).densities[0]
+    p = optimize_equalized("square", seed=seed, starts=starts, tol=tol,
+                           max_iter=max_iter).densities[0]
     return BlockDistribution(family, np.array([1.0 - p, p]))

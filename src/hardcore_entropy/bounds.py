@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import optimize
-from .optimize import STARTS, TOL
+from .optimize import MAX_ITER, STARTS, TOL
 from .lattices import LatticeKind, build_lattice
 
 LN2 = math.log(2.0)
@@ -62,12 +62,6 @@ def entropy_three_hex(pvec) -> float:
     """Entropy of the three-hex occupancy distribution, per cluster."""
     p0, p1, p2, p3 = check_three_hex(pvec)
     return -(_xlogx(p0) + 3 * _xlogx(p1) + 3 * _xlogx(p2) + _xlogx(p3))
-
-
-def three_hex_a(pvec) -> float:
-    """P(a fixed tile of the cluster carries 0) = p0 + 2 p1 + p2."""
-    p0, p1, p2, p3 = check_three_hex(pvec)
-    return p0 + 2 * p1 + p2
 
 
 @dataclass(frozen=True)
@@ -253,13 +247,6 @@ def bound_three_hex_triangular(pvec, q: float) -> BoundReport:
 
 # ------------------------------------------------------- optimizer drivers
 
-def _attach_meta(report: BoundReport, res) -> BoundReport:
-    return replace(report, meta={
-        "iterations": res.iterations, "starts": res.starts_used,
-        "converged": res.converged, "stationarity": res.stationarity,
-        "gradient_norm": res.gradient_norm_at_solution})
-
-
 # p' = p / U_1(p) stays a probability only below these caps
 EQUALIZED_CAPS = {"square": 0.275, "honeycomb": 0.317}
 
@@ -273,7 +260,8 @@ _THREE_HEX_WEIGHTS = (1.0, 3.0, 3.0, 1.0)
 
 
 def optimize_closed_form(lattice, *, seed: int = 0, starts: int = STARTS,
-                         tol: float = TOL) -> BoundReport:
+                         tol: float = TOL,
+                         max_iter: int = MAX_ITER) -> BoundReport:
     """Maximize the staged closed-form bound of one lattice over its
     Bernoulli parameters."""
     key = _lattice_key(lattice)
@@ -282,12 +270,14 @@ def optimize_closed_form(lattice, *, seed: int = 0, starts: int = STARTS,
     arity = build_lattice(LatticeKind(key)).partite_count - 1
     domain = optimize.Domain([optimize.Box(0.0, 1.0)] * arity)
     res = optimize.maximize(lambda x: staged_bound(key, x).value, domain,
-                            seed=seed, starts=starts, tol=tol)
-    return _attach_meta(staged_bound(key, res.argmax), res)
+                            seed=seed, starts=starts, tol=tol,
+                            max_iter=max_iter)
+    return replace(staged_bound(key, res.argmax), meta=res.meta())
 
 
 def optimize_equalized(lattice, *, seed: int = 0, starts: int = STARTS,
-                       tol: float = TOL) -> BoundReport:
+                       tol: float = TOL,
+                       max_iter: int = MAX_ITER) -> BoundReport:
     """Maximize the density-equalized two-stage bound: the final stage is
     B(p') with p' = p / U_1(p), so both sublattice densities equal p."""
     key = _lattice_key(lattice)
@@ -301,12 +291,13 @@ def optimize_equalized(lattice, *, seed: int = 0, starts: int = STARTS,
 
     domain = optimize.Domain([optimize.Box(0.0, EQUALIZED_CAPS[key])])
     res = optimize.maximize(lambda x: build(x).value, domain, seed=seed,
-                            starts=starts, tol=tol)
-    return _attach_meta(build(res.argmax), res)
+                            starts=starts, tol=tol, max_iter=max_iter)
+    return replace(build(res.argmax), meta=res.meta())
 
 
 def optimize_three_hex(lattice, *, seed: int = 0, starts: int = STARTS,
-                       tol: float = TOL) -> BoundReport:
+                       tol: float = TOL,
+                       max_iter: int = MAX_ITER) -> BoundReport:
     """Maximize the three-tile cluster bound over the tile-count simplex
     (plus the dot-stage parameter on the triangular lattice)."""
     key = _lattice_key(lattice)
@@ -316,5 +307,5 @@ def optimize_three_hex(lattice, *, seed: int = 0, starts: int = STARTS,
     domain = optimize.Domain([optimize.Simplex(_THREE_HEX_WEIGHTS)]
                              + [optimize.Box(0.0, 1.0)] * boxes)
     res = optimize.maximize(lambda x: build(x).value, domain, seed=seed,
-                            starts=starts, tol=tol)
-    return _attach_meta(build(res.argmax), res)
+                            starts=starts, tol=tol, max_iter=max_iter)
+    return replace(build(res.argmax), meta=res.meta())

@@ -75,7 +75,7 @@ class RunConfig:
     seed: int = 0
     starts: int = optimize.STARTS
     tol: float = optimize.TOL
-    max_iter: int = 2000
+    max_iter: int = optimize.MAX_ITER
     out: str | None = None
     cache_dir: str | None = None
     href: float = 0.4075
@@ -85,6 +85,11 @@ class RunConfig:
     width: int | None = None
     max_width: int = 12
     boundary: str = "free"
+
+    def optimizer_settings(self) -> dict:
+        """Keyword arguments shared by every optimizer driver."""
+        return {"seed": self.seed, "starts": self.starts, "tol": self.tol,
+                "max_iter": self.max_iter}
 
     def validate(self) -> None:
         if self.lattice != "all" and self.lattice not in LATTICES:
@@ -292,21 +297,17 @@ def cmd_bound(cfg: RunConfig) -> int:
     else:
         targets = (cfg.lattice,)
     reports = []
+    settings = cfg.optimizer_settings()
     for lat in targets:
         if cfg.scheme == "closed":
-            rep = bounds.optimize_closed_form(
-                lat, seed=cfg.seed, starts=cfg.starts, tol=cfg.tol)
+            rep = bounds.optimize_closed_form(lat, **settings)
         elif cfg.scheme == "equalized":
-            rep = bounds.optimize_equalized(
-                lat, seed=cfg.seed, starts=cfg.starts, tol=cfg.tol)
+            rep = bounds.optimize_equalized(lat, **settings)
         elif cfg.scheme == "three-hex":
-            rep = bounds.optimize_three_hex(
-                lat, seed=cfg.seed, starts=cfg.starts, tol=cfg.tol)
+            rep = bounds.optimize_three_hex(lat, **settings)
         else:
             family = blocks.load_or_build_family(cfg.n, True, cfg.cache_dir)
-            _, rep = block_bounds.optimize_block_bound(
-                family, seed=cfg.seed, starts=cfg.starts, tol=cfg.tol,
-                max_iter=cfg.max_iter)
+            _, rep = block_bounds.optimize_block_bound(family, **settings)
         reports.append(rep)
     _print_bound_table(reports)
     _write_bundle(cfg, [r.as_dict() for r in reports], started)
@@ -445,6 +446,7 @@ def cmd_profile(cfg: RunConfig) -> int:
     if any(not 1 <= g <= cfg.n for g in sizes):
         raise ConfigError(f"generator sides must lie in 1..{cfg.n}")
 
+    settings = cfg.optimizer_settings()
     generators = {}
     for g in sorted(set(sizes)):
         family = blocks.load_or_build_family(g, True, cfg.cache_dir)
@@ -452,11 +454,10 @@ def cmd_profile(cfg: RunConfig) -> int:
             # flat reference: the density-equalized single-site scheme,
             # comparable with the block optima whose densities agree
             generators[g] = block_bounds.equalized_unit_generator(
-                family, seed=cfg.seed, starts=cfg.starts, tol=cfg.tol)
+                family, **settings)
         else:
             generators[g], _ = block_bounds.optimize_block_bound(
-                family, seed=cfg.seed, starts=cfg.starts, tol=cfg.tol,
-                max_iter=cfg.max_iter)
+                family, **settings)
     profiles = {g: block_bounds.density_profile(cfg.n, generators[g])
                 for g in sorted(set(sizes))}
 

@@ -150,11 +150,6 @@ def stage_of(spec: LatticeSpec, site) -> int:
     return spec.coloring[t][y % py][x % px]
 
 
-def sublattice_of(spec: LatticeSpec, site) -> str:
-    """Sublattice label of a site."""
-    return spec.fill_order[stage_of(spec, site)]
-
-
 def stage_index(spec: LatticeSpec, dims) -> np.ndarray:
     """Fill stage of every site, shaped like TorusConfiguration.values."""
     w, h = _validate_dims(spec, dims)
@@ -234,11 +229,3 @@ def verify_hard_core(config: TorusConfiguration) -> bool:
     g = config.values.astype(bool)
     return not (g & occupied_neighbor(build_lattice(config.kind), g)).any()
 
-
-def sublattice_density(config: TorusConfiguration, label: str) -> float:
-    """Fraction of 1's among the sites of one sublattice."""
-    spec = build_lattice(config.kind)
-    if label not in spec.fill_order:
-        raise ValueError(f"unknown sublattice {label!r} for {config.kind.value}")
-    mask = stage_index(spec, config.dims) == spec.fill_order.index(label)
-    return float(config.values[mask].mean())

@@ -23,7 +23,7 @@ are reproducible bit-for-bit for a fixed (objective, domain, settings, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -33,6 +33,7 @@ BOX_EPS = 1e-12
 TOL = 1e-9
 FD_STEP = 1e-6
 STARTS = 16
+MAX_ITER = 2000  # L-BFGS iteration cap per start
 SPREAD = 2.5  # half-width of the t-cube holding the non-center starts
 
 
@@ -84,13 +85,6 @@ class Domain:
     def size(self) -> int:
         return sum(c.size for c in self.components)
 
-    def split(self, x):
-        out, i = [], 0
-        for c in self.components:
-            out.append(np.asarray(x[i:i + c.size]))
-            i += c.size
-        return out
-
     def to_interior(self, t: np.ndarray) -> np.ndarray:
         """Map unconstrained coordinates to a feasible interior point."""
         x = np.empty_like(t, dtype=float)
@@ -108,26 +102,6 @@ class Domain:
             i += c.size
         return x
 
-    def from_interior(self, x) -> np.ndarray:
-        """Unconstrained coordinates mapping back to the interior point x.
-
-        Right inverse of to_interior for feasible x (up to the simplex
-        shift degeneracy), used to seed warm starts.
-        """
-        x = np.asarray(x, dtype=float)
-        t = np.empty_like(x)
-        i = 0
-        for c in self.components:
-            xi = x[i:i + c.size]
-            if isinstance(c, Box):
-                u = (xi[0] - c.lo) / (c.hi - c.lo)
-                u = min(max(u, BOX_EPS), 1.0 - BOX_EPS)
-                t[i] = math.log(u / (1.0 - u))
-            else:
-                t[i:i + c.size] = np.log(np.clip(xi, BOX_EPS, None))
-            i += c.size
-        return t
-
     def chain_gradient(self, t, x, g):
         """d f/d t from d f/d x at x = to_interior(t)."""
         gt = np.empty_like(g, dtype=float)
@@ -142,20 +116,6 @@ class Domain:
                 gt[i:i + c.size] = p * (gi - w * (gi @ p))
             i += c.size
         return gt
-
-    def feasible(self, x, tol: float = 1e-10) -> bool:
-        i = 0
-        for c in self.components:
-            xi = x[i:i + c.size]
-            if isinstance(c, Box):
-                if not (c.lo - tol <= xi[0] <= c.hi + tol):
-                    return False
-            else:
-                w = np.asarray(c.weights)
-                if (xi < -tol).any() or abs(w @ xi - 1.0) > tol:
-                    return False
-            i += c.size
-        return True
 
     def projected_gradient(self, x, g) -> np.ndarray:
         """Gradient projected onto the feasible directions at an interior x."""
@@ -179,7 +139,12 @@ class OptimizationResult:
     converged: bool
     stationarity: float
     gradient_norm_at_solution: float
-    history: list = field(default_factory=list, repr=False)
+
+    def meta(self) -> dict:
+        """The optimizer fields a bound report carries into its bundle."""
+        return {"iterations": self.iterations, "starts": self.starts_used,
+                "converged": self.converged, "stationarity": self.stationarity,
+                "gradient_norm": self.gradient_norm_at_solution}
 
 
 def _finite_difference(objective, x, h):
@@ -191,15 +156,6 @@ def _finite_difference(objective, x, h):
     return g
 
 
-def finite_difference_gradient_check(objective, gradient, point, h=1e-6) -> float:
-    """Max relative error between `gradient(point)` and central differences."""
-    point = np.asarray(point, dtype=float)
-    g_an = np.asarray(gradient(point), dtype=float)
-    g_fd = _finite_difference(objective, point, h)
-    scale = np.maximum(1.0, np.abs(g_fd))
-    return float(np.max(np.abs(g_an - g_fd) / scale))
-
-
 def _start_points(dim, starts, seed):
     """The center t = 0, then starts - 1 seeded points in the SPREAD cube."""
     u = np.random.default_rng(seed).random((starts - 1, dim))
@@ -207,8 +163,8 @@ def _start_points(dim, starts, seed):
 
 
 def maximize(objective, domain: Domain, *, gradient=False, tol: float = TOL,
-             max_iter: int = 2000, seed: int = 0, starts: int = STARTS,
-             x0=None, track_history: bool = False) -> OptimizationResult:
+             max_iter: int = MAX_ITER, seed: int = 0,
+             starts: int = STARTS) -> OptimizationResult:
     """Maximize `objective` over `domain` by multistart L-BFGS.
 
     objective takes the concatenated component vector.  With gradient=True
@@ -218,11 +174,9 @@ def maximize(objective, domain: Domain, *, gradient=False, tol: float = TOL,
     Each start stops when the inf-norm of that t-space gradient is at most
     `tol`; the result is converged exactly when its `stationarity`, the
     same norm at the winning point, is.  The x-space projected-gradient
-    norm is reported alongside.  track_history records the objective value
-    once per quasi-Newton iteration.  Multistart winner is the best value
+    norm is reported alongside.  Multistart winner is the best value
     among the starts that met the stopping rule (among all starts if none
-    did), ties broken by lowest start index.  x0, a feasible interior
-    point, replaces the default center start.
+    did), ties broken by lowest start index.
     """
     def evaluate(x):
         v, g = objective(x) if gradient else (objective(x), None)
@@ -240,20 +194,11 @@ def maximize(objective, domain: Domain, *, gradient=False, tol: float = TOL,
         v, g = evaluate(x)
         return -v, -domain.chain_gradient(t, x, np.asarray(g, dtype=float))
 
-    history = []
-
-    def _record(tk):
-        history.append(value(tk))
-
     best = None
     nit_total = 0
-    start_points = _start_points(domain.size, starts, seed)
-    if x0 is not None:
-        start_points[0] = domain.from_interior(x0)
-    for t0 in start_points:
+    for t0 in _start_points(domain.size, starts, seed):
         # ftol = 0: only the gradient test (gtol) ends a start normally
         res = minimize(neg, t0, jac=True, method="L-BFGS-B",
-                       callback=_record if track_history else None,
                        options={"maxiter": max_iter, "ftol": 0.0,
                                 "gtol": tol, "maxcor": 20})
         nit_total += res.nit
@@ -277,5 +222,4 @@ def maximize(objective, domain: Domain, *, gradient=False, tol: float = TOL,
     return OptimizationResult(
         argmax=x_best, value=float(val), iterations=int(nit_total),
         starts_used=starts, converged=converged,
-        stationarity=stationarity, gradient_norm_at_solution=gnorm,
-        history=history)
+        stationarity=stationarity, gradient_norm_at_solution=gnorm)

@@ -38,22 +38,6 @@ def entropy_1d() -> float:
     return math.log(lam)
 
 
-@dataclass(frozen=True)
-class StripSpec:
-    width: int
-    boundary: str = "free"
-
-    def __post_init__(self):
-        if not 1 <= self.width <= MAX_STRIP_WIDTH:
-            raise ValueError(
-                f"strip width {self.width} outside the supported range "
-                f"1..{MAX_STRIP_WIDTH} (transfer matrix grows as a Fibonacci "
-                f"number of the width)")
-        if self.boundary not in ("free", "periodic"):
-            raise ValueError(f"boundary must be free or periodic, "
-                             f"got {self.boundary!r}")
-
-
 def legal_columns(width: int, boundary: str = "free") -> np.ndarray:
     """All 0/1 columns of the given height with no two adjacent 1s."""
     masks = np.arange(1 << width, dtype=np.int64)
@@ -63,15 +47,22 @@ def legal_columns(width: int, boundary: str = "free") -> np.ndarray:
     return masks[ok]
 
 
-def strip_entropy(spec, boundary: str = "free") -> float:
+def strip_entropy(width: int, boundary: str = "free") -> float:
     """Entropy per site of an infinite strip of the given width.
 
-    Accepts a StripSpec or a bare width.  Dominant transfer-matrix
-    eigenvalue by power iteration to relative tolerance 1e-13.
+    Dominant transfer-matrix eigenvalue by power iteration to relative
+    tolerance 1e-13.
     """
-    if not isinstance(spec, StripSpec):
-        spec = StripSpec(int(spec), boundary)
-    cols = legal_columns(spec.width, spec.boundary)
+    width = int(width)
+    if not 1 <= width <= MAX_STRIP_WIDTH:
+        raise ValueError(
+            f"strip width {width} outside the supported range "
+            f"1..{MAX_STRIP_WIDTH} (transfer matrix grows as a Fibonacci "
+            f"number of the width)")
+    if boundary not in ("free", "periodic"):
+        raise ValueError(f"boundary must be free or periodic, "
+                         f"got {boundary!r}")
+    cols = legal_columns(width, boundary)
     t = ((cols[:, None] & cols[None, :]) == 0).astype(float)
     v = np.full(len(cols), 1.0 / math.sqrt(len(cols)))
     lam = 0.0
@@ -83,7 +74,7 @@ def strip_entropy(spec, boundary: str = "free") -> float:
             lam = lam_new
             break
         lam = lam_new
-    return math.log(lam) / spec.width
+    return math.log(lam) / width
 
 
 # ---------------------------------------------------------------- sampler

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from hardcore_entropy.bounds import (
     LN2, BoundReport, bound_three_hex_honeycomb, bound_three_hex_triangular,
     entropy_bernoulli, entropy_three_hex, stage_unforced, staged_bound,
-    three_hex_a,
 )
 from hardcore_entropy.lattices import LatticeKind, build_lattice
 from hardcore_entropy.oracles import window_probability_exhaustive
@@ -135,7 +134,6 @@ def test_three_hex_param_validation():
         entropy_three_hex((0.5, 0.1, 0.1, 0.1))  # not normalized
     with pytest.raises(ValueError):
         entropy_three_hex((1.3, -0.1, 0.0, 0.0))
-    assert three_hex_a((1.0, 0.0, 0.0, 0.0)) == 1.0
 
 
 def _normalize_three_hex(pvec):

@@ -92,6 +92,15 @@ def test_bound_not_converged_exits_one(tmp_path, capsys):
     assert rep["optimizer"]["stationarity"] > bundle["config"]["tol"]
 
 
+def test_bound_max_iter_reaches_closed_form(tmp_path, capsys):
+    out = tmp_path / "short.json"
+    assert run(["bound", "--scheme", "closed", "--lattice", "square",
+                "--max-iter", "1", "--out", str(out)]) == 1
+    assert "optimizer did not converge" in capsys.readouterr().err
+    (rep,) = read_bundle(out)["reports"]
+    assert rep["optimizer"]["converged"] is False
+
+
 def test_bound_scheme_lattice_mismatch(capsys):
     assert run(["bound", "--scheme", "equalized", "--lattice",
                 "triangular"]) == 2
@@ -228,13 +237,13 @@ def test_profile_unit_generator_honours_starts_and_tol(monkeypatch,
     real = bounds.optimize_equalized
 
     def recording(lattice, **kwargs):
-        seen.append((kwargs["starts"], kwargs["tol"]))
+        seen.append((kwargs["starts"], kwargs["tol"], kwargs["max_iter"]))
         return real(lattice, **kwargs)
 
     monkeypatch.setattr(bounds, "optimize_equalized", recording)
     assert run(["profile", "--n", "2", "--generators", "1", "--starts", "3",
-                "--tol", "1e-8"]) == 0
-    assert seen == [(3, 1e-8)]
+                "--tol", "1e-8", "--max-iter", "500"]) == 0
+    assert seen == [(3, 1e-8, 500)]
 
 
 def test_profile_generator_larger_than_window(capsys):

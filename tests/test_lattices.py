@@ -5,7 +5,7 @@ import pytest
 
 from hardcore_entropy.lattices import (
     LatticeKind, TorusConfiguration, build_lattice, neighbor_sites,
-    sublattice_density, sublattice_of, verify_hard_core,
+    stage_index, stage_of, verify_hard_core,
 )
 
 ALL_KINDS = list(LatticeKind)
@@ -50,9 +50,8 @@ def test_spec_table():
         for site in TorusConfiguration.empty(kind, dims).sites():
             nbrs = neighbor_sites(spec, dims, site)
             assert len(nbrs) == COORDINATION[kind]
-            stage = spec.fill_order.index(sublattice_of(spec, site))
-            n_earlier = sum(spec.fill_order.index(sublattice_of(spec, o))
-                            < stage for o in nbrs)
+            stage = stage_of(spec, site)
+            n_earlier = sum(stage_of(spec, o) < stage for o in nbrs)
             counts.setdefault(stage, set()).add(n_earlier)
         # constant over every site of a stage
         assert counts == {s: {c} for s, c in enumerate(earlier)}
@@ -123,7 +122,7 @@ def test_neighbor_symmetry_degree_partiteness(kind):
             # involution symmetry
             assert site in neighbor_sites(spec, dims, other)
             # every edge crosses sublattices
-            assert sublattice_of(spec, other) != sublattice_of(spec, site)
+            assert stage_of(spec, other) != stage_of(spec, site)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -182,20 +181,24 @@ def test_verify_trivial_cases():
     assert not verify_hard_core(cfg)
 
 
-def test_sublattice_density_counts():
+def test_stage_index_counts():
+    spec = build_lattice(LatticeKind.SQUARE)
     cfg = TorusConfiguration.empty(LatticeKind.SQUARE, (4, 4))
-    assert sublattice_density(cfg, "circle") == 0.0
+    circle = stage_index(spec, cfg.dims) == 0
+    assert cfg.values[circle].mean() == 0.0
     # fully occupy the even sublattice
     for site in cfg.sites():
-        if sublattice_of(build_lattice(LatticeKind.SQUARE), site) == "circle":
+        if stage_of(spec, site) == 0:
             cfg[site] = 1
     assert verify_hard_core(cfg)
-    assert sublattice_density(cfg, "circle") == 1.0
-    assert sublattice_density(cfg, "dot") == 0.0
+    assert cfg.values[circle].mean() == 1.0
+    assert cfg.values[~circle].mean() == 0.0
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_sublattice_density_matches_direct_count(kind):
+def test_stage_index_matches_stage_of(kind):
+    # stage_index, the array form the sampler uses, agrees with stage_of
+    # site by site, and per-stage densities read off it are direct counts
     spec = build_lattice(kind)
     dims = SMALL_DIMS[kind]
     rng = np.random.default_rng(1)
@@ -207,14 +210,12 @@ def test_sublattice_density_matches_direct_count(kind):
             if not any(cfg[o] for o in neighbor_sites(spec, dims, site)):
                 cfg[site] = 1
     assert verify_hard_core(cfg)
-    for label in spec.fill_order:
-        members = [s for s in sites if sublattice_of(spec, s) == label]
-        direct = sum(cfg[s] for s in members) / len(members)
-        assert sublattice_density(cfg, label) == pytest.approx(direct, abs=1e-12)
-        assert 0.0 <= sublattice_density(cfg, label) <= 1.0
-
-
-def test_unknown_sublattice_label_rejected():
-    cfg = TorusConfiguration.empty(LatticeKind.SQUARE, (4, 4))
-    with pytest.raises(ValueError):
-        sublattice_density(cfg, "triangle")
+    stages = stage_index(spec, dims)
+    assert stages.shape == cfg.values.shape
+    for x, y, *t in sites:
+        assert stages[(y, x, *t)] == stage_of(spec, (x, y, *t))
+    for s in range(spec.partite_count):
+        members = [site for site in sites if stage_of(spec, site) == s]
+        direct = sum(cfg[site] for site in members) / len(members)
+        assert cfg.values[stages == s].mean() == pytest.approx(direct,
+                                                               abs=1e-12)

@@ -9,7 +9,6 @@ from hardcore_entropy import bounds
 from hardcore_entropy.lattices import LatticeKind, verify_hard_core
 from hardcore_entropy.oracles import (
     REFERENCE_CONSTANTS,
-    StripSpec,
     blocking_constant_lower,
     blocking_constant_upper,
     blocking_share_per_odd_site,
@@ -66,7 +65,7 @@ class TestStrips:
             assert 0.066 <= w * (s - ratio) <= 0.068
 
     def test_width_twelve_periodic(self):
-        h = strip_entropy(StripSpec(12, "periodic"))
+        h = strip_entropy(12, "periodic")
         assert h == pytest.approx(0.4074963771, abs=1e-9)
         assert abs(h - REFERENCE_CONSTANTS[LatticeKind.SQUARE].entropy) < 3e-3
 
@@ -77,7 +76,7 @@ class TestStrips:
 
     def test_periodic_below_free(self):
         for w in (8, 12):
-            assert strip_entropy(StripSpec(w, "periodic")) < strip_entropy(w)
+            assert strip_entropy(w, "periodic") < strip_entropy(w)
 
     def test_closed_form_bounds_below_strip(self):
         ceiling = strip_entropy(12)
@@ -87,9 +86,9 @@ class TestStrips:
     def test_width_validation(self):
         for w in (0, 15, -3):
             with pytest.raises(ValueError, match="width"):
-                StripSpec(w)
+                strip_entropy(w)
         with pytest.raises(ValueError, match="boundary"):
-            StripSpec(4, "helical")
+            strip_entropy(4, "helical")
 
 
 class TestWindows:
