@@ -22,7 +22,7 @@ if __name__ == "__main__":
 
     # the reference entropy below is the accepted square-lattice value
     # to four decimals; a sharper reference would tighten the interval
-    h_ref = 0.4075
+    h_ref = oracles.PLANE_ENTROPY
     c_max, rho_min = oracles.blocking_constant_upper(h_ref)
     print(f"with reference entropy {h_ref}: c_max = {c_max:.4f}")
     print(f"even-density interval: ({rho_min:.5f}, {float(rho_upper):.5f})")

@@ -24,11 +24,11 @@ from .blocks import (
     check_class_distribution,
     cover_pairs,
     popcounts,
-    reduce_family,
 )
-from .bounds import LN2, BoundReport
+from .bounds import LN2, BoundReport, optimize_equalized
 
-SIMPLEX_TOL = 1e-10
+# a cover pair is a violation when p[big] exceeds p[small] by this much
+MONOTONICITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class BlockDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = check_class_distribution(self.family, self.probs, tol=SIMPLEX_TOL)
+        p = check_class_distribution(self.family, self.probs)
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -141,25 +141,22 @@ def optimize_block_bound(family: BlockFamily, *, seed: int = 0,
     return dist, replace(block_bound(dist), meta=meta)
 
 
-def check_monotonicity(dist: BlockDistribution, tol: float = 1e-6
-                       ) -> list[tuple[int, int, str, float, float]]:
+def check_monotonicity(dist: BlockDistribution
+                       ) -> list[tuple[int, int, float, float]]:
     """Inclusion-monotonicity violations of an optimizer output.
 
     At an optimum, adding 1s to a block can only lower its probability.
     The check runs over `blocks.cover_pairs`, which generate the inclusion
-    order: strict pairs need p[small] > p[big] - tol; equal pairs (the
-    added 1 is on a weak site) need |p[small] - p[big]| <= tol, which holds
-    structurally when the family already merges weak classes.  Checking
-    covers only, a chain of k <= n^2 covers is held to k * tol rather than
-    tol (exact when tol = 0).  Returns (small_class, big_class, tag,
-    p_small, p_big) per violation, tag "equal" or "strict".
+    order, and needs p[small] > p[big] - MONOTONICITY_TOL for each pair.
+    Checking covers only, a chain of k <= n^2 covers is held to
+    k * MONOTONICITY_TOL rather than MONOTONICITY_TOL.  Returns
+    (small_class, big_class, p_small, p_big) per violation.
     """
-    small, big, equal = cover_pairs(dist.family)
+    small, big = cover_pairs(dist.family)
     ps, pb = dist.probs[small], dist.probs[big]
-    bad = np.where(equal, np.abs(ps - pb) > tol, ps <= pb - tol)
-    return [(int(cs), int(cb), "equal" if eq else "strict", float(a), float(b))
-            for cs, cb, eq, a, b in zip(small[bad], big[bad], equal[bad],
-                                        ps[bad], pb[bad])]
+    bad = ps <= pb - MONOTONICITY_TOL
+    return [(int(cs), int(cb), float(a), float(b))
+            for cs, cb, a, b in zip(small[bad], big[bad], ps[bad], pb[bad])]
 
 
 @dataclass(frozen=True)
@@ -167,12 +164,10 @@ class DensityProfile:
     """Occupancy distribution of an n x n window of even sites.
 
     occupancy_probs[k] = P(window holds exactly k ones), k = 0..n^2.
-    generator labels the block measure the window statistics came from.
     """
 
     n: int
     occupancy_probs: np.ndarray
-    generator: str
 
     def __post_init__(self):
         q = np.asarray(self.occupancy_probs, dtype=float)
@@ -236,12 +231,11 @@ def density_profile(n: int, generator: BlockDistribution) -> DensityProfile:
     m = generator.n
     if m > n:
         raise ValueError(f"generator side {m} exceeds window side {n}")
-    label = f"{m}x{m}"
     if m == n:
         pops = popcounts(m * m)
         pmf = np.bincount(pops, weights=generator.mask_probabilities(),
                           minlength=n * n + 1)
-        return DensityProfile(n, pmf, label)
+        return DensityProfile(n, pmf)
 
     cache: dict[int, np.ndarray] = {}
 
@@ -262,10 +256,10 @@ def density_profile(n: int, generator: BlockDistribution) -> DensityProfile:
                             region |= 1 << (y * m + x)
                     pmf = np.convolve(pmf, region_pmf(region))
             acc += pmf
-    return DensityProfile(n, acc / m ** 2, label)
+    return DensityProfile(n, acc / m ** 2)
 
 
-def equalized_unit_generator(family: BlockFamily | None = None, *,
+def equalized_unit_generator(family: BlockFamily, *,
                              seed: int = 0, starts: int = optimize.STARTS,
                              tol: float = optimize.TOL,
                              max_iter: int = optimize.MAX_ITER
@@ -278,9 +272,6 @@ def equalized_unit_generator(family: BlockFamily | None = None, *,
     fair flat reference is the two-stage scheme whose final coin is chosen
     to equalize the sublattice densities.
     """
-    from .bounds import optimize_equalized
-    if family is None:
-        family = reduce_family(1)
     if family.n != 1:
         raise ValueError("unit generator needs the 1x1 family")
     p = optimize_equalized("square", seed=seed, starts=starts, tol=tol,

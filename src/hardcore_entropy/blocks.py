@@ -40,6 +40,8 @@ from scipy.sparse.csgraph import connected_components
 
 CACHE_VERSION = 1
 MAX_N = 4  # 2^25 masks at n=5 exceed the supported budget
+# how far sum(multiplicity * prob) may stray from 1 in a class distribution
+PROB_SUM_TOL = 1e-10
 
 
 def _check_n(n: int) -> int:
@@ -370,15 +372,14 @@ def _marginal_counts(family: BlockFamily):
     return family._marginal_count_cache
 
 
-def check_class_distribution(family: BlockFamily, probs,
-                             tol: float = 1e-8) -> np.ndarray:
+def check_class_distribution(family: BlockFamily, probs) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (family.class_count,):
         raise ValueError(f"need {family.class_count} class probabilities")
     if (probs < -1e-12).any():
         raise ValueError("negative class probability")
     total = float(family.multiplicities @ probs)
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"class probabilities sum to {total}, not 1")
     return np.clip(probs, 0.0, None)
 
@@ -393,30 +394,21 @@ def boundary_marginals(family: BlockFamily, probs) -> BoundaryMarginals:
 def cover_pairs(family: BlockFamily):
     """Class pairs of masks that differ by one added 1.
 
-    Returns (small, big, equal): small[k] and big[k] are distinct classes
-    holding masks s and s | 1<<b, sorted by (small, big).  Covers generate
-    the inclusion order: any s subset of t is a chain of
+    Returns (small, big): small[k] and big[k] are distinct classes holding
+    masks s and s | 1<<b, sorted by (small, big).  Covers generate the
+    inclusion order: any s subset of t is a chain of
     popcount(t) - popcount(s) <= n^2 covers, so the class-level transitive
-    closure of these pairs is the class-level inclusion relation.
-    equal[k] is set when some witness pair shares a weak class (the added 1
-    sits on a weak site), so the two optimal probabilities coincide; on a
-    weak-site family such masks share a class and no pair is equal.
+    closure of these pairs is the class-level inclusion relation.  On a
+    weak-site family a 1 added on a weak site stays inside its class, so no
+    pair joins two classes whose optimal probabilities must be equal.
     """
     n2 = family.n * family.n
-    weak_cls = (family.class_of if family.use_weak
-                else reduce_family(family.n, use_weak=True).class_of)
     masks = np.arange(1 << n2, dtype=np.int64)
-    keys, equal = [], []
+    keys = []
     for b in range(n2):
         small = masks[(masks >> b) & 1 == 0]
-        big = small | (1 << b)
-        cs, cb = family.class_of[small], family.class_of[big]
+        cs = family.class_of[small]
+        cb = family.class_of[small | (1 << b)]
         keep = cs != cb
         keys.append(cs[keep].astype(np.int64) * family.class_count + cb[keep])
-        equal.append(weak_cls[small[keep]] == weak_cls[big[keep]])
-    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    # a class pair is equal if any of its witness pairs is
-    equal = np.bincount(inverse, weights=np.concatenate(equal),
-                        minlength=len(keys)) > 0
-    small, big = np.divmod(keys, family.class_count)
-    return small, big, equal
+    return np.divmod(np.unique(np.concatenate(keys)), family.class_count)

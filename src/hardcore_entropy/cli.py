@@ -78,7 +78,7 @@ class RunConfig:
     max_iter: int = optimize.MAX_ITER
     out: str | None = None
     cache_dir: str | None = None
-    href: float = 0.4075
+    href: float = oracles.PLANE_ENTROPY
     params: str | None = None
     dims: str | None = None
     generators: str = "1,2,3"
@@ -145,6 +145,9 @@ def load_config_file(path: str, command: str) -> dict:
     for section in parser.sections():
         if section != "common" and section not in COMMANDS:
             raise ConfigError(f"unknown config section [{section}]")
+    # configparser would merge [DEFAULT] into every section unseen
+    if parser.defaults():
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
     values = {}
     for section in ("common", command):
         if not parser.has_section(section):
@@ -351,7 +354,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     checks.append(("strip_width_2_closed_form",
                    abs(w2 - ref2) <= 1e-12, f"{w2:.14f}"))
 
-    ref = oracles.REFERENCE_CONSTANTS[LatticeKind.SQUARE].entropy
+    ref = oracles.PLANE_ENTROPY
     w12 = oracles.strip_entropy(12, boundary="periodic")
     checks.append(("strip_width_12_periodic_vs_reference",
                    abs(w12 - ref) <= 3e-3,

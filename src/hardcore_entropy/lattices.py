@@ -208,21 +208,6 @@ class TorusConfiguration:
         w, h = _validate_dims(build_lattice(kind), dims)
         return cls(kind, (w, h), np.zeros(cls._shape(kind, w, h), dtype=np.int8))
 
-    def sites(self):
-        for y, x, *t in np.ndindex(self.values.shape):
-            yield (x, y, *t)
-
-    @staticmethod
-    def _index(site):
-        x, y, *t = site
-        return (y, x, *t)
-
-    def __getitem__(self, site):
-        return int(self.values[self._index(site)])
-
-    def __setitem__(self, site, value):
-        self.values[self._index(site)] = value
-
 
 def verify_hard_core(config: TorusConfiguration) -> bool:
     """True iff no two adjacent sites both carry 1."""

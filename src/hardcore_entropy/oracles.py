@@ -5,6 +5,7 @@ exact rational blocking-share arithmetic each provide a second route to
 numbers the rest of the package computes analytically.  The sampler and the
 window enumeration work from the lattice geometry alone and are compared
 against `bounds.stage_unforced`, the same U_s table the staged bounds use.
+`PLANE_ENTROPY` is the one literature value the checks compare against.
 """
 from __future__ import annotations
 
@@ -27,7 +28,8 @@ from .lattices import (
 )
 
 MAX_STRIP_WIDTH = 14
-MAX_WINDOW_SITES = 24
+# square-lattice hard-core entropy per site, a near-truth anchor (not a bound)
+PLANE_ENTROPY = 0.4075
 
 
 # ---------------------------------------------------------------- strips
@@ -79,25 +81,26 @@ def strip_entropy(width: int, boundary: str = "free") -> float:
 
 # ---------------------------------------------------------------- sampler
 
-def _tile_stderr(indicator: np.ndarray, where: np.ndarray,
-                 tile: int = 8) -> float:
+_TILE = 8
+
+
+def _tile_stderr(indicator: np.ndarray, where: np.ndarray) -> float:
     """Standard error of the mean of indicator over `where` sites, from the
-    spread of per-tile means (captures short-range correlation)."""
+    spread of per-tile means (captures short-range correlation).  A torus
+    that is not a grid of at least two 8 x 8 tiles gets the binomial
+    standard error instead."""
     h, w = indicator.shape[:2]
     vals = indicator.reshape(h, w, -1).astype(float)
-    sel = where.reshape(h, w, -1) if where.shape == indicator.shape else \
-        np.broadcast_to(where.reshape(h, w, -1), vals.shape)
-    if h % tile or w % tile:
+    sel = where.reshape(h, w, -1)
+    if h % _TILE or w % _TILE or (h // _TILE) * (w // _TILE) < 2:
         n = sel.sum()
         m = float((vals * sel).sum() / n)
         return math.sqrt(max(m * (1 - m), 0.0) / n)
-    a = (vals * sel).reshape(h // tile, tile, w // tile, tile, -1)
-    c = sel.reshape(h // tile, tile, w // tile, tile, -1)
-    sums = a.sum(axis=(1, 3, 4))
-    counts = c.sum(axis=(1, 3, 4))
+    shape = (h // _TILE, _TILE, w // _TILE, _TILE, -1)
+    sums = (vals * sel).reshape(shape).sum(axis=(1, 3, 4))
+    counts = sel.reshape(shape).sum(axis=(1, 3, 4))
     means = sums / counts
-    ntiles = means.size
-    return float(means.std(ddof=1)) / math.sqrt(ntiles)
+    return float(means.std(ddof=1)) / math.sqrt(means.size)
 
 
 @dataclass(frozen=True)
@@ -167,18 +170,14 @@ def fill_in_sample(kind: LatticeKind, params, dims, seed: int):
 
 # ------------------------------------------------------- window enumeration
 
-_REFERENCE_DIMS = {
-    LatticeKind.SQUARE: (12, 12),
-    LatticeKind.SQUARE_MOORE: (12, 12),
-    LatticeKind.TRIANGULAR: (12, 12),
-    LatticeKind.HONEYCOMB: (8, 8),
-    LatticeKind.KAGOME: (8, 8),
-}
+# the torus the influence windows live on: every coloring period divides
+# 12, and no window is wide enough to meet itself around it
+_WINDOW_DIMS = (12, 12)
 
 
-def _target_site(spec, dims, stage: int):
+def _target_site(spec, stage: int):
     """The first stage-`stage` site scanning from the torus center."""
-    w, h = dims
+    w, h = _WINDOW_DIMS
     for y in range(h // 2, h):
         for x in range(w // 2, w):
             for t in range(spec.sites_per_cell):
@@ -195,15 +194,14 @@ def influence_window(kind: LatticeKind, stage: int) -> tuple:
     spec = build_lattice(kind)
     if not 1 <= stage < spec.partite_count:
         raise ValueError(f"stage must be in 1..{spec.partite_count - 1}")
-    dims = _REFERENCE_DIMS[kind]
-    target = _target_site(spec, dims, stage)
+    target = _target_site(spec, stage)
     window = []
     frontier = [target]
     seen = {target}
     while frontier:
         site = frontier.pop()
         s = stage_of(spec, site)
-        for nb in neighbor_sites(spec, dims, site):
+        for nb in neighbor_sites(spec, _WINDOW_DIMS, site):
             if stage_of(spec, nb) < s and nb not in seen:
                 seen.add(nb)
                 window.append(nb)
@@ -211,39 +209,25 @@ def influence_window(kind: LatticeKind, stage: int) -> tuple:
     return target, tuple(window)
 
 
-def window_probability_exhaustive(kind: LatticeKind, params, stage: int,
-                                  window=None) -> float:
+def window_probability_exhaustive(kind: LatticeKind, params,
+                                  stage: int) -> float:
     """P(a stage-`stage` site is unforced), by exact enumeration of every
     assignment of its influence window under the sequential measure.
 
-    The window must be dependency-closed (every non-initial-stage member
-    has all its earlier neighbors inside), which makes the restricted
-    measure the exact marginal.  window=None uses the canonical closure.
+    The window is dependency-closed (every non-initial-stage member has all
+    its earlier neighbors inside), which makes the restricted measure the
+    exact marginal.  Windows hold 2 to 16 sites.
     """
     spec = build_lattice(kind)
     probs = stage_probabilities(kind, params)
-    dims = _REFERENCE_DIMS[kind]
-    if window is None:
-        target, window = influence_window(kind, stage)
-    else:
-        target = _target_site(spec, dims, stage)
-        window = tuple(tuple(s) for s in window)
+    target, window = influence_window(kind, stage)
     m = len(window)
-    if m > MAX_WINDOW_SITES:
-        raise ValueError(f"window of {m} sites exceeds the exhaustive "
-                         f"enumeration cap {MAX_WINDOW_SITES}")
     order = sorted(window, key=lambda s: stage_of(spec, s))
     pos = {site: j for j, site in enumerate(order)}
 
     def earlier_neighbors(site, s):
-        out = []
-        for nb in set(neighbor_sites(spec, dims, site)):
-            if stage_of(spec, nb) < s:
-                if nb not in pos:
-                    raise ValueError(
-                        f"window is not dependency-closed: {site} needs {nb}")
-                out.append(pos[nb])
-        return out
+        return [pos[nb] for nb in set(neighbor_sites(spec, _WINDOW_DIMS, site))
+                if stage_of(spec, nb) < s]
 
     idx = np.arange(1 << m, dtype=np.int64)
     bits = [(idx >> j) & 1 for j in range(m)]
@@ -306,15 +290,14 @@ def blocking_share_per_odd_site() -> Fraction:
     return blocking_constant_lower() / 4
 
 
-def density_upper_from_blocking(c: Fraction | None = None) -> Fraction:
-    """Even-sublattice density upper bound 1/(2+c) implied by a blocking
-    constant lower bound c (default: the exact 15/8)."""
-    if c is None:
-        c = blocking_constant_lower()
-    return 1 / (2 + Fraction(c))
+def density_upper_from_blocking() -> Fraction:
+    """Even-sublattice density upper bound 1/(2+c) implied by the exact
+    blocking constant lower bound c = 15/8."""
+    return 1 / (2 + blocking_constant_lower())
 
 
-def blocking_constant_upper(h_ref: float = 0.4075) -> tuple[float, float]:
+def blocking_constant_upper(h_ref: float = PLANE_ENTROPY
+                            ) -> tuple[float, float]:
     """Largest blocking constant consistent with a reference entropy.
 
     Solves 1/2 [ h_B(rho) + 2 rho ln 2 ] = h_ref for rho = 1/(2+c) by
@@ -332,20 +315,3 @@ def blocking_constant_upper(h_ref: float = 0.4075) -> tuple[float, float]:
         raise ValueError(f"no root in [{lo}, {hi}] for h_ref={h_ref}")
     c_max = float(bisect(gap, lo, hi, xtol=1e-8))
     return c_max, 1.0 / (2.0 + c_max)
-
-
-# ------------------------------------------------------ reference constants
-
-@dataclass(frozen=True)
-class ReferenceConstants:
-    """Literature values used as near-truth anchors, not as bounds."""
-
-    entropy: float
-    density: float
-
-
-REFERENCE_CONSTANTS = {
-    LatticeKind.SQUARE: ReferenceConstants(0.4075, 0.2266),
-    LatticeKind.HONEYCOMB: ReferenceConstants(0.4360, 0.2424),
-    LatticeKind.TRIANGULAR: ReferenceConstants(0.3332, 0.1624),
-}

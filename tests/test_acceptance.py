@@ -289,7 +289,7 @@ def test_criterion_10_monotonicity_at_optima(block_optima):
     for n in (2, 3, 4):
         dist, _, _ = block_optima[n]
         family = dist.family
-        violations = block_bounds.check_monotonicity(dist, tol=1e-6)
+        violations = block_bounds.check_monotonicity(dist)
         counts[n] = (len(blocks.cover_pairs(family)[0]), len(violations))
         # weak-equal blocks share one class variable, so their mask
         # probabilities are identical by construction

@@ -214,14 +214,12 @@ class TestMonotonicity:
     def test_no_violations_at_optima(self, optima):
         for n in (2, 3):
             dist, _ = optima[n]
-            assert check_monotonicity(dist, tol=1e-6) == []
+            assert check_monotonicity(dist) == []
 
     def test_pair_census(self):
         # cover pairs: masks differing by one added 1
         assert len(blocks.cover_pairs(FAMILIES[2])[0]) == 6
-        _, _, equal3 = blocks.cover_pairs(FAMILIES[3])
-        assert len(equal3) == 163
-        assert not equal3.any()
+        assert len(blocks.cover_pairs(FAMILIES[3])[0]) == 163
 
     def test_adversarial_violation_detected(self):
         fam = FAMILIES[2]
@@ -230,18 +228,7 @@ class TestMonotonicity:
         probs[fam.class_of[0b1111]] = 0.9
         viol = check_monotonicity(BlockDistribution(fam, probs))
         assert any(cs == fam.class_of[0b0111] and cb == fam.class_of[0b1111]
-                   and tag == "strict" for cs, cb, tag, _, _ in viol)
-
-    def test_equal_pair_violation_on_unreduced_family(self):
-        fam = blocks.reduce_family(3, use_weak=False)
-        m = (1 << 1) | (1 << 3) | (1 << 5) | (1 << 7)
-        sub, sup = int(fam.class_of[m]), int(fam.class_of[m | (1 << 4)])
-        raw = np.ones(fam.class_count)
-        raw[sub], raw[sup] = 2.0, 0.5
-        dist = BlockDistribution(fam, raw / (fam.multiplicities @ raw))
-        viol = check_monotonicity(dist, tol=1e-6)
-        assert any(tag == "equal" and {cs, cb} == {sub, sup}
-                   for cs, cb, tag, _, _ in viol)
+                   for cs, cb, _, _ in viol)
 
     def test_uniform_is_clean(self):
         fam = FAMILIES[3]
@@ -254,7 +241,6 @@ class TestDensityProfile:
     def test_same_n_aggregation(self, optima):
         dist, rep = optima[3]
         prof = density_profile(3, dist)
-        assert prof.generator == "3x3"
         assert prof.occupancy_probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert prof.mean() / 9 == pytest.approx(rep.densities[0], abs=1e-12)
 
@@ -306,9 +292,9 @@ class TestDensityProfile:
 
     def test_profile_validation(self):
         with pytest.raises(ValueError, match="entries"):
-            DensityProfile(2, np.ones(3) / 3, "2x2")
+            DensityProfile(2, np.ones(3) / 3)
         with pytest.raises(ValueError, match="not a distribution"):
-            DensityProfile(1, np.array([0.7, 0.7]), "1x1")
+            DensityProfile(1, np.array([0.7, 0.7]))
 
 
 def test_equalized_unit_generator():

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hardcore_entropy import bounds, cli
+from hardcore_entropy import block_bounds, bounds, cli
 
 
 def run(argv):
@@ -240,7 +240,7 @@ def test_profile_unit_generator_honours_starts_and_tol(monkeypatch,
         seen.append((kwargs["starts"], kwargs["tol"], kwargs["max_iter"]))
         return real(lattice, **kwargs)
 
-    monkeypatch.setattr(bounds, "optimize_equalized", recording)
+    monkeypatch.setattr(block_bounds, "optimize_equalized", recording)
     assert run(["profile", "--n", "2", "--generators", "1", "--starts", "3",
                 "--tol", "1e-8", "--max-iter", "500"]) == 0
     assert seen == [(3, 1e-8, 500)]
@@ -267,6 +267,27 @@ def test_sample_square(tmp_path, capsys):
     metrics = {(r["stage"], r["metric"]) for r in bundle["reports"]}
     assert metrics == {("circle", "unforced"), ("circle", "density"),
                        ("dot", "unforced"), ("dot", "density")}
+
+
+@pytest.mark.parametrize("lattice,params", [("square", "0.2"),
+                                             ("kagome", "0.19,0.30")])
+def test_sample_one_tile_torus_has_finite_stderr(tmp_path, capsys, lattice,
+                                                 params):
+    # an 8x8 torus is a single 8x8 tile: no spread of tile means exists
+    out = tmp_path / "s.json"
+    assert run(["sample", "--lattice", lattice, "--params", params,
+                "--dims", "8x8", "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"bundle holds {token}")
+
+    bundle = json.loads(out.read_text(encoding="utf-8"),
+                        parse_constant=reject)
+    errors = [row["stderr"] for row in bundle["reports"]]
+    assert all(math.isfinite(e) for e in errors)
+    densities = [row["stderr"] for row in bundle["reports"]
+                 if row["metric"] == "density"]
+    assert all(e > 0 for e in densities)
 
 
 def test_sample_requires_params(capsys):
@@ -355,6 +376,14 @@ def test_config_file_unknown_section_rejected(tmp_path, capsys):
     ini = tmp_path / "bad.ini"
     ini.write_text("[bonud]\nseed = 3\n", encoding="utf-8")
     assert run(["bound", "--config", str(ini)]) == 2
+
+
+def test_config_file_default_section_rejected(tmp_path, capsys):
+    # configparser would hand [DEFAULT] keys to every section unchecked
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[DEFAULT]\nseed = 3\nbogus = 1\n", encoding="utf-8")
+    assert run(["reduce", "--n", "1", "--config", str(ini)]) == 2
+    assert "[DEFAULT]" in capsys.readouterr().err
 
 
 def test_config_file_missing(tmp_path, capsys):

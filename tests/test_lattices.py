@@ -10,6 +10,19 @@ from hardcore_entropy.lattices import (
 
 ALL_KINDS = list(LatticeKind)
 
+
+def _sites(kind, dims):
+    """Every site of the torus, as (x, y) or (x, y, t)."""
+    shape = TorusConfiguration.empty(kind, dims).values.shape
+    for y, x, *t in np.ndindex(shape):
+        yield (x, y, *t)
+
+
+def _at(site):
+    """The index of `site` into TorusConfiguration.values."""
+    x, y, *t = site
+    return (y, x, *t)
+
 # Smallest tori with exhaustively checkable configuration spaces.
 SMALL_DIMS = {
     LatticeKind.SQUARE: (4, 4),
@@ -47,7 +60,7 @@ def test_spec_table():
         assert len(spec.fill_order) == parts
         dims = tuple(2 * d for d in SMALL_DIMS[kind])
         counts = {}
-        for site in TorusConfiguration.empty(kind, dims).sites():
+        for site in _sites(kind, dims):
             nbrs = neighbor_sites(spec, dims, site)
             assert len(nbrs) == COORDINATION[kind]
             stage = stage_of(spec, site)
@@ -64,7 +77,7 @@ def test_kagome_is_line_graph_of_honeycomb():
     honey = build_lattice(LatticeKind.HONEYCOMB)
     kagome = build_lattice(LatticeKind.KAGOME)
     edge = {}
-    for x, y, t in TorusConfiguration.empty(LatticeKind.KAGOME, dims).sites():
+    for x, y, t in _sites(LatticeKind.KAGOME, dims):
         b = neighbor_sites(honey, dims, (x, y, 0))[t]
         edge[(x, y, t)] = frozenset({(x, y, 0), b})
     assert len(set(edge.values())) == len(edge)  # a bijection onto edges
@@ -112,8 +125,7 @@ def test_out_of_range_site_rejected():
 def test_neighbor_symmetry_degree_partiteness(kind):
     spec = build_lattice(kind)
     dims = tuple(2 * d for d in SMALL_DIMS[kind])  # large enough: no parallel edges
-    cfg = TorusConfiguration.empty(kind, dims)
-    for site in cfg.sites():
+    for site in _sites(kind, dims):
         nbrs = neighbor_sites(spec, dims, site)
         assert len(nbrs) == COORDINATION[kind]
         assert len(set(nbrs)) == COORDINATION[kind]
@@ -140,16 +152,16 @@ def test_dims_validation(kind):
 def _config_from_bits(kind, dims, bits, sites):
     cfg = TorusConfiguration.empty(kind, dims)
     for i, site in enumerate(sites):
-        cfg[site] = (bits >> i) & 1
+        cfg.values[_at(site)] = (bits >> i) & 1
     return cfg
 
 
 def _scan_violation(spec, dims, cfg, sites):
     # independent route: exhaustive pairwise adjacency scan
     for site in sites:
-        if cfg[site]:
+        if cfg.values[_at(site)]:
             for other in neighbor_sites(spec, dims, site):
-                if cfg[other]:
+                if cfg.values[_at(other)]:
                     return True
     return False
 
@@ -158,7 +170,7 @@ def _scan_violation(spec, dims, cfg, sites):
 def test_checker_matches_exhaustive_scan(kind):
     spec = build_lattice(kind)
     dims = SMALL_DIMS[kind]
-    sites = list(TorusConfiguration.empty(kind, dims).sites())
+    sites = list(_sites(kind, dims))
     total = 1 << len(sites)
     # cap the sweep for the 16-site tori; full sweep elsewhere
     if total > 4096:
@@ -175,9 +187,9 @@ def test_checker_matches_exhaustive_scan(kind):
 def test_verify_trivial_cases():
     cfg = TorusConfiguration.empty(LatticeKind.SQUARE, (4, 4))
     assert verify_hard_core(cfg)
-    cfg[(1, 2)] = 1
+    cfg.values[2, 1] = 1
     assert verify_hard_core(cfg)
-    cfg[(2, 2)] = 1
+    cfg.values[2, 2] = 1
     assert not verify_hard_core(cfg)
 
 
@@ -187,9 +199,9 @@ def test_stage_index_counts():
     circle = stage_index(spec, cfg.dims) == 0
     assert cfg.values[circle].mean() == 0.0
     # fully occupy the even sublattice
-    for site in cfg.sites():
+    for site in _sites(LatticeKind.SQUARE, cfg.dims):
         if stage_of(spec, site) == 0:
-            cfg[site] = 1
+            cfg.values[_at(site)] = 1
     assert verify_hard_core(cfg)
     assert cfg.values[circle].mean() == 1.0
     assert cfg.values[~circle].mean() == 0.0
@@ -203,19 +215,20 @@ def test_stage_index_matches_stage_of(kind):
     dims = SMALL_DIMS[kind]
     rng = np.random.default_rng(1)
     cfg = TorusConfiguration.empty(kind, dims)
-    sites = list(cfg.sites())
+    sites = list(_sites(kind, dims))
     # random legal configuration by rejection of conflicting placements
     for site in sites:
         if rng.random() < 0.3:
-            if not any(cfg[o] for o in neighbor_sites(spec, dims, site)):
-                cfg[site] = 1
+            if not any(cfg.values[_at(o)]
+                       for o in neighbor_sites(spec, dims, site)):
+                cfg.values[_at(site)] = 1
     assert verify_hard_core(cfg)
     stages = stage_index(spec, dims)
     assert stages.shape == cfg.values.shape
-    for x, y, *t in sites:
-        assert stages[(y, x, *t)] == stage_of(spec, (x, y, *t))
+    for site in sites:
+        assert stages[_at(site)] == stage_of(spec, site)
     for s in range(spec.partite_count):
         members = [site for site in sites if stage_of(spec, site) == s]
-        direct = sum(cfg[site] for site in members) / len(members)
+        direct = sum(cfg.values[_at(site)] for site in members) / len(members)
         assert cfg.values[stages == s].mean() == pytest.approx(direct,
                                                                abs=1e-12)
