@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 from . import optimize
 from .optimize import MAX_ITER, STARTS, TOL
-from .lattices import LatticeKind, build_lattice
+from .lattices import build_lattice
 
 LN2 = math.log(2.0)
 
@@ -104,10 +104,6 @@ class BoundReport:
         return out
 
 
-def _lattice_key(lattice) -> str:
-    return getattr(lattice, "value", str(lattice))
-
-
 # U_s: the fraction of stage-s sites left unforced once the earlier stages
 # are filled, as a function of all stage probabilities.  An unforced site
 # needs every earlier neighbor at 0; s = 1 - (1-p) q is P(a dot site is 0
@@ -149,16 +145,15 @@ _PARAM_NAMES = ("p", "q", "r")
 def stage_probabilities(lattice, probs) -> tuple[float, ...]:
     """All k stage probabilities of a k-partite lattice: the k - 1 given
     ones followed by 1/2, or k explicit ones."""
-    key = _lattice_key(lattice)
-    if key not in STAGE_UNFORCED:
-        raise ValueError(f"no closed-form scheme for lattice {key!r}")
-    k = build_lattice(LatticeKind(key)).partite_count
+    if lattice not in STAGE_UNFORCED:
+        raise ValueError(f"no closed-form scheme for lattice {lattice!r}")
+    k = build_lattice(lattice).partite_count
     probs = tuple(float(p) for p in probs)
     if len(probs) == k - 1:
         probs = probs + (0.5,)
     elif len(probs) != k:
         raise ValueError(
-            f"{key} takes {k - 1} stage probabilities (final stage 1/2) "
+            f"{lattice} takes {k - 1} stage probabilities (final stage 1/2) "
             f"or {k} explicit ones, got {len(probs)}")
     for p in probs:
         _check_prob(p, "stage probability")
@@ -168,8 +163,8 @@ def stage_probabilities(lattice, probs) -> tuple[float, ...]:
 def stage_unforced(lattice, probs) -> tuple[float, ...]:
     """U_s for every stage s, given the stage probabilities (k - 1 of them
     with a final B(1/2) stage, or all k)."""
-    key = _lattice_key(lattice)
-    return STAGE_UNFORCED[key](stage_probabilities(key, probs))
+    probs = stage_probabilities(lattice, probs)
+    return STAGE_UNFORCED[lattice](probs)
 
 
 def staged_bound(lattice, probs) -> BoundReport:
@@ -180,10 +175,9 @@ def staged_bound(lattice, probs) -> BoundReport:
     stage is B(1/2) (scheme "closed"); an explicit final p' gives the
     scheme "equalized".  Densities are p_s U_s per sublattice.
     """
-    key = _lattice_key(lattice)
     given = tuple(probs)
-    probs = stage_probabilities(key, given)
-    unforced = STAGE_UNFORCED[key](probs)
+    probs = stage_probabilities(lattice, given)
+    unforced = STAGE_UNFORCED[lattice](probs)
     k = len(probs)
     value = sum(u * entropy_bernoulli(p) for u, p in zip(unforced, probs)) / k
     params = dict(zip(_PARAM_NAMES, probs[:k - 1]))
@@ -191,7 +185,7 @@ def staged_bound(lattice, probs) -> BoundReport:
     if len(given) == k:
         params["p_prime"] = probs[-1]
         scheme = "equalized"
-    return BoundReport(key, scheme, value, params,
+    return BoundReport(lattice, scheme, value, params,
                        tuple(p * u for p, u in zip(probs, unforced)))
 
 
@@ -264,15 +258,12 @@ def optimize_closed_form(lattice, *, seed: int = 0, starts: int = STARTS,
                          max_iter: int = MAX_ITER) -> BoundReport:
     """Maximize the staged closed-form bound of one lattice over its
     Bernoulli parameters."""
-    key = _lattice_key(lattice)
-    if key not in STAGE_UNFORCED:
-        raise ValueError(f"no closed-form scheme for lattice {key!r}")
-    arity = build_lattice(LatticeKind(key)).partite_count - 1
+    arity = build_lattice(lattice).partite_count - 1
     domain = optimize.Domain([optimize.Box(0.0, 1.0)] * arity)
-    res = optimize.maximize(lambda x: staged_bound(key, x).value, domain,
+    res = optimize.maximize(lambda x: staged_bound(lattice, x).value, domain,
                             seed=seed, starts=starts, tol=tol,
                             max_iter=max_iter)
-    return replace(staged_bound(key, res.argmax), meta=res.meta())
+    return replace(staged_bound(lattice, res.argmax), meta=res.meta())
 
 
 def optimize_equalized(lattice, *, seed: int = 0, starts: int = STARTS,
@@ -280,16 +271,16 @@ def optimize_equalized(lattice, *, seed: int = 0, starts: int = STARTS,
                        max_iter: int = MAX_ITER) -> BoundReport:
     """Maximize the density-equalized two-stage bound: the final stage is
     B(p') with p' = p / U_1(p), so both sublattice densities equal p."""
-    key = _lattice_key(lattice)
-    if key not in EQUALIZED_CAPS:
+    if lattice not in EQUALIZED_CAPS:
         raise ValueError(f"equalized scheme needs a bipartite lattice, "
-                         f"got {key!r}")
+                         f"got {lattice!r}")
 
     def build(x):
         p = x[0]
-        return staged_bound(key, (p, p / stage_unforced(key, (p,))[1]))
+        return staged_bound(lattice,
+                            (p, p / stage_unforced(lattice, (p,))[1]))
 
-    domain = optimize.Domain([optimize.Box(0.0, EQUALIZED_CAPS[key])])
+    domain = optimize.Domain([optimize.Box(0.0, EQUALIZED_CAPS[lattice])])
     res = optimize.maximize(lambda x: build(x).value, domain, seed=seed,
                             starts=starts, tol=tol, max_iter=max_iter)
     return replace(build(res.argmax), meta=res.meta())
@@ -300,10 +291,9 @@ def optimize_three_hex(lattice, *, seed: int = 0, starts: int = STARTS,
                        max_iter: int = MAX_ITER) -> BoundReport:
     """Maximize the three-tile cluster bound over the tile-count simplex
     (plus the dot-stage parameter on the triangular lattice)."""
-    key = _lattice_key(lattice)
-    if key not in THREE_HEX_SCHEMES:
-        raise ValueError(f"no three-hex scheme for lattice {key!r}")
-    boxes, build = THREE_HEX_SCHEMES[key]
+    if lattice not in THREE_HEX_SCHEMES:
+        raise ValueError(f"no three-hex scheme for lattice {lattice!r}")
+    boxes, build = THREE_HEX_SCHEMES[lattice]
     domain = optimize.Domain([optimize.Simplex(_THREE_HEX_WEIGHTS)]
                              + [optimize.Box(0.0, 1.0)] * boxes)
     res = optimize.maximize(lambda x: build(x).value, domain, seed=seed,

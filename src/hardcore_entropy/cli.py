@@ -29,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import block_bounds, blocks, bounds, optimize, oracles
-from .lattices import LatticeKind, build_lattice, verify_hard_core
+from .lattices import LATTICES, build_lattice, verify_hard_core
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -37,7 +37,6 @@ EXIT_CONFIG = 2
 
 SCHEMA_VERSION = 3
 
-LATTICES = tuple(k.value for k in LatticeKind)
 SCHEMES = ("closed", "equalized", "three-hex", "block")
 
 _SCHEME_LATTICES = {
@@ -376,14 +375,14 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
 
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
-    for kind in LatticeKind:
-        arity = build_lattice(kind).partite_count - 1
+    for lattice in LATTICES:
+        arity = build_lattice(lattice).partite_count - 1
         for _ in range(2):
             params = tuple(rng.uniform(0.05, 0.45, size=max(arity, 1)))
-            analytic = bounds.stage_unforced(kind, params)
+            analytic = bounds.stage_unforced(lattice, params)
             for stage in range(1, len(analytic)):
                 exhaustive = oracles.window_probability_exhaustive(
-                    kind, params, stage)
+                    lattice, params, stage)
                 worst = max(worst, abs(exhaustive - analytic[stage]))
     checks.append(("window_probabilities_vs_closed_forms",
                    worst <= 1e-12, f"max |diff| = {worst:.2e}"))
@@ -407,7 +406,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
                    worst <= 1e-12, f"max |diff| = {worst:.2e}"))
 
     config, stats = oracles.fill_in_sample(
-        LatticeKind.SQUARE, (0.1702,), (64, 64), cfg.seed)
+        "square", (0.1702,), (64, 64), cfg.seed)
     z_max = 0.0
     for st in stats:
         for row in st.rows():
@@ -524,12 +523,12 @@ def cmd_sample(cfg: RunConfig) -> int:
     started = time.perf_counter()
     if cfg.lattice == "all":
         raise ConfigError("sample needs one --lattice")
-    kind = LatticeKind(cfg.lattice)
     params = _parse_params(cfg.params)
     dims = (_parse_dims(cfg.dims) if cfg.dims
             else _DEFAULT_SAMPLE_DIMS[cfg.lattice])
     try:
-        config, stats = oracles.fill_in_sample(kind, params, dims, cfg.seed)
+        config, stats = oracles.fill_in_sample(cfg.lattice, params, dims,
+                                               cfg.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -553,7 +552,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     _write_bundle(cfg, rows, started,
                   extra={"hard_core_valid": valid,
                          "dims": list(dims), "stage_probabilities":
-                         list(bounds.stage_probabilities(kind, params))})
+                         [st.probability for st in stats]})
     if not valid or z_max > _SAMPLE_Z_LIMIT:
         print(f"sampler statistics outside {_SAMPLE_Z_LIMIT} standard errors",
               file=sys.stderr)

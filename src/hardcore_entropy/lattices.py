@@ -1,41 +1,33 @@
 """The lattice table, and everything derived from it.
 
-Five lattices are supported.  `LatticeSpec` is the single description of
-each: per-cell neighbor offsets and a periodic stage coloring.  Neighbor
-lists, sublattice labels, the torus side rule, the stage-index array, the
-hard-core checker and the sampler's "some neighbor carries a 1" test are all
-computed from those two fields, with no per-lattice code.
+Five lattices are supported, named by the strings in `LATTICES`.
+`LatticeSpec` is the single description of each: per-cell neighbor offsets
+and a periodic stage coloring.  Neighbor lists, sublattice labels, the torus
+side rule, the stage-index array, the hard-core checker and the sampler's
+"some neighbor carries a 1" test are all computed from those two fields,
+with no per-lattice code.
 
-Sites are plain tuples.  A lattice with one site per unit cell (SQUARE,
-SQUARE_MOORE, TRIANGULAR) uses ``(x, y)``; HONEYCOMB (2 sites per cell) and
-KAGOME (3) use ``(x, y, t)``, where ``t`` is the site within cell ``(x, y)``.
+Every site is a plain tuple ``(x, y, t)``: ``t`` is the site within unit
+cell ``(x, y)``, and is 0 on the lattices with one site per cell (square,
+square_moore, triangular); honeycomb has 2 sites per cell and kagome 3.
 The sublattices are named after the fill-in order
 circle -> dot -> triangle -> diamond.
 
-TRIANGULAR uses axial coordinates with neighbor offsets
+triangular uses axial coordinates with neighbor offsets
 (+-1,0), (0,+-1), (1,-1), (-1,1); its three sublattices are (x - y) mod 3.
-KAGOME is the line graph of the honeycomb: site (x, y, t) is kagome vertex
+kagome is the line graph of the honeycomb: site (x, y, t) is kagome vertex
 t of cell (x, y); every site lies in exactly two triangles and has four
-neighbors.  SQUARE_MOORE is the square lattice with the 8-site Chebyshev
+neighbors.  square_moore is the square lattice with the 8-site Chebyshev
 neighborhood; its four sublattices are the parity classes (x mod 2, y mod 2).
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 FILL_ORDER = ("circle", "dot", "triangle", "diamond")
-
-
-class LatticeKind(enum.Enum):
-    SQUARE = "square"
-    HONEYCOMB = "honeycomb"
-    TRIANGULAR = "triangular"
-    KAGOME = "kagome"
-    SQUARE_MOORE = "square_moore"
 
 
 @dataclass(frozen=True)
@@ -47,7 +39,7 @@ class LatticeSpec:
     coloring[t][y % py][x % px], with (px, py) the coloring's period.
     """
 
-    kind: LatticeKind
+    name: str
     neighbors: tuple
     coloring: tuple
 
@@ -69,20 +61,20 @@ class LatticeSpec:
         return FILL_ORDER[:self.partite_count]
 
 
-_SPECS = {
-    LatticeKind.SQUARE: LatticeSpec(
-        LatticeKind.SQUARE,
+_SPECS = {spec.name: spec for spec in (
+    LatticeSpec(
+        "square",
         (((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)),),
         (((0, 1), (1, 0)),)),
     # Honeycomb: t=0 (A) connects to the three B sites of cells (x,y),
     # (x-1,y), (x,y-1); t=1 (B) is the mirror image.
-    LatticeKind.HONEYCOMB: LatticeSpec(
-        LatticeKind.HONEYCOMB,
+    LatticeSpec(
+        "honeycomb",
         (((0, 0, 1), (-1, 0, 1), (0, -1, 1)),
          ((0, 0, 0), (1, 0, 0), (0, 1, 0))),
         (((0,),), ((1,),))),
-    LatticeKind.TRIANGULAR: LatticeSpec(
-        LatticeKind.TRIANGULAR,
+    LatticeSpec(
+        "triangular",
         (((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, -1, 0),
           (-1, 1, 0)),),
         (((0, 1, 2), (2, 0, 1), (1, 2, 0)),)),
@@ -91,22 +83,27 @@ _SPECS = {
     # e2 = A(x,y)-B(x,y-1).  Two vertices are adjacent iff their edges share
     # a honeycomb endpoint, which yields one "A triangle" per cell
     # {e0,e1,e2} and one "B triangle" per cell {e0(x,y), e1(x+1,y), e2(x,y+1)}.
-    LatticeKind.KAGOME: LatticeSpec(
-        LatticeKind.KAGOME,
+    LatticeSpec(
+        "kagome",
         (((0, 0, 1), (0, 0, 2), (1, 0, 1), (0, 1, 2)),
          ((0, 0, 0), (0, 0, 2), (-1, 0, 0), (-1, 1, 2)),
          ((0, 0, 0), (0, 0, 1), (0, -1, 0), (1, -1, 1))),
         (((0,),), ((1,),), ((2,),))),
-    LatticeKind.SQUARE_MOORE: LatticeSpec(
-        LatticeKind.SQUARE_MOORE,
+    LatticeSpec(
+        "square_moore",
         (tuple((dx, dy, 0) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
                if (dx, dy) != (0, 0)),),
         (((0, 1), (2, 3)),)),
-}
+)}
+
+LATTICES = tuple(_SPECS)
 
 
-def build_lattice(kind: LatticeKind) -> LatticeSpec:
-    return _SPECS[kind]
+def build_lattice(name: str) -> LatticeSpec:
+    if name not in _SPECS:
+        raise ValueError(f"unknown lattice {name!r}; "
+                         f"expected one of {', '.join(LATTICES)}")
+    return _SPECS[name]
 
 
 def _validate_dims(spec: LatticeSpec, dims) -> tuple[int, int]:
@@ -116,36 +113,29 @@ def _validate_dims(spec: LatticeSpec, dims) -> tuple[int, int]:
     px, py = spec.period
     if w % px or h % py:
         raise ValueError(
-            f"{spec.kind.value} torus needs side lengths divisible by the "
+            f"{spec.name} torus needs side lengths divisible by the "
             f"coloring period {px}x{py}, got {w}x{h}")
     return w, h
 
 
-def _split_site(spec: LatticeSpec, site) -> tuple:
-    """(x, y, t) of a site; t is 0 on lattices with one site per cell."""
-    return tuple(site) + ((0,) if spec.sites_per_cell == 1 else ())
-
-
 def neighbor_sites(spec: LatticeSpec, config_dims, site) -> list:
-    """All nearest neighbors of `site` on the torus, as a list of sites.
+    """Nearest neighbors of site (x, y, t) on the torus, as a list of sites.
 
     On very small tori some entries may coincide (parallel edges), but a
     site is never its own neighbor.
     """
     w, h = _validate_dims(spec, config_dims)
-    coords = _split_site(spec, site)
-    if len(coords) != 3 or not all(0 <= c < m for c, m in zip(
-            coords, (w, h, spec.sites_per_cell))):
-        raise ValueError(
-            f"site {site!r} out of range for {spec.kind.value} {w}x{h}")
-    x, y, t = coords
-    out = [((x + dx) % w, (y + dy) % h, t2) for dx, dy, t2 in spec.neighbors[t]]
-    return [s[:2] for s in out] if spec.sites_per_cell == 1 else out
+    if len(site) != 3 or not all(0 <= c < m for c, m in zip(
+            site, (w, h, spec.sites_per_cell))):
+        raise ValueError(f"site {site!r} out of range for {spec.name} {w}x{h}")
+    x, y, t = site
+    return [((x + dx) % w, (y + dy) % h, t2)
+            for dx, dy, t2 in spec.neighbors[t]]
 
 
 def stage_of(spec: LatticeSpec, site) -> int:
-    """Fill stage of a site (a pure function of its coordinates)."""
-    x, y, t = _split_site(spec, site)
+    """Fill stage of site (x, y, t) (a pure function of its coordinates)."""
+    x, y, t = site
     px, py = spec.period
     return spec.coloring[t][y % py][x % px]
 
@@ -156,61 +146,43 @@ def stage_index(spec: LatticeSpec, dims) -> np.ndarray:
     px, py = spec.period
     # one period of the coloring, indexed (y, x, t)
     cell = np.array(spec.coloring, dtype=np.int8).transpose(1, 2, 0)
-    stages = np.tile(cell, (h // py, w // px, 1))
-    return stages[..., 0] if spec.sites_per_cell == 1 else stages
+    return np.tile(cell, (h // py, w // px, 1))
 
 
 def occupied_neighbor(spec: LatticeSpec, values: np.ndarray) -> np.ndarray:
     """Boolean array shaped like `values`: some neighbor carries a 1."""
     # one contiguous (h, w) plane per site of the cell: rolling the strided
     # values[..., t] slices instead is several times slower
-    planes = np.ascontiguousarray(np.moveaxis(
-        values.reshape(values.shape[:2] + (-1,)), -1, 0), dtype=bool)
+    planes = np.ascontiguousarray(np.moveaxis(values, -1, 0), dtype=bool)
     out = np.zeros(planes.shape, dtype=bool)
     for t, offsets in enumerate(spec.neighbors):
         for dx, dy, t2 in offsets:
             # out[t, y, x] |= planes[t2, (y + dy) % h, (x + dx) % w]
             out[t] |= np.roll(planes[t2], (-dy, -dx), axis=(0, 1))
-    return np.moveaxis(out, 0, -1).reshape(values.shape)
+    return np.moveaxis(out, 0, -1)
 
 
 @dataclass
 class TorusConfiguration:
     """A periodic 0/1 configuration on a finite torus.
 
-    `values` has shape (height, width) for the lattices with one site per
-    cell and (height, width, sites_per_cell) for honeycomb/kagome, indexed
-    values[y, x] / values[y, x, t].
+    `values` has shape (height, width, sites_per_cell), indexed
+    values[y, x, t].
     """
 
-    kind: LatticeKind
+    lattice: str
     dims: tuple[int, int]
     values: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        w, h = _validate_dims(build_lattice(self.kind), self.dims)
-        self.dims = (w, h)
-        expect = self._shape(self.kind, w, h)
-        v = np.asarray(self.values, dtype=np.int8)
-        if v.shape != expect:
-            raise ValueError(f"values shape {v.shape} != expected {expect}")
-        if not np.isin(v, (0, 1)).all():
-            raise ValueError("values must be 0/1")
-        self.values = v
-
-    @staticmethod
-    def _shape(kind, w, h):
-        t_max = build_lattice(kind).sites_per_cell
-        return (h, w) if t_max == 1 else (h, w, t_max)
-
     @classmethod
-    def empty(cls, kind: LatticeKind, dims) -> "TorusConfiguration":
-        w, h = _validate_dims(build_lattice(kind), dims)
-        return cls(kind, (w, h), np.zeros(cls._shape(kind, w, h), dtype=np.int8))
+    def empty(cls, lattice: str, dims) -> "TorusConfiguration":
+        spec = build_lattice(lattice)
+        w, h = _validate_dims(spec, dims)
+        return cls(lattice, (w, h),
+                   np.zeros((h, w, spec.sites_per_cell), dtype=np.int8))
 
 
 def verify_hard_core(config: TorusConfiguration) -> bool:
     """True iff no two adjacent sites both carry 1."""
     g = config.values.astype(bool)
-    return not (g & occupied_neighbor(build_lattice(config.kind), g)).any()
-
+    return not (g & occupied_neighbor(build_lattice(config.lattice), g)).any()

@@ -18,7 +18,6 @@ from scipy.optimize import bisect
 
 from .bounds import LN2, entropy_bernoulli, stage_probabilities, stage_unforced
 from .lattices import (
-    LatticeKind,
     TorusConfiguration,
     build_lattice,
     neighbor_sites,
@@ -82,23 +81,25 @@ def strip_entropy(width: int, boundary: str = "free") -> float:
 # ---------------------------------------------------------------- sampler
 
 _TILE = 8
+# with fewer tile means than this their spread can read 0 (two tiles that
+# happen to agree), so smaller tori use the binomial error
+_MIN_TILES = 16
 
 
 def _tile_stderr(indicator: np.ndarray, where: np.ndarray) -> float:
     """Standard error of the mean of indicator over `where` sites, from the
     spread of per-tile means (captures short-range correlation).  A torus
-    that is not a grid of at least two 8 x 8 tiles gets the binomial
+    that is not a grid of at least _MIN_TILES 8 x 8 tiles gets the binomial
     standard error instead."""
     h, w = indicator.shape[:2]
-    vals = indicator.reshape(h, w, -1).astype(float)
-    sel = where.reshape(h, w, -1)
-    if h % _TILE or w % _TILE or (h // _TILE) * (w // _TILE) < 2:
-        n = sel.sum()
-        m = float((vals * sel).sum() / n)
+    vals = indicator.astype(float)
+    if h % _TILE or w % _TILE or (h // _TILE) * (w // _TILE) < _MIN_TILES:
+        n = where.sum()
+        m = float((vals * where).sum() / n)
         return math.sqrt(max(m * (1 - m), 0.0) / n)
     shape = (h // _TILE, _TILE, w // _TILE, _TILE, -1)
-    sums = (vals * sel).reshape(shape).sum(axis=(1, 3, 4))
-    counts = sel.reshape(shape).sum(axis=(1, 3, 4))
+    sums = (vals * where).reshape(shape).sum(axis=(1, 3, 4))
+    counts = where.reshape(shape).sum(axis=(1, 3, 4))
     means = sums / counts
     return float(means.std(ddof=1)) / math.sqrt(means.size)
 
@@ -131,7 +132,7 @@ class StageStats:
         ]
 
 
-def fill_in_sample(kind: LatticeKind, params, dims, seed: int):
+def fill_in_sample(lattice: str, params, dims, seed: int):
     """Fill a torus sublattice by sublattice with the given stage
     probabilities; a site receives a 1 with its stage probability iff no
     already-placed neighbor carries a 1.
@@ -140,12 +141,12 @@ def fill_in_sample(kind: LatticeKind, params, dims, seed: int):
     split into one independent stream per stage, so stage s draws are
     unaffected by how many earlier stages exist.
     """
-    spec = build_lattice(kind)
-    probs = stage_probabilities(kind, params)
-    config = TorusConfiguration.empty(kind, dims)
+    spec = build_lattice(lattice)
+    probs = stage_probabilities(lattice, params)
+    config = TorusConfiguration.empty(lattice, dims)
     g = config.values
     stages = stage_index(spec, config.dims)
-    analytic = stage_unforced(kind, probs)
+    analytic = stage_unforced(lattice, probs)
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(seed).spawn(len(probs))]
     stats = []
@@ -181,17 +182,16 @@ def _target_site(spec, stage: int):
     for y in range(h // 2, h):
         for x in range(w // 2, w):
             for t in range(spec.sites_per_cell):
-                site = (x, y) if spec.sites_per_cell == 1 else (x, y, t)
-                if stage_of(spec, site) == stage:
-                    return site
+                if stage_of(spec, (x, y, t)) == stage:
+                    return x, y, t
     raise ValueError(f"no stage-{stage} site found")
 
 
-def influence_window(kind: LatticeKind, stage: int) -> tuple:
+def influence_window(lattice: str, stage: int) -> tuple:
     """The earlier-stage sites whose values determine whether a stage-`stage`
     site is unforced: its earlier neighbors, closed under taking earlier
     neighbors of everything added."""
-    spec = build_lattice(kind)
+    spec = build_lattice(lattice)
     if not 1 <= stage < spec.partite_count:
         raise ValueError(f"stage must be in 1..{spec.partite_count - 1}")
     target = _target_site(spec, stage)
@@ -209,8 +209,7 @@ def influence_window(kind: LatticeKind, stage: int) -> tuple:
     return target, tuple(window)
 
 
-def window_probability_exhaustive(kind: LatticeKind, params,
-                                  stage: int) -> float:
+def window_probability_exhaustive(lattice: str, params, stage: int) -> float:
     """P(a stage-`stage` site is unforced), by exact enumeration of every
     assignment of its influence window under the sequential measure.
 
@@ -218,9 +217,9 @@ def window_probability_exhaustive(kind: LatticeKind, params,
     its earlier neighbors inside), which makes the restricted measure the
     exact marginal.  Windows hold 2 to 16 sites.
     """
-    spec = build_lattice(kind)
-    probs = stage_probabilities(kind, params)
-    target, window = influence_window(kind, stage)
+    spec = build_lattice(lattice)
+    probs = stage_probabilities(lattice, params)
+    target, window = influence_window(lattice, stage)
     m = len(window)
     order = sorted(window, key=lambda s: stage_of(spec, s))
     pos = {site: j for j, site in enumerate(order)}

@@ -21,7 +21,7 @@ from hardcore_entropy.bounds import (
     optimize_three_hex,
 )
 from hardcore_entropy.lattices import (
-    LatticeKind,
+    LATTICES,
     build_lattice,
     verify_hard_core,
 )
@@ -224,13 +224,13 @@ def test_criterion_08_oracle_checks():
 
     rng = np.random.default_rng(2026)
     worst = 0.0
-    for kind in LatticeKind:
-        arity = build_lattice(kind).partite_count - 1
+    for lattice in LATTICES:
+        arity = build_lattice(lattice).partite_count - 1
         for _ in range(5):
             params = tuple(rng.uniform(0.05, 0.45, size=max(arity, 1)))
-            analytic = bounds.stage_unforced(kind, params)
+            analytic = bounds.stage_unforced(lattice, params)
             for stage in range(1, len(analytic)):
-                got = oracles.window_probability_exhaustive(kind, params,
+                got = oracles.window_probability_exhaustive(lattice, params,
                                                             stage)
                 worst = max(worst, abs(got - analytic[stage]))
     windows_ok = worst <= 1e-12
@@ -250,11 +250,11 @@ def test_criterion_08_oracle_checks():
 
 
 SAMPLER_RUNS = {
-    LatticeKind.SQUARE: ((0.1702,), (512, 512)),
-    LatticeKind.HONEYCOMB: ((0.2202,), (360, 360)),
-    LatticeKind.TRIANGULAR: ((0.1457, 0.2501), (504, 504)),
-    LatticeKind.KAGOME: ((0.1944, 0.3002), (296, 296)),
-    LatticeKind.SQUARE_MOORE: ((0.1189, 0.1623, 0.2628), (512, 512)),
+    "square": ((0.1702,), (512, 512)),
+    "honeycomb": ((0.2202,), (360, 360)),
+    "triangular": ((0.1457, 0.2501), (504, 504)),
+    "kagome": ((0.1944, 0.3002), (296, 296)),
+    "square_moore": ((0.1189, 0.1623, 0.2628), (512, 512)),
 }
 
 
@@ -263,9 +263,9 @@ def test_criterion_09_sampler_consistency():
     runs = 0
     within = 0
     all_valid = True
-    for kind, (params, dims) in SAMPLER_RUNS.items():
+    for lattice, (params, dims) in SAMPLER_RUNS.items():
         for seed in range(4):
-            config, stats = oracles.fill_in_sample(kind, params, dims, seed)
+            config, stats = oracles.fill_in_sample(lattice, params, dims, seed)
             all_valid &= verify_hard_core(config)
             z_ok = True
             for st in stats:

@@ -6,8 +6,10 @@ from hardcore_entropy.bounds import (
     LN2, BoundReport, bound_three_hex_honeycomb, bound_three_hex_triangular,
     entropy_bernoulli, entropy_three_hex, stage_unforced, staged_bound,
 )
-from hardcore_entropy.lattices import LatticeKind, build_lattice
-from hardcore_entropy.oracles import window_probability_exhaustive
+from hardcore_entropy.lattices import LATTICES, build_lattice
+from hardcore_entropy.oracles import (
+    fill_in_sample, influence_window, window_probability_exhaustive,
+)
 
 # Known optimized values and densities (frozen reference table).
 KNOWN_CLOSED = {
@@ -97,7 +99,7 @@ def test_staged_bound_params_and_scheme():
     rep = staged_bound("square_moore", (0.1, 0.2, 0.3))
     assert (rep.lattice, rep.scheme) == ("square_moore", "closed")
     assert rep.params == {"p": 0.1, "q": 0.2, "r": 0.3}
-    rep = staged_bound(LatticeKind.SQUARE, (0.2, 0.4))
+    rep = staged_bound("square", (0.2, 0.4))
     assert (rep.lattice, rep.scheme) == ("square", "equalized")
     assert rep.params == {"p": 0.2, "p_prime": 0.4}
     with pytest.raises(ValueError, match="stage probabilities"):
@@ -110,18 +112,18 @@ _UNIT = st.floats(0.0, 1.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(kind=st.sampled_from(list(LatticeKind)),
+@given(lattice=st.sampled_from(LATTICES),
        probs=st.lists(_UNIT, min_size=4, max_size=4),
        explicit_final=st.booleans())
-def test_staged_bound_matches_window_oracle(kind, probs, explicit_final):
+def test_staged_bound_matches_window_oracle(lattice, probs, explicit_final):
     """The one formula against the geometry: U_s from exhaustive window
     enumeration, assembled as (1/k) sum_s U_s h_B(p_s)."""
-    k = build_lattice(kind).partite_count
+    k = build_lattice(lattice).partite_count
     given = tuple(probs[:k if explicit_final else k - 1])
     stage_probs = given if explicit_final else given + (0.5,)
-    unforced = [1.0] + [window_probability_exhaustive(kind, given, s)
+    unforced = [1.0] + [window_probability_exhaustive(lattice, given, s)
                         for s in range(1, k)]
-    rep = staged_bound(kind, given)
+    rep = staged_bound(lattice, given)
     want = sum(u * entropy_bernoulli(p)
                for u, p in zip(unforced, stage_probs)) / k
     assert rep.value == pytest.approx(want, abs=1e-12)
@@ -237,8 +239,16 @@ def test_optimize_three_hex_recovers_table():
 
 
 def test_optimizer_driver_rejects_wrong_lattice():
-    with pytest.raises(ValueError):
-        optimize_closed_form("hexagonal")
+    for call in (lambda: optimize_closed_form("hexagonal"),
+                 lambda: build_lattice("hexagonal"),
+                 lambda: stage_unforced("hexagonal", (0.1,)),
+                 lambda: staged_bound("hexagonal", (0.1,)),
+                 lambda: fill_in_sample("hexagonal", (0.1,), (8, 8), 0),
+                 lambda: influence_window("hexagonal", 1),
+                 lambda: window_probability_exhaustive("hexagonal", (0.1,),
+                                                       1)):
+        with pytest.raises(ValueError):
+            call()
     with pytest.raises(ValueError):
         optimize_equalized("triangular")
     with pytest.raises(ValueError):

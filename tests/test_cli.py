@@ -53,6 +53,34 @@ def test_bound_all_lattices_five_rows(capsys):
         assert any(line.startswith(name) for line in lines)
 
 
+_HEADER = "lattice       scheme      n  value_nats  densities\n"
+PRINTED_TABLES = {
+    "closed": _HEADER
+    + "square        closed      -    0.392421  0.1702, 0.2370\n"
+    "honeycomb     closed      -    0.427921  0.2202, 0.2371\n"
+    "triangular    closed      -    0.325329  0.1457, 0.1559, 0.1517\n"
+    "kagome        closed      -    0.382557  0.1944, 0.1948, 0.1866\n"
+    "square_moore  closed      -    0.285782  "
+    "0.1186, 0.1266, 0.1301, 0.1259\n",
+    "equalized": _HEADER
+    + "square        equalized   -    0.392125  0.2015, 0.2015\n"
+    "honeycomb     equalized   -    0.427875  0.2284, 0.2284\n",
+    "three-hex": _HEADER
+    + "honeycomb     three-hex   -    0.430361  0.2276, 0.2376\n"
+    "triangular    three-hex   -    0.326453  0.1526, 0.1542, 0.1505\n",
+    "block": _HEADER
+    + "square        block       3    0.401402  0.2085, 0.2245\n",
+}
+
+
+@pytest.mark.parametrize("scheme", PRINTED_TABLES)
+def test_bound_printed_table_pinned(capsys, scheme):
+    # the published tables, byte for byte, at default flags
+    args = ["--n", "3"] if scheme == "block" else ["--lattice", "all"]
+    assert run(["bound", "--scheme", scheme] + args) == 0
+    assert capsys.readouterr().out == PRINTED_TABLES[scheme]
+
+
 def test_bound_block_scheme(tmp_path, capsys):
     out = tmp_path / "block.json"
     assert run(["bound", "--scheme", "block", "--n", "2", "--starts", "8",
@@ -273,21 +301,21 @@ def test_sample_square(tmp_path, capsys):
                                              ("kagome", "0.19,0.30")])
 def test_sample_one_tile_torus_has_finite_stderr(tmp_path, capsys, lattice,
                                                  params):
-    # an 8x8 torus is a single 8x8 tile: no spread of tile means exists
-    out = tmp_path / "s.json"
-    assert run(["sample", "--lattice", lattice, "--params", params,
-                "--dims", "8x8", "--out", str(out)]) == 0
-
+    # an 8x8 torus is a single 8x8 tile: no spread of tile means exists;
+    # an 8x16 torus has two, whose means can agree by chance
     def reject(token):
         raise ValueError(f"bundle holds {token}")
 
-    bundle = json.loads(out.read_text(encoding="utf-8"),
-                        parse_constant=reject)
-    errors = [row["stderr"] for row in bundle["reports"]]
-    assert all(math.isfinite(e) for e in errors)
-    densities = [row["stderr"] for row in bundle["reports"]
-                 if row["metric"] == "density"]
-    assert all(e > 0 for e in densities)
+    for dims in ("8x8", "8x16"):
+        out = tmp_path / f"s{dims}.json"
+        assert run(["sample", "--lattice", lattice, "--params", params,
+                    "--dims", dims, "--out", str(out)]) == 0
+        rows = json.loads(out.read_text(encoding="utf-8"),
+                          parse_constant=reject)["reports"]
+        assert all(math.isfinite(row["stderr"]) for row in rows)
+        assert all(row["stderr"] > 0 for row in rows
+                   if row["metric"] == "density"
+                   or row["empirical"] != row["analytic"]), dims
 
 
 def test_sample_requires_params(capsys):

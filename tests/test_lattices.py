@@ -4,32 +4,30 @@ import numpy as np
 import pytest
 
 from hardcore_entropy.lattices import (
-    LatticeKind, TorusConfiguration, build_lattice, neighbor_sites,
+    LATTICES, TorusConfiguration, build_lattice, neighbor_sites,
     stage_index, stage_of, verify_hard_core,
 )
 
-ALL_KINDS = list(LatticeKind)
 
-
-def _sites(kind, dims):
-    """Every site of the torus, as (x, y) or (x, y, t)."""
-    shape = TorusConfiguration.empty(kind, dims).values.shape
-    for y, x, *t in np.ndindex(shape):
-        yield (x, y, *t)
+def _sites(lattice, dims):
+    """Every site (x, y, t) of the torus."""
+    shape = TorusConfiguration.empty(lattice, dims).values.shape
+    for y, x, t in np.ndindex(shape):
+        yield x, y, t
 
 
 def _at(site):
-    """The index of `site` into TorusConfiguration.values."""
-    x, y, *t = site
-    return (y, x, *t)
+    """The index of site (x, y, t) into TorusConfiguration.values."""
+    x, y, t = site
+    return y, x, t
 
 # Smallest tori with exhaustively checkable configuration spaces.
 SMALL_DIMS = {
-    LatticeKind.SQUARE: (4, 4),
-    LatticeKind.SQUARE_MOORE: (4, 4),
-    LatticeKind.HONEYCOMB: (2, 2),
-    LatticeKind.KAGOME: (2, 2),
-    LatticeKind.TRIANGULAR: (3, 3),
+    "square": (4, 4),
+    "square_moore": (4, 4),
+    "honeycomb": (2, 2),
+    "kagome": (2, 2),
+    "triangular": (3, 3),
 }
 
 
@@ -37,32 +35,32 @@ SMALL_DIMS = {
 # neighbors a site has in earlier stages (all of which must carry 0 for it
 # to be unforced).
 COORDINATION = {
-    LatticeKind.SQUARE: 4,
-    LatticeKind.HONEYCOMB: 3,
-    LatticeKind.TRIANGULAR: 6,
-    LatticeKind.KAGOME: 4,
-    LatticeKind.SQUARE_MOORE: 8,
+    "square": 4,
+    "honeycomb": 3,
+    "triangular": 6,
+    "kagome": 4,
+    "square_moore": 8,
 }
 EARLIER_NEIGHBORS = {
-    LatticeKind.SQUARE: (0, 4),
-    LatticeKind.HONEYCOMB: (0, 3),
-    LatticeKind.TRIANGULAR: (0, 3, 6),
-    LatticeKind.KAGOME: (0, 2, 4),
-    LatticeKind.SQUARE_MOORE: (0, 2, 6, 8),
+    "square": (0, 4),
+    "honeycomb": (0, 3),
+    "triangular": (0, 3, 6),
+    "kagome": (0, 2, 4),
+    "square_moore": (0, 2, 6, 8),
 }
 
 
 def test_spec_table():
-    for kind, earlier in EARLIER_NEIGHBORS.items():
-        spec = build_lattice(kind)
+    for lattice, earlier in EARLIER_NEIGHBORS.items():
+        spec = build_lattice(lattice)
         parts = len(earlier)
         assert spec.partite_count == parts
         assert len(spec.fill_order) == parts
-        dims = tuple(2 * d for d in SMALL_DIMS[kind])
+        dims = tuple(2 * d for d in SMALL_DIMS[lattice])
         counts = {}
-        for site in _sites(kind, dims):
+        for site in _sites(lattice, dims):
             nbrs = neighbor_sites(spec, dims, site)
-            assert len(nbrs) == COORDINATION[kind]
+            assert len(nbrs) == COORDINATION[lattice]
             stage = stage_of(spec, site)
             n_earlier = sum(stage_of(spec, o) < stage for o in nbrs)
             counts.setdefault(stage, set()).add(n_earlier)
@@ -74,10 +72,10 @@ def test_kagome_is_line_graph_of_honeycomb():
     # kagome vertex (x, y, t) is the honeycomb edge from A site (x, y, 0)
     # to its t-th neighbor; two vertices are adjacent iff the edges meet
     dims = (4, 4)
-    honey = build_lattice(LatticeKind.HONEYCOMB)
-    kagome = build_lattice(LatticeKind.KAGOME)
+    honey = build_lattice("honeycomb")
+    kagome = build_lattice("kagome")
     edge = {}
-    for x, y, t in _sites(LatticeKind.KAGOME, dims):
+    for x, y, t in _sites("kagome", dims):
         b = neighbor_sites(honey, dims, (x, y, 0))[t]
         edge[(x, y, t)] = frozenset({(x, y, 0), b})
     assert len(set(edge.values())) == len(edge)  # a bijection onto edges
@@ -88,47 +86,48 @@ def test_kagome_is_line_graph_of_honeycomb():
 
 def test_fill_order_labels():
     order = ("circle", "dot", "triangle", "diamond")
-    for kind in ALL_KINDS:
-        spec = build_lattice(kind)
+    for lattice in LATTICES:
+        spec = build_lattice(lattice)
         assert spec.fill_order == order[:spec.partite_count]
 
 
 def test_square_neighbors_explicit():
-    spec = build_lattice(LatticeKind.SQUARE)
-    nbrs = set(neighbor_sites(spec, (6, 6), (0, 0)))
-    assert nbrs == {(1, 0), (5, 0), (0, 1), (0, 5)}
+    spec = build_lattice("square")
+    nbrs = set(neighbor_sites(spec, (6, 6), (0, 0, 0)))
+    assert nbrs == {(1, 0, 0), (5, 0, 0), (0, 1, 0), (0, 5, 0)}
 
 
 def test_moore_neighbors_chebyshev():
-    spec = build_lattice(LatticeKind.SQUARE_MOORE)
-    nbrs = neighbor_sites(spec, (6, 6), (2, 2))
+    spec = build_lattice("square_moore")
+    nbrs = neighbor_sites(spec, (6, 6), (2, 2, 0))
     assert len(nbrs) == 8
-    for x, y in nbrs:
-        assert max(abs(x - 2), abs(y - 2)) == 1
+    for x, y, t in nbrs:
+        assert max(abs(x - 2), abs(y - 2)) == 1 and t == 0
 
 
 def test_honeycomb_three_neighbors():
-    spec = build_lattice(LatticeKind.HONEYCOMB)
+    spec = build_lattice("honeycomb")
     for t in (0, 1):
         assert len(neighbor_sites(spec, (4, 4), (1, 1, t))) == 3
 
 
 def test_out_of_range_site_rejected():
-    spec = build_lattice(LatticeKind.SQUARE)
+    spec = build_lattice("square")
     with pytest.raises(ValueError):
-        neighbor_sites(spec, (4, 4), (4, 0))
+        neighbor_sites(spec, (4, 4), (4, 0, 0))
     with pytest.raises(ValueError):
-        neighbor_sites(build_lattice(LatticeKind.KAGOME), (4, 4), (0, 0, 3))
+        neighbor_sites(build_lattice("kagome"), (4, 4), (0, 0, 3))
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_neighbor_symmetry_degree_partiteness(kind):
-    spec = build_lattice(kind)
-    dims = tuple(2 * d for d in SMALL_DIMS[kind])  # large enough: no parallel edges
-    for site in _sites(kind, dims):
+@pytest.mark.parametrize("lattice", LATTICES)
+def test_neighbor_symmetry_degree_partiteness(lattice):
+    spec = build_lattice(lattice)
+    # large enough: no parallel edges
+    dims = tuple(2 * d for d in SMALL_DIMS[lattice])
+    for site in _sites(lattice, dims):
         nbrs = neighbor_sites(spec, dims, site)
-        assert len(nbrs) == COORDINATION[kind]
-        assert len(set(nbrs)) == COORDINATION[kind]
+        assert len(nbrs) == COORDINATION[lattice]
+        assert len(set(nbrs)) == COORDINATION[lattice]
         assert site not in nbrs
         for other in nbrs:
             # involution symmetry
@@ -137,20 +136,20 @@ def test_neighbor_symmetry_degree_partiteness(kind):
             assert stage_of(spec, other) != stage_of(spec, site)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_dims_validation(kind):
+@pytest.mark.parametrize("lattice", LATTICES)
+def test_dims_validation(lattice):
     with pytest.raises(ValueError):
-        TorusConfiguration.empty(kind, (1, 4))
-    if kind in (LatticeKind.SQUARE, LatticeKind.SQUARE_MOORE):
+        TorusConfiguration.empty(lattice, (1, 4))
+    if lattice in ("square", "square_moore"):
         with pytest.raises(ValueError):
-            TorusConfiguration.empty(kind, (5, 4))
-    if kind is LatticeKind.TRIANGULAR:
+            TorusConfiguration.empty(lattice, (5, 4))
+    if lattice == "triangular":
         with pytest.raises(ValueError):
-            TorusConfiguration.empty(kind, (4, 6))
+            TorusConfiguration.empty(lattice, (4, 6))
 
 
-def _config_from_bits(kind, dims, bits, sites):
-    cfg = TorusConfiguration.empty(kind, dims)
+def _config_from_bits(lattice, dims, bits, sites):
+    cfg = TorusConfiguration.empty(lattice, dims)
     for i, site in enumerate(sites):
         cfg.values[_at(site)] = (bits >> i) & 1
     return cfg
@@ -166,11 +165,11 @@ def _scan_violation(spec, dims, cfg, sites):
     return False
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_checker_matches_exhaustive_scan(kind):
-    spec = build_lattice(kind)
-    dims = SMALL_DIMS[kind]
-    sites = list(_sites(kind, dims))
+@pytest.mark.parametrize("lattice", LATTICES)
+def test_checker_matches_exhaustive_scan(lattice):
+    spec = build_lattice(lattice)
+    dims = SMALL_DIMS[lattice]
+    sites = list(_sites(lattice, dims))
     total = 1 << len(sites)
     # cap the sweep for the 16-site tori; full sweep elsewhere
     if total > 4096:
@@ -180,26 +179,26 @@ def test_checker_matches_exhaustive_scan(kind):
     else:
         pool = range(total)
     for bits in pool:
-        cfg = _config_from_bits(kind, dims, int(bits), sites)
+        cfg = _config_from_bits(lattice, dims, int(bits), sites)
         assert verify_hard_core(cfg) == (not _scan_violation(spec, dims, cfg, sites))
 
 
 def test_verify_trivial_cases():
-    cfg = TorusConfiguration.empty(LatticeKind.SQUARE, (4, 4))
+    cfg = TorusConfiguration.empty("square", (4, 4))
     assert verify_hard_core(cfg)
-    cfg.values[2, 1] = 1
+    cfg.values[2, 1, 0] = 1
     assert verify_hard_core(cfg)
-    cfg.values[2, 2] = 1
+    cfg.values[2, 2, 0] = 1
     assert not verify_hard_core(cfg)
 
 
 def test_stage_index_counts():
-    spec = build_lattice(LatticeKind.SQUARE)
-    cfg = TorusConfiguration.empty(LatticeKind.SQUARE, (4, 4))
+    spec = build_lattice("square")
+    cfg = TorusConfiguration.empty("square", (4, 4))
     circle = stage_index(spec, cfg.dims) == 0
     assert cfg.values[circle].mean() == 0.0
     # fully occupy the even sublattice
-    for site in _sites(LatticeKind.SQUARE, cfg.dims):
+    for site in _sites("square", cfg.dims):
         if stage_of(spec, site) == 0:
             cfg.values[_at(site)] = 1
     assert verify_hard_core(cfg)
@@ -207,15 +206,15 @@ def test_stage_index_counts():
     assert cfg.values[~circle].mean() == 0.0
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_stage_index_matches_stage_of(kind):
+@pytest.mark.parametrize("lattice", LATTICES)
+def test_stage_index_matches_stage_of(lattice):
     # stage_index, the array form the sampler uses, agrees with stage_of
     # site by site, and per-stage densities read off it are direct counts
-    spec = build_lattice(kind)
-    dims = SMALL_DIMS[kind]
+    spec = build_lattice(lattice)
+    dims = SMALL_DIMS[lattice]
     rng = np.random.default_rng(1)
-    cfg = TorusConfiguration.empty(kind, dims)
-    sites = list(_sites(kind, dims))
+    cfg = TorusConfiguration.empty(lattice, dims)
+    sites = list(_sites(lattice, dims))
     # random legal configuration by rejection of conflicting placements
     for site in sites:
         if rng.random() < 0.3:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hardcore_entropy import bounds
-from hardcore_entropy.lattices import LatticeKind, verify_hard_core
+from hardcore_entropy.lattices import verify_hard_core
 from hardcore_entropy import cli
 from hardcore_entropy.oracles import (
     PLANE_ENTROPY,
@@ -95,70 +95,69 @@ class TestStrips:
 class TestWindows:
     def test_window_sizes(self):
         sizes = {
-            (LatticeKind.SQUARE, 1): 4,
-            (LatticeKind.HONEYCOMB, 1): 3,
-            (LatticeKind.TRIANGULAR, 1): 3,
-            (LatticeKind.TRIANGULAR, 2): 9,
-            (LatticeKind.KAGOME, 2): 6,
-            (LatticeKind.SQUARE_MOORE, 3): 16,
+            ("square", 1): 4,
+            ("honeycomb", 1): 3,
+            ("triangular", 1): 3,
+            ("triangular", 2): 9,
+            ("kagome", 2): 6,
+            ("square_moore", 3): 16,
         }
-        for (kind, stage), want in sizes.items():
-            _, window = influence_window(kind, stage)
-            assert len(window) == want, (kind, stage)
+        for (lattice, stage), want in sizes.items():
+            _, window = influence_window(lattice, stage)
+            assert len(window) == want, (lattice, stage)
 
-    @pytest.mark.parametrize("kind", [LatticeKind.TRIANGULAR,
-                                      LatticeKind.KAGOME,
-                                      LatticeKind.SQUARE_MOORE])
-    def test_matches_closed_forms_at_random_points(self, kind):
+    @pytest.mark.parametrize("lattice",
+                             ["triangular", "kagome", "square_moore"])
+    def test_matches_closed_forms_at_random_points(self, lattice):
         rng = np.random.default_rng(2026)
         for _ in range(5):
             p, q, r = rng.uniform(0.05, 0.45, 3)
             s = 1 - (1 - p) * q
-            if kind is LatticeKind.TRIANGULAR:
-                got = window_probability_exhaustive(kind, (p, q), 2)
+            if lattice == "triangular":
+                got = window_probability_exhaustive(lattice, (p, q), 2)
                 want = (1 - p) ** 3 * s ** 3
-            elif kind is LatticeKind.KAGOME:
-                got = window_probability_exhaustive(kind, (p, q), 2)
+            elif lattice == "kagome":
+                got = window_probability_exhaustive(lattice, (p, q), 2)
                 want = (1 - p) ** 2 * s ** 2
             else:
-                got = window_probability_exhaustive(kind, (p, q, r), 3)
+                got = window_probability_exhaustive(lattice, (p, q, r), 3)
                 want = (1 - p) ** 4 * (1 - q) ** 2 * (1 - s ** 2 * r) ** 2
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_square_and_honeycomb_single_stage(self):
         p = 0.1702
-        got = window_probability_exhaustive(LatticeKind.SQUARE, (p,), 1)
+        got = window_probability_exhaustive("square", (p,), 1)
         assert got == pytest.approx((1 - p) ** 4, abs=1e-14)
-        got = window_probability_exhaustive(LatticeKind.HONEYCOMB, (0.2284,), 1)
+        got = window_probability_exhaustive("honeycomb", (0.2284,), 1)
         assert got == pytest.approx((1 - 0.2284) ** 3, abs=1e-14)
 
     def test_moore_middle_stage(self):
         p, q, r = 0.1189, 0.1623, 0.2628
-        got = window_probability_exhaustive(LatticeKind.SQUARE_MOORE,
+        got = window_probability_exhaustive("square_moore",
                                             (p, q, r), 2)
         s = 1 - (1 - p) * q
         assert got == pytest.approx((1 - p) ** 2 * s ** 4, abs=1e-12)
 
     def test_stage_bounds_checked(self):
         with pytest.raises(ValueError, match="stage"):
-            influence_window(LatticeKind.SQUARE, 2)
+            influence_window("square", 2)
         with pytest.raises(ValueError, match="stage"):
-            influence_window(LatticeKind.SQUARE, 0)
+            influence_window("square", 0)
 
 
 class TestSampler:
     CASES = [
-        (LatticeKind.SQUARE, (0.1702,), (128, 128)),
-        (LatticeKind.HONEYCOMB, (0.2284,), (96, 96)),
-        (LatticeKind.TRIANGULAR, (0.1457, 0.2501), (96, 96)),
-        (LatticeKind.KAGOME, (0.1944, 0.3002), (96, 96)),
-        (LatticeKind.SQUARE_MOORE, (0.1189, 0.1623, 0.2628), (128, 128)),
+        ("square", (0.1702,), (128, 128)),
+        ("honeycomb", (0.2284,), (96, 96)),
+        ("triangular", (0.1457, 0.2501), (96, 96)),
+        ("kagome", (0.1944, 0.3002), (96, 96)),
+        ("square_moore", (0.1189, 0.1623, 0.2628), (128, 128)),
     ]
 
-    @pytest.mark.parametrize("kind,params,dims", CASES,
-                             ids=[c[0].value for c in CASES])
-    def test_hard_core_and_stats(self, kind, params, dims):
-        config, stats = fill_in_sample(kind, params, dims, seed=7)
+    @pytest.mark.parametrize("lattice,params,dims", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_hard_core_and_stats(self, lattice, params, dims):
+        config, stats = fill_in_sample(lattice, params, dims, seed=7)
         assert verify_hard_core(config)
         assert len(stats) == len(params) + 1
         assert stats[0].unforced_empirical == 1.0
@@ -172,15 +171,15 @@ class TestSampler:
             assert sig < 5 * max(st.density_stderr, 1e-9)
 
     def test_deterministic_per_seed(self):
-        a, _ = fill_in_sample(LatticeKind.SQUARE, (0.2,), (64, 64), seed=3)
-        b, _ = fill_in_sample(LatticeKind.SQUARE, (0.2,), (64, 64), seed=3)
-        c, _ = fill_in_sample(LatticeKind.SQUARE, (0.2,), (64, 64), seed=4)
+        a, _ = fill_in_sample("square", (0.2,), (64, 64), seed=3)
+        b, _ = fill_in_sample("square", (0.2,), (64, 64), seed=3)
+        c, _ = fill_in_sample("square", (0.2,), (64, 64), seed=4)
         np.testing.assert_array_equal(a.values, b.values)
         assert (a.values != c.values).any()
 
     def test_explicit_final_stage_probability(self):
         # equalized variant: final stage gets its own parameter, not 1/2
-        config, stats = fill_in_sample(LatticeKind.SQUARE, (0.2015, 0.4423),
+        config, stats = fill_in_sample("square", (0.2015, 0.4423),
                                        (128, 128), seed=11)
         assert verify_hard_core(config)
         assert stats[1].probability == 0.4423
@@ -189,12 +188,12 @@ class TestSampler:
 
     def test_arity_checked(self):
         with pytest.raises(ValueError, match="stage probabilities"):
-            fill_in_sample(LatticeKind.TRIANGULAR, (0.1,), (12, 12), seed=0)
+            fill_in_sample("triangular", (0.1,), (12, 12), seed=0)
         with pytest.raises(ValueError, match="outside"):
-            fill_in_sample(LatticeKind.SQUARE, (1.2,), (12, 12), seed=0)
+            fill_in_sample("square", (1.2,), (12, 12), seed=0)
 
     def test_stats_rows_schema(self):
-        _, stats = fill_in_sample(LatticeKind.SQUARE, (0.2,), (32, 32), seed=0)
+        _, stats = fill_in_sample("square", (0.2,), (32, 32), seed=0)
         rows = [r for st in stats for r in st.rows()]
         assert len(rows) == 4
         for row in rows:
@@ -203,10 +202,10 @@ class TestSampler:
 
     def test_analytic_fractions_known_points(self):
         p = 0.1702
-        assert bounds.stage_unforced(LatticeKind.SQUARE, (p,)) == \
+        assert bounds.stage_unforced("square", (p,)) == \
             pytest.approx((1.0, (1 - p) ** 4))
         p, q = 0.1457, 0.2501
-        frac = bounds.stage_unforced(LatticeKind.TRIANGULAR, (p, q))
+        frac = bounds.stage_unforced("triangular", (p, q))
         assert frac[2] == pytest.approx(0.3032, abs=5e-4)
 
 
