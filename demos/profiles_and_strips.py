@@ -17,8 +17,7 @@ if __name__ == "__main__":
     gens = {1: block_bounds.equalized_unit_generator(blocks.reduce_family(1))}
     for n in (2, 3):
         family = blocks.reduce_family(n)
-        gens[n], _ = block_bounds.optimize_block_bound(family, seed=0,
-                                                       starts=8)
+        gens[n], _ = block_bounds.optimize_block_bound(family)
 
     profiles = {g: block_bounds.density_profile(3, gen)
                 for g, gen in gens.items()}

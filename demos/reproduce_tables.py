@@ -42,7 +42,7 @@ if __name__ == "__main__":
     print("\nSquare-lattice n x n blocks (weak-site reduced variables):")
     for n in (1, 2, 3, 4):
         family = blocks.reduce_family(n)
-        _, rep = block_bounds.optimize_block_bound(family, seed=0, starts=8)
+        _, rep = block_bounds.optimize_block_bound(family)
         dens = ", ".join(f"{d:.4f}" for d in rep.densities)
         print(f"  n={n}  {rep.value:.6f}  ({dens})  "
               f"[{family.free_variables} free]")

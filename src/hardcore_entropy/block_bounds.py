@@ -5,10 +5,12 @@ class-symmetric distribution; odd sites are then filled with fair coins
 wherever no neighboring 1 forces a 0.  The per-site entropy of the resulting
 measure is
 
-    value = 1/2 [ block_entropy_term + unforced_odd_density * ln 2 ]
+    value = 1/2 [ h + u ln 2 ]
 
-and both terms are exact polynomials in the class probabilities, so the
-bound can be maximized with analytic gradients.
+with h the block entropy and u the unforced odd density, both per even
+site.  h is the weighted entropy of the class probabilities and u is a
+polynomial in them, so the maximum over the class simplex is the fixed
+point of a closed-form stationarity map (see `optimize_block_bound`).
 """
 from __future__ import annotations
 
@@ -17,14 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import optimize
-from .blocks import (
-    BlockFamily,
-    _marginal_counts,
-    boundary_marginals,
-    check_class_distribution,
-    cover_pairs,
-    popcounts,
-)
+from .blocks import BlockFamily, _marginal_counts, cover_pairs, popcounts
 from .bounds import LN2, BoundReport, optimize_equalized
 
 # a cover pair is a violation when p[big] exceeds p[small] by this much
@@ -43,7 +38,16 @@ class BlockDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = check_class_distribution(self.family, self.probs)
+        p = np.asarray(self.probs, dtype=float)
+        if p.shape != (self.family.class_count,):
+            raise ValueError(
+                f"need {self.family.class_count} class probabilities")
+        if (p < -optimize.PROB_NEG_TOL).any():
+            raise ValueError("negative class probability")
+        total = float(self.family.multiplicities @ p)
+        if abs(total - 1.0) > optimize.PROB_SUM_TOL:
+            raise ValueError(f"class probabilities sum to {total}, not 1")
+        p = np.clip(p, 0.0, None)
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -61,79 +65,81 @@ class BlockDistribution:
         return self.probs[self.family.class_of]
 
 
-def block_entropy_term(dist: BlockDistribution) -> float:
-    """Entropy of the block distribution in nats per even site:
-    -(1/n^2) sum multiplicity * p * ln p, with 0 ln 0 = 0."""
-    p = dist.probs
-    plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return float(-(dist.family.multiplicities @ plogp)) / dist.n ** 2
+def _evaluate(family: BlockFamily, probs):
+    """(value, gradient in the class probabilities, u) of the block bound.
 
-
-def unforced_odd_density(dist: BlockDistribution) -> float:
-    """Expected fraction of odd sites left unforced by the block tiling.
-
-    Interior odd sites see one block; boundary odd sites see two blocks
-    (independent, so the all-zero probability squares) and corner odd sites
-    see four.  Each boundary site is shared by two blocks and each corner
-    by four, hence the 1/2 and 1/4 census weights.  The squared and fourth
+    value = (h + u ln 2) / 2 with h = -(1/n^2) sum multiplicity * p ln p
+    (0 ln 0 = 0) and u the unforced odd density.  Interior odd sites see
+    one block; boundary odd sites see two independent blocks (so the
+    all-zero probability squares) and corner odd sites four, and are
+    shared by as many blocks, hence the 1/2 and 1/4 census weights.  The
     powers pair marginals of positions that are D4 images of each other,
     which is exact because class probabilities are D4-invariant.
     """
-    bm = boundary_marginals(dist.family, dist.probs)
-    s = (bm.interior.sum()
-         + 0.5 * (bm.dominoes ** 2).sum()
-         + 0.25 * (bm.corners ** 4).sum())
-    return float(s) / dist.n ** 2
-
-
-def bound_value(dist: BlockDistribution) -> float:
-    return 0.5 * (block_entropy_term(dist) + unforced_odd_density(dist) * LN2)
-
-
-def value_and_gradient(family: BlockFamily, probs: np.ndarray):
-    """Bound value and its gradient in the class probabilities."""
     n2 = family.n ** 2
     w = family.multiplicities.astype(float)
     a_int, a_dom, a_cor, int_cover = _marginal_counts(family)
     p = np.asarray(probs, dtype=float)
     logp = np.log(np.maximum(p, 1e-300))
     h = -float(w @ (p * logp)) / n2
-    p_int = a_int @ p
-    p_dom = a_dom @ p
-    p_cor = a_cor @ p
-    u = float(p_int.sum() + 0.5 * (p_dom ** 2).sum()
+    p_dom, p_cor = a_dom @ p, a_cor @ p
+    u = float((a_int @ p).sum() + 0.5 * (p_dom ** 2).sum()
               + 0.25 * (p_cor ** 4).sum()) / n2
-    value = 0.5 * (h + u * LN2)
     dh = -w * (logp + 1.0) / n2
     du = (int_cover + a_dom.T @ p_dom + a_cor.T @ p_cor ** 3) / n2
-    return value, 0.5 * (dh + LN2 * du)
+    return 0.5 * (h + u * LN2), 0.5 * (dh + LN2 * du), u
+
+
+def value_and_gradient(family: BlockFamily, probs):
+    """Bound value and its gradient in the class probabilities."""
+    value, gradient, _ = _evaluate(family, probs)
+    return value, gradient
+
+
+def bound_value(dist: BlockDistribution) -> float:
+    return _evaluate(dist.family, dist.probs)[0]
 
 
 def block_bound(dist: BlockDistribution) -> BoundReport:
     """Assemble the bound report for a given block distribution."""
-    u = unforced_odd_density(dist)
-    value = 0.5 * (block_entropy_term(dist) + u * LN2)
+    value, _, u = _evaluate(dist.family, dist.probs)
     return BoundReport(
         lattice="square", scheme="block", value=value, n=dist.n,
         params={"class_probabilities": [float(x) for x in dist.probs]},
         densities=(dist.even_density(), u / 2))
 
 
-def optimize_block_bound(family: BlockFamily, *, seed: int = 0,
-                         starts: int = optimize.STARTS,
-                         tol: float = optimize.TOL,
+def optimize_block_bound(family: BlockFamily, *, tol: float = optimize.TOL,
                          max_iter: int = optimize.MAX_ITER):
-    """Maximize the block bound over the class simplex.
+    """Maximize the block bound over the class simplex sum(w p) = 1.
 
-    Returns (distribution, report); the report carries optimizer metadata.
+    The KKT condition reads ln p_c = ln 2 * n^2 du/dp_c / w_c + const, so
+    the maximizer is the fixed point of the Blahut-Arimoto-style map
+    p <- normalize_w(exp(ln 2 * n^2 du/dp / w)), run from the uniform
+    distribution.  Since 2 n^2 g_c = ln 2 * n^2 du/dp_c - w_c (ln p_c + 1)
+    for the gradient g of `value_and_gradient`, the map is evaluated as
+    p <- normalize_w(p exp(2 n^2 g / w)).  It stops when the log-space KKT
+    residual max_c |p_c (g_c - w_c (g . p))|, the `stationarity` of
+    `optimize.maximize`, is at most `tol`, or after `max_iter` steps.
+    Returns (distribution, report); the report carries the solver meta.
     """
-    domain = optimize.Domain(
-        [optimize.Simplex(tuple(float(m) for m in family.multiplicities))])
-
-    res = optimize.maximize(lambda x: value_and_gradient(family, x), domain,
-                            gradient=True, tol=tol, max_iter=max_iter,
-                            seed=seed, starts=starts)
-    dist = BlockDistribution(family, res.argmax)
+    w = family.multiplicities.astype(float)
+    scale = 2.0 * family.n ** 2 / w
+    p = np.full(family.class_count, 1.0 / w.sum())
+    for iterations in range(max_iter + 1):
+        value, g = value_and_gradient(family, p)
+        stationarity = float(np.abs(p * (g - w * (g @ p))).max())
+        if stationarity <= tol or iterations == max_iter:
+            break
+        e = np.log(p) + scale * g
+        e = np.exp(e - e.max())
+        p = e / (w @ e)
+    res = optimize.OptimizationResult(
+        argmax=p, value=value, iterations=iterations, starts_used=1,
+        converged=stationarity <= tol, stationarity=stationarity,
+        gradient_norm_at_solution=float(np.linalg.norm(
+            optimize.Domain([optimize.Simplex(w)]).projected_gradient(p, g))))
+    dist = BlockDistribution(family, p)
     # monotonicity is reported only: a violation marks a suboptimal point,
     # and any class distribution still gives a valid lower bound
     meta = {**res.meta(),
@@ -173,7 +179,8 @@ class DensityProfile:
         q = np.asarray(self.occupancy_probs, dtype=float)
         if q.shape != (self.n ** 2 + 1,):
             raise ValueError(f"profile needs {self.n ** 2 + 1} entries")
-        if (q < -1e-12).any() or abs(q.sum() - 1.0) > 1e-10:
+        if ((q < -optimize.PROB_NEG_TOL).any()
+                or abs(q.sum() - 1.0) > optimize.PROB_SUM_TOL):
             raise ValueError("occupancy probabilities are not a distribution")
         q = np.clip(q, 0.0, None)
         q.flags.writeable = False

@@ -40,8 +40,6 @@ from scipy.sparse.csgraph import connected_components
 
 CACHE_VERSION = 1
 MAX_N = 4  # 2^25 masks at n=5 exceed the supported budget
-# how far sum(multiplicity * prob) may stray from 1 in a class distribution
-PROB_SUM_TOL = 1e-10
 
 
 def _check_n(n: int) -> int:
@@ -317,22 +315,6 @@ def load_or_build_family(n: int, use_weak: bool = True,
     return fam
 
 
-@dataclass(frozen=True)
-class BoundaryMarginals:
-    """All-zero probabilities of the positions visible to neighbor blocks.
-
-    interior[k]: P(the 4 even sites around interior odd site k are all 0),
-    row-major over (n-1)^2 interior odd sites.
-    dominoes[k]: P(both sites of boundary domino k are 0); 4(n-1) dominoes
-    ordered bottom, top, left, right, each side left-to-right/bottom-to-top.
-    corners[k]: P(corner site k is 0), order (0,0), (n-1,0), (0,n-1), (n-1,n-1).
-    """
-
-    interior: np.ndarray
-    dominoes: np.ndarray
-    corners: np.ndarray
-
-
 @lru_cache(maxsize=None)
 def _marginal_position_masks(n: int):
     def bit(x, y):
@@ -363,32 +345,20 @@ def _zero_count_matrix(family: BlockFamily, position_masks) -> np.ndarray:
 
 
 def _marginal_counts(family: BlockFamily):
-    """(A_interior, A_dominoes, A_corners, column sums of A_interior)."""
+    """(A_interior, A_dominoes, A_corners, column sums of A_interior).
+
+    A @ probs gives the all-zero probabilities of the positions visible to
+    neighbor blocks.  Interior rows: the 4 even sites around each interior
+    odd site, row-major.  Domino rows: the 4(n-1) boundary dominoes,
+    bottom, top, left, right, each side left-to-right/bottom-to-top.
+    Corner rows: (0,0), (n-1,0), (0,n-1), (n-1,n-1).
+    """
     if family._marginal_count_cache is None:
         pos = _marginal_position_masks(family.n)
         a_int, a_dom, a_cor = (_zero_count_matrix(family, pm) for pm in pos)
         family._marginal_count_cache = (a_int, a_dom, a_cor,
                                         a_int.sum(axis=0))
     return family._marginal_count_cache
-
-
-def check_class_distribution(family: BlockFamily, probs) -> np.ndarray:
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (family.class_count,):
-        raise ValueError(f"need {family.class_count} class probabilities")
-    if (probs < -1e-12).any():
-        raise ValueError("negative class probability")
-    total = float(family.multiplicities @ probs)
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"class probabilities sum to {total}, not 1")
-    return np.clip(probs, 0.0, None)
-
-
-def boundary_marginals(family: BlockFamily, probs) -> BoundaryMarginals:
-    """Exact all-zero marginals of one block under per-class probabilities."""
-    probs = check_class_distribution(family, probs)
-    a_int, a_dom, a_cor, _ = _marginal_counts(family)
-    return BoundaryMarginals(a_int @ probs, a_dom @ probs, a_cor @ probs)
 
 
 def cover_pairs(family: BlockFamily):

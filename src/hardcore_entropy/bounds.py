@@ -48,12 +48,10 @@ def check_three_hex(pvec) -> tuple[float, float, float, float]:
     normalization is p0 + 3 p1 + 3 p2 + p3 = 1.
     """
     p0, p1, p2, p3 = (float(v) for v in pvec)
-    for name, v in zip("p0 p1 p2 p3".split(), (p0, p1, p2, p3)):
-        if v < -1e-7:
-            raise ValueError(f"{name}={v} negative")
+    if min(p0, p1, p2, p3) < -optimize.PROB_NEG_TOL:
+        raise ValueError(f"three-hex entries {(p0, p1, p2, p3)} not >= 0")
     total = p0 + 3 * p1 + 3 * p2 + p3
-    # loose enough for finite-difference probes near the simplex
-    if abs(total - 1.0) > 1e-5:
+    if abs(total - 1.0) > optimize.PROB_SUM_TOL:
         raise ValueError(f"three-hex normalization p0+3p1+3p2+p3={total} != 1")
     return max(p0, 0.0), max(p1, 0.0), max(p2, 0.0), max(p3, 0.0)
 

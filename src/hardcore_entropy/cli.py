@@ -172,12 +172,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="INI config file; flags win")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--starts", type=int)
+        p.add_argument("--seed", type=int,
+                       help="random seed (no effect on the block scheme)")
+        p.add_argument("--starts", type=int,
+                       help=f"optimizer starts (default {optimize.STARTS}; "
+                            "no effect on the block scheme)")
         p.add_argument("--tol", type=float,
                        help="log-space stationarity that stops the optimizer "
                             f"and defines converged (default {optimize.TOL:g})")
-        p.add_argument("--max-iter", type=int, dest="max_iter")
+        p.add_argument("--max-iter", type=int, dest="max_iter",
+                       help="iterations per start, or of the block scheme")
         p.add_argument("--out", help="write the JSON or CSV payload here")
         p.add_argument("--cache-dir", dest="cache_dir",
                        help="block-family cache (default: $HC_CACHE_DIR)")
@@ -309,7 +313,8 @@ def cmd_bound(cfg: RunConfig) -> int:
             rep = bounds.optimize_three_hex(lat, **settings)
         else:
             family = blocks.load_or_build_family(cfg.n, True, cfg.cache_dir)
-            _, rep = block_bounds.optimize_block_bound(family, **settings)
+            _, rep = block_bounds.optimize_block_bound(
+                family, tol=cfg.tol, max_iter=cfg.max_iter)
         reports.append(rep)
     _print_bound_table(reports)
     _write_bundle(cfg, [r.as_dict() for r in reports], started)
@@ -459,7 +464,7 @@ def cmd_profile(cfg: RunConfig) -> int:
                 family, **settings)
         else:
             generators[g], _ = block_bounds.optimize_block_bound(
-                family, **settings)
+                family, tol=cfg.tol, max_iter=cfg.max_iter)
     profiles = {g: block_bounds.density_profile(cfg.n, generators[g])
                 for g in sorted(set(sizes))}
 

@@ -6,15 +6,16 @@ quasi-Newton method applies directly:
 
 * Box(lo, hi): x = lo + (hi - lo) * sigmoid(t).
 * Simplex(weights w): x_i = exp(t_i) / sum_j w_j exp(t_j), which satisfies
-  sum_i w_i x_i = 1 with x_i > 0.  The weights are class multiplicities
-  when the simplex ranges over per-arrangement block probabilities.
+  sum_i w_i x_i = 1 with x_i > 0.  The three-hex bounds range over such a
+  simplex of tile-count probabilities, with weights 1, 3, 3, 1.
 
-One stopping rule: L-BFGS stops when the inf-norm of d objective/d t is at
-most `tol`, and a result is converged exactly when that norm (its
-`stationarity`) is.  On a simplex d/dt_i = x_i (g_i - lambda w_i), the
-log-space KKT residual, so classes of tiny probability weigh in at their
-own scale.  No second method runs after L-BFGS; among the multistart
-results, one that met the stopping rule outranks one that did not.
+One stopping rule: L-BFGS stops when the inf-norm of d objective/d t, a
+central difference in t, is at most `tol`, and a result is converged
+exactly when that norm (its `stationarity`) is.  On a simplex
+d/dt_i = x_i (g_i - lambda w_i), the log-space KKT residual, so
+coordinates of tiny probability weigh in at their own scale.  No second
+method runs after L-BFGS; among the multistart results, one that met the
+stopping rule outranks one that did not.
 
 Multistart initial points are the domain center (t = 0), then uniform draws
 in [-SPREAD, SPREAD]^d from numpy's generator seeded with `seed`, so results
@@ -35,6 +36,9 @@ FD_STEP = 1e-6
 STARTS = 16
 MAX_ITER = 2000  # L-BFGS iteration cap per start
 SPREAD = 2.5  # half-width of the t-cube holding the non-center starts
+# how far a probability vector may stray from its simplex: sum and entries
+PROB_SUM_TOL = 1e-10
+PROB_NEG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,20 +106,15 @@ class Domain:
             i += c.size
         return x
 
-    def chain_gradient(self, t, x, g):
-        """d f/d t from d f/d x at x = to_interior(t)."""
-        gt = np.empty_like(g, dtype=float)
+    def renormalize(self, x) -> np.ndarray:
+        """x with each simplex block rescaled to weighted sum 1."""
+        x = np.array(x, dtype=float)
         i = 0
         for c in self.components:
-            if isinstance(c, Box):
-                gt[i] = g[i] * (x[i] - c.lo) * (c.hi - x[i]) / (c.hi - c.lo)
-            else:
-                w = np.asarray(c.weights)
-                p = x[i:i + c.size]
-                gi = g[i:i + c.size]
-                gt[i:i + c.size] = p * (gi - w * (gi @ p))
+            if isinstance(c, Simplex):
+                x[i:i + c.size] /= np.asarray(c.weights) @ x[i:i + c.size]
             i += c.size
-        return gt
+        return x
 
     def projected_gradient(self, x, g) -> np.ndarray:
         """Gradient projected onto the feasible directions at an interior x."""
@@ -162,37 +161,30 @@ def _start_points(dim, starts, seed):
     return [np.zeros(dim), *SPREAD * (2.0 * u - 1.0)]
 
 
-def maximize(objective, domain: Domain, *, gradient=False, tol: float = TOL,
+def maximize(objective, domain: Domain, *, tol: float = TOL,
              max_iter: int = MAX_ITER, seed: int = 0,
              starts: int = STARTS) -> OptimizationResult:
     """Maximize `objective` over `domain` by multistart L-BFGS.
 
-    objective takes the concatenated component vector.  With gradient=True
-    it returns the pair (value, d objective/d x), as scipy's jac=True, and
-    the gradient is chained to the unconstrained coordinates t; otherwise
-    it returns the value and d objective/d t is a central difference in t.
-    Each start stops when the inf-norm of that t-space gradient is at most
-    `tol`; the result is converged exactly when its `stationarity`, the
-    same norm at the winning point, is.  The x-space projected-gradient
-    norm is reported alongside.  Multistart winner is the best value
-    among the starts that met the stopping rule (among all starts if none
-    did), ties broken by lowest start index.
+    objective takes the concatenated component vector and returns its
+    value; d objective/d t is a central difference in t.  Each start stops
+    when the inf-norm of that gradient is at most `tol`; the result is
+    converged exactly when its `stationarity`, the same norm at the
+    winning point, is.  The x-space projected-gradient norm is reported
+    alongside, from difference probes rescaled back onto each simplex.
+    Multistart winner is the best value among the starts that met the
+    stopping rule (among all starts if none did), ties broken by lowest
+    start index.
     """
-    def evaluate(x):
-        v, g = objective(x) if gradient else (objective(x), None)
+    def value(t):
+        x = domain.to_interior(t)
+        v = objective(x)
         if not math.isfinite(v):
             raise ValueError(f"objective returned non-finite value {v} at {x}")
-        return v, g
-
-    def value(t):
-        return evaluate(domain.to_interior(t))[0]
+        return v
 
     def neg(t):
-        if not gradient:
-            return -value(t), -_finite_difference(value, t, FD_STEP)
-        x = domain.to_interior(t)
-        v, g = evaluate(x)
-        return -v, -domain.chain_gradient(t, x, np.asarray(g, dtype=float))
+        return -value(t), -_finite_difference(value, t, FD_STEP)
 
     best = None
     nit_total = 0
@@ -214,10 +206,8 @@ def maximize(objective, domain: Domain, *, gradient=False, tol: float = TOL,
 
     converged, val, stationarity, t_best = best
     x_best = domain.to_interior(t_best)
-    if gradient:
-        g = np.asarray(objective(x_best)[1], dtype=float)
-    else:
-        g = _finite_difference(objective, x_best, FD_STEP)
+    g = _finite_difference(lambda x: objective(domain.renormalize(x)),
+                           x_best, FD_STEP)
     gnorm = float(np.linalg.norm(domain.projected_gradient(x_best, g)))
     return OptimizationResult(
         argmax=x_best, value=float(val), iterations=int(nit_total),

@@ -86,17 +86,17 @@ _TILE = 8
 _MIN_TILES = 16
 
 
-def _tile_stderr(indicator: np.ndarray, where: np.ndarray) -> float:
+def _tile_stderr(indicator: np.ndarray, where: np.ndarray,
+                 analytic: float) -> float:
     """Standard error of the mean of indicator over `where` sites, from the
     spread of per-tile means (captures short-range correlation).  A torus
     that is not a grid of at least _MIN_TILES 8 x 8 tiles gets the binomial
-    standard error instead."""
+    standard error at the analytic mean instead: the empirical mean of a
+    small torus can be exactly 0 or 1, which would give no error at all."""
     h, w = indicator.shape[:2]
     vals = indicator.astype(float)
     if h % _TILE or w % _TILE or (h // _TILE) * (w // _TILE) < _MIN_TILES:
-        n = where.sum()
-        m = float((vals * where).sum() / n)
-        return math.sqrt(max(m * (1 - m), 0.0) / n)
+        return math.sqrt(max(analytic * (1 - analytic), 0.0) / where.sum())
     shape = (h // _TILE, _TILE, w // _TILE, _TILE, -1)
     sums = (vals * where).reshape(shape).sum(axis=(1, 3, 4))
     counts = where.reshape(shape).sum(axis=(1, 3, 4))
@@ -162,10 +162,11 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
             stage=label, probability=probs[s], n_sites=n_sites,
             unforced_analytic=analytic[s],
             unforced_empirical=float(unforced.sum() / n_sites),
-            unforced_stderr=_tile_stderr(unforced, mask),
+            unforced_stderr=_tile_stderr(unforced, mask, analytic[s]),
             density_analytic=probs[s] * analytic[s],
             density_empirical=float(g[mask].mean()),
-            density_stderr=_tile_stderr(g == 1, mask)))
+            density_stderr=_tile_stderr(g == 1, mask,
+                                        probs[s] * analytic[s])))
     return config, stats
 
 

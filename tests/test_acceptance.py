@@ -61,8 +61,7 @@ def block_optima():
     for n in (1, 2, 3, 4):
         family = blocks.reduce_family(n)
         started = time.perf_counter()
-        dist, rep = block_bounds.optimize_block_bound(family, seed=0,
-                                                      starts=8)
+        dist, rep = block_bounds.optimize_block_bound(family)
         out[n] = (dist, rep, time.perf_counter() - started)
     return out
 

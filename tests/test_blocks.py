@@ -6,10 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from hardcore_entropy import blocks
+from hardcore_entropy import block_bounds, blocks
 from hardcore_entropy.blocks import (
     BlockFamily,
-    boundary_marginals,
     corner_positions,
     cover_pairs,
     d4_canonical,
@@ -197,49 +196,58 @@ class TestReduceFamily:
                 assert got == want
 
 
-class TestBoundaryMarginals:
+def zero_marginals(fam, probs):
+    """All-zero probabilities of the interior plaquettes, boundary dominoes
+    and corner sites of one block, from the marginal-count matrices."""
+    a_int, a_dom, a_cor, _ = blocks._marginal_counts(fam)
+    return a_int @ probs, a_dom @ probs, a_cor @ probs
+
+
+class TestMarginalCounts:
     def test_n2_closed_forms(self):
         fam = reduce_family(2)
         rng = np.random.default_rng(7)
         raw = rng.random(6)
         probs = raw / (fam.multiplicities @ raw)
         p0, p1, p2a, p2d, p3, p4 = probs
-        bm = boundary_marginals(fam, probs)
+        interior, dominoes, corners = zero_marginals(fam, probs)
         # single interior plaquette: only the empty block leaves it clear
-        assert bm.interior.shape == (1,)
-        assert bm.interior[0] == pytest.approx(p0, abs=1e-14)
+        assert interior.shape == (1,)
+        assert interior[0] == pytest.approx(p0, abs=1e-14)
         # each domino is clear for the empty block, two of the four single-1
         # blocks, and the opposite adjacent pair
-        assert bm.dominoes.shape == (4,)
-        np.testing.assert_allclose(bm.dominoes, p0 + 2 * p1 + p2a, atol=1e-14)
+        assert dominoes.shape == (4,)
+        np.testing.assert_allclose(dominoes, p0 + 2 * p1 + p2a, atol=1e-14)
         # each corner site is 0 in 8 of the 16 blocks
-        assert bm.corners.shape == (4,)
+        assert corners.shape == (4,)
         np.testing.assert_allclose(
-            bm.corners, p0 + 3 * p1 + 2 * p2a + p2d + p3, atol=1e-14)
+            corners, p0 + 3 * p1 + 2 * p2a + p2d + p3, atol=1e-14)
 
     def test_point_mass_on_empty_block(self):
         fam = reduce_family(3, use_weak=True)
         probs = np.zeros(fam.class_count)
         probs[fam.class_of[0]] = 1.0
-        bm = boundary_marginals(fam, probs)
-        assert bm.interior.shape == (4,)
-        assert bm.dominoes.shape == (8,)
-        np.testing.assert_allclose(bm.interior, 1.0)
-        np.testing.assert_allclose(bm.dominoes, 1.0)
-        np.testing.assert_allclose(bm.corners, 1.0)
+        interior, dominoes, corners = zero_marginals(fam, probs)
+        assert interior.shape == (4,)
+        assert dominoes.shape == (8,)
+        np.testing.assert_allclose(interior, 1.0)
+        np.testing.assert_allclose(dominoes, 1.0)
+        np.testing.assert_allclose(corners, 1.0)
 
+    # the marginals are taken of a `block_bounds.BlockDistribution`, which
+    # validates the class probabilities
     def test_rejects_unnormalized(self):
         fam = reduce_family(2)
         with pytest.raises(ValueError, match="sum"):
-            boundary_marginals(fam, np.full(6, 0.1))
+            block_bounds.BlockDistribution(fam, np.full(6, 0.1))
         with pytest.raises(ValueError, match="negative"):
             probs = np.array([1.5, -0.5 / 4, 0, 0, 0, 0])
-            boundary_marginals(fam, probs)
+            block_bounds.BlockDistribution(fam, probs)
 
     def test_rejects_wrong_length(self):
         fam = reduce_family(2)
         with pytest.raises(ValueError, match="class probabilities"):
-            boundary_marginals(fam, np.ones(5))
+            block_bounds.BlockDistribution(fam, np.ones(5))
 
     def test_marginals_against_direct_enumeration(self):
         fam = reduce_family(3, use_weak=True)
@@ -247,16 +255,13 @@ class TestBoundaryMarginals:
         raw = rng.random(fam.class_count)
         probs = raw / (fam.multiplicities @ raw)
         mask_prob = probs[fam.class_of]
-        bm = boundary_marginals(fam, probs)
         interior_masks, domino_masks, corner_masks = \
             blocks._marginal_position_masks(3)
         masks = np.arange(512)
-        for got, pms in ((bm.interior, interior_masks),
-                         (bm.dominoes, domino_masks),
-                         (bm.corners, corner_masks)):
+        for got, pms in zip(zero_marginals(fam, probs),
+                            (interior_masks, domino_masks, corner_masks)):
             want = [mask_prob[(masks & pm) == 0].sum() for pm in pms]
             np.testing.assert_allclose(got, want, atol=1e-12)
-
 
 def class_closure(k, small, big):
     """Transitive closure of a relation on k classes, as a k x k matrix."""

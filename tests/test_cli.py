@@ -117,6 +117,7 @@ def test_bound_not_converged_exits_one(tmp_path, capsys):
     bundle = read_bundle(out)
     (rep,) = bundle["reports"]
     assert rep["optimizer"]["converged"] is False
+    assert rep["optimizer"]["iterations"] == 3
     assert rep["optimizer"]["stationarity"] > bundle["config"]["tol"]
 
 
@@ -298,11 +299,13 @@ def test_sample_square(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("lattice,params", [("square", "0.2"),
+                                             ("square", "0.02"),
                                              ("kagome", "0.19,0.30")])
 def test_sample_one_tile_torus_has_finite_stderr(tmp_path, capsys, lattice,
                                                  params):
     # an 8x8 torus is a single 8x8 tile: no spread of tile means exists;
-    # an 8x16 torus has two, whose means can agree by chance
+    # an 8x16 torus has two, whose means can agree by chance; at p = 0.02
+    # the 32 circle sites of the 8x8 torus all draw 0
     def reject(token):
         raise ValueError(f"bundle holds {token}")
 
@@ -316,6 +319,8 @@ def test_sample_one_tile_torus_has_finite_stderr(tmp_path, capsys, lattice,
         assert all(row["stderr"] > 0 for row in rows
                    if row["metric"] == "density"
                    or row["empirical"] != row["analytic"]), dims
+        assert all(row["stderr"] > 0 for row in rows
+                   if 0 < row["analytic"] < 1), dims
 
 
 def test_sample_requires_params(capsys):

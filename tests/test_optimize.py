@@ -24,23 +24,17 @@ def test_quadratic_box():
 
 
 def test_converged_is_stationarity_within_tol():
-    # finite differences (no gradient) and an analytic gradient, each
     # stopped early and run to completion
     dom = Domain((Simplex((1.0, 3.0, 3.0, 1.0)),))
 
     def obj(x):
         return float(-(x * np.log(x)).sum())
 
-    def obj_and_grad(x):
-        return obj(x), -(np.log(x) + 1.0)
-
     tol = 1e-9
-    for objective, gradient in ((obj, False), (obj_and_grad, True)):
-        for max_iter in (1, 2000):
-            res = maximize(objective, dom, gradient=gradient, tol=tol,
-                           starts=2, max_iter=max_iter)
-            assert res.converged == (res.stationarity <= tol)
-            assert res.converged == (max_iter > 1)
+    for max_iter in (1, 2000):
+        res = maximize(obj, dom, tol=tol, starts=2, max_iter=max_iter)
+        assert res.converged == (res.stationarity <= tol)
+        assert res.converged == (max_iter > 1)
 
 
 def test_start_that_met_stopping_rule_wins():
@@ -126,10 +120,12 @@ def test_projected_gradient_small_at_three_hex_optimum():
     opt = np.asarray(res.argmax)
     g = np.empty(4)
     h = 1e-6
+    # probes are rescaled back onto the simplex, where the bound is defined
     for i in range(4):
         e = np.zeros(4)
         e[i] = h
-        g[i] = (obj(opt + e) - obj(opt - e)) / (2 * h)
+        g[i] = (obj(dom.renormalize(opt + e))
+                - obj(dom.renormalize(opt - e))) / (2 * h)
     pg = dom.projected_gradient(opt, g)
     assert np.linalg.norm(pg) < 1e-4
     assert res.gradient_norm_at_solution < 1e-4
