@@ -83,23 +83,6 @@ def d4_position_maps(n: int) -> tuple:
     return tuple(maps)
 
 
-def d4_images(n: int, mask: int) -> list[int]:
-    """All 8 dihedral images of a mask (with repeats for symmetric masks)."""
-    out = []
-    for perm in d4_position_maps(n):
-        img = 0
-        for i, dest in enumerate(perm):
-            if (mask >> i) & 1:
-                img |= 1 << dest
-        out.append(img)
-    return out
-
-
-def d4_canonical(n: int, mask: int) -> int:
-    """Lexicographically smallest dihedral image."""
-    return min(d4_images(n, mask))
-
-
 @lru_cache(maxsize=None)
 def _odd_geometry(n: int):
     """Odd-site indexing and per-position adjacency.
@@ -126,40 +109,6 @@ def _odd_geometry(n: int):
 
 def corner_positions(n: int) -> frozenset[int]:
     return frozenset({0, n - 1, (n - 1) * n, n * n - 1})
-
-
-def forced_odd_sites(n: int, mask: int) -> int:
-    """Bitmask of odd sites forced to 0 by the block's 1s."""
-    _, per_pos = _odd_geometry(n)
-    forced = 0
-    for s in range(n * n):
-        if (mask >> s) & 1:
-            forced |= per_pos[s]
-    return forced
-
-
-def weak_sites(n: int, mask: int) -> set[int]:
-    """Positions whose value cannot change the forced odd set.
-
-    Position s qualifies when every odd neighbor of s is adjacent to a 1 of
-    the mask at some position other than s.  Weakness is independent of
-    mask[s] by construction.  Corners never qualify: each corner has an odd
-    neighbor it alone touches.
-    """
-    n = _check_n(n)
-    _, per_pos = _odd_geometry(n)
-    corners = corner_positions(n)
-    out = set()
-    for s in range(n * n):
-        if s in corners:
-            continue
-        forced_wo = 0
-        for t in range(n * n):
-            if t != s and (mask >> t) & 1:
-                forced_wo |= per_pos[t]
-        if per_pos[s] & ~forced_wo == 0:
-            out.add(s)
-    return out
 
 
 @dataclass

@@ -9,12 +9,22 @@ fed by the table of unforced fractions U_s in `STAGE_UNFORCED`; the
 three-hex bounds fill the first stage with tile clusters instead.  All
 values are nats per full-lattice site.
 
+Each formula is written once and broadcasts: its parameters are floats or
+equal-length columns, one entry per point, so the optimizer evaluates a
+whole batch of points in one call and every entry is validated.  The
+report builders pass one-row columns, so a report's value is bit-for-bit
+the optimizer's value at the same point (numpy's vectorized power can
+round differently from a scalar one).
+
 Convention 0 * ln 0 = 0 throughout.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+
+import numpy as np
+from scipy.special import xlogy
 
 from . import optimize
 from .optimize import MAX_ITER, STARTS, TOL
@@ -23,43 +33,51 @@ from .lattices import build_lattice
 LN2 = math.log(2.0)
 
 
-def _xlogx(p: float) -> float:
-    return 0.0 if p == 0.0 else p * math.log(p)
-
-
-def _check_prob(p: float, name: str = "p") -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"{name}={p} outside [0, 1]")
+def _check_prob(p, name: str = "p"):
+    """p, a float or an array, once every entry is in [0, 1]."""
+    a = np.asarray(p, dtype=float)
+    if not (a.min() >= 0.0 and a.max() <= 1.0):
+        bad = a[~((a >= 0.0) & (a <= 1.0))].flat[0]
+        raise ValueError(f"{name}={bad} outside [0, 1]")
     return p
 
 
-def entropy_bernoulli(p: float) -> float:
-    """Binary entropy -p ln p - (1-p) ln(1-p) in nats."""
+def entropy_bernoulli(p):
+    """Binary entropy -p ln p - (1-p) ln(1-p) in nats, entrywise."""
     p = _check_prob(p)
-    return -_xlogx(p) - _xlogx(1.0 - p)
+    return -xlogy(p, p) - xlogy(1.0 - p, 1.0 - p)
 
 
-def check_three_hex(pvec) -> tuple[float, float, float, float]:
-    """Validate a three-hex occupancy parameter (p0, p1, p2, p3).
+def check_three_hex(pvec) -> np.ndarray:
+    """Validate a three-hex occupancy parameter (p0, p1, p2, p3): four
+    floats, or four equal-length columns holding one parameter per point.
 
     p_k is the per-arrangement probability of a three-tile cluster carrying
     exactly k ones; the k=1 and k=2 levels each have 3 arrangements, so the
-    normalization is p0 + 3 p1 + 3 p2 + p3 = 1.
+    normalization is p0 + 3 p1 + 3 p2 + p3 = 1.  Returns the entries as
+    one array, slightly negative ones clipped to 0.
     """
-    p0, p1, p2, p3 = (float(v) for v in pvec)
-    if min(p0, p1, p2, p3) < -optimize.PROB_NEG_TOL:
-        raise ValueError(f"three-hex entries {(p0, p1, p2, p3)} not >= 0")
-    total = p0 + 3 * p1 + 3 * p2 + p3
-    if abs(total - 1.0) > optimize.PROB_SUM_TOL:
-        raise ValueError(f"three-hex normalization p0+3p1+3p2+p3={total} != 1")
-    return max(p0, 0.0), max(p1, 0.0), max(p2, 0.0), max(p3, 0.0)
+    p = np.array(pvec, dtype=float)
+    if len(p) != 4:
+        raise ValueError(f"three-hex parameter has {len(p)} entries, not 4")
+    rows = p.reshape(4, -1)
+    low = rows.min(axis=0) < -optimize.PROB_NEG_TOL
+    if low.any():
+        raise ValueError(f"three-hex entries {rows[:, low.argmax()].tolist()} "
+                         f"not >= 0")
+    total = rows[0] + 3 * rows[1] + 3 * rows[2] + rows[3]
+    off = abs(total - 1.0) > optimize.PROB_SUM_TOL
+    if off.any():
+        raise ValueError(f"three-hex normalization p0+3p1+3p2+p3="
+                         f"{total[off.argmax()]} != 1")
+    return np.maximum(p, 0.0)
 
 
-def entropy_three_hex(pvec) -> float:
+def entropy_three_hex(pvec):
     """Entropy of the three-hex occupancy distribution, per cluster."""
     p0, p1, p2, p3 = check_three_hex(pvec)
-    return -(_xlogx(p0) + 3 * _xlogx(p1) + 3 * _xlogx(p2) + _xlogx(p3))
+    return -(xlogy(p0, p0) + 3 * xlogy(p1, p1) + 3 * xlogy(p2, p2)
+             + xlogy(p3, p3))
 
 
 @dataclass(frozen=True)
@@ -165,6 +183,28 @@ def stage_unforced(lattice, probs) -> tuple[float, ...]:
     return STAGE_UNFORCED[lattice](probs)
 
 
+def _staged_value(lattice, probs):
+    """(1/k) sum_s U_s h_B(p_s) at all k stage probabilities, each a float
+    or a column; every entry is checked to lie in [0, 1]."""
+    unforced = STAGE_UNFORCED[lattice](probs)
+    return sum(u * entropy_bernoulli(p)
+               for u, p in zip(unforced, probs)) / len(probs)
+
+
+def _one_row(values) -> np.ndarray:
+    """Floats as one-row columns, so a report rounds as a batch row does."""
+    return np.array(values, dtype=float)[:, None]
+
+
+def _report(lattice, scheme, value, params, densities) -> BoundReport:
+    """A BoundReport from one-row columns."""
+    def first(v):
+        return float(np.ravel(v)[0])
+    return BoundReport(lattice, scheme, first(value),
+                       {k: first(v) for k, v in params.items()},
+                       tuple(first(d) for d in densities))
+
+
 def staged_bound(lattice, probs) -> BoundReport:
     """The sequential fill-in bound of a k-partite lattice.
 
@@ -175,16 +215,47 @@ def staged_bound(lattice, probs) -> BoundReport:
     """
     given = tuple(probs)
     probs = stage_probabilities(lattice, given)
-    unforced = STAGE_UNFORCED[lattice](probs)
+    cols = _one_row(probs)
     k = len(probs)
-    value = sum(u * entropy_bernoulli(p) for u, p in zip(unforced, probs)) / k
     params = dict(zip(_PARAM_NAMES, probs[:k - 1]))
     scheme = "closed"
     if len(given) == k:
         params["p_prime"] = probs[-1]
         scheme = "equalized"
-    return BoundReport(lattice, scheme, value, params,
-                       tuple(p * u for p, u in zip(probs, unforced)))
+    densities = [p * u for p, u in zip(cols, STAGE_UNFORCED[lattice](cols))]
+    return _report(lattice, scheme, _staged_value(lattice, cols), params,
+                   densities)
+
+
+def _three_hex_honeycomb(pvec):
+    """Value, parameters and densities of `bound_three_hex_honeycomb` at
+    four floats or columns."""
+    p0, p1, p2, p3 = check_three_hex(pvec)
+    a = p0 + 2 * p1 + p2
+    unforced_per_cluster = p0 + 2 * a ** 3
+    value = (entropy_three_hex(pvec) + unforced_per_cluster * LN2) / 6.0
+    circle_density = p1 + 2 * p2 + p3
+    dot_density = unforced_per_cluster / 6.0
+    return (value, {"p0": p0, "p1": p1, "p2": p2, "p3": p3},
+            (circle_density, dot_density))
+
+
+def _three_hex_triangular(pvec, q):
+    """Value, parameters and densities of `bound_three_hex_triangular` at
+    floats or columns."""
+    p0, p1, p2, p3 = check_three_hex(pvec)
+    q = _check_prob(q, "q")
+    a = p0 + 2 * p1 + p2
+    dot_unforced_per_cluster = p0 + 2 * a ** 3
+    tri_unforced_per_cluster = 3 * a * (p1 + p0 * (1.0 - q)) * (1.0 - a * q) ** 2
+    value = (entropy_three_hex(pvec)
+             + dot_unforced_per_cluster * entropy_bernoulli(q)
+             + tri_unforced_per_cluster * LN2) / 9.0
+    circle_density = p1 + 2 * p2 + p3
+    dot_density = dot_unforced_per_cluster * q / 3.0
+    tri_density = tri_unforced_per_cluster / 3.0 / 2.0
+    return (value, {"p0": p0, "p1": p1, "p2": p2, "p3": p3, "q": q},
+            (circle_density, dot_density, tri_density))
 
 
 def bound_three_hex_honeycomb(pvec) -> BoundReport:
@@ -195,15 +266,8 @@ def bound_three_hex_honeycomb(pvec) -> BoundReport:
     value = 1/6 { H3(pvec) + (p0 + 2 a^3) ln 2 },  a = p0 + 2 p1 + p2.
     Densities per site: circle = p1 + 2 p2 + p3, dot = (p0 + 2 a^3) / 6.
     """
-    p0, p1, p2, p3 = check_three_hex(pvec)
-    a = p0 + 2 * p1 + p2
-    unforced_per_cluster = p0 + 2 * a ** 3
-    value = (entropy_three_hex(pvec) + unforced_per_cluster * LN2) / 6.0
-    circle_density = p1 + 2 * p2 + p3
-    dot_density = unforced_per_cluster / 6.0
-    return BoundReport("honeycomb", "three-hex", value,
-                       {"p0": p0, "p1": p1, "p2": p2, "p3": p3},
-                       (circle_density, dot_density))
+    return _report("honeycomb", "three-hex",
+                   *_three_hex_honeycomb(_one_row(pvec)))
 
 
 def bound_three_hex_triangular(pvec, q: float) -> BoundReport:
@@ -221,20 +285,9 @@ def bound_three_hex_triangular(pvec, q: float) -> BoundReport:
     derivations double-counts the shared-dot correlation; the regression
     tests show it does not reproduce the known optimum.)
     """
-    p0, p1, p2, p3 = check_three_hex(pvec)
-    q = _check_prob(q, "q")
-    a = p0 + 2 * p1 + p2
-    dot_unforced_per_cluster = p0 + 2 * a ** 3
-    tri_unforced_per_cluster = 3 * a * (p1 + p0 * (1.0 - q)) * (1.0 - a * q) ** 2
-    value = (entropy_three_hex(pvec)
-             + dot_unforced_per_cluster * entropy_bernoulli(q)
-             + tri_unforced_per_cluster * LN2) / 9.0
-    circle_density = p1 + 2 * p2 + p3
-    dot_density = dot_unforced_per_cluster * q / 3.0
-    tri_density = tri_unforced_per_cluster / 3.0 / 2.0
-    return BoundReport("triangular", "three-hex", value,
-                       {"p0": p0, "p1": p1, "p2": p2, "p3": p3, "q": q},
-                       (circle_density, dot_density, tri_density))
+    *pvec, q = _one_row((*pvec, q))
+    return _report("triangular", "three-hex",
+                   *_three_hex_triangular(pvec, q))
 
 
 # ------------------------------------------------------- optimizer drivers
@@ -242,10 +295,13 @@ def bound_three_hex_triangular(pvec, q: float) -> BoundReport:
 # p' = p / U_1(p) stays a probability only below these caps
 EQUALIZED_CAPS = {"square": 0.275, "honeycomb": 0.317}
 
-# lattice -> (Bernoulli stages after the cluster simplex, bound builder)
+# lattice -> (Bernoulli stages after the cluster simplex, the bound's value
+# at the columns p0, p1, p2, p3[, q] of a batch, its report at one point)
 THREE_HEX_SCHEMES = {
-    "honeycomb": (0, lambda x: bound_three_hex_honeycomb(x)),
-    "triangular": (1, lambda x: bound_three_hex_triangular(x[:4], x[4])),
+    "honeycomb": (0, lambda c: _three_hex_honeycomb(c)[0],
+                  lambda x: bound_three_hex_honeycomb(x)),
+    "triangular": (1, lambda c: _three_hex_triangular(c[:4], c[4])[0],
+                   lambda x: bound_three_hex_triangular(x[:4], x[4])),
 }
 
 _THREE_HEX_WEIGHTS = (1.0, 3.0, 3.0, 1.0)
@@ -258,8 +314,8 @@ def optimize_closed_form(lattice, *, seed: int = 0, starts: int = STARTS,
     Bernoulli parameters."""
     arity = build_lattice(lattice).partite_count - 1
     domain = optimize.Domain([optimize.Box(0.0, 1.0)] * arity)
-    res = optimize.maximize(lambda x: staged_bound(lattice, x).value, domain,
-                            seed=seed, starts=starts, tol=tol,
+    res = optimize.maximize(lambda x: _staged_value(lattice, (*x.T, 0.5)),
+                            domain, seed=seed, starts=starts, tol=tol,
                             max_iter=max_iter)
     return replace(staged_bound(lattice, res.argmax), meta=res.meta())
 
@@ -273,15 +329,15 @@ def optimize_equalized(lattice, *, seed: int = 0, starts: int = STARTS,
         raise ValueError(f"equalized scheme needs a bipartite lattice, "
                          f"got {lattice!r}")
 
-    def build(x):
-        p = x[0]
-        return staged_bound(lattice,
-                            (p, p / stage_unforced(lattice, (p,))[1]))
+    def stages(p):
+        return p, p / STAGE_UNFORCED[lattice]((p,))[1]
 
     domain = optimize.Domain([optimize.Box(0.0, EQUALIZED_CAPS[lattice])])
-    res = optimize.maximize(lambda x: build(x).value, domain, seed=seed,
-                            starts=starts, tol=tol, max_iter=max_iter)
-    return replace(build(res.argmax), meta=res.meta())
+    res = optimize.maximize(lambda x: _staged_value(lattice, stages(x[:, 0])),
+                            domain, seed=seed, starts=starts, tol=tol,
+                            max_iter=max_iter)
+    p, p_prime = stages(res.argmax[:1])
+    return replace(staged_bound(lattice, (p[0], p_prime[0])), meta=res.meta())
 
 
 def optimize_three_hex(lattice, *, seed: int = 0, starts: int = STARTS,
@@ -291,9 +347,9 @@ def optimize_three_hex(lattice, *, seed: int = 0, starts: int = STARTS,
     (plus the dot-stage parameter on the triangular lattice)."""
     if lattice not in THREE_HEX_SCHEMES:
         raise ValueError(f"no three-hex scheme for lattice {lattice!r}")
-    boxes, build = THREE_HEX_SCHEMES[lattice]
+    boxes, value, report = THREE_HEX_SCHEMES[lattice]
     domain = optimize.Domain([optimize.Simplex(_THREE_HEX_WEIGHTS)]
                              + [optimize.Box(0.0, 1.0)] * boxes)
-    res = optimize.maximize(lambda x: build(x).value, domain, seed=seed,
+    res = optimize.maximize(lambda x: value(x.T), domain, seed=seed,
                             starts=starts, tol=tol, max_iter=max_iter)
-    return replace(build(res.argmax), meta=res.meta())
+    return replace(report(res.argmax), meta=res.meta())

@@ -9,13 +9,18 @@ quasi-Newton method applies directly:
   sum_i w_i x_i = 1 with x_i > 0.  The three-hex bounds range over such a
   simplex of tile-count probabilities, with weights 1, 3, 3, 1.
 
-One stopping rule: L-BFGS stops when the inf-norm of d objective/d t, a
-central difference in t, is at most `tol`, and a result is converged
-exactly when that norm (its `stationarity`) is.  On a simplex
-d/dt_i = x_i (g_i - lambda w_i), the log-space KKT residual, so
-coordinates of tiny probability weigh in at their own scale.  No second
-method runs after L-BFGS; among the multistart results, one that met the
-stopping rule outranks one that did not.
+Objectives are batched: an objective takes an (m, size) array of points,
+one per row, and returns their m values.  Each L-BFGS evaluation at t is
+one objective call on the 2d + 1 rows t, t + h e_1, ..., t + h e_d,
+t - h e_1, ..., t - h e_d (h = FD_STEP), mapped to x; row 0 is the value
+and the central difference of the other rows is d objective/d t.
+
+One stopping rule: L-BFGS stops when the inf-norm of that gradient is at
+most `tol`, and a result is converged exactly when that norm (its
+`stationarity`) is.  On a simplex d/dt_i = x_i (g_i - lambda w_i), the
+log-space KKT residual, so coordinates of tiny probability weigh in at
+their own scale.  No second method runs after L-BFGS; among the multistart
+results, one that met the stopping rule outranks one that did not.
 
 Multistart initial points are the domain center (t = 0), then uniform draws
 in [-SPREAD, SPREAD]^d from numpy's generator seeded with `seed`, so results
@@ -23,7 +28,6 @@ are reproducible bit-for-bit for a fixed (objective, domain, settings, seed).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,29 +94,33 @@ class Domain:
         return sum(c.size for c in self.components)
 
     def to_interior(self, t: np.ndarray) -> np.ndarray:
-        """Map unconstrained coordinates to a feasible interior point."""
+        """Map unconstrained coordinates to feasible interior points, row
+        by row along the last axis."""
         x = np.empty_like(t, dtype=float)
         i = 0
         for c in self.components:
-            ti = t[i:i + c.size]
+            ti = t[..., i:i + c.size]
             if isinstance(c, Box):
-                s = 1.0 / (1.0 + np.exp(-ti[0]))
-                x[i] = np.clip(c.lo + (c.hi - c.lo) * s,
-                               c.lo + BOX_EPS, c.hi - BOX_EPS)
+                s = 1.0 / (1.0 + np.exp(-ti[..., 0]))
+                x[..., i] = np.clip(c.lo + (c.hi - c.lo) * s,
+                                    c.lo + BOX_EPS, c.hi - BOX_EPS)
             else:
-                w = np.asarray(c.weights)
-                e = np.exp(ti - ti.max())
-                x[i:i + c.size] = e / (w @ e)
+                e = np.exp(ti - ti.max(axis=-1, keepdims=True))
+                # a row sum of products, not a matrix product, so a row
+                # rounds the same alone as in a batch
+                x[..., i:i + c.size] = e / (e * c.weights).sum(
+                    axis=-1, keepdims=True)
             i += c.size
         return x
 
     def renormalize(self, x) -> np.ndarray:
-        """x with each simplex block rescaled to weighted sum 1."""
+        """x with each simplex block of each row rescaled to weighted sum 1."""
         x = np.array(x, dtype=float)
         i = 0
         for c in self.components:
             if isinstance(c, Simplex):
-                x[i:i + c.size] /= np.asarray(c.weights) @ x[i:i + c.size]
+                block = x[..., i:i + c.size]
+                block /= (block * c.weights).sum(axis=-1, keepdims=True)
             i += c.size
         return x
 
@@ -146,15 +154,6 @@ class OptimizationResult:
                 "gradient_norm": self.gradient_norm_at_solution}
 
 
-def _finite_difference(objective, x, h):
-    g = np.empty(len(x))
-    for i in range(len(x)):
-        e = np.zeros(len(x))
-        e[i] = h
-        g[i] = (objective(x + e) - objective(x - e)) / (2 * h)
-    return g
-
-
 def _start_points(dim, starts, seed):
     """The center t = 0, then starts - 1 seeded points in the SPREAD cube."""
     u = np.random.default_rng(seed).random((starts - 1, dim))
@@ -166,29 +165,39 @@ def maximize(objective, domain: Domain, *, tol: float = TOL,
              starts: int = STARTS) -> OptimizationResult:
     """Maximize `objective` over `domain` by multistart L-BFGS.
 
-    objective takes the concatenated component vector and returns its
-    value; d objective/d t is a central difference in t.  Each start stops
-    when the inf-norm of that gradient is at most `tol`; the result is
-    converged exactly when its `stationarity`, the same norm at the
-    winning point, is.  The x-space projected-gradient norm is reported
-    alongside, from difference probes rescaled back onto each simplex.
-    Multistart winner is the best value among the starts that met the
-    stopping rule (among all starts if none did), ties broken by lowest
-    start index.
+    objective takes an (m, domain.size) array of points, one per row, and
+    returns their m values.  Each L-BFGS evaluation at t makes exactly one
+    call, on the rows t and t +- FD_STEP e_i mapped into the domain: row 0
+    is the value, and the central difference of the rest is d objective/d t.
+    Each start stops when the inf-norm of that gradient is at most `tol`;
+    the result is converged exactly when its `stationarity`, the same norm
+    at the winning point, is.  The x-space projected-gradient norm is
+    reported alongside, from one more call on difference probes rescaled
+    back onto each simplex.  Multistart winner is the best value among the
+    starts that met the stopping rule (among all starts if none did), ties
+    broken by lowest start index.  A non-finite value in any row raises
+    ValueError naming that row's point.
     """
-    def value(t):
-        x = domain.to_interior(t)
-        v = objective(x)
-        if not math.isfinite(v):
-            raise ValueError(f"objective returned non-finite value {v} at {x}")
+    d = domain.size
+    # row 0 is the point itself, rows 1..2d its +- FD_STEP probes
+    offsets = FD_STEP * np.vstack([np.zeros(d), np.eye(d), -np.eye(d)])
+
+    def values(x):
+        v = np.asarray(objective(x), dtype=float)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"objective returned non-finite value {v[i]} at {x[i]}")
         return v
 
     def neg(t):
-        return -value(t), -_finite_difference(value, t, FD_STEP)
+        v = values(domain.to_interior(t + offsets))
+        return -v[0], -(v[1:d + 1] - v[d + 1:]) / (2 * FD_STEP)
 
     best = None
     nit_total = 0
-    for t0 in _start_points(domain.size, starts, seed):
+    for t0 in _start_points(d, starts, seed):
         # ftol = 0: only the gradient test (gtol) ends a start normally
         res = minimize(neg, t0, jac=True, method="L-BFGS-B",
                        options={"maxiter": max_iter, "ftol": 0.0,
@@ -206,8 +215,8 @@ def maximize(objective, domain: Domain, *, tol: float = TOL,
 
     converged, val, stationarity, t_best = best
     x_best = domain.to_interior(t_best)
-    g = _finite_difference(lambda x: objective(domain.renormalize(x)),
-                           x_best, FD_STEP)
+    v = values(domain.renormalize(x_best + offsets[1:]))
+    g = (v[:d] - v[d:]) / (2 * FD_STEP)
     gnorm = float(np.linalg.norm(domain.projected_gradient(x_best, g)))
     return OptimizationResult(
         argmax=x_best, value=float(val), iterations=int(nit_total),

@@ -94,11 +94,11 @@ def _tile_stderr(indicator: np.ndarray, where: np.ndarray,
     standard error at the analytic mean instead: the empirical mean of a
     small torus can be exactly 0 or 1, which would give no error at all."""
     h, w = indicator.shape[:2]
-    vals = indicator.astype(float)
     if h % _TILE or w % _TILE or (h // _TILE) * (w // _TILE) < _MIN_TILES:
         return math.sqrt(max(analytic * (1 - analytic), 0.0) / where.sum())
     shape = (h // _TILE, _TILE, w // _TILE, _TILE, -1)
-    sums = (vals * where).reshape(shape).sum(axis=(1, 3, 4))
+    # boolean tiles summed as integer counts: exact, with no float copy
+    sums = (indicator & where).reshape(shape).sum(axis=(1, 3, 4))
     counts = where.reshape(shape).sum(axis=(1, 3, 4))
     means = sums / counts
     return float(means.std(ddof=1)) / math.sqrt(means.size)

@@ -11,13 +11,16 @@ from hardcore_entropy.blocks import (
     BlockFamily,
     corner_positions,
     cover_pairs,
-    d4_canonical,
-    d4_images,
-    forced_odd_sites,
     load_family,
     load_or_build_family,
     reduce_family,
     save_family,
+)
+
+from block_reference import (
+    d4_canonical,
+    d4_images,
+    forced_odd_sites,
     weak_sites,
 )
 

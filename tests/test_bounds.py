@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from hardcore_entropy import bounds
 from hardcore_entropy.bounds import (
     LN2, BoundReport, bound_three_hex_honeycomb, bound_three_hex_triangular,
     entropy_bernoulli, entropy_three_hex, stage_unforced, staged_bound,
@@ -129,6 +130,60 @@ def test_staged_bound_matches_window_oracle(lattice, probs, explicit_final):
     assert rep.value == pytest.approx(want, abs=1e-12)
     assert rep.densities == pytest.approx(
         [p * u for p, u in zip(stage_probs, unforced)], abs=1e-12)
+
+
+_BATCH = st.lists(st.lists(_UNIT, min_size=5, max_size=5),
+                  min_size=1, max_size=11)
+_OUT_OF_RANGE = st.sampled_from([-1e-9, 1.0 + 1e-9, -0.5, 2.0, np.nan])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(lattice=st.sampled_from(LATTICES), explicit_final=st.booleans(),
+       batch=_BATCH, bad_row=st.integers(0, 10), bad_stage=st.integers(0, 3),
+       bad=_OUT_OF_RANGE)
+def test_batched_staged_value_matches_staged_bound(
+        lattice, explicit_final, batch, bad_row, bad_stage, bad):
+    """Row i of the batched formula is the scalar bound's value exactly,
+    and one out-of-range row fails the whole batch."""
+    k = build_lattice(lattice).partite_count
+    width = k if explicit_final else k - 1
+    x = np.array(batch)[:, :width]  # the optimizer's (m, size) layout
+    final = () if explicit_final else (0.5,)
+    values = bounds._staged_value(lattice, (*x.T, *final))
+    assert values.shape == (len(x),)
+    for row, value in zip(x, values):
+        assert value == staged_bound(lattice, tuple(row)).value
+    x[bad_row % len(x), bad_stage % width] = bad
+    with pytest.raises(ValueError, match="outside"):
+        bounds._staged_value(lattice, (*x.T, *final))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(lattice=st.sampled_from(sorted(bounds.THREE_HEX_SCHEMES)),
+       batch=_BATCH, bad_row=st.integers(0, 10), bad_column=st.integers(0, 5))
+def test_batched_three_hex_matches_scalar_bounds(lattice, batch, bad_row,
+                                                 bad_column):
+    """Row i of the batched three-hex formula is the scalar bound's value
+    exactly, and one infeasible row fails the whole batch."""
+    boxes, value, _ = bounds.THREE_HEX_SCHEMES[lattice]
+    x = np.array(batch)[:, :4 + boxes]
+    total = x[:, 0] + 3 * x[:, 1] + 3 * x[:, 2] + x[:, 3]
+    assume((total > 0).all())
+    x[:, :4] /= total[:, None]
+    values = value(x.T)
+    assert values.shape == (len(x),)
+    for row, v in zip(x, values):
+        rep = (bound_three_hex_honeycomb(row) if lattice == "honeycomb"
+               else bound_three_hex_triangular(row[:4], row[4]))
+        assert v == rep.value
+    # a negative p_k or q, or (past the last column) p off its simplex
+    i = bad_row % len(x)
+    if bad_column < x.shape[1]:
+        x[i, bad_column] = -1e-9
+    else:
+        x[i, :4] *= 1.0 + 1e-9
+    with pytest.raises(ValueError):
+        value(x.T)
 
 
 def test_three_hex_param_validation():

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -139,8 +138,8 @@ def test_bound_scheme_lattice_mismatch(capsys):
 
 def test_bound_non_finite_objective_exits_one(monkeypatch, capsys):
     # a numerical failure, not a configuration error
-    monkeypatch.setattr(bounds, "staged_bound",
-                        lambda lattice, probs: SimpleNamespace(value=math.nan))
+    monkeypatch.setattr(bounds, "_staged_value",
+                        lambda lattice, probs: probs[0] * math.nan)
     assert run(["bound", "--scheme", "closed", "--lattice", "square",
                 "--starts", "1"]) == 1
     assert "non-finite" in capsys.readouterr().err

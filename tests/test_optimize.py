@@ -4,20 +4,26 @@ import time
 import numpy as np
 import pytest
 
+from hardcore_entropy import bounds, optimize
 from hardcore_entropy.bounds import (
     bound_three_hex_honeycomb, bound_three_hex_triangular, stage_unforced,
     staged_bound,
 )
 from hardcore_entropy.optimize import (
-    SPREAD, Box, Domain, OptimizationResult, Simplex, _finite_difference,
-    _start_points, maximize,
+    FD_STEP, SPREAD, Box, Domain, OptimizationResult, Simplex, _start_points,
+    maximize,
 )
 
 UNIT = Domain((Box(0.0, 1.0),))
 
 
+def rows(f):
+    """A batched objective from one that takes a single point."""
+    return lambda x: np.array([f(xi) for xi in x])
+
+
 def test_quadratic_box():
-    res = maximize(lambda x: -(x[0] - 0.3) ** 2, UNIT, starts=4)
+    res = maximize(lambda x: -(x[:, 0] - 0.3) ** 2, UNIT, starts=4)
     assert res.argmax[0] == pytest.approx(0.3, abs=1e-7)
     assert res.value == pytest.approx(0.0, abs=1e-12)
     assert res.converged
@@ -28,7 +34,7 @@ def test_converged_is_stationarity_within_tol():
     dom = Domain((Simplex((1.0, 3.0, 3.0, 1.0)),))
 
     def obj(x):
-        return float(-(x * np.log(x)).sum())
+        return -(x * np.log(x)).sum(axis=1)
 
     tol = 1e-9
     for max_iter in (1, 2000):
@@ -41,8 +47,8 @@ def test_start_that_met_stopping_rule_wins():
     # x = 1/2 is a stationary local maximum (value 0); the values rise
     # towards x = 1 (1/4), but starts cut short there have not converged
     def obj(x):
-        u = x[0] - 0.5
-        return float(u * u * (4 * u - 1))
+        u = x[:, 0] - 0.5
+        return u * u * (4 * u - 1)
 
     short = maximize(obj, UNIT, starts=4, max_iter=2)
     assert short.converged and short.value == 0.0
@@ -64,7 +70,7 @@ def test_start_points_center_then_seeded_uniform():
 
 def test_entropy_simplex_uniform():
     dom = Domain((Simplex((1.0,) * 4),))
-    res = maximize(lambda x: float(-(x * np.log(x)).sum()), dom, starts=4)
+    res = maximize(lambda x: -(x * np.log(x)).sum(axis=1), dom, starts=4)
     assert np.allclose(res.argmax, 0.25, atol=1e-6)
     assert res.value == pytest.approx(math.log(4), abs=1e-10)
 
@@ -72,7 +78,7 @@ def test_entropy_simplex_uniform():
 def test_weighted_simplex_constraint_holds():
     w = (1.0, 4.0, 4.0, 2.0, 4.0, 1.0)
     dom = Domain((Simplex(w),))
-    res = maximize(lambda x: float(-(x ** 2).sum()), dom, starts=2)
+    res = maximize(lambda x: -(x ** 2).sum(axis=1), dom, starts=2)
     assert abs(np.dot(w, res.argmax) - 1.0) < 1e-10
     assert (res.argmax > 0).all()
 
@@ -81,7 +87,7 @@ def test_determinism_bit_for_bit():
     dom = Domain((Simplex((1.0, 3.0, 3.0, 1.0)), Box(0.0, 1.0)))
 
     def obj(x):
-        return float(-(x[:4] ** 2).sum() - (x[4] - 0.4) ** 2)
+        return -(x[:, :4] ** 2).sum(axis=1) - (x[:, 4] - 0.4) ** 2
 
     a = maximize(obj, dom, seed=7, starts=8)
     b = maximize(obj, dom, seed=7, starts=8)
@@ -92,7 +98,56 @@ def test_determinism_bit_for_bit():
 
 def test_non_finite_objective_reports_point():
     with pytest.raises(ValueError, match="non-finite"):
-        maximize(lambda x: float("nan"), UNIT, starts=1)
+        maximize(lambda x: np.full(len(x), np.nan), UNIT, starts=1)
+
+
+def test_non_finite_row_is_named():
+    # rows 3 and 4 of the first batch, the -FD_STEP probes, are bad; the
+    # error names the first of them
+    dom = Domain((Box(0.0, 1.0), Box(0.0, 1.0)))
+    first_bad = dom.to_interior(np.array([-FD_STEP, 0.0]))
+
+    def obj(x):
+        return np.where(np.arange(len(x)) >= 3, np.inf, 0.0)
+
+    with pytest.raises(ValueError) as err:
+        maximize(obj, dom, starts=1)
+    assert str(err.value) == \
+        f"objective returned non-finite value inf at {first_bad}"
+
+
+def test_one_objective_call_per_evaluation(monkeypatch):
+    """One call per L-BFGS function evaluation, on 2d + 1 rows, and one
+    more call for the x-space gradient norm."""
+    calls, nfev = [], []
+    minimize = optimize.minimize
+
+    def counted(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(optimize, "minimize", counted)
+    dom = Domain((Simplex((1.0, 3.0, 3.0, 1.0)), Box(0.0, 1.0)))
+
+    def obj(x):
+        calls.append(len(x))
+        return -(x[:, :4] ** 2).sum(axis=1) - (x[:, 4] - 0.4) ** 2
+
+    maximize(obj, dom, starts=3)
+    assert len(nfev) == 3
+    assert len(calls) == sum(nfev) + 1
+    assert calls[:-1] == [11] * sum(nfev) and calls[-1] == 10
+
+
+def test_out_of_range_probe_row_raises():
+    # the start maps to p = 1 - 1e-7, inside [0, 1]; its +FD_STEP probe
+    # maps to about 1 + 9e-7, and the staged formula rejects that row
+    dom = Domain((Box(-1.0 - 1e-7, 3.0 - 1e-7),))
+    assert dom.to_interior(np.zeros(1))[0] <= 1.0
+    with pytest.raises(ValueError, match="outside"):
+        maximize(lambda x: bounds._staged_value("square", (x[:, 0], 0.5)),
+                 dom, starts=1)
 
 
 def test_gradient_check_bipartite():
@@ -106,8 +161,9 @@ def test_gradient_check_bipartite():
                                 - 4 * (1 - p) ** 3 * math.log(2))])
 
     x = np.array([0.2])
-    np.testing.assert_allclose(grad(x), _finite_difference(obj, x, 1e-6),
-                               rtol=0, atol=1e-5)
+    h = 1e-6
+    fd = (obj(x + h) - obj(x - h)) / (2 * h)
+    np.testing.assert_allclose(grad(x), [fd], rtol=0, atol=1e-5)
 
 
 def test_projected_gradient_small_at_three_hex_optimum():
@@ -116,7 +172,7 @@ def test_projected_gradient_small_at_three_hex_optimum():
     def obj(x):
         return bound_three_hex_honeycomb(tuple(x)).value
 
-    res = maximize(obj, dom, seed=0, starts=8)
+    res = maximize(rows(obj), dom, seed=0, starts=8)
     opt = np.asarray(res.argmax)
     g = np.empty(4)
     h = 1e-6
@@ -155,7 +211,7 @@ RECOVERY_CASES = [
                          RECOVERY_CASES, ids=[c[0] for c in RECOVERY_CASES])
 def test_known_optimum_recovery(name, obj, dom, val, params):
     t0 = time.monotonic()
-    res = maximize(obj, dom, seed=0, starts=16)
+    res = maximize(rows(obj), dom, seed=0, starts=16)
     assert time.monotonic() - t0 < 10.0
     assert res.value == pytest.approx(val, abs=5e-4)
     assert np.asarray(res.argmax) == pytest.approx(np.asarray(params), abs=5e-3)
@@ -179,12 +235,12 @@ def _equalized_value(lattice):
 
 def test_equalized_optima_recovered():
     # equalization is only feasible up to p about 0.2755 on the square
-    res = maximize(_equalized_value("square"),
+    res = maximize(rows(_equalized_value("square")),
                    Domain((Box(0.0, 0.275),)), starts=8)
     assert res.value == pytest.approx(0.3921, abs=5e-4)
     assert res.argmax[0] == pytest.approx(0.2015, abs=5e-3)
     # honeycomb equalization feasible while p (1-p)^-3 <= 1, i.e. p <= 0.3177
-    res = maximize(_equalized_value("honeycomb"),
+    res = maximize(rows(_equalized_value("honeycomb")),
                    Domain((Box(0.0, 0.317),)), starts=8)
     assert res.value == pytest.approx(0.427875, abs=5e-4)
     assert res.argmax[0] == pytest.approx(0.2284, abs=5e-3)
@@ -192,8 +248,9 @@ def test_equalized_optima_recovered():
 
 def test_three_hex_triangular_joint_recovery():
     dom = Domain((Simplex((1.0, 3.0, 3.0, 1.0)), Box(0.0, 1.0)))
-    res = maximize(lambda x: bound_three_hex_triangular(tuple(x[:4]), x[4]).value,
-                   dom, seed=0, starts=16)
+    res = maximize(
+        rows(lambda x: bound_three_hex_triangular(tuple(x[:4]), x[4]).value),
+        dom, seed=0, starts=16)
     assert res.value == pytest.approx(0.3265, abs=5e-4)
     assert res.argmax[4] == pytest.approx(0.25, abs=1e-2)
 
@@ -212,7 +269,7 @@ def test_rejected_variant_formulas_fail_reference_values():
     # at the reference argmax the variant reads 0.344, not 0.3253
     at_ref = tripartite_squared_tail([0.1457, 0.2501])
     assert at_ref == pytest.approx(0.344, abs=1e-3)
-    res = maximize(tripartite_squared_tail,
+    res = maximize(rows(tripartite_squared_tail),
                    Domain((Box(0.0, 1.0), Box(0.0, 1.0))), starts=8)
     assert res.value >= at_ref - 1e-9
     assert abs(res.value - 0.3253) > 5e-3

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hardcore_entropy import bounds
+from hardcore_entropy import bounds, oracles
 from hardcore_entropy.lattices import verify_hard_core
 from hardcore_entropy import cli
 from hardcore_entropy.oracles import (
@@ -169,6 +169,20 @@ class TestSampler:
                 assert sig < 5 * st.unforced_stderr
             sig = abs(st.density_empirical - st.density_analytic)
             assert sig < 5 * max(st.density_stderr, 1e-9)
+
+    @pytest.mark.parametrize("shape", [(32, 32, 1), (32, 64, 3), (64, 40, 2)])
+    def test_tile_stderr_matches_per_tile_float_means(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        indicator = rng.random(shape) < 0.3
+        where = rng.random(shape) < 0.7
+        means = []
+        for y in range(0, shape[0], 8):
+            for x in range(0, shape[1], 8):
+                tile = np.s_[y:y + 8, x:x + 8]
+                means.append((indicator[tile] * where[tile]).astype(float).sum()
+                             / where[tile].astype(float).sum())
+        want = float(np.std(means, ddof=1)) / math.sqrt(len(means))
+        assert oracles._tile_stderr(indicator, where, 0.3) == want
 
     def test_deterministic_per_seed(self):
         a, _ = fill_in_sample("square", (0.2,), (64, 64), seed=3)
