@@ -136,6 +136,7 @@ def optimize_block_bound(family: BlockFamily, *, tol: float = optimize.TOL,
         p = e / (w @ e)
     res = optimize.OptimizationResult(
         argmax=p, value=value, iterations=iterations, starts_used=1,
+        starts_converged=int(stationarity <= tol),
         converged=stationarity <= tol, stationarity=stationarity,
         gradient_norm_at_solution=float(np.linalg.norm(
             optimize.Domain([optimize.Simplex(w)]).projected_gradient(p, g))))

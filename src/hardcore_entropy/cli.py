@@ -18,6 +18,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -35,7 +36,7 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 SCHEMES = ("closed", "equalized", "three-hex", "block")
 
@@ -163,6 +164,7 @@ def load_config_file(path: str, command: str) -> dict:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hce",
@@ -181,7 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="log-space stationarity that stops the optimizer "
                             f"and defines converged (default {optimize.TOL:g})")
         p.add_argument("--max-iter", type=int, dest="max_iter",
-                       help="iterations per start, or of the block scheme")
+                       help="L-BFGS steps per start, over all its "
+                            "passes, or iterations of the block scheme")
         p.add_argument("--out", help="write the JSON or CSV payload here")
         p.add_argument("--cache-dir", dest="cache_dir",
                        help="block-family cache (default: $HC_CACHE_DIR)")
@@ -468,7 +471,7 @@ def cmd_profile(cfg: RunConfig) -> int:
     profiles = {g: block_bounds.density_profile(cfg.n, generators[g])
                 for g in sorted(set(sizes))}
 
-    rows = [(k, f"{p:.12f}", g)
+    rows = [(k, f"{p:.7f}", g)
             for g in sorted(set(sizes))
             for k, p in enumerate(profiles[g].occupancy_probs)]
     _write_csv(cfg.out, ["k", "probability", "generator"], rows)

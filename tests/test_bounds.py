@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -291,6 +293,27 @@ def test_optimize_three_hex_recovers_table():
     # cluster bound must beat the single-site scheme it refines
     assert hc.value > optimize_closed_form("honeycomb", starts=8).value
     assert tri.value > optimize_closed_form("triangular", starts=8).value
+
+
+# the nine solves behind the closed, equalized and three-hex tables
+DRIVER_SOLVES = (
+    [(optimize_closed_form, lat) for lat in bounds.STAGE_UNFORCED]
+    + [(optimize_equalized, lat) for lat in bounds.EQUALIZED_CAPS]
+    + [(optimize_three_hex, lat) for lat in bounds.THREE_HEX_SCHEMES])
+
+
+@functools.cache
+def _seed_0_values():
+    return [driver(lat, seed=0).value for driver, lat in DRIVER_SOLVES]
+
+
+@settings(derandomize=True, deadline=None, max_examples=16)
+@given(seed=st.integers(1, 2 ** 32 - 1))
+def test_every_seed_reaches_the_seed_0_optimum(seed):
+    for (driver, lat), reference in zip(DRIVER_SOLVES, _seed_0_values()):
+        rep = driver(lat, seed=seed)
+        assert rep.meta["converged"]
+        assert abs(rep.value - reference) <= 1e-12
 
 
 def test_optimizer_driver_rejects_wrong_lattice():

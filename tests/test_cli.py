@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hardcore_entropy import block_bounds, bounds, cli
@@ -35,7 +36,7 @@ def test_bound_closed_single_lattice(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "square" in table and "0.3924" in table
     bundle = read_bundle(out)
-    assert bundle["schema_version"] == 3
+    assert bundle["schema_version"] == 4
     assert bundle["command"] == "bound"
     (rep,) = bundle["reports"]
     assert rep["value_nats"] == pytest.approx(0.392421, abs=5e-4)
@@ -253,10 +254,34 @@ def test_profile_three_generators(tmp_path, capsys):
         curve = [float(r["probability"]) for r in rows
                  if r["generator"] == g]
         assert len(curve) == 10
-        assert sum(curve) == pytest.approx(1.0, abs=1e-9)
+        # ten values, each rounded to 7 decimals
+        assert sum(curve) == pytest.approx(1.0, abs=10 * 5e-8)
     err = capsys.readouterr().err
     assert "variance order: 1 < 2 < 3" in err
     assert "between k=3 and k=4" in err
+
+
+def test_profile_digits_hold_at_default_tol(tmp_path, monkeypatch):
+    # 7 decimals, what a solve to the default --tol pins: each printed
+    # probability is within 1e-7 of the profile solved to 1e-12
+    out = tmp_path / "profile.csv"
+    assert run(["profile", "--n", "3", "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        printed = [r["probability"] for r in csv.DictReader(fh)]
+    assert all(len(v.split(".")[1]) == 7 for v in printed)
+    tight = []
+    real = block_bounds.density_profile
+
+    def recording(n, generator):
+        tight.append(real(n, generator))
+        return tight[-1]
+
+    monkeypatch.setattr(block_bounds, "density_profile", recording)
+    assert run(["profile", "--n", "3", "--tol", "1e-12",
+                "--out", str(tmp_path / "tight.csv")]) == 0
+    expected = np.concatenate([prof.occupancy_probs for prof in tight])
+    np.testing.assert_allclose([float(v) for v in printed], expected,
+                               rtol=0, atol=1e-7)
 
 
 def test_profile_unit_generator_honours_starts_and_tol(monkeypatch,
@@ -429,6 +454,17 @@ def test_config_file_other_command_section_ignored(tmp_path, capsys):
     assert run(["strip", "--config", str(ini)]) == 0
     rows = capsys.readouterr().out.strip().splitlines()
     assert len(rows) == 4  # header + widths 1..3
+
+
+def test_main_calls_share_no_state(tmp_path, capsys):
+    # one parser serves every call in a process; a flag given to one call
+    # must not carry over to the next
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run(["reduce", "--n", "1", "--seed", "5",
+                "--out", str(first)]) == 0
+    assert run(["reduce", "--n", "1", "--out", str(second)]) == 0
+    assert read_bundle(first)["seed"] == 5
+    assert read_bundle(second)["seed"] == 0
 
 
 # ------------------------------------------------------------ exit codes

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from hardcore_entropy import bounds, optimize
+from hardcore_entropy import bounds, cli, optimize
 from hardcore_entropy.bounds import (
     bound_three_hex_honeycomb, bound_three_hex_triangular, stage_unforced,
     staged_bound,
@@ -116,28 +116,78 @@ def test_non_finite_row_is_named():
         f"objective returned non-finite value inf at {first_bad}"
 
 
-def test_one_objective_call_per_evaluation(monkeypatch):
-    """One call per L-BFGS function evaluation, on 2d + 1 rows, and one
-    more call for the x-space gradient norm."""
-    calls, nfev = [], []
+def record_passes(monkeypatch, d):
+    """A list that collects (stacked starts, nfev) of each L-BFGS pass of
+    dimension-d solves."""
+    passes = []
     minimize = optimize.minimize
 
-    def counted(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        nfev.append(res.nfev)
+    def counted(fun, x0, **kwargs):
+        res = minimize(fun, x0, **kwargs)
+        passes.append((len(x0) // d, res.nfev))
         return res
 
     monkeypatch.setattr(optimize, "minimize", counted)
+    return passes
+
+
+def test_one_objective_call_per_evaluation(monkeypatch):
+    """One call on the 2d + 1 rows of every start, then one call on the
+    k (2d + 1) rows of the k stacked starts per L-BFGS evaluation of each
+    pass, then one call on 2d rows for the x-space gradient norm."""
+    calls, passes = [], record_passes(monkeypatch, 5)
     dom = Domain((Simplex((1.0, 3.0, 3.0, 1.0)), Box(0.0, 1.0)))
 
     def obj(x):
         calls.append(len(x))
         return -(x[:, :4] ** 2).sum(axis=1) - (x[:, 4] - 0.4) ** 2
 
-    maximize(obj, dom, starts=3)
-    assert len(nfev) == 3
-    assert len(calls) == sum(nfev) + 1
-    assert calls[:-1] == [11] * sum(nfev) and calls[-1] == 10
+    res = maximize(obj, dom, starts=3)
+    assert res.converged and res.starts_converged == 3
+    assert passes and passes[0][0] == 3
+    assert calls[0] == 3 * 11 and calls[-1] == 10
+    assert calls[1:-1] == [k * 11 for k, nfev in passes for _ in range(nfev)]
+
+
+def test_frozen_start_is_not_moved(monkeypatch):
+    # the center of a symmetric objective is stationary from the start:
+    # it is never handed to L-BFGS, and only the other starts are stacked
+    passes = record_passes(monkeypatch, 1)
+    res = maximize(lambda x: -(x[:, 0] - 0.5) ** 2, UNIT, starts=4)
+    assert passes[0][0] == 3
+    assert res.argmax[0] == 0.5 and res.value == 0.0
+    assert res.stationarity == 0.0 and res.starts_converged == 4
+
+
+def test_retry_pass_converges_starts_left_above_tol(monkeypatch):
+    # at seed 0 the stacked three-hex triangular solve stops its first
+    # pass on the summed value with some blocks just above tol; a fresh
+    # stacked pass on those starts alone brings every start within tol
+    passes = record_passes(monkeypatch, 5)
+    rep = bounds.optimize_three_hex("triangular", seed=0)
+    assert len(passes) == 2 and passes[0][0] == 16
+    assert 0 < passes[1][0] < 16
+    assert rep.meta["starts_converged"] == 16 and rep.meta["converged"]
+
+
+def test_table_objective_calls_work_counter(monkeypatch, capsys):
+    """The closed, equalized and three-hex tables at --seed 1 (9 solves of
+    16 starts) stay within 400 objective evaluations, each one mapping of
+    probe points by Domain.to_interior, and far below one L-BFGS run per
+    start (1,712 evaluations, 144 runs)."""
+    maps, passes = [], record_passes(monkeypatch, 1)
+    to_interior = Domain.to_interior
+
+    def counted(self, t):
+        maps.append(len(t))
+        return to_interior(self, t)
+
+    monkeypatch.setattr(Domain, "to_interior", counted)
+    for scheme in ("closed", "equalized", "three-hex"):
+        assert cli.main(["bound", "--scheme", scheme, "--lattice", "all",
+                         "--seed", "1"]) == 0
+    assert len(maps) <= 400
+    assert len(passes) <= 27
 
 
 def test_out_of_range_probe_row_raises():
