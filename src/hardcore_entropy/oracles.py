@@ -27,6 +27,8 @@ from .lattices import (
 )
 
 MAX_STRIP_WIDTH = 14
+# every width 1..MAX_STRIP_WIDTH, free or periodic, converges in at most 19
+_POWER_MAX_ITER = 1000
 # square-lattice hard-core entropy per site, a near-truth anchor (not a bound)
 PLANE_ENTROPY = 0.4075
 
@@ -67,15 +69,16 @@ def strip_entropy(width: int, boundary: str = "free") -> float:
     t = ((cols[:, None] & cols[None, :]) == 0).astype(float)
     v = np.full(len(cols), 1.0 / math.sqrt(len(cols)))
     lam = 0.0
-    for _ in range(100000):
+    for _ in range(_POWER_MAX_ITER):
         w = t @ v
         lam_new = float(v @ w)
         v = w / np.linalg.norm(w)
         if abs(lam_new - lam) <= 1e-13 * max(lam_new, 1.0):
-            lam = lam_new
-            break
+            return math.log(lam_new) / width
         lam = lam_new
-    return math.log(lam) / width
+    raise ValueError(
+        f"strip width {width} ({boundary}): power iteration did not reach "
+        f"relative tolerance 1e-13 in {_POWER_MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------- sampler
@@ -86,21 +89,30 @@ _TILE = 8
 _MIN_TILES = 16
 
 
-def _tile_stderr(indicator: np.ndarray, where: np.ndarray,
-                 analytic: float) -> float:
-    """Standard error of the mean of indicator over `where` sites, from the
-    spread of per-tile means (captures short-range correlation).  A torus
-    that is not a grid of at least _MIN_TILES 8 x 8 tiles gets the binomial
-    standard error at the analytic mean instead: the empirical mean of a
-    small torus can be exactly 0 or 1, which would give no error at all."""
-    h, w = indicator.shape[:2]
-    if h % _TILE or w % _TILE or (h // _TILE) * (w // _TILE) < _MIN_TILES:
-        return math.sqrt(max(analytic * (1 - analytic), 0.0) / where.sum())
-    shape = (h // _TILE, _TILE, w // _TILE, _TILE, -1)
-    # boolean tiles summed as integer counts: exact, with no float copy
-    sums = (indicator & where).reshape(shape).sum(axis=(1, 3, 4))
-    counts = where.reshape(shape).sum(axis=(1, 3, 4))
-    means = sums / counts
+def _tile_counts(x: np.ndarray) -> np.ndarray:
+    """Number of True sites in each 8 x 8-cell tile of a boolean torus
+    array, as an (h/8, w/8) int64 array.  Exact: a tile holds at most
+    8 * 8 * 3 = 192 sites (kagome), so the uint8 partial sums cannot
+    wrap."""
+    h, w, c = x.shape
+    rows = x.view(np.uint8).reshape(h // _TILE, _TILE, w * c).sum(
+        axis=1, dtype=np.uint8)
+    return rows.reshape(h // _TILE, w // _TILE, _TILE * c).sum(
+        axis=2, dtype=np.int64)
+
+
+def _stderr(hits: np.ndarray, tile_sites: np.ndarray | None, n_sites: int,
+            analytic: float) -> float:
+    """Standard error of the mean of `hits` over a stage's n_sites sites,
+    from the spread of per-tile means (captures short-range correlation).
+    `tile_sites` holds the stage's site count per 8 x 8 tile, or is None
+    for a torus that is not a grid of at least _MIN_TILES tiles: that gets
+    the binomial standard error at the analytic mean instead, since the
+    empirical mean of a small torus can be exactly 0 or 1, which would
+    give no error at all."""
+    if tile_sites is None:
+        return math.sqrt(max(analytic * (1 - analytic), 0.0) / n_sites)
+    means = _tile_counts(hits) / tile_sites
     return float(means.std(ddof=1)) / math.sqrt(means.size)
 
 
@@ -138,35 +150,45 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
     already-placed neighbor carries a 1.
 
     Returns (TorusConfiguration, [StageStats per stage]).  The seed is
-    split into one independent stream per stage, so stage s draws are
-    unaffected by how many earlier stages exist.
+    split into one independent stream per stage, and stage s draws one
+    float64 per site of the whole torus, in C order of `values`, from its
+    own stream; so stage s draws are unaffected by how many earlier stages
+    exist.  The statistics come from exact integer counts (per stage, and
+    per 8 x 8 tile for the standard errors): the stages' site sets are
+    disjoint, so the 1s of stage s are exactly the sites it placed.
     """
     spec = build_lattice(lattice)
     probs = stage_probabilities(lattice, params)
     config = TorusConfiguration.empty(lattice, dims)
-    g = config.values
+    h, w = config.values.shape[:2]
+    tiled = (not (h % _TILE or w % _TILE)
+             and (h // _TILE) * (w // _TILE) >= _MIN_TILES)
     stages = stage_index(spec, config.dims)
     analytic = stage_unforced(lattice, probs)
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(seed).spawn(len(probs))]
+    ones = np.zeros(config.values.shape, dtype=bool)
+    draw = np.empty(config.values.shape)
     stats = []
     for s, label in enumerate(spec.fill_order):
         mask = stages == s
-        blocked = occupied_neighbor(spec, g) if s else \
-            np.zeros(g.shape, dtype=bool)
-        unforced = mask & ~blocked
-        draws = streams[s].random(g.shape) < probs[s]
-        g[unforced & draws] = 1
-        n_sites = int(mask.sum())
+        unforced = mask & ~occupied_neighbor(spec, ones) if s else mask
+        streams[s].random(out=draw)
+        placed = unforced & (draw < probs[s])
+        ones |= placed
+        n_sites = int(np.count_nonzero(mask))
+        tile_sites = _tile_counts(mask) if tiled else None
         stats.append(StageStats(
             stage=label, probability=probs[s], n_sites=n_sites,
             unforced_analytic=analytic[s],
-            unforced_empirical=float(unforced.sum() / n_sites),
-            unforced_stderr=_tile_stderr(unforced, mask, analytic[s]),
+            unforced_empirical=int(np.count_nonzero(unforced)) / n_sites,
+            unforced_stderr=_stderr(unforced, tile_sites, n_sites,
+                                    analytic[s]),
             density_analytic=probs[s] * analytic[s],
-            density_empirical=float(g[mask].mean()),
-            density_stderr=_tile_stderr(g == 1, mask,
-                                        probs[s] * analytic[s])))
+            density_empirical=int(np.count_nonzero(placed)) / n_sites,
+            density_stderr=_stderr(placed, tile_sites, n_sites,
+                                   probs[s] * analytic[s])))
+    config.values[...] = ones
     return config, stats
 
 
@@ -274,15 +296,11 @@ def blocking_constant_lower() -> Fraction:
     crediting 1/(1+k) for an odd neighbor also blocked by k other even 1s;
     the eight surrounding even sites are enumerated under B(1/2)."""
     ring, triples = _blocking_geometry()
-    index = {e: i for i, e in enumerate(ring)}
-    total = Fraction(0)
-    for bits in range(1 << len(ring)):
-        credit = Fraction(0)
-        for others in triples:
-            k = sum((bits >> index[e]) & 1 for e in others)
-            credit += Fraction(1, 1 + k)
-        total += credit
-    return total / (1 << len(ring))
+    masks = [sum(1 << ring.index(e) for e in others) for others in triples]
+    # credits in units of 1/12: 12 / (1 + k) is an integer for k = 0..3
+    total = sum(12 // (1 + (bits & m).bit_count())
+                for bits in range(1 << len(ring)) for m in masks)
+    return Fraction(total, 12 << len(ring))
 
 
 def blocking_share_per_odd_site() -> Fraction:

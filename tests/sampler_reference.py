@@ -1,0 +1,64 @@
+"""The torus sampler as it was before its statistics came from integer
+tile counts: one boolean scatter, a grid copy and two float tile
+reductions per stage.  `oracles.fill_in_sample` must return the same
+configuration and `==` stage statistics for every input."""
+import math
+
+import numpy as np
+
+from hardcore_entropy.bounds import stage_probabilities, stage_unforced
+from hardcore_entropy.lattices import (
+    TorusConfiguration,
+    build_lattice,
+    occupied_neighbor,
+    stage_index,
+)
+from hardcore_entropy.oracles import _MIN_TILES, _TILE, StageStats
+
+
+def _tile_stderr(indicator: np.ndarray, where: np.ndarray,
+                 analytic: float) -> float:
+    """Standard error of the mean of indicator over `where` sites, from the
+    spread of per-tile means (captures short-range correlation).  A torus
+    that is not a grid of at least _MIN_TILES 8 x 8 tiles gets the binomial
+    standard error at the analytic mean instead: the empirical mean of a
+    small torus can be exactly 0 or 1, which would give no error at all."""
+    h, w = indicator.shape[:2]
+    if h % _TILE or w % _TILE or (h // _TILE) * (w // _TILE) < _MIN_TILES:
+        return math.sqrt(max(analytic * (1 - analytic), 0.0) / where.sum())
+    shape = (h // _TILE, _TILE, w // _TILE, _TILE, -1)
+    # boolean tiles summed as integer counts: exact, with no float copy
+    sums = (indicator & where).reshape(shape).sum(axis=(1, 3, 4))
+    counts = where.reshape(shape).sum(axis=(1, 3, 4))
+    means = sums / counts
+    return float(means.std(ddof=1)) / math.sqrt(means.size)
+
+
+def fill_in_sample(lattice: str, params, dims, seed: int):
+    spec = build_lattice(lattice)
+    probs = stage_probabilities(lattice, params)
+    config = TorusConfiguration.empty(lattice, dims)
+    g = config.values
+    stages = stage_index(spec, config.dims)
+    analytic = stage_unforced(lattice, probs)
+    streams = [np.random.default_rng(s)
+               for s in np.random.SeedSequence(seed).spawn(len(probs))]
+    stats = []
+    for s, label in enumerate(spec.fill_order):
+        mask = stages == s
+        blocked = occupied_neighbor(spec, g) if s else \
+            np.zeros(g.shape, dtype=bool)
+        unforced = mask & ~blocked
+        draws = streams[s].random(g.shape) < probs[s]
+        g[unforced & draws] = 1
+        n_sites = int(mask.sum())
+        stats.append(StageStats(
+            stage=label, probability=probs[s], n_sites=n_sites,
+            unforced_analytic=analytic[s],
+            unforced_empirical=float(unforced.sum() / n_sites),
+            unforced_stderr=_tile_stderr(unforced, mask, analytic[s]),
+            density_analytic=probs[s] * analytic[s],
+            density_empirical=float(g[mask].mean()),
+            density_stderr=_tile_stderr(g == 1, mask,
+                                        probs[s] * analytic[s])))
+    return config, stats

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardcore_entropy import block_bounds, bounds, cli
+from hardcore_entropy import block_bounds, bounds, cli, oracles
 
 
 def run(argv):
@@ -388,6 +388,15 @@ def test_strip_single_width(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "width,boundary,entropy"
     assert out[1].startswith("12,periodic,0.40749")
+
+
+def test_strip_unconverged_power_iteration_exits_one(monkeypatch, capsys):
+    # a numerical failure: no eigenvalue is printed from an unfinished loop
+    monkeypatch.setattr(oracles, "_POWER_MAX_ITER", 1)
+    assert run(["strip", "--width", "14"]) == 1
+    captured = capsys.readouterr()
+    assert "did not reach" in captured.err
+    assert "14,free" not in captured.out
 
 
 def test_strip_width_out_of_range(capsys):

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import sampler_reference
 from hardcore_entropy import bounds, oracles
-from hardcore_entropy.lattices import verify_hard_core
+from hardcore_entropy.lattices import LATTICES, build_lattice, verify_hard_core
 from hardcore_entropy import cli
 from hardcore_entropy.oracles import (
     PLANE_ENTROPY,
@@ -23,6 +25,37 @@ from hardcore_entropy.oracles import (
 )
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
+# torus sizes for the sampler: 8 x 8 tile grids of 16 tiles or more
+# (24x48, 8x128, 48x24, 32x32) and untiled ones
+SAMPLE_DIMS = ((24, 48), (6, 6), (8, 128), (48, 24), (12, 18), (32, 32),
+               (30, 12), (2, 2))
+
+
+@st.composite
+def _sample_cases(draw):
+    """(lattice, stage probabilities, dims) with dims a valid torus."""
+    lattice = draw(st.sampled_from(LATTICES))
+    spec = build_lattice(lattice)
+    k = spec.partite_count - draw(st.sampled_from((0, 1)))
+    params = tuple(draw(st.floats(0.05, 0.45)) for _ in range(k))
+    px, py = spec.period
+    dims = draw(st.sampled_from(
+        [(w, h) for w, h in SAMPLE_DIMS if w % px == 0 and h % py == 0]))
+    return lattice, params, dims
+
+
+def _blocking_constant_lower_by_fractions():
+    """blocking_constant_lower as a sum of Fractions, credit by credit."""
+    ring, triples = oracles._blocking_geometry()
+    index = {e: i for i, e in enumerate(ring)}
+    total = Fraction(0)
+    for bits in range(1 << len(ring)):
+        credit = Fraction(0)
+        for others in triples:
+            k = sum((bits >> index[e]) & 1 for e in others)
+            credit += Fraction(1, 1 + k)
+        total += credit
+    return total / (1 << len(ring))
 
 
 class TestOneDimensional:
@@ -182,7 +215,31 @@ class TestSampler:
                 means.append((indicator[tile] * where[tile]).astype(float).sum()
                              / where[tile].astype(float).sum())
         want = float(np.std(means, ddof=1)) / math.sqrt(len(means))
-        assert oracles._tile_stderr(indicator, where, 0.3) == want
+        hits = indicator & where
+        got = oracles._stderr(hits, oracles._tile_counts(where),
+                              int(where.sum()), 0.3)
+        assert got == want
+
+    def test_tile_counts_hold_full_tiles(self):
+        # 8 * 8 * 3 = 192 sites per tile: the largest count, no wrap-around
+        counts = oracles._tile_counts(np.ones((16, 24, 3), dtype=bool))
+        assert counts.shape == (2, 3)
+        assert (counts == 192).all()
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(case=_sample_cases(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(case=("triangular", (0.3, 0.2), (24, 48)), seed=1)
+    @example(case=("kagome", (0.1, 0.4), (6, 6)), seed=2)
+    @example(case=("square", (0.45,), (8, 128)), seed=3)
+    @example(case=("square_moore", (0.05, 0.2, 0.45), (8, 128)), seed=4)
+    def test_statistics_match_reference_sampler(self, case, seed):
+        lattice, params, dims = case
+        config, stats = fill_in_sample(lattice, params, dims, seed)
+        want_config, want_stats = sampler_reference.fill_in_sample(
+            lattice, params, dims, seed)
+        assert stats == want_stats
+        assert config.values.dtype == want_config.values.dtype
+        np.testing.assert_array_equal(config.values, want_config.values)
 
     def test_deterministic_per_seed(self):
         a, _ = fill_in_sample("square", (0.2,), (64, 64), seed=3)
@@ -226,6 +283,10 @@ class TestSampler:
 class TestBlockingConstants:
     def test_lower_is_exact(self):
         assert blocking_constant_lower() == Fraction(15, 8)
+
+    def test_lower_matches_fraction_sum(self):
+        assert blocking_constant_lower() == \
+            _blocking_constant_lower_by_fractions()
 
     def test_per_odd_share(self):
         assert blocking_share_per_odd_site() == Fraction(15, 32)
