@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Reproduce the three optimized bound tables from the library API.
 
-Runs every scheme through the multistart optimizer and prints the
+Runs every scheme through its optimizer and prints the
 resulting lower bounds (nats per site) with their sublattice densities.
 Takes a few seconds in total.
 """
@@ -20,7 +20,7 @@ if __name__ == "__main__":
     print("Closed-form staged fill-in, one Bernoulli parameter per stage:")
     for lattice in ("square", "honeycomb", "triangular", "kagome",
                     "square_moore"):
-        rep = optimize_closed_form(lattice, starts=8)
+        rep = optimize_closed_form(lattice)
         dens = ", ".join(f"{d:.4f}" for d in rep.densities)
         print(f"  {lattice:<13} {rep.value:.4f}  ({dens})")
 
@@ -29,13 +29,13 @@ if __name__ == "__main__":
     # ~3e-4 nats and gives a more believable trial measure
     print("\nDensity-equalized variants:")
     for lattice in ("square", "honeycomb"):
-        rep = optimize_equalized(lattice, starts=8)
+        rep = optimize_equalized(lattice)
         print(f"  {lattice:<13} {rep.value:.6f}  at density "
               f"{rep.densities[0]:.4f}")
 
     print("\nThree-tile clusters on one sublattice:")
     for lattice in ("honeycomb", "triangular"):
-        rep = optimize_three_hex(lattice, starts=8)
+        rep = optimize_three_hex(lattice)
         dens = ", ".join(f"{d:.4f}" for d in rep.densities)
         print(f"  {lattice:<13} {rep.value:.4f}  ({dens})")
 

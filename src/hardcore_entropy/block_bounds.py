@@ -135,8 +135,7 @@ def optimize_block_bound(family: BlockFamily, *, tol: float = optimize.TOL,
         e = np.exp(e - e.max())
         p = e / (w @ e)
     res = optimize.OptimizationResult(
-        argmax=p, value=value, iterations=iterations, starts_used=1,
-        starts_converged=int(stationarity <= tol),
+        argmax=p, value=value, iterations=iterations,
         converged=stationarity <= tol, stationarity=stationarity,
         gradient_norm_at_solution=float(np.linalg.norm(
             optimize.Domain([optimize.Simplex(w)]).projected_gradient(p, g))))
@@ -268,7 +267,6 @@ def density_profile(n: int, generator: BlockDistribution) -> DensityProfile:
 
 
 def equalized_unit_generator(family: BlockFamily, *,
-                             seed: int = 0, starts: int = optimize.STARTS,
                              tol: float = optimize.TOL,
                              max_iter: int = optimize.MAX_ITER
                              ) -> BlockDistribution:
@@ -282,6 +280,5 @@ def equalized_unit_generator(family: BlockFamily, *,
     """
     if family.n != 1:
         raise ValueError("unit generator needs the 1x1 family")
-    p = optimize_equalized("square", seed=seed, starts=starts, tol=tol,
-                           max_iter=max_iter).densities[0]
+    p = optimize_equalized("square", tol=tol, max_iter=max_iter).densities[0]
     return BlockDistribution(family, np.array([1.0 - p, p]))

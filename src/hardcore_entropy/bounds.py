@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from . import optimize
-from .optimize import MAX_ITER, STARTS, TOL
+from .optimize import MAX_ITER, TOL
 from .lattices import build_lattice
 
 LN2 = math.log(2.0)
@@ -307,21 +307,18 @@ THREE_HEX_SCHEMES = {
 _THREE_HEX_WEIGHTS = (1.0, 3.0, 3.0, 1.0)
 
 
-def optimize_closed_form(lattice, *, seed: int = 0, starts: int = STARTS,
-                         tol: float = TOL,
+def optimize_closed_form(lattice, *, tol: float = TOL,
                          max_iter: int = MAX_ITER) -> BoundReport:
     """Maximize the staged closed-form bound of one lattice over its
     Bernoulli parameters."""
     arity = build_lattice(lattice).partite_count - 1
     domain = optimize.Domain([optimize.Box(0.0, 1.0)] * arity)
     res = optimize.maximize(lambda x: _staged_value(lattice, (*x.T, 0.5)),
-                            domain, seed=seed, starts=starts, tol=tol,
-                            max_iter=max_iter)
+                            domain, tol=tol, max_iter=max_iter)
     return replace(staged_bound(lattice, res.argmax), meta=res.meta())
 
 
-def optimize_equalized(lattice, *, seed: int = 0, starts: int = STARTS,
-                       tol: float = TOL,
+def optimize_equalized(lattice, *, tol: float = TOL,
                        max_iter: int = MAX_ITER) -> BoundReport:
     """Maximize the density-equalized two-stage bound: the final stage is
     B(p') with p' = p / U_1(p), so both sublattice densities equal p."""
@@ -334,14 +331,12 @@ def optimize_equalized(lattice, *, seed: int = 0, starts: int = STARTS,
 
     domain = optimize.Domain([optimize.Box(0.0, EQUALIZED_CAPS[lattice])])
     res = optimize.maximize(lambda x: _staged_value(lattice, stages(x[:, 0])),
-                            domain, seed=seed, starts=starts, tol=tol,
-                            max_iter=max_iter)
+                            domain, tol=tol, max_iter=max_iter)
     p, p_prime = stages(res.argmax[:1])
     return replace(staged_bound(lattice, (p[0], p_prime[0])), meta=res.meta())
 
 
-def optimize_three_hex(lattice, *, seed: int = 0, starts: int = STARTS,
-                       tol: float = TOL,
+def optimize_three_hex(lattice, *, tol: float = TOL,
                        max_iter: int = MAX_ITER) -> BoundReport:
     """Maximize the three-tile cluster bound over the tile-count simplex
     (plus the dot-stage parameter on the triangular lattice)."""
@@ -350,6 +345,6 @@ def optimize_three_hex(lattice, *, seed: int = 0, starts: int = STARTS,
     boxes, value, report = THREE_HEX_SCHEMES[lattice]
     domain = optimize.Domain([optimize.Simplex(_THREE_HEX_WEIGHTS)]
                              + [optimize.Box(0.0, 1.0)] * boxes)
-    res = optimize.maximize(lambda x: value(x.T), domain, seed=seed,
-                            starts=starts, tol=tol, max_iter=max_iter)
+    res = optimize.maximize(lambda x: value(x.T), domain, tol=tol,
+                            max_iter=max_iter)
     return replace(report(res.argmax), meta=res.meta())

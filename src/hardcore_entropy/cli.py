@@ -36,7 +36,7 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 SCHEMES = ("closed", "equalized", "three-hex", "block")
 
@@ -73,7 +73,6 @@ class RunConfig:
     scheme: str = "closed"
     n: int = 3
     seed: int = 0
-    starts: int = optimize.STARTS
     tol: float = optimize.TOL
     max_iter: int = optimize.MAX_ITER
     out: str | None = None
@@ -86,11 +85,6 @@ class RunConfig:
     max_width: int = 12
     boundary: str = "free"
 
-    def optimizer_settings(self) -> dict:
-        """Keyword arguments shared by every optimizer driver."""
-        return {"seed": self.seed, "starts": self.starts, "tol": self.tol,
-                "max_iter": self.max_iter}
-
     def validate(self) -> None:
         if self.lattice != "all" and self.lattice not in LATTICES:
             raise ConfigError(f"unknown lattice {self.lattice!r}")
@@ -98,10 +92,10 @@ class RunConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if not 1 <= self.n <= 4:
             raise ConfigError("block size n must be in 1..4")
-        if self.starts < 1 or self.max_iter < 1:
-            raise ConfigError("starts and max_iter must be positive")
-        if not self.tol > 0:
-            raise ConfigError("tol must be positive")
+        if self.max_iter < 1:
+            raise ConfigError("max_iter must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError("tol must be positive and finite")
         if not 0.0 < self.href < math.log(2.0):
             raise ConfigError("href must lie in (0, ln 2)")
         if self.boundary not in ("free", "periodic", "both"):
@@ -119,8 +113,8 @@ class RunConfig:
 
 
 _CONFIG_PARSERS = {
-    "lattice": str, "scheme": str, "n": int, "seed": int, "starts": int,
-    "tol": float, "max_iter": int, "out": str, "cache_dir": str,
+    "lattice": str, "scheme": str, "n": int, "seed": int, "tol": float,
+    "max_iter": int, "out": str, "cache_dir": str,
     "href": float, "params": str, "dims": str, "generators": str,
     "width": int, "max_width": int, "boundary": str,
 }
@@ -175,16 +169,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="INI config file; flags win")
         p.add_argument("--seed", type=int,
-                       help="random seed (no effect on the block scheme)")
-        p.add_argument("--starts", type=int,
-                       help=f"optimizer starts (default {optimize.STARTS}; "
-                            "no effect on the block scheme)")
+                       help="random seed of verify and sample")
         p.add_argument("--tol", type=float,
                        help="log-space stationarity that stops the optimizer "
                             f"and defines converged (default {optimize.TOL:g})")
         p.add_argument("--max-iter", type=int, dest="max_iter",
-                       help="L-BFGS steps per start, over all its "
-                            "passes, or iterations of the block scheme")
+                       help="L-BFGS steps, or iterations of the block scheme")
         p.add_argument("--out", help="write the JSON or CSV payload here")
         p.add_argument("--cache-dir", dest="cache_dir",
                        help="block-family cache (default: $HC_CACHE_DIR)")
@@ -306,7 +296,7 @@ def cmd_bound(cfg: RunConfig) -> int:
     else:
         targets = (cfg.lattice,)
     reports = []
-    settings = cfg.optimizer_settings()
+    settings = {"tol": cfg.tol, "max_iter": cfg.max_iter}
     for lat in targets:
         if cfg.scheme == "closed":
             rep = bounds.optimize_closed_form(lat, **settings)
@@ -456,7 +446,6 @@ def cmd_profile(cfg: RunConfig) -> int:
     if any(not 1 <= g <= cfg.n for g in sizes):
         raise ConfigError(f"generator sides must lie in 1..{cfg.n}")
 
-    settings = cfg.optimizer_settings()
     generators = {}
     for g in sorted(set(sizes)):
         family = blocks.load_or_build_family(g, True, cfg.cache_dir)
@@ -464,7 +453,7 @@ def cmd_profile(cfg: RunConfig) -> int:
             # flat reference: the density-equalized single-site scheme,
             # comparable with the block optima whose densities agree
             generators[g] = block_bounds.equalized_unit_generator(
-                family, **settings)
+                family, tol=cfg.tol, max_iter=cfg.max_iter)
         else:
             generators[g], _ = block_bounds.optimize_block_bound(
                 family, tol=cfg.tol, max_iter=cfg.max_iter)

@@ -71,7 +71,7 @@ def test_criterion_01_closed_form_table():
     problems = []
     summary = []
     for lattice, (value, densities) in TABLE_CLOSED.items():
-        rep = optimize_closed_form(lattice, starts=8)
+        rep = optimize_closed_form(lattice)
         summary.append(f"{lattice} {rep.value:.4f}")
         if abs(rep.value - value) > 5e-4:
             problems.append(f"{lattice} value {rep.value:.5f} != {value}")
@@ -91,7 +91,7 @@ def test_criterion_02_typo_regressions():
     # variant of the tripartite closed form with the final exponent
     # fixed at 2 (only correct for the kagome lattice) instead of the
     # coordination-driven 3
-    tri = optimize_closed_form("triangular", starts=8)
+    tri = optimize_closed_form("triangular")
     p, q = tri.params["p"], tri.params["q"]
     s = 1.0 - (1.0 - p) * q
     wrong_tail = (entropy_bernoulli(p) + (1.0 - p) ** 3
@@ -99,7 +99,7 @@ def test_criterion_02_typo_regressions():
 
     # variant of the triangular cluster bound with the compact but
     # inconsistent third term 3 (p1 + p0(1-q)) a^3 (2-q)^2
-    th = optimize_three_hex("triangular", starts=8)
+    th = optimize_three_hex("triangular")
     pvec = (th.params["p0"], th.params["p1"], th.params["p2"],
             th.params["p3"])
     qq = th.params["q"]
@@ -124,7 +124,7 @@ def test_criterion_03_three_hex_table():
     problems = []
     summary = []
     for lattice, (value, densities) in TABLE_THREE_HEX.items():
-        rep = optimize_three_hex(lattice, starts=8)
+        rep = optimize_three_hex(lattice)
         summary.append(f"{lattice} {rep.value:.4f}")
         if abs(rep.value - value) > 1e-3:
             problems.append(f"{lattice} value {rep.value:.5f} != {value}")
@@ -191,8 +191,8 @@ def test_criterion_06_blocking_constants():
 
 
 def test_criterion_07_equalized_optima():
-    sq = optimize_equalized("square", starts=8)
-    hc = optimize_equalized("honeycomb", starts=8)
+    sq = optimize_equalized("square")
+    hc = optimize_equalized("honeycomb")
     ok = (abs(sq.value - 0.3921) <= 5e-4
           and abs(sq.densities[0] - 0.2015) <= 5e-3
           and abs(hc.value - 0.427875) <= 5e-4

@@ -209,7 +209,6 @@ class TestFixedPoint:
             meta = optima[n][1].meta
             assert meta["converged"] is True
             assert meta["stationarity"] <= optimize.TOL
-            assert meta["starts"] == 1
 
     def test_iteration_budget(self, optima):
         # a work counter, not a wall time, guards the speed of the solve:

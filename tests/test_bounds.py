@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -269,51 +267,30 @@ from hardcore_entropy.bounds import (  # noqa: E402
 @pytest.mark.parametrize("lattice", sorted(KNOWN_CLOSED))
 def test_optimize_closed_form_recovers_table(lattice):
     value, densities = KNOWN_CLOSED[lattice]
-    rep = optimize_closed_form(lattice, starts=8)
+    rep = optimize_closed_form(lattice)
     assert rep.value == pytest.approx(value, abs=5e-4)
     assert rep.densities == pytest.approx(densities, abs=5e-3)
     assert rep.meta["converged"]
 
 
 def test_optimize_equalized_recovers_table():
-    sq = optimize_equalized("square", starts=8)
+    sq = optimize_equalized("square")
     assert sq.value == pytest.approx(0.3921, abs=5e-4)
     assert sq.densities[0] == pytest.approx(sq.densities[1], abs=1e-9)
     assert sq.densities[0] == pytest.approx(0.2015, abs=5e-3)
-    hc = optimize_equalized("honeycomb", starts=8)
+    hc = optimize_equalized("honeycomb")
     assert hc.value == pytest.approx(0.427875, abs=5e-4)
     assert hc.densities[0] == pytest.approx(0.2284, abs=5e-3)
 
 
 def test_optimize_three_hex_recovers_table():
-    hc = optimize_three_hex("honeycomb", starts=8)
+    hc = optimize_three_hex("honeycomb")
     assert hc.value == pytest.approx(0.4304, abs=1e-3)
-    tri = optimize_three_hex("triangular", starts=8)
+    tri = optimize_three_hex("triangular")
     assert tri.value == pytest.approx(0.3265, abs=1e-3)
     # cluster bound must beat the single-site scheme it refines
-    assert hc.value > optimize_closed_form("honeycomb", starts=8).value
-    assert tri.value > optimize_closed_form("triangular", starts=8).value
-
-
-# the nine solves behind the closed, equalized and three-hex tables
-DRIVER_SOLVES = (
-    [(optimize_closed_form, lat) for lat in bounds.STAGE_UNFORCED]
-    + [(optimize_equalized, lat) for lat in bounds.EQUALIZED_CAPS]
-    + [(optimize_three_hex, lat) for lat in bounds.THREE_HEX_SCHEMES])
-
-
-@functools.cache
-def _seed_0_values():
-    return [driver(lat, seed=0).value for driver, lat in DRIVER_SOLVES]
-
-
-@settings(derandomize=True, deadline=None, max_examples=16)
-@given(seed=st.integers(1, 2 ** 32 - 1))
-def test_every_seed_reaches_the_seed_0_optimum(seed):
-    for (driver, lat), reference in zip(DRIVER_SOLVES, _seed_0_values()):
-        rep = driver(lat, seed=seed)
-        assert rep.meta["converged"]
-        assert abs(rep.value - reference) <= 1e-12
+    assert hc.value > optimize_closed_form("honeycomb").value
+    assert tri.value > optimize_closed_form("triangular").value
 
 
 def test_optimizer_driver_rejects_wrong_lattice():

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line front end (in-process)."""
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -32,11 +34,11 @@ def read_bundle(path, drop_out=True):
 def test_bound_closed_single_lattice(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(["bound", "--scheme", "closed", "--lattice", "square",
-                "--starts", "8", "--out", str(out)]) == 0
+                "--out", str(out)]) == 0
     table = capsys.readouterr().out
     assert "square" in table and "0.3924" in table
     bundle = read_bundle(out)
-    assert bundle["schema_version"] == 4
+    assert bundle["schema_version"] == 5
     assert bundle["command"] == "bound"
     (rep,) = bundle["reports"]
     assert rep["value_nats"] == pytest.approx(0.392421, abs=5e-4)
@@ -44,8 +46,7 @@ def test_bound_closed_single_lattice(tmp_path, capsys):
 
 
 def test_bound_all_lattices_five_rows(capsys):
-    assert run(["bound", "--scheme", "closed", "--lattice", "all",
-                "--starts", "6"]) == 0
+    assert run(["bound", "--scheme", "closed", "--lattice", "all"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 6  # header + five lattices
     for name in ("square", "honeycomb", "triangular", "kagome",
@@ -83,7 +84,7 @@ def test_bound_printed_table_pinned(capsys, scheme):
 
 def test_bound_block_scheme(tmp_path, capsys):
     out = tmp_path / "block.json"
-    assert run(["bound", "--scheme", "block", "--n", "2", "--starts", "8",
+    assert run(["bound", "--scheme", "block", "--n", "2",
                 "--out", str(out)]) == 0
     (rep,) = read_bundle(out)["reports"]
     assert rep["n"] == 2
@@ -102,7 +103,7 @@ def test_bound_block_reports_monotonicity(tmp_path, capsys):
 
 def test_bound_block_n4(tmp_path, capsys):
     out = tmp_path / "block4.json"
-    assert run(["bound", "--scheme", "block", "--n", "4", "--starts", "1",
+    assert run(["bound", "--scheme", "block", "--n", "4",
                 "--out", str(out)]) == 0
     (rep,) = read_bundle(out)["reports"]
     assert rep["optimizer"]["converged"] is True
@@ -141,15 +142,39 @@ def test_bound_non_finite_objective_exits_one(monkeypatch, capsys):
     # a numerical failure, not a configuration error
     monkeypatch.setattr(bounds, "_staged_value",
                         lambda lattice, probs: probs[0] * math.nan)
-    assert run(["bound", "--scheme", "closed", "--lattice", "square",
-                "--starts", "1"]) == 1
+    assert run(["bound", "--scheme", "closed", "--lattice", "square"]) == 1
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_bound_reports_do_not_depend_on_seed(tmp_path, capsys):
+    # the optimizer draws nothing: at this seed the honeycomb three-hex
+    # solve once ended with none of its random starts converged (exit 1)
+    for scheme in ("closed", "equalized", "three-hex"):
+        bundles = []
+        for seed in ("0", "1698599719"):
+            out = tmp_path / f"{scheme}-{seed}.json"
+            assert run(["bound", "--scheme", scheme, "--lattice", "all",
+                        "--seed", seed, "--out", str(out)]) == 0
+            bundles.append(read_bundle(out)["reports"])
+        assert bundles[0] == bundles[1]
+
+
+def test_bound_non_finite_tol_exits_two(tmp_path, capsys):
+    # an infinite tol would pass any point as converged after 0 steps
+    ini = tmp_path / "inf.ini"
+    ini.write_text("[bound]\ntol = inf\n", encoding="utf-8")
+    for args in (["--scheme", "closed", "--lattice", "square", "--tol", "inf"],
+                 ["--scheme", "block", "--n", "2", "--tol", "inf"],
+                 ["--scheme", "closed", "--lattice", "square", "--tol", "nan"],
+                 ["--scheme", "block", "--n", "2", "--config", str(ini)]):
+        assert run(["bound"] + args) == 2
+        assert "tol" in capsys.readouterr().err
 
 
 def test_bound_equalized_densities_agree(tmp_path, capsys):
     out = tmp_path / "eq.json"
     assert run(["bound", "--scheme", "equalized", "--lattice", "square",
-                "--starts", "8", "--out", str(out)]) == 0
+                "--out", str(out)]) == 0
     (rep,) = read_bundle(out)["reports"]
     d = rep["densities"]
     assert d[0] == pytest.approx(d[1], abs=1e-9)
@@ -208,7 +233,7 @@ def test_warm_cache_transparent_for_bound(tmp_path, capsys):
     cache = tmp_path / "cache"
     cold = tmp_path / "cold.json"
     warm = tmp_path / "warm.json"
-    args = ["bound", "--scheme", "block", "--n", "2", "--starts", "8",
+    args = ["bound", "--scheme", "block", "--n", "2",
             "--cache-dir", str(cache)]
     assert run(args + ["--out", str(cold)]) == 0
     assert run(args + ["--out", str(warm)]) == 0
@@ -246,7 +271,7 @@ def test_verify_href_out_of_range_is_config_error(capsys):
 def test_profile_three_generators(tmp_path, capsys):
     out = tmp_path / "profile.csv"
     assert run(["profile", "--n", "3", "--generators", "1,2,3",
-                "--starts", "6", "--out", str(out)]) == 0
+                "--out", str(out)]) == 0
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 30  # 3 curves, k = 0..9
@@ -290,13 +315,13 @@ def test_profile_unit_generator_honours_starts_and_tol(monkeypatch,
     real = bounds.optimize_equalized
 
     def recording(lattice, **kwargs):
-        seen.append((kwargs["starts"], kwargs["tol"], kwargs["max_iter"]))
+        seen.append(kwargs)
         return real(lattice, **kwargs)
 
     monkeypatch.setattr(block_bounds, "optimize_equalized", recording)
-    assert run(["profile", "--n", "2", "--generators", "1", "--starts", "3",
+    assert run(["profile", "--n", "2", "--generators", "1",
                 "--tol", "1e-8", "--max-iter", "500"]) == 0
-    assert seen == [(3, 1e-8, 500)]
+    assert seen == [{"tol": 1e-8, "max_iter": 500}]
 
 
 def test_profile_generator_larger_than_window(capsys):
@@ -415,20 +440,36 @@ def test_strip_unusable_out_path_exits_two(tmp_path, capsys):
 
 def test_config_file_sections_and_flag_priority(tmp_path, capsys):
     ini = tmp_path / "run.ini"
-    ini.write_text("[common]\nseed = 3\nstarts = 7\n"
+    ini.write_text("[common]\nseed = 3\nmax-iter = 70\n"
                    "[bound]\nscheme = equalized\nlattice = square\n",
                    encoding="utf-8")
     out = tmp_path / "r.json"
     assert run(["bound", "--config", str(ini), "--out", str(out)]) == 0
     cfg = read_bundle(out)["config"]
     assert cfg["seed"] == 3
-    assert cfg["starts"] == 7
+    assert cfg["max_iter"] == 70
     assert cfg["scheme"] == "equalized"
+    # the optimizer has no starts to set
+    stale = tmp_path / "stale.ini"
+    stale.write_text("[common]\nstarts = 7\n", encoding="utf-8")
+    assert run(["bound", "--config", str(stale)]) == 2
+    assert "starts" in capsys.readouterr().err
     # explicit flags win over the file
     out2 = tmp_path / "r2.json"
     assert run(["bound", "--config", str(ini), "--seed", "9",
                 "--out", str(out2)]) == 0
     assert read_bundle(out2)["config"]["seed"] == 9
+
+
+def test_flags_config_keys_and_run_config_agree():
+    # a setting lives in three places: RunConfig, the config-file parsers
+    # and the subcommands' flags; none may keep one the others dropped
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)} - {"command"}
+    (subparsers,) = [a for a in cli._build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for p in subparsers.choices.values() for a in p._actions
+             if a.dest not in ("help", "config")}
+    assert fields == set(cli._CONFIG_PARSERS) == dests
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
@@ -480,6 +521,8 @@ def test_main_calls_share_no_state(tmp_path, capsys):
 
 def test_unknown_flag_exits_two(capsys):
     assert run(["bound", "--no-such-flag"]) == 2
+    # the optimizer has one start, and no flag to set more
+    assert run(["bound", "--scheme", "closed", "--starts", "8"]) == 2
 
 
 def test_help_exits_zero(capsys):
@@ -500,8 +543,7 @@ def test_import_does_not_load_scipy_stats():
 def test_bound_json_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    args = ["bound", "--scheme", "closed", "--lattice", "honeycomb",
-            "--starts", "8"]
+    args = ["bound", "--scheme", "closed", "--lattice", "honeycomb"]
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
     assert read_bundle(a) == read_bundle(b)

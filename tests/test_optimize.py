@@ -10,8 +10,7 @@ from hardcore_entropy.bounds import (
     staged_bound,
 )
 from hardcore_entropy.optimize import (
-    FD_STEP, SPREAD, Box, Domain, OptimizationResult, Simplex, _start_points,
-    maximize,
+    FD_STEP, Box, Domain, OptimizationResult, Simplex, maximize,
 )
 
 UNIT = Domain((Box(0.0, 1.0),))
@@ -23,7 +22,7 @@ def rows(f):
 
 
 def test_quadratic_box():
-    res = maximize(lambda x: -(x[:, 0] - 0.3) ** 2, UNIT, starts=4)
+    res = maximize(lambda x: -(x[:, 0] - 0.3) ** 2, UNIT)
     assert res.argmax[0] == pytest.approx(0.3, abs=1e-7)
     assert res.value == pytest.approx(0.0, abs=1e-12)
     assert res.converged
@@ -38,39 +37,14 @@ def test_converged_is_stationarity_within_tol():
 
     tol = 1e-9
     for max_iter in (1, 2000):
-        res = maximize(obj, dom, tol=tol, starts=2, max_iter=max_iter)
+        res = maximize(obj, dom, tol=tol, max_iter=max_iter)
         assert res.converged == (res.stationarity <= tol)
         assert res.converged == (max_iter > 1)
 
 
-def test_start_that_met_stopping_rule_wins():
-    # x = 1/2 is a stationary local maximum (value 0); the values rise
-    # towards x = 1 (1/4), but starts cut short there have not converged
-    def obj(x):
-        u = x[:, 0] - 0.5
-        return u * u * (4 * u - 1)
-
-    short = maximize(obj, UNIT, starts=4, max_iter=2)
-    assert short.converged and short.value == 0.0
-    full = maximize(obj, UNIT, starts=4)
-    assert full.converged and full.value == pytest.approx(0.25, abs=1e-8)
-
-
-def test_start_points_center_then_seeded_uniform():
-    pts = np.array(_start_points(5, 16, seed=3))
-    assert pts.shape == (16, 5)
-    assert (pts[0] == 0.0).all()
-    assert (np.abs(pts[1:]) <= SPREAD).all()
-    assert len(np.unique(pts, axis=0)) == 16
-    np.testing.assert_array_equal(pts, _start_points(5, 16, seed=3))
-    assert not np.array_equal(pts, _start_points(5, 16, seed=4))
-    assert len(_start_points(5, 1, seed=3)) == 1
-    assert (_start_points(5, 1, seed=3)[0] == 0.0).all()
-
-
 def test_entropy_simplex_uniform():
     dom = Domain((Simplex((1.0,) * 4),))
-    res = maximize(lambda x: -(x * np.log(x)).sum(axis=1), dom, starts=4)
+    res = maximize(lambda x: -(x * np.log(x)).sum(axis=1), dom)
     assert np.allclose(res.argmax, 0.25, atol=1e-6)
     assert res.value == pytest.approx(math.log(4), abs=1e-10)
 
@@ -78,7 +52,7 @@ def test_entropy_simplex_uniform():
 def test_weighted_simplex_constraint_holds():
     w = (1.0, 4.0, 4.0, 2.0, 4.0, 1.0)
     dom = Domain((Simplex(w),))
-    res = maximize(lambda x: -(x ** 2).sum(axis=1), dom, starts=2)
+    res = maximize(lambda x: -(x ** 2).sum(axis=1), dom)
     assert abs(np.dot(w, res.argmax) - 1.0) < 1e-10
     assert (res.argmax > 0).all()
 
@@ -89,16 +63,19 @@ def test_determinism_bit_for_bit():
     def obj(x):
         return -(x[:, :4] ** 2).sum(axis=1) - (x[:, 4] - 0.4) ** 2
 
-    a = maximize(obj, dom, seed=7, starts=8)
-    b = maximize(obj, dom, seed=7, starts=8)
+    a = maximize(obj, dom)
+    b = maximize(obj, dom)
+    assert a.iterations > 0
     assert a.value == b.value
     assert np.array_equal(a.argmax, b.argmax)
     assert a.iterations == b.iterations
+    assert a.stationarity == b.stationarity
+    assert a.gradient_norm_at_solution == b.gradient_norm_at_solution
 
 
 def test_non_finite_objective_reports_point():
     with pytest.raises(ValueError, match="non-finite"):
-        maximize(lambda x: np.full(len(x), np.nan), UNIT, starts=1)
+        maximize(lambda x: np.full(len(x), np.nan), UNIT)
 
 
 def test_non_finite_row_is_named():
@@ -111,71 +88,57 @@ def test_non_finite_row_is_named():
         return np.where(np.arange(len(x)) >= 3, np.inf, 0.0)
 
     with pytest.raises(ValueError) as err:
-        maximize(obj, dom, starts=1)
+        maximize(obj, dom)
     assert str(err.value) == \
         f"objective returned non-finite value inf at {first_bad}"
 
 
-def record_passes(monkeypatch, d):
-    """A list that collects (stacked starts, nfev) of each L-BFGS pass of
-    dimension-d solves."""
-    passes = []
+def record_solves(monkeypatch):
+    """A list that collects the result of each L-BFGS solve."""
+    solves = []
     minimize = optimize.minimize
 
     def counted(fun, x0, **kwargs):
-        res = minimize(fun, x0, **kwargs)
-        passes.append((len(x0) // d, res.nfev))
-        return res
+        solves.append(minimize(fun, x0, **kwargs))
+        return solves[-1]
 
     monkeypatch.setattr(optimize, "minimize", counted)
-    return passes
+    return solves
 
 
 def test_one_objective_call_per_evaluation(monkeypatch):
-    """One call on the 2d + 1 rows of every start, then one call on the
-    k (2d + 1) rows of the k stacked starts per L-BFGS evaluation of each
-    pass, then one call on 2d rows for the x-space gradient norm."""
-    calls, passes = [], record_passes(monkeypatch, 5)
+    """One call on the 2d + 1 rows of the center, one per L-BFGS
+    evaluation, one more at the solve's last iterate, then one call on 2d
+    rows for the x-space gradient norm."""
+    calls, solves = [], record_solves(monkeypatch)
     dom = Domain((Simplex((1.0, 3.0, 3.0, 1.0)), Box(0.0, 1.0)))
 
     def obj(x):
         calls.append(len(x))
         return -(x[:, :4] ** 2).sum(axis=1) - (x[:, 4] - 0.4) ** 2
 
-    res = maximize(obj, dom, starts=3)
-    assert res.converged and res.starts_converged == 3
-    assert passes and passes[0][0] == 3
-    assert calls[0] == 3 * 11 and calls[-1] == 10
-    assert calls[1:-1] == [k * 11 for k, nfev in passes for _ in range(nfev)]
+    res = maximize(obj, dom)
+    assert res.converged and len(solves) == 1
+    assert res.iterations == solves[0].nit > 0
+    assert calls == [11] * (solves[0].nfev + 2) + [10]
 
 
 def test_frozen_start_is_not_moved(monkeypatch):
     # the center of a symmetric objective is stationary from the start:
-    # it is never handed to L-BFGS, and only the other starts are stacked
-    passes = record_passes(monkeypatch, 1)
-    res = maximize(lambda x: -(x[:, 0] - 0.5) ** 2, UNIT, starts=4)
-    assert passes[0][0] == 3
+    # L-BFGS never runs, and the center is the result
+    solves = record_solves(monkeypatch)
+    res = maximize(lambda x: -(x[:, 0] - 0.5) ** 2, UNIT)
+    assert solves == []
     assert res.argmax[0] == 0.5 and res.value == 0.0
-    assert res.stationarity == 0.0 and res.starts_converged == 4
-
-
-def test_retry_pass_converges_starts_left_above_tol(monkeypatch):
-    # at seed 0 the stacked three-hex triangular solve stops its first
-    # pass on the summed value with some blocks just above tol; a fresh
-    # stacked pass on those starts alone brings every start within tol
-    passes = record_passes(monkeypatch, 5)
-    rep = bounds.optimize_three_hex("triangular", seed=0)
-    assert len(passes) == 2 and passes[0][0] == 16
-    assert 0 < passes[1][0] < 16
-    assert rep.meta["starts_converged"] == 16 and rep.meta["converged"]
+    assert res.stationarity == 0.0 and res.iterations == 0 and res.converged
 
 
 def test_table_objective_calls_work_counter(monkeypatch, capsys):
-    """The closed, equalized and three-hex tables at --seed 1 (9 solves of
-    16 starts) stay within 400 objective evaluations, each one mapping of
-    probe points by Domain.to_interior, and far below one L-BFGS run per
-    start (1,712 evaluations, 144 runs)."""
-    maps, passes = [], record_passes(monkeypatch, 1)
+    """The closed, equalized and three-hex tables (9 solves) take one
+    L-BFGS solve each and at most 120 objective evaluations in all, each
+    one mapping of probe points by Domain.to_interior; 16 starts per
+    solve took 288 maps."""
+    maps, solves = [], record_solves(monkeypatch)
     to_interior = Domain.to_interior
 
     def counted(self, t):
@@ -184,10 +147,9 @@ def test_table_objective_calls_work_counter(monkeypatch, capsys):
 
     monkeypatch.setattr(Domain, "to_interior", counted)
     for scheme in ("closed", "equalized", "three-hex"):
-        assert cli.main(["bound", "--scheme", scheme, "--lattice", "all",
-                         "--seed", "1"]) == 0
-    assert len(maps) <= 400
-    assert len(passes) <= 27
+        assert cli.main(["bound", "--scheme", scheme, "--lattice", "all"]) == 0
+    assert len(solves) == 9
+    assert len(maps) <= 120
 
 
 def test_out_of_range_probe_row_raises():
@@ -197,7 +159,7 @@ def test_out_of_range_probe_row_raises():
     assert dom.to_interior(np.zeros(1))[0] <= 1.0
     with pytest.raises(ValueError, match="outside"):
         maximize(lambda x: bounds._staged_value("square", (x[:, 0], 0.5)),
-                 dom, starts=1)
+                 dom)
 
 
 def test_gradient_check_bipartite():
@@ -222,7 +184,7 @@ def test_projected_gradient_small_at_three_hex_optimum():
     def obj(x):
         return bound_three_hex_honeycomb(tuple(x)).value
 
-    res = maximize(rows(obj), dom, seed=0, starts=8)
+    res = maximize(rows(obj), dom)
     opt = np.asarray(res.argmax)
     g = np.empty(4)
     h = 1e-6
@@ -261,7 +223,7 @@ RECOVERY_CASES = [
                          RECOVERY_CASES, ids=[c[0] for c in RECOVERY_CASES])
 def test_known_optimum_recovery(name, obj, dom, val, params):
     t0 = time.monotonic()
-    res = maximize(rows(obj), dom, seed=0, starts=16)
+    res = maximize(rows(obj), dom)
     assert time.monotonic() - t0 < 10.0
     assert res.value == pytest.approx(val, abs=5e-4)
     assert np.asarray(res.argmax) == pytest.approx(np.asarray(params), abs=5e-3)
@@ -286,12 +248,12 @@ def _equalized_value(lattice):
 def test_equalized_optima_recovered():
     # equalization is only feasible up to p about 0.2755 on the square
     res = maximize(rows(_equalized_value("square")),
-                   Domain((Box(0.0, 0.275),)), starts=8)
+                   Domain((Box(0.0, 0.275),)))
     assert res.value == pytest.approx(0.3921, abs=5e-4)
     assert res.argmax[0] == pytest.approx(0.2015, abs=5e-3)
     # honeycomb equalization feasible while p (1-p)^-3 <= 1, i.e. p <= 0.3177
     res = maximize(rows(_equalized_value("honeycomb")),
-                   Domain((Box(0.0, 0.317),)), starts=8)
+                   Domain((Box(0.0, 0.317),)))
     assert res.value == pytest.approx(0.427875, abs=5e-4)
     assert res.argmax[0] == pytest.approx(0.2284, abs=5e-3)
 
@@ -300,7 +262,7 @@ def test_three_hex_triangular_joint_recovery():
     dom = Domain((Simplex((1.0, 3.0, 3.0, 1.0)), Box(0.0, 1.0)))
     res = maximize(
         rows(lambda x: bound_three_hex_triangular(tuple(x[:4]), x[4]).value),
-        dom, seed=0, starts=16)
+        dom)
     assert res.value == pytest.approx(0.3265, abs=5e-4)
     assert res.argmax[4] == pytest.approx(0.25, abs=1e-2)
 
@@ -320,7 +282,7 @@ def test_rejected_variant_formulas_fail_reference_values():
     at_ref = tripartite_squared_tail([0.1457, 0.2501])
     assert at_ref == pytest.approx(0.344, abs=1e-3)
     res = maximize(rows(tripartite_squared_tail),
-                   Domain((Box(0.0, 1.0), Box(0.0, 1.0))), starts=8)
+                   Domain((Box(0.0, 1.0), Box(0.0, 1.0))))
     assert res.value >= at_ref - 1e-9
     assert abs(res.value - 0.3253) > 5e-3
 
