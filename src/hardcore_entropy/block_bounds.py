@@ -136,9 +136,7 @@ def optimize_block_bound(family: BlockFamily, *, tol: float = optimize.TOL,
         p = e / (w @ e)
     res = optimize.OptimizationResult(
         argmax=p, value=value, iterations=iterations,
-        converged=stationarity <= tol, stationarity=stationarity,
-        gradient_norm_at_solution=float(np.linalg.norm(
-            optimize.Domain([optimize.Simplex(w)]).projected_gradient(p, g))))
+        converged=stationarity <= tol, stationarity=stationarity)
     dist = BlockDistribution(family, p)
     # monotonicity is reported only: a violation marks a suboptimal point,
     # and any class distribution still gives a valid lower bound

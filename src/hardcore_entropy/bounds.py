@@ -10,11 +10,13 @@ three-hex bounds fill the first stage with tile clusters instead.  All
 values are nats per full-lattice site.
 
 Each formula is written once and broadcasts: its parameters are floats or
-equal-length columns, one entry per point, so the optimizer evaluates a
-whole batch of points in one call and every entry is validated.  The
+equal-length columns, real or complex, one entry per point, so the
+optimizer evaluates a whole batch of points in one call and every entry
+is validated.  Nothing casts to float, so a complex-step point carries
+its derivative through every formula; the checks read real parts.  The
 report builders pass one-row columns, so a report's value is bit-for-bit
-the optimizer's value at the same point (numpy's vectorized power can
-round differently from a scalar one).
+the same formula as the optimizer's at the same point (numpy's vectorized
+power can round differently from a scalar one).
 
 Convention 0 * ln 0 = 0 throughout.
 """
@@ -34,8 +36,9 @@ LN2 = math.log(2.0)
 
 
 def _check_prob(p, name: str = "p"):
-    """p, a float or an array, once every entry is in [0, 1]."""
-    a = np.asarray(p, dtype=float)
+    """p, a float or an array, real or complex, once the real part of
+    every entry is in [0, 1]."""
+    a = np.asarray(p).real
     if not (a.min() >= 0.0 and a.max() <= 1.0):
         bad = a[~((a >= 0.0) & (a <= 1.0))].flat[0]
         raise ValueError(f"{name}={bad} outside [0, 1]")
@@ -55,22 +58,24 @@ def check_three_hex(pvec) -> np.ndarray:
     p_k is the per-arrangement probability of a three-tile cluster carrying
     exactly k ones; the k=1 and k=2 levels each have 3 arrangements, so the
     normalization is p0 + 3 p1 + 3 p2 + p3 = 1.  Returns the entries as
-    one array, slightly negative ones clipped to 0.
+    one array, real or complex, the real parts of slightly negative ones
+    clipped to 0.  Only real parts are checked.
     """
-    p = np.array(pvec, dtype=float)
+    p = np.array(pvec, dtype=np.result_type(*pvec, 1.0))
     if len(p) != 4:
         raise ValueError(f"three-hex parameter has {len(p)} entries, not 4")
     rows = p.reshape(4, -1)
-    low = rows.min(axis=0) < -optimize.PROB_NEG_TOL
+    low = rows.real.min(axis=0) < -optimize.PROB_NEG_TOL
     if low.any():
-        raise ValueError(f"three-hex entries {rows[:, low.argmax()].tolist()} "
-                         f"not >= 0")
-    total = rows[0] + 3 * rows[1] + 3 * rows[2] + rows[3]
+        raise ValueError(f"three-hex entries "
+                         f"{rows[:, low.argmax()].real.tolist()} not >= 0")
+    total = (rows[0] + 3 * rows[1] + 3 * rows[2] + rows[3]).real
     off = abs(total - 1.0) > optimize.PROB_SUM_TOL
     if off.any():
         raise ValueError(f"three-hex normalization p0+3p1+3p2+p3="
                          f"{total[off.argmax()]} != 1")
-    return np.maximum(p, 0.0)
+    np.maximum(p.real, 0.0, out=p.real)
+    return p
 
 
 def entropy_three_hex(pvec):

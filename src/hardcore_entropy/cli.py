@@ -36,7 +36,7 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 SCHEMES = ("closed", "equalized", "three-hex", "block")
 

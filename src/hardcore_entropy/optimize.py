@@ -9,11 +9,13 @@ quasi-Newton method applies directly:
   sum_i w_i x_i = 1 with x_i > 0.  The three-hex bounds range over such a
   simplex of tile-count probabilities, with weights 1, 3, 3, 1.
 
-Objectives are batched: an objective takes an (m, size) array of points,
-one per row, and returns their m values.  A point t is evaluated on the
-2d + 1 rows t, t + h e_1, ..., t + h e_d, t - h e_1, ..., t - h e_d
-(h = FD_STEP), mapped to x, in one objective call; row 0 is the value and
-the central difference of the other rows is d objective/d t.
+Objectives are batched and complex-safe: an objective takes an (m, size)
+array of points, one per row, and returns their m values, and every
+formula it applies is analytic.  A point t is evaluated by a complex step
+(Squire & Trapp 1998): one objective call on the d rows t + i h e_k
+(h = STEP), mapped to x.  The real part of a row's value is the value at
+t, and the imaginary part of row k over h is d objective/d t_k, exact to
+rounding since nothing is subtracted.
 
 One stopping rule: the solve stops when the inf-norm of that gradient is
 at most `tol`, and a result is converged exactly when that norm (its
@@ -21,12 +23,12 @@ at most `tol`, and a result is converged exactly when that norm (its
 log-space KKT residual, so coordinates of tiny probability weigh in at
 their own scale.
 
-One start: L-BFGS-B runs once from the domain center t = 0, unless the
-center already meets the rule.  The bounds maximized here are smooth
-closed forms of at most five parameters, and the center converges each
-of them.  No second method runs after L-BFGS, and nothing is random, so
-results are reproducible bit-for-bit for a fixed (objective, domain,
-settings).
+One start: L-BFGS-B runs once from the domain center t = 0 and stops
+there after one evaluation if the center already meets the rule.  The
+bounds maximized here are smooth closed forms of at most five
+parameters, and the center converges each of them.  No second method
+runs after L-BFGS, and nothing is random, so results are reproducible
+bit-for-bit for a fixed (objective, domain, settings).
 """
 from __future__ import annotations
 
@@ -38,7 +40,10 @@ from scipy.optimize import minimize
 BOX_EPS = 1e-12
 # the one stationarity tolerance: inf-norm of d objective/d t
 TOL = 1e-9
-FD_STEP = 1e-6
+# the complex step.  STEP**2 underflows to 0, so a product of two stepped
+# quantities adds nothing to the real part, which stays the value at the
+# real point (with 1e-30, -(x - 0.5)**2 would read 6.25e-62 at x = 0.5)
+STEP = 1e-170
 MAX_ITER = 2000  # L-BFGS iteration cap
 # how far a probability vector may stray from its simplex: sum and entries
 PROB_SUM_TOL = 1e-10
@@ -95,46 +100,22 @@ class Domain:
 
     def to_interior(self, t: np.ndarray) -> np.ndarray:
         """Map unconstrained coordinates to feasible interior points, row
-        by row along the last axis."""
-        x = np.empty_like(t, dtype=float)
+        by row along the last axis; complex t gives complex points."""
+        x = np.empty(t.shape, np.result_type(t, float))
         i = 0
         for c in self.components:
-            ti = t[..., i:i + c.size]
+            ti, xi = t[..., i:i + c.size], x[..., i:i + c.size]
             if isinstance(c, Box):
-                s = 1.0 / (1.0 + np.exp(-ti[..., 0]))
-                x[..., i] = np.clip(c.lo + (c.hi - c.lo) * s,
-                                    c.lo + BOX_EPS, c.hi - BOX_EPS)
+                s = 1.0 / (1.0 + np.exp(-ti))
+                xi[...] = c.lo + (c.hi - c.lo) * s
+                np.clip(xi.real, c.lo + BOX_EPS, c.hi - BOX_EPS, out=xi.real)
             else:
-                e = np.exp(ti - ti.max(axis=-1, keepdims=True))
+                e = np.exp(ti - ti.real.max(axis=-1, keepdims=True))
                 # a row sum of products, not a matrix product, so a row
                 # rounds the same alone as in a batch
-                x[..., i:i + c.size] = e / (e * c.weights).sum(
-                    axis=-1, keepdims=True)
+                xi[...] = e / (e * c.weights).sum(axis=-1, keepdims=True)
             i += c.size
         return x
-
-    def renormalize(self, x) -> np.ndarray:
-        """x with each simplex block of each row rescaled to weighted sum 1."""
-        x = np.array(x, dtype=float)
-        i = 0
-        for c in self.components:
-            if isinstance(c, Simplex):
-                block = x[..., i:i + c.size]
-                block /= (block * c.weights).sum(axis=-1, keepdims=True)
-            i += c.size
-        return x
-
-    def projected_gradient(self, x, g) -> np.ndarray:
-        """Gradient projected onto the feasible directions at an interior x."""
-        pg = np.array(g, dtype=float)
-        i = 0
-        for c in self.components:
-            if isinstance(c, Simplex):
-                w = np.asarray(c.weights)
-                gi = pg[i:i + c.size]
-                pg[i:i + c.size] = gi - w * (gi @ w) / (w @ w)
-            i += c.size
-        return pg
 
 
 @dataclass
@@ -144,68 +125,49 @@ class OptimizationResult:
     iterations: int
     converged: bool
     stationarity: float
-    gradient_norm_at_solution: float
 
     def meta(self) -> dict:
         """The optimizer fields a bound report carries into its bundle."""
         return {"iterations": self.iterations, "converged": self.converged,
-                "stationarity": self.stationarity,
-                "gradient_norm": self.gradient_norm_at_solution}
+                "stationarity": self.stationarity}
 
 
 def maximize(objective, domain: Domain, *, tol: float = TOL,
              max_iter: int = MAX_ITER) -> OptimizationResult:
-    """Maximize `objective` over `domain` by L-BFGS from the domain center.
+    """Maximize `objective` over `domain` by one L-BFGS-B solve from the
+    domain center.
 
     objective takes an (m, domain.size) array of points, one per row, and
-    returns their m values.  Evaluating a point t is one call on the rows
-    t and t +- FD_STEP e_i, mapped into the domain.  The center t = 0 is
-    evaluated first; unless it is already within `tol`, one L-BFGS-B solve
-    of at most `max_iter` steps runs from it, and its last iterate is
-    evaluated once more.  `stationarity` is the inf-norm of the t-gradient
-    there, and the result is converged exactly when it is at most `tol`.
-    The x-space projected-gradient norm is reported alongside, from one
-    more call on difference probes rescaled back onto each simplex.  A
-    non-finite value in any row raises ValueError naming that row's point.
+    returns their m values; it must accept complex points.  Evaluating a
+    point t is one call on the d rows t + i STEP e_k, mapped into the
+    domain: the real part of any row's value is the value at t, and the
+    imaginary parts over STEP are the exact t-gradient.  The solve takes at
+    most `max_iter` steps; `stationarity` is the inf-norm of the t-gradient
+    at its last iterate, and the result is converged exactly when that is
+    at most `tol`.  A center already within `tol` is the result after one
+    evaluation.  A non-finite value in any row raises ValueError naming
+    that row's real point.
     """
     d = domain.size
-    # row 0 is the point itself, rows 1..2d its +- FD_STEP probes
-    offsets = FD_STEP * np.vstack([np.zeros(d), np.eye(d), -np.eye(d)])
+    steps = 1j * STEP * np.eye(d)
 
-    def values(x):
-        v = np.asarray(objective(x), dtype=float)
+    def neg(t):
+        """Minus the value and minus the t-gradient (d,) at t (d,)."""
+        x = domain.to_interior(t + steps)
+        v = np.asarray(objective(x))
         bad = ~np.isfinite(v)
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(
-                f"objective returned non-finite value {v[i]} at {x[i]}")
-        return v
+                f"objective returned non-finite value {v[i]} at {x[i].real}")
+        return -v[0].real, -v.imag / STEP
 
-    def evaluate(t):
-        """The value and the t-gradient (d,) at t (d,)."""
-        v = values(domain.to_interior(t + offsets))
-        return v[0], (v[1:d + 1] - v[d + 1:]) / (2 * FD_STEP)
-
-    def neg(t):
-        f, g = evaluate(t)
-        return -f, -g
-
-    t = np.zeros(d)
-    f, g = evaluate(t)
-    iterations = 0
-    if np.abs(g).max() > tol:
-        # ftol = 0: only the gradient test (gtol) ends the solve normally
-        res = minimize(neg, t, jac=True, method="L-BFGS-B",
-                       options={"maxiter": max_iter, "ftol": 0.0,
-                                "gtol": tol, "maxcor": 20})
-        t, iterations = res.x, res.nit
-        f, g = evaluate(t)
-    stationarity = float(np.abs(g).max())
-    x = domain.to_interior(t)
-    v = values(domain.renormalize(x + offsets[1:]))
-    gx = (v[:d] - v[d:]) / (2 * FD_STEP)
-    gnorm = float(np.linalg.norm(domain.projected_gradient(x, gx)))
+    # ftol = 0: only the gradient test (gtol) ends the solve normally
+    res = minimize(neg, np.zeros(d), jac=True, method="L-BFGS-B",
+                   options={"maxiter": max_iter, "ftol": 0.0, "gtol": tol,
+                            "maxcor": 20})
+    stationarity = float(np.abs(res.jac).max())
     return OptimizationResult(
-        argmax=x, value=float(f), iterations=int(iterations),
-        converged=stationarity <= tol, stationarity=stationarity,
-        gradient_norm_at_solution=gnorm)
+        argmax=domain.to_interior(res.x), value=float(-res.fun),
+        iterations=int(res.nit), converged=stationarity <= tol,
+        stationarity=stationarity)

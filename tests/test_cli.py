@@ -38,7 +38,7 @@ def test_bound_closed_single_lattice(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "square" in table and "0.3924" in table
     bundle = read_bundle(out)
-    assert bundle["schema_version"] == 5
+    assert bundle["schema_version"] == 6
     assert bundle["command"] == "bound"
     (rep,) = bundle["reports"]
     assert rep["value_nats"] == pytest.approx(0.392421, abs=5e-4)
