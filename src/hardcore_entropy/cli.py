@@ -7,17 +7,21 @@ configurations, and ``strip`` tabulates transfer-matrix strip entropies.
 
 Exit codes: 0 all checks pass, 1 numerical failure, 2 bad configuration
 or path.  Reports are JSON (schema versioned, deterministic for a fixed
-config and seed apart from the timing field); profiles and strip tables
-are CSV.  A flat INI config file can preload any flag: values from the
-``[common]`` section apply to every command, a section named after the
-subcommand applies to it alone, and explicit flags win over both.
+config apart from the timing field); profiles and strip tables are CSV.
+
+``OPTIONS`` gives each setting's type, default, help, valid values and
+the subcommands that read it.  A subcommand's flags, its config-file keys
+and its config (a namespace of exactly the options it reads) come from
+that table, so an option it does not read exits 2.  A flat INI config
+file can preload flags: a section named after the subcommand applies to
+it alone, ``[common]`` values apply to the subcommands that read them,
+and explicit flags win over both.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -25,6 +29,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -36,9 +41,7 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
-SCHEMA_VERSION = 6
-
-SCHEMES = ("closed", "equalized", "three-hex", "block")
+SCHEMA_VERSION = 7
 
 _SCHEME_LATTICES = {
     "closed": tuple(bounds.STAGE_UNFORCED),
@@ -59,74 +62,87 @@ _DEFAULT_SAMPLE_DIMS = {
 
 _SAMPLE_Z_LIMIT = 5.0
 
+COMMANDS = {
+    "bound": "optimize an entropy lower bound",
+    "reduce": "build or load a block family",
+    "verify": "run the oracle cross-checks",
+    "profile": "occupancy profiles as CSV",
+    "sample": "draw one fill-in configuration",
+    "strip": "strip entropies as CSV",
+}
+
 
 class ConfigError(Exception):
     """Invalid run configuration; maps to exit code 2."""
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Validated settings for one CLI invocation."""
+class Option(NamedTuple):
+    """One setting: a flag ``--name`` and a config key ``name``."""
 
-    command: str
-    lattice: str = "all"
-    scheme: str = "closed"
-    n: int = 3
-    seed: int = 0
-    tol: float = optimize.TOL
-    max_iter: int = optimize.MAX_ITER
-    out: str | None = None
-    cache_dir: str | None = None
-    href: float = oracles.PLANE_ENTROPY
-    params: str | None = None
-    dims: str | None = None
-    generators: str = "1,2,3"
-    width: int | None = None
-    max_width: int = 12
-    boundary: str = "free"
-
-    def validate(self) -> None:
-        if self.lattice != "all" and self.lattice not in LATTICES:
-            raise ConfigError(f"unknown lattice {self.lattice!r}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if not 1 <= self.n <= 4:
-            raise ConfigError("block size n must be in 1..4")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be positive")
-        if not 0 < self.tol < math.inf:
-            raise ConfigError("tol must be positive and finite")
-        if not 0.0 < self.href < math.log(2.0):
-            raise ConfigError("href must lie in (0, ln 2)")
-        if self.boundary not in ("free", "periodic", "both"):
-            raise ConfigError(f"unknown boundary {self.boundary!r}")
-        for name, w in (("width", self.width), ("max-width", self.max_width)):
-            if w is not None and not 1 <= w <= oracles.MAX_STRIP_WIDTH:
-                raise ConfigError(
-                    f"{name} must be in 1..{oracles.MAX_STRIP_WIDTH}")
-        if self.command == "bound":
-            allowed = _SCHEME_LATTICES[self.scheme]
-            if self.lattice != "all" and self.lattice not in allowed:
-                raise ConfigError(
-                    f"scheme {self.scheme!r} supports lattices "
-                    f"{', '.join(allowed)}")
+    type: type
+    default: object
+    readers: tuple[str, ...]
+    help: str
+    valid: Callable[[object], bool] | None = None
+    rule: str = ""
 
 
-_CONFIG_PARSERS = {
-    "lattice": str, "scheme": str, "n": int, "seed": int, "tol": float,
-    "max_iter": int, "out": str, "cache_dir": str,
-    "href": float, "params": str, "dims": str, "generators": str,
-    "width": int, "max_width": int, "boundary": str,
+def _one_of(*values: str) -> tuple:
+    return (lambda v: v in values), "one of " + ", ".join(values)
+
+
+_WIDTHS = ((lambda w: 1 <= w <= oracles.MAX_STRIP_WIDTH),
+           f"in 1..{oracles.MAX_STRIP_WIDTH}")
+
+
+OPTIONS = {
+    "lattice": Option(str, "all", ("bound", "sample"),
+                      "lattice; all (bound only) runs every lattice of "
+                      "the scheme", *_one_of(*LATTICES, "all")),
+    "scheme": Option(str, "closed", ("bound",), "fill-in scheme",
+                     *_one_of(*_SCHEME_LATTICES)),
+    "n": Option(int, 3, ("bound", "reduce", "profile"),
+                "block side (bound --scheme block, reduce) or window side "
+                "(profile)", lambda n: 1 <= n <= 4, "in 1..4"),
+    # bound draws nothing; it accepts --seed only because the benchmark
+    # workloads in perfbench/workloads.py pass it (ROADMAP direction 1)
+    "seed": Option(int, 0, ("bound", "verify", "sample"), "random seed"),
+    "tol": Option(float, optimize.TOL, ("bound", "profile"),
+                  "log-space stationarity that stops the optimizer and "
+                  "defines converged", lambda t: 0 < t < math.inf,
+                  "positive and finite"),
+    "max_iter": Option(int, optimize.MAX_ITER, ("bound", "profile"),
+                       "L-BFGS steps, or iterations of the block scheme",
+                       lambda m: m >= 1, "positive"),
+    "out": Option(str, None, tuple(COMMANDS),
+                  "write the JSON or CSV payload here"),
+    "cache_dir": Option(str, None, ("bound", "reduce", "profile"),
+                        "block-family cache (default: $HC_CACHE_DIR)"),
+    "href": Option(float, oracles.PLANE_ENTROPY, ("verify",),
+                   "reference entropy for the density interval",
+                   lambda h: 0.0 < h < math.log(2.0), "in (0, ln 2)"),
+    "params": Option(str, None, ("sample",),
+                     "comma list of stage probabilities"),
+    "dims": Option(str, None, ("sample",),
+                   "torus dimensions, e.g. 128x128"),
+    "generators": Option(str, "1,2,3", ("profile",),
+                         "comma list of generator block sides"),
+    "width": Option(int, None, ("strip",), "single strip width",
+                    *_WIDTHS),
+    "max_width": Option(int, 12, ("strip",), "tabulate widths 1..max",
+                        *_WIDTHS),
+    "boundary": Option(str, "free", ("strip",), "strip boundary",
+                       *_one_of("free", "periodic", "both")),
 }
-
-COMMANDS = ("bound", "reduce", "verify", "profile", "sample", "strip")
 
 
 def load_config_file(path: str, command: str) -> dict:
-    """Read an INI config file; returns {field: parsed value}.
+    """Read an INI config file; returns {option: parsed value} for the
+    options ``command`` reads.
 
-    Unknown keys and unknown sections are rejected rather than ignored so
-    that a typo cannot silently fall back to a default.
+    Unknown keys and sections, and keys in the command's own section that
+    it does not read, are rejected rather than ignored so that a typo
+    cannot silently fall back to a default.
     """
     parser = configparser.ConfigParser()
     try:
@@ -148,13 +164,20 @@ def load_config_file(path: str, command: str) -> dict:
             continue
         for key, raw in parser.items(section):
             name = key.replace("-", "_")
-            if name not in _CONFIG_PARSERS:
+            opt = OPTIONS.get(name)
+            if opt is None:
                 raise ConfigError(f"unknown config key {key!r} in [{section}]")
+            reads = command in opt.readers
+            if section == command and not reads:
+                raise ConfigError(f"{command} does not read config key "
+                                  f"{key!r}")
             try:
-                values[name] = _CONFIG_PARSERS[name](raw)
+                value = opt.type(raw)
             except ValueError:
                 raise ConfigError(
                     f"bad value for config key {key!r}: {raw!r}") from None
+            if reads:
+                values[name] = value
     return values
 
 
@@ -165,71 +188,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="entropy lower bounds for the hard-core model "
                     "on two-dimensional lattices")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, text in COMMANDS.items():
+        # a flag left out is absent from the namespace, not None
+        p = sub.add_parser(command, help=text,
+                           argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="INI config file; flags win")
-        p.add_argument("--seed", type=int,
-                       help="random seed of verify and sample")
-        p.add_argument("--tol", type=float,
-                       help="log-space stationarity that stops the optimizer "
-                            f"and defines converged (default {optimize.TOL:g})")
-        p.add_argument("--max-iter", type=int, dest="max_iter",
-                       help="L-BFGS steps, or iterations of the block scheme")
-        p.add_argument("--out", help="write the JSON or CSV payload here")
-        p.add_argument("--cache-dir", dest="cache_dir",
-                       help="block-family cache (default: $HC_CACHE_DIR)")
-
-    p = sub.add_parser("bound", help="optimize an entropy lower bound")
-    common(p)
-    p.add_argument("--lattice", choices=LATTICES + ("all",))
-    p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--n", type=int, help="block side for --scheme block")
-
-    p = sub.add_parser("reduce", help="build or load a block family")
-    common(p)
-    p.add_argument("--n", type=int)
-
-    p = sub.add_parser("verify", help="run the oracle cross-checks")
-    common(p)
-    p.add_argument("--href", type=float,
-                   help="reference entropy for the density interval")
-
-    p = sub.add_parser("profile", help="occupancy profiles as CSV")
-    common(p)
-    p.add_argument("--n", type=int, help="window side")
-    p.add_argument("--generators",
-                   help="comma list of generator block sides, e.g. 1,2,3")
-
-    p = sub.add_parser("sample", help="draw one fill-in configuration")
-    common(p)
-    p.add_argument("--lattice", choices=LATTICES)
-    p.add_argument("--params", help="comma list of stage probabilities")
-    p.add_argument("--dims", help="torus dimensions, e.g. 128x128")
-
-    p = sub.add_parser("strip", help="strip entropies as CSV")
-    common(p)
-    p.add_argument("--width", type=int, help="single strip width")
-    p.add_argument("--max-width", type=int, dest="max_width",
-                   help="tabulate widths 1..max")
-    p.add_argument("--boundary", choices=("free", "periodic", "both"))
-
+        for name, opt in OPTIONS.items():
+            if command in opt.readers:
+                default = ("" if opt.default is None
+                           else f" (default {opt.default})")
+                rule = f"; {opt.rule}" if opt.rule else ""
+                p.add_argument("--" + name.replace("_", "-"), type=opt.type,
+                               help=opt.help + rule + default)
     return parser
 
 
-def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, environment and flags (flags win)."""
-    values = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config, args.command))
-    for key, val in vars(args).items():
-        if key in ("command", "config") or val is None:
-            continue
-        values[key] = val
-    if values.get("cache_dir") is None and os.environ.get("HC_CACHE_DIR"):
-        values["cache_dir"] = os.environ["HC_CACHE_DIR"]
-    cfg = RunConfig(command=args.command, **values)
-    cfg.validate()
-    return cfg
+def build_run_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Merge defaults, config file, environment and flags (flags win) into
+    a namespace of exactly the options ``args.command`` reads."""
+    flags = dict(vars(args))
+    command, path = flags.pop("command"), flags.pop("config", None)
+    given = load_config_file(path, command) if path else {}
+    given.update(flags)
+    if "width" in given and "max_width" in given:
+        raise ConfigError("give --width or --max-width, not both")
+    if os.environ.get("HC_CACHE_DIR"):
+        given.setdefault("cache_dir", os.environ["HC_CACHE_DIR"])
+    for name, value in given.items():
+        opt = OPTIONS[name]
+        if opt.valid and not opt.valid(value):
+            raise ConfigError(f"{name.replace('_', '-')} must be "
+                              f"{opt.rule}, not {value!r}")
+    return argparse.Namespace(**{
+        name: given.get(name, opt.default) for name, opt in OPTIONS.items()
+        if command in opt.readers})
 
 
 # ------------------------------------------------------------ reporting
@@ -245,13 +237,12 @@ def _versions() -> dict:
             "numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def _write_bundle(cfg: RunConfig, reports: list, started: float,
-                  extra: dict | None = None) -> dict:
+def _write_bundle(command: str, cfg: argparse.Namespace, reports: list,
+                  started: float, extra: dict | None = None) -> dict:
     bundle = {
         "schema_version": SCHEMA_VERSION,
-        "command": cfg.command,
-        "seed": cfg.seed,
-        "config": dataclasses.asdict(cfg),
+        "command": command,
+        "config": vars(cfg),
         "versions": _versions(),
         "reports": reports,
     }
@@ -289,12 +280,13 @@ def _print_bound_table(reports) -> None:
 
 # ------------------------------------------------------------- commands
 
-def cmd_bound(cfg: RunConfig) -> int:
+def cmd_bound(cfg: argparse.Namespace) -> int:
     started = time.perf_counter()
-    if cfg.lattice == "all":
-        targets = _SCHEME_LATTICES[cfg.scheme]
-    else:
-        targets = (cfg.lattice,)
+    allowed = _SCHEME_LATTICES[cfg.scheme]
+    if cfg.lattice != "all" and cfg.lattice not in allowed:
+        raise ConfigError(f"scheme {cfg.scheme!r} supports lattices "
+                          f"{', '.join(allowed)}")
+    targets = allowed if cfg.lattice == "all" else (cfg.lattice,)
     reports = []
     settings = {"tol": cfg.tol, "max_iter": cfg.max_iter}
     for lat in targets:
@@ -310,14 +302,14 @@ def cmd_bound(cfg: RunConfig) -> int:
                 family, tol=cfg.tol, max_iter=cfg.max_iter)
         reports.append(rep)
     _print_bound_table(reports)
-    _write_bundle(cfg, [r.as_dict() for r in reports], started)
+    _write_bundle("bound", cfg, [r.as_dict() for r in reports], started)
     if any(not r.meta.get("converged", True) for r in reports):
         print("optimizer did not converge", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
-def cmd_reduce(cfg: RunConfig) -> int:
+def cmd_reduce(cfg: argparse.Namespace) -> int:
     started = time.perf_counter()
     weak = blocks.load_or_build_family(cfg.n, True, cfg.cache_dir)
     d4 = blocks.load_or_build_family(cfg.n, False, cfg.cache_dir)
@@ -333,11 +325,11 @@ def cmd_reduce(cfg: RunConfig) -> int:
               "d4_classes": d4.class_count, "d4_free": d4.free_variables,
               "weak_classes": weak.class_count,
               "weak_free": weak.free_variables}
-    _write_bundle(cfg, [report], started)
+    _write_bundle("reduce", cfg, [report], started)
     return EXIT_OK
 
 
-def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
+def _verify_checks(cfg: argparse.Namespace) -> list[tuple[str, bool, str]]:
     checks = []
 
     value = oracles.entropy_1d()
@@ -418,7 +410,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     started = time.perf_counter()
     checks = _verify_checks(cfg)
     for name, ok, detail in checks:
@@ -427,7 +419,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     print(f"{len(checks) - failed}/{len(checks)} checks passed")
     reports = [{"check": name, "passed": ok, "detail": detail}
                for name, ok, detail in checks]
-    _write_bundle(cfg, reports, started)
+    _write_bundle("verify", cfg, reports, started)
     return EXIT_OK if failed == 0 else EXIT_NUMERICAL
 
 
@@ -441,7 +433,7 @@ def _parse_generators(raw: str) -> list[int]:
     return sizes
 
 
-def cmd_profile(cfg: RunConfig) -> int:
+def cmd_profile(cfg: argparse.Namespace) -> int:
     sizes = _parse_generators(cfg.generators)
     if any(not 1 <= g <= cfg.n for g in sizes):
         raise ConfigError(f"generator sides must lie in 1..{cfg.n}")
@@ -516,7 +508,7 @@ def _parse_dims(raw: str) -> tuple[int, ...]:
     return dims
 
 
-def cmd_sample(cfg: RunConfig) -> int:
+def cmd_sample(cfg: argparse.Namespace) -> int:
     started = time.perf_counter()
     if cfg.lattice == "all":
         raise ConfigError("sample needs one --lattice")
@@ -546,7 +538,7 @@ def cmd_sample(cfg: RunConfig) -> int:
                   f"{row['probability']:>7.4f} {row['analytic']:>10.6f} "
                   f"{row['empirical']:>10.6f} {row['stderr']:>9.6f} "
                   f"{z:>6.2f}")
-    _write_bundle(cfg, rows, started,
+    _write_bundle("sample", cfg, rows, started,
                   extra={"hard_core_valid": valid,
                          "dims": list(dims), "stage_probabilities":
                          [st.probability for st in stats]})
@@ -557,7 +549,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_strip(cfg: RunConfig) -> int:
+def cmd_strip(cfg: argparse.Namespace) -> int:
     widths = ([cfg.width] if cfg.width is not None
               else list(range(1, cfg.max_width + 1)))
     boundaries = (("free", "periodic") if cfg.boundary == "both"
@@ -587,8 +579,7 @@ def main(argv=None) -> int:
         # exit-code contract; normalize to a return value for callers
         return int(exc.code or 0)
     try:
-        cfg = build_run_config(args)
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](build_run_config(args))
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -106,7 +106,10 @@ class Domain:
         for c in self.components:
             ti, xi = t[..., i:i + c.size], x[..., i:i + c.size]
             if isinstance(c, Box):
-                s = 1.0 / (1.0 + np.exp(-ti))
+                # exp(-t) is inf below t of about -709: s is then 0, and
+                # the clip below lifts the point to lo + BOX_EPS
+                with np.errstate(over="ignore"):
+                    s = 1.0 / (1.0 + np.exp(-ti))
                 xi[...] = c.lo + (c.hi - c.lo) * s
                 np.clip(xi.real, c.lo + BOX_EPS, c.hi - BOX_EPS, out=xi.real)
             else:

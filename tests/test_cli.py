@@ -1,13 +1,15 @@
 """End-to-end tests of the command-line front end (in-process)."""
 import argparse
+import ast
 import csv
-import dataclasses
+import inspect
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,7 @@ def test_bound_closed_single_lattice(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "square" in table and "0.3924" in table
     bundle = read_bundle(out)
-    assert bundle["schema_version"] == 6
+    assert bundle["schema_version"] == 7
     assert bundle["command"] == "bound"
     (rep,) = bundle["reports"]
     assert rep["value_nats"] == pytest.approx(0.392421, abs=5e-4)
@@ -227,6 +229,11 @@ def test_cache_dir_from_environment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HC_CACHE_DIR", str(cache))
     assert run(["reduce", "--n", "1"]) == 0
     assert (cache / "blocks_n1_weak_v1.npz").exists()
+    # only the commands that read cache_dir take it from the environment
+    out = tmp_path / "sample.json"
+    assert run(["sample", "--lattice", "square", "--params", "0.2",
+                "--dims", "8x8", "--out", str(out)]) == 0
+    assert "cache_dir" not in read_bundle(out)["config"]
 
 
 def test_warm_cache_transparent_for_bound(tmp_path, capsys):
@@ -428,6 +435,19 @@ def test_strip_width_out_of_range(capsys):
     assert run(["strip", "--width", "15"]) == 2
 
 
+def test_strip_width_and_max_width_exit_two(tmp_path, capsys):
+    # one table or one width: neither may silently win, whether each
+    # comes from a flag or from the config file
+    ini = tmp_path / "strip.ini"
+    ini.write_text("[strip]\nmax-width = 5\n", encoding="utf-8")
+    for argv in (["--width", "2", "--max-width", "5"],
+                 ["--width", "2", "--config", str(ini)]):
+        assert run(["strip"] + argv) == 2
+        captured = capsys.readouterr()
+        assert "--width or --max-width" in captured.err
+        assert captured.out == ""
+
+
 def test_strip_unusable_out_path_exits_two(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
@@ -461,15 +481,104 @@ def test_config_file_sections_and_flag_priority(tmp_path, capsys):
     assert read_bundle(out2)["config"]["seed"] == 9
 
 
-def test_flags_config_keys_and_run_config_agree():
-    # a setting lives in three places: RunConfig, the config-file parsers
-    # and the subcommands' flags; none may keep one the others dropped
-    fields = {f.name for f in dataclasses.fields(cli.RunConfig)} - {"command"}
+def _cfg_reads(fn):
+    """Attributes of ``cfg`` that `fn` reads, following calls that pass
+    ``cfg`` on to another function of the cli module."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    reads = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "cfg"):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and inspect.isfunction(getattr(cli, node.func.id, None))
+              and any(isinstance(a, ast.Name) and a.id == "cfg"
+                      for a in node.args)):
+            reads |= _cfg_reads(getattr(cli, node.func.id))
+    return reads
+
+
+def test_flags_config_keys_and_run_config_agree(tmp_path):
+    # per subcommand, its flags, the keys its config section accepts, its
+    # config and what its handler reads are the readers in cli.OPTIONS
+    assert all(opt.readers and set(opt.readers) <= set(cli.COMMANDS)
+               for opt in cli.OPTIONS.values())
     (subparsers,) = [a for a in cli._build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction)]
-    dests = {a.dest for p in subparsers.choices.values() for a in p._actions
-             if a.dest not in ("help", "config")}
-    assert fields == set(cli._CONFIG_PARSERS) == dests
+    ini = tmp_path / "one.ini"
+    for command, parser in subparsers.choices.items():
+        readers = {name for name, opt in cli.OPTIONS.items()
+                   if command in opt.readers}
+        dests = {a.dest for a in parser._actions
+                 if a.dest not in ("help", "config")}
+        keys = set()
+        for name in cli.OPTIONS:
+            # "1" parses as every option type
+            ini.write_text(f"[{command}]\n{name} = 1\n", encoding="utf-8")
+            try:
+                keys |= set(cli.load_config_file(str(ini), command))
+            except cli.ConfigError:
+                pass
+        cfg = cli.build_run_config(cli._build_parser().parse_args([command]))
+        reads = _cfg_reads(cli._HANDLERS[command])
+        if command == "bound":
+            reads.add("seed")  # accepted and unused; see cli.OPTIONS
+        assert dests == keys == set(vars(cfg)) == reads == readers, command
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_unread_option_exits_two(tmp_path, capsys, command):
+    # an option the subcommand does not read is an error, not a no-op
+    unread = [name for name, opt in cli.OPTIONS.items()
+              if command not in opt.readers]
+    assert unread
+    ini = tmp_path / "unread.ini"
+    for name in unread:
+        assert run([command, "--" + name.replace("_", "-"), "1"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        ini.write_text(f"[{command}]\n{name.replace('_', '-')} = 1\n",
+                       encoding="utf-8")
+        assert run([command, "--config", str(ini)]) == 2
+        assert f"{command} does not read" in capsys.readouterr().err
+
+
+def test_common_key_applies_only_to_its_readers(tmp_path, capsys):
+    ini = tmp_path / "common.ini"
+    ini.write_text("[common]\nseed = 7\nn = 2\ntol = 1e-8\n"
+                   "href = 5\nmax-width = 3\n", encoding="utf-8")
+    # strip reads none of seed, n, tol and href, so href = 5 is not range
+    # checked for it
+    assert run(["strip", "--config", str(ini)]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 4
+    # verify reads href, and 5 is outside (0, ln 2)
+    assert run(["verify", "--config", str(ini)]) == 2
+    assert "href" in capsys.readouterr().err
+    out = tmp_path / "reduce.json"
+    assert run(["reduce", "--config", str(ini), "--out", str(out)]) == 0
+    assert read_bundle(out)["config"] == {"n": 2, "cache_dir": None}
+
+
+def test_common_value_must_parse_for_every_command(tmp_path, capsys):
+    # strip does not read seed, but a malformed value is still an error
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[common]\nseed = abc\n", encoding="utf-8")
+    assert run(["strip", "--config", str(ini)]) == 2
+    assert "bad value for config key 'seed'" in capsys.readouterr().err
+
+
+def test_enumerated_values_rejected(tmp_path, capsys):
+    ini = tmp_path / "enum.ini"
+    for argv in (["bound", "--lattice", "cubic"],
+                 ["bound", "--scheme", "open"],
+                 ["sample", "--lattice", "cubic", "--params", "0.2"],
+                 ["strip", "--boundary", "open"]):
+        assert run(argv) == 2
+        assert f"not {argv[2]!r}" in capsys.readouterr().err
+        ini.write_text(f"[{argv[0]}]\n{argv[1][2:]} = {argv[2]}\n",
+                       encoding="utf-8")
+        assert run([argv[0], "--config", str(ini)] + argv[3:]) == 2
+        assert f"not {argv[2]!r}" in capsys.readouterr().err
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
@@ -510,11 +619,12 @@ def test_main_calls_share_no_state(tmp_path, capsys):
     # one parser serves every call in a process; a flag given to one call
     # must not carry over to the next
     first, second = tmp_path / "first.json", tmp_path / "second.json"
-    assert run(["reduce", "--n", "1", "--seed", "5",
-                "--out", str(first)]) == 0
-    assert run(["reduce", "--n", "1", "--out", str(second)]) == 0
-    assert read_bundle(first)["seed"] == 5
-    assert read_bundle(second)["seed"] == 0
+    args = ["sample", "--lattice", "square", "--params", "0.2",
+            "--dims", "8x8"]
+    assert run(args + ["--seed", "5", "--out", str(first)]) == 0
+    assert run(args + ["--out", str(second)]) == 0
+    assert read_bundle(first)["config"]["seed"] == 5
+    assert read_bundle(second)["config"]["seed"] == 0
 
 
 # ------------------------------------------------------------ exit codes
@@ -540,10 +650,20 @@ def test_import_does_not_load_scipy_stats():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
-def test_bound_json_deterministic(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    args = ["bound", "--scheme", "closed", "--lattice", "honeycomb"]
-    assert run(args + ["--out", str(a)]) == 0
-    assert run(args + ["--out", str(b)]) == 0
-    assert read_bundle(a) == read_bundle(b)
+def test_bound_json_deterministic(tmp_path, capsys):
+    # every bundle-writing command, bound first
+    for argv in (["bound", "--scheme", "closed", "--lattice", "honeycomb"],
+                 ["reduce", "--n", "2"],
+                 ["verify", "--seed", "3"],
+                 ["sample", "--lattice", "honeycomb", "--params", "0.22",
+                  "--dims", "24x24", "--seed", "3"]):
+        a = tmp_path / f"{argv[0]}-a.json"
+        b = tmp_path / f"{argv[0]}-b.json"
+        assert run(argv + ["--out", str(a)]) == 0
+        assert run(argv + ["--out", str(b)]) == 0
+        assert read_bundle(a) == read_bundle(b)
+        # the config holds exactly what the command reads; no top-level seed
+        assert "seed" not in read_bundle(a)
+        assert set(read_bundle(a, drop_out=False)["config"]) == {
+            name for name, opt in cli.OPTIONS.items()
+            if argv[0] in opt.readers}

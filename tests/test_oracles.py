@@ -318,6 +318,6 @@ class TestReferenceConstants:
     def test_values(self):
         assert PLANE_ENTROPY == 0.4075
         # the one literature value is every default reference entropy
-        assert cli.RunConfig("verify").href == PLANE_ENTROPY
+        assert cli.OPTIONS["href"].default == PLANE_ENTROPY
         assert blocking_constant_upper() == \
             blocking_constant_upper(PLANE_ENTROPY)
