@@ -17,8 +17,9 @@ Two reductions shrink the 2^(n^2) variables:
   is already adjacent to some 1 of b other than s, so b[s] has no effect on
   which odd sites the block forces.  Toggling a weak site preserves the
   forced set; the classes are the connected components of the graph on
-  orbits whose edges are weak toggles.  Corner positions have an odd
-  neighbor touching no other position, hence are never weak.
+  orbits whose edges are weak toggles, found by propagating the smallest
+  orbit id along the edges.  Corner positions have an odd neighbor
+  touching no other position, hence are never weak.
 
 The quotient family keeps one probability variable per class, stored per
 arrangement: the probability of one specific member, entering normalization
@@ -35,8 +36,6 @@ from pathlib import Path
 from zipfile import BadZipFile
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 CACHE_VERSION = 1
 MAX_N = 4  # 2^25 masks at n=5 exceed the supported budget
@@ -183,17 +182,21 @@ def reduce_family(n: int, use_weak: bool = True) -> BlockFamily:
             a, b = orbit[idx], orbit[idx ^ (1 << s)]
             keep = a < b
             ends.append(a[keep].astype(np.int64) * total + b[keep])
-        # np.unique sorts the edge keys, grouping them by first end as the
-        # rows of a CSR matrix
-        rows, cols = np.divmod(np.unique(np.concatenate(ends)), total)
-        graph = csr_matrix((np.ones(len(cols)), cols,
-                            np.searchsorted(rows, np.arange(total + 1))),
-                           shape=(total, total))
-        _, comp = connected_components(graph, connection="weak")
-        # a component's smallest node is its smallest orbit id, hence the
-        # smallest member of the class
-        _, smallest = np.unique(comp, return_index=True)
-        orbit = smallest[comp[orbit]]
+        a, b = np.divmod(np.unique(np.concatenate(ends)), total)
+        # min-label propagation: both ends of each edge take the smaller
+        # label, then each label jumps to its own label, until a sweep
+        # changes nothing.  Labels stay in their component and never rise,
+        # so each node ends labelled by its component's smallest node: its
+        # smallest orbit id, hence the smallest member of the class
+        label = np.arange(total)
+        while True:
+            before = label.copy()
+            np.minimum.at(label, b, label[a])
+            np.minimum.at(label, a, label[b])
+            label = label[label]
+            if (label == before).all():
+                break
+        orbit = label[orbit]
 
     reps, class_of, mult = np.unique(orbit, return_inverse=True,
                                      return_counts=True)

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import optimize
 from .optimize import MAX_ITER, TOL
@@ -45,10 +44,18 @@ def _check_prob(p, name: str = "p"):
     return p
 
 
+def _xlogx(p):
+    """p ln p entrywise for p, a float or an array, real or complex, whose
+    real parts are >= 0; a float gives a numpy scalar, not a 0-d array.
+    Entries of real part 0 take the log of 1, so 0 ln 0 = 0 with no
+    log(0) warning."""
+    return (p * np.log(np.where(np.real(p) > 0, p, 1)))[()]
+
+
 def entropy_bernoulli(p):
     """Binary entropy -p ln p - (1-p) ln(1-p) in nats, entrywise."""
     p = _check_prob(p)
-    return -xlogy(p, p) - xlogy(1.0 - p, 1.0 - p)
+    return -_xlogx(p) - _xlogx(1.0 - p)
 
 
 def check_three_hex(pvec) -> np.ndarray:
@@ -81,8 +88,7 @@ def check_three_hex(pvec) -> np.ndarray:
 def entropy_three_hex(pvec):
     """Entropy of the three-hex occupancy distribution, per cluster."""
     p0, p1, p2, p3 = check_three_hex(pvec)
-    return -(xlogy(p0, p0) + 3 * xlogy(p1, p1) + 3 * xlogy(p2, p2)
-             + xlogy(p3, p3))
+    return -(_xlogx(p0) + 3 * _xlogx(p1) + 3 * _xlogx(p2) + _xlogx(p3))
 
 
 @dataclass(frozen=True)

@@ -136,9 +136,9 @@ OPTIONS = {
 }
 
 
-def load_config_file(path: str, command: str) -> dict:
+def load_config_file(path: str, command: str) -> tuple[dict, dict]:
     """Read an INI config file; returns {option: parsed value} for the
-    options ``command`` reads.
+    options ``command`` reads, from ``[common]`` and from its own section.
 
     Unknown keys and sections, and keys in the command's own section that
     it does not read, are rejected rather than ignored so that a typo
@@ -158,8 +158,8 @@ def load_config_file(path: str, command: str) -> dict:
     # configparser would merge [DEFAULT] into every section unseen
     if parser.defaults():
         raise ConfigError(f"unknown config section [{parser.default_section}]")
-    values = {}
-    for section in ("common", command):
+    values = {"common": {}, command: {}}
+    for section in values:
         if not parser.has_section(section):
             continue
         for key, raw in parser.items(section):
@@ -177,8 +177,8 @@ def load_config_file(path: str, command: str) -> dict:
                 raise ConfigError(
                     f"bad value for config key {key!r}: {raw!r}") from None
             if reads:
-                values[name] = value
-    return values
+                values[section][name] = value
+    return values["common"], values[command]
 
 
 @functools.cache
@@ -208,8 +208,9 @@ def build_run_config(args: argparse.Namespace) -> argparse.Namespace:
     a namespace of exactly the options ``args.command`` reads."""
     flags = dict(vars(args))
     command, path = flags.pop("command"), flags.pop("config", None)
-    given = load_config_file(path, command) if path else {}
-    given.update(flags)
+    common, own = load_config_file(path, command) if path else ({}, {})
+    explicit = {**own, **flags}
+    given = {**common, **explicit}
     if "width" in given and "max_width" in given:
         raise ConfigError("give --width or --max-width, not both")
     if os.environ.get("HC_CACHE_DIR"):
@@ -219,6 +220,13 @@ def build_run_config(args: argparse.Namespace) -> argparse.Namespace:
         if opt.valid and not opt.valid(value):
             raise ConfigError(f"{name.replace('_', '-')} must be "
                               f"{opt.rule}, not {value!r}")
+    # of bound's options only the block scheme reads n and cache_dir; a
+    # [common] key and $HC_CACHE_DIR stay silent defaults for the others
+    scheme = given.get("scheme", OPTIONS["scheme"].default)
+    unread = [name for name in ("n", "cache_dir") if name in explicit]
+    if command == "bound" and scheme != "block" and unread:
+        raise ConfigError(f"bound --scheme {scheme} does not read "
+                          + ", ".join(n.replace("_", "-") for n in unread))
     return argparse.Namespace(**{
         name: given.get(name, opt.default) for name, opt in OPTIONS.items()
         if command in opt.readers})

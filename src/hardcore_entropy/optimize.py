@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 BOX_EPS = 1e-12
 # the one stationarity tolerance: inf-norm of d objective/d t
@@ -119,6 +118,15 @@ class Domain:
                 xi[...] = e / (e * c.weights).sum(axis=-1, keepdims=True)
             i += c.size
         return x
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first call: of all `hce`
+    commands only the L-BFGS solves need it, and the import takes longer
+    than most commands' work."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 @dataclass

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .bounds import LN2, entropy_bernoulli, stage_probabilities, stage_unforced
 from .lattices import (
@@ -328,8 +327,17 @@ def blocking_constant_upper(h_ref: float = PLANE_ENTROPY
         rho = 1.0 / (2.0 + c)
         return 0.5 * (entropy_bernoulli(rho) + 2 * rho * LN2) - h_ref
 
-    lo, hi = 0.0, 20.0
-    if gap(lo) * gap(hi) > 0:
-        raise ValueError(f"no root in [{lo}, {hi}] for h_ref={h_ref}")
-    c_max = float(bisect(gap, lo, hi, xtol=1e-8))
-    return c_max, 1.0 / (2.0 + c_max)
+    # gap(0) = ln 2 - h_ref > 0, so a root needs gap(20) <= 0
+    lo, step = 0.0, 20.0
+    if gap(step) > 0:
+        raise ValueError(f"no root in [0.0, 20.0] for h_ref={h_ref}")
+    # the steps of scipy.optimize.bisect at xtol 1e-8 and its default
+    # rtol 4 eps, so c_max is the same float
+    while True:
+        step *= 0.5
+        c_max = lo + step
+        g = gap(c_max)
+        if g >= 0:
+            lo = c_max
+        if g == 0 or step < 1e-8 + 4 * np.finfo(float).eps * c_max:
+            return c_max, 1.0 / (2.0 + c_max)

@@ -1,7 +1,11 @@
-"""Scalar, one-mask-at-a-time references for the vectorized block
-reduction `blocks.reduce_family`: dihedral images, forced odd sites and
-weak sites, written straight from their definitions in the `blocks`
-module docstring."""
+"""References for the vectorized block reduction `blocks.reduce_family`:
+scalar, one-mask-at-a-time dihedral images, forced odd sites and weak
+sites, written straight from their definitions in the `blocks` module
+docstring, and the weak-site classes by scipy's graph components."""
+import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+
 from hardcore_entropy import blocks
 
 
@@ -53,3 +57,31 @@ def weak_sites(n: int, mask: int) -> set[int]:
         if per_pos[s] & ~forced_wo == 0:
             out.add(s)
     return out
+
+
+def weak_family_by_csgraph(n: int):
+    """(class_of, representatives, multiplicities) of the weak-site family:
+    the D4 orbits of `reduce_family(n, use_weak=False)` joined by every
+    weak toggle, with `scipy.sparse.csgraph.connected_components` finding
+    the classes."""
+    d4 = blocks.reduce_family(n, use_weak=False)
+    orbit = d4.representatives[d4.class_of]
+    total = 1 << (n * n)
+    masks = np.arange(total)
+    _, per_pos = blocks._odd_geometry(n)
+    ends = [(np.zeros(0, int), np.zeros(0, int))]
+    for s in sorted(set(range(n * n)) - blocks.corner_positions(n)):
+        forced_wo = np.zeros(total, int)
+        for t in range(n * n):
+            if t != s:
+                forced_wo |= ((masks >> t) & 1) * per_pos[t]
+        weak = masks[(per_pos[s] & ~forced_wo) == 0]
+        ends.append((orbit[weak], orbit[weak ^ (1 << s)]))
+    rows, cols = (np.concatenate(e) for e in zip(*ends))
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)),
+                       shape=(total, total))
+    _, comp = connected_components(graph, connection="weak")
+    _, smallest = np.unique(comp, return_index=True)
+    reps, class_of, mult = np.unique(smallest[comp[orbit]],
+                                     return_inverse=True, return_counts=True)
+    return class_of, reps, mult

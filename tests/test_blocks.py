@@ -21,6 +21,7 @@ from block_reference import (
     d4_canonical,
     d4_images,
     forced_odd_sites,
+    weak_family_by_csgraph,
     weak_sites,
 )
 
@@ -184,6 +185,14 @@ class TestReduceFamily:
             for m in range(1 << (n * n)):
                 same = seen[m] == seen[fam.representatives[fam.class_of[m]]]
                 assert same, f"mask {m} misclassified at n={n}"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_weak_classes_match_csgraph_components(self, n):
+        fam = reduce_family(n, use_weak=True)
+        class_of, reps, mult = weak_family_by_csgraph(n)
+        np.testing.assert_array_equal(fam.class_of, class_of)
+        np.testing.assert_array_equal(fam.representatives, reps)
+        np.testing.assert_array_equal(fam.multiplicities, mult)
 
     def test_forcing_constant_on_weak_classes(self):
         # the whole point of the reduction: members of one weak class force

@@ -40,6 +40,27 @@ def test_entropy_bernoulli_basics():
         entropy_bernoulli(1.01)
 
 
+def test_xlogx_matches_scipy_xlogy():
+    from scipy.special import xlogy
+
+    real = np.concatenate([[0.0, 1.0, 5e-324, 1e-300, 0.5],
+                           np.linspace(0.0, 1.0, 1001)])
+    np.testing.assert_allclose(bounds._xlogx(real), xlogy(real, real),
+                               rtol=1e-15, atol=0)
+    assert bounds._xlogx(0.0) == bounds._xlogx(1.0) == 0.0
+    # complex-step points: the real part is the value, the imaginary part
+    # over the step the derivative ln p + 1
+    step = 1e-170
+    point = real[real > 0] + 1j * step
+    got, want = bounds._xlogx(point), xlogy(point, point)
+    np.testing.assert_allclose(got.real, want.real, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(got.imag / step, want.imag / step,
+                               rtol=1e-15, atol=1e-14)
+    # a float gives a numpy scalar, which a JSON bundle can hold
+    assert type(bounds._xlogx(0.25)) is np.float64
+    assert type(entropy_bernoulli(0.25)) is np.float64
+
+
 def test_bound_bipartite_reference_points():
     rep = staged_bound("square", (0.1702,))
     assert rep.value == pytest.approx(0.3924, abs=5e-5)

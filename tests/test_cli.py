@@ -236,6 +236,35 @@ def test_cache_dir_from_environment(tmp_path, monkeypatch, capsys):
     assert "cache_dir" not in read_bundle(out)["config"]
 
 
+@pytest.mark.parametrize("scheme", ["closed", "equalized", "three-hex"])
+def test_non_block_scheme_rejects_block_options(tmp_path, monkeypatch,
+                                                capsys, scheme):
+    # only the block scheme reads n and cache_dir, given as a flag or as a
+    # [bound] key; a [common] key and $HC_CACHE_DIR stay silent defaults
+    cache = tmp_path / "cache"
+    ini = tmp_path / "bound.ini"
+    base = ["bound", "--scheme", scheme, "--lattice", "honeycomb"]
+    for extra, key, unread in ((["--n", "4"], "n = 4", "n"),
+                               (["--cache-dir", str(cache)],
+                                f"cache-dir = {cache}", "cache-dir")):
+        assert run(base + extra) == 2
+        assert (f"bound --scheme {scheme} does not read {unread}"
+                in capsys.readouterr().err)
+        ini.write_text(f"[bound]\n{key}\n", encoding="utf-8")
+        assert run(base + ["--config", str(ini)]) == 2
+        assert "does not read" in capsys.readouterr().err
+    assert not cache.exists()
+    ini.write_text(f"[common]\nn = 4\ncache-dir = {cache}\n",
+                   encoding="utf-8")
+    assert run(base + ["--config", str(ini)]) == 0
+    monkeypatch.setenv("HC_CACHE_DIR", str(cache))
+    assert run(base) == 0
+    assert not cache.exists()
+    # the scheme may come from the config file too
+    ini.write_text("[bound]\nscheme = block\n", encoding="utf-8")
+    assert run(["bound", "--config", str(ini), "--n", "1"]) == 0
+
+
 def test_warm_cache_transparent_for_bound(tmp_path, capsys):
     cache = tmp_path / "cache"
     cold = tmp_path / "cold.json"
@@ -517,7 +546,7 @@ def test_flags_config_keys_and_run_config_agree(tmp_path):
             # "1" parses as every option type
             ini.write_text(f"[{command}]\n{name} = 1\n", encoding="utf-8")
             try:
-                keys |= set(cli.load_config_file(str(ini), command))
+                keys |= set(cli.load_config_file(str(ini), command)[1])
             except cli.ConfigError:
                 pass
         cfg = cli.build_run_config(cli._build_parser().parse_args([command]))
@@ -639,15 +668,39 @@ def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
 
 
-def test_import_does_not_load_scipy_stats():
-    # a fresh interpreter: the test process itself may import scipy.stats
+def test_import_and_light_commands_load_no_scipy_submodule():
+    # a fresh interpreter, since the test process itself imports scipy:
+    # the import, verify, the block scheme and strip load none of the scipy
+    # submodules; only the L-BFGS solves import scipy.optimize, on first use
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from hardcore_entropy import cli
+
+        HEAVY = ("scipy.optimize", "scipy.special", "scipy.sparse",
+                 "scipy.stats")
+
+        def loaded():
+            return sorted(m for m in sys.modules
+                          if any(m == h or m.startswith(h + ".")
+                                 for h in HEAVY))
+
+        seen = {"import": loaded()}
+        for argv in (["verify"], ["bound", "--scheme", "block", "--n", "2"],
+                     ["strip", "--width", "2"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            seen[" ".join(argv)] = loaded() if code == 0 else f"exit {code}"
+        print(json.dumps(seen))
+        """)
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import hardcore_entropy.cli, sys; "
-         "sys.exit('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
+    env.pop("HC_CACHE_DIR", None)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert len(seen) == 4
+    assert all(mods == [] for mods in seen.values()), seen
 
 
 def test_bound_json_deterministic(tmp_path, capsys):

@@ -303,6 +303,19 @@ class TestBlockingConstants:
         assert rho_min == pytest.approx(0.21367, abs=1e-4)
         assert rho_min == pytest.approx(1 / (2 + c_max), abs=1e-12)
 
+    @pytest.mark.parametrize("h_ref", [0.2, 0.33, 0.4075, 0.45, 0.6, 0.69])
+    def test_bisection_matches_scipy_bisect(self, h_ref):
+        from scipy.optimize import bisect
+
+        def gap(c):
+            rho = 1.0 / (2.0 + c)
+            return (0.5 * (bounds.entropy_bernoulli(rho) + 2 * rho * bounds.LN2)
+                    - h_ref)
+
+        c_max, rho_min = blocking_constant_upper(h_ref)
+        assert c_max == bisect(gap, 0.0, 20.0, xtol=1e-8)
+        assert type(c_max) is float and rho_min == 1.0 / (2.0 + c_max)
+
     def test_interval_ordering(self):
         _, rho_min = blocking_constant_upper(0.4075)
         assert rho_min < float(density_upper_from_blocking())
