@@ -32,7 +32,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from . import block_bounds, blocks, bounds, optimize, oracles
 from .lattices import LATTICES, build_lattice, verify_hard_core
@@ -41,7 +40,7 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 _SCHEME_LATTICES = {
     "closed": tuple(bounds.STAGE_UNFORCED),
@@ -112,7 +111,7 @@ OPTIONS = {
                   "defines converged", lambda t: 0 < t < math.inf,
                   "positive and finite"),
     "max_iter": Option(int, optimize.MAX_ITER, ("bound", "profile"),
-                       "L-BFGS steps, or iterations of the block scheme",
+                       "BFGS steps, or iterations of the block scheme",
                        lambda m: m >= 1, "positive"),
     "out": Option(str, None, tuple(COMMANDS),
                   "write the JSON or CSV payload here"),
@@ -242,7 +241,7 @@ def _versions() -> dict:
     except metadata.PackageNotFoundError:
         pkg = "unknown"
     return {"package": pkg, "cache_format": blocks.CACHE_VERSION,
-            "numpy": np.__version__, "scipy": scipy.__version__}
+            "numpy": np.__version__}
 
 
 def _write_bundle(command: str, cfg: argparse.Namespace, reports: list,

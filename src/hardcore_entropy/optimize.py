@@ -23,11 +23,10 @@ at most `tol`, and a result is converged exactly when that norm (its
 log-space KKT residual, so coordinates of tiny probability weigh in at
 their own scale.
 
-One start: L-BFGS-B runs once from the domain center t = 0 and stops
-there after one evaluation if the center already meets the rule.  The
-bounds maximized here are smooth closed forms of at most five
-parameters, and the center converges each of them.  No second method
-runs after L-BFGS, and nothing is random, so results are reproducible
+One solve: BFGS runs from the domain center t = 0, so a center that
+meets the rule is the result after one evaluation.  A solve that cannot
+meet it, within `max_iter` steps or before a halved step no longer moves
+t, is not converged.  Nothing is random, so results are reproducible
 bit-for-bit for a fixed (objective, domain, settings).
 """
 from __future__ import annotations
@@ -43,7 +42,7 @@ TOL = 1e-9
 # quantities adds nothing to the real part, which stays the value at the
 # real point (with 1e-30, -(x - 0.5)**2 would read 6.25e-62 at x = 0.5)
 STEP = 1e-170
-MAX_ITER = 2000  # L-BFGS iteration cap
+MAX_ITER = 2000  # BFGS step cap
 # how far a probability vector may stray from its simplex: sum and entries
 PROB_SUM_TOL = 1e-10
 PROB_NEG_TOL = 1e-12
@@ -120,15 +119,6 @@ class Domain:
         return x
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first call: of all `hce`
-    commands only the L-BFGS solves need it, and the import takes longer
-    than most commands' work."""
-    from scipy.optimize import minimize
-
-    return minimize(*args, **kwargs)
-
-
 @dataclass
 class OptimizationResult:
     argmax: np.ndarray
@@ -145,25 +135,29 @@ class OptimizationResult:
 
 def maximize(objective, domain: Domain, *, tol: float = TOL,
              max_iter: int = MAX_ITER) -> OptimizationResult:
-    """Maximize `objective` over `domain` by one L-BFGS-B solve from the
-    domain center.
+    """Maximize `objective` over `domain` by BFGS from the domain center.
 
     objective takes an (m, domain.size) array of points, one per row, and
     returns their m values; it must accept complex points.  Evaluating a
     point t is one call on the d rows t + i STEP e_k, mapped into the
     domain: the real part of any row's value is the value at t, and the
-    imaginary parts over STEP are the exact t-gradient.  The solve takes at
-    most `max_iter` steps; `stationarity` is the inf-norm of the t-gradient
-    at its last iterate, and the result is converged exactly when that is
-    at most `tol`.  A center already within `tol` is the result after one
-    evaluation.  A non-finite value in any row raises ValueError naming
-    that row's real point.
+    imaginary parts over STEP are the exact t-gradient.  The inverse
+    curvature starts at I / max(|g|_inf, tol), and no step moves a
+    coordinate of t by more than 1: a longer one can land where the map
+    saturates and the t-gradient vanishes short of a maximum.  A step is
+    halved until the value does not fall, by f_new - f or by the
+    trapezoid rule s.(g + g_new) / 2, exact on a quadratic, which still
+    resolves a rise below the rounding of f near the maximum.  A pair with
+    s.y <= 0 leaves the curvature as it is.  `stationarity` is the
+    inf-norm of the t-gradient at the last accepted point, and the result
+    is converged exactly when that is at most `tol`.  A non-finite value
+    in any row raises ValueError naming that row's real point.
     """
     d = domain.size
     steps = 1j * STEP * np.eye(d)
 
-    def neg(t):
-        """Minus the value and minus the t-gradient (d,) at t (d,)."""
+    def evaluate(t):
+        """The value, the t-gradient (d,) and the real point at t (d,)."""
         x = domain.to_interior(t + steps)
         v = np.asarray(objective(x))
         bad = ~np.isfinite(v)
@@ -171,14 +165,30 @@ def maximize(objective, domain: Domain, *, tol: float = TOL,
             i = int(np.argmax(bad))
             raise ValueError(
                 f"objective returned non-finite value {v[i]} at {x[i].real}")
-        return -v[0].real, -v.imag / STEP
+        return v[0].real, v.imag / STEP, x[0].real
 
-    # ftol = 0: only the gradient test (gtol) ends the solve normally
-    res = minimize(neg, np.zeros(d), jac=True, method="L-BFGS-B",
-                   options={"maxiter": max_iter, "ftol": 0.0, "gtol": tol,
-                            "maxcor": 20})
-    stationarity = float(np.abs(res.jac).max())
+    t = np.zeros(d)
+    f, g, x = evaluate(t)
+    inverse = np.eye(d) / max(np.abs(g).max(), tol)
+    iterations = 0
+    while np.abs(g).max() > tol and iterations < max_iter:
+        step = inverse @ g
+        step /= max(1.0, np.abs(step).max())
+        while not np.array_equal(t + step, t):
+            f_new, g_new, x_new = evaluate(t + step)
+            if f_new >= f or step @ (g + g_new) >= 0:
+                break
+            step /= 2
+        else:
+            break  # the value falls along every step that still moves t
+        y = g - g_new
+        sy = step @ y
+        if sy > 0:
+            v = np.eye(d) - np.outer(step, y) / sy
+            inverse = v @ inverse @ v.T + np.outer(step, step) / sy
+        t, f, g, x = t + step, f_new, g_new, x_new
+        iterations += 1
+    stationarity = float(np.abs(g).max())
     return OptimizationResult(
-        argmax=domain.to_interior(res.x), value=float(-res.fun),
-        iterations=int(res.nit), converged=stationarity <= tol,
-        stationarity=stationarity)
+        argmax=x, value=float(f), iterations=iterations,
+        converged=stationarity <= tol, stationarity=stationarity)

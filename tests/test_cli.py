@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardcore_entropy import block_bounds, bounds, cli, oracles
+from hardcore_entropy import block_bounds, bounds, cli, optimize, oracles
 
 
 def run(argv):
@@ -40,7 +40,7 @@ def test_bound_closed_single_lattice(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "square" in table and "0.3924" in table
     bundle = read_bundle(out)
-    assert bundle["schema_version"] == 7
+    assert bundle["schema_version"] == 8
     assert bundle["command"] == "bound"
     (rep,) = bundle["reports"]
     assert rep["value_nats"] == pytest.approx(0.392421, abs=5e-4)
@@ -131,6 +131,38 @@ def test_bound_max_iter_reaches_closed_form(tmp_path, capsys):
     assert "optimizer did not converge" in capsys.readouterr().err
     (rep,) = read_bundle(out)["reports"]
     assert rep["optimizer"]["converged"] is False
+
+
+def test_bound_tol_near_rounding_converges(tmp_path, capsys):
+    # only the gradient test ends a converged solve, so a tolerance of
+    # 1e-14, near the rounding of the gradient, is met on every lattice
+    out = tmp_path / "tight.json"
+    assert run(["bound", "--scheme", "closed", "--lattice", "all",
+                "--tol", "1e-14", "--out", str(out)]) == 0
+    reports = read_bundle(out)["reports"]
+    assert len(reports) == 5
+    assert all(r["optimizer"]["converged"] is True
+               and r["optimizer"]["stationarity"] <= 1e-14 for r in reports)
+
+
+def test_bound_tol_below_rounding_stops_short(tmp_path, capsys, monkeypatch):
+    # a solve that cannot meet 1e-20 stops once a halved step no longer
+    # moves t, far short of the 2000 steps --max-iter allows
+    maps = []
+    to_interior = optimize.Domain.to_interior
+
+    def counted(self, t):
+        maps.append(len(t))
+        return to_interior(self, t)
+
+    monkeypatch.setattr(optimize.Domain, "to_interior", counted)
+    out = tmp_path / "tiny.json"
+    assert run(["bound", "--scheme", "closed", "--lattice", "all",
+                "--tol", "1e-20", "--out", str(out)]) == 1
+    assert "optimizer did not converge" in capsys.readouterr().err
+    reports = read_bundle(out)["reports"]
+    assert any(r["optimizer"]["converged"] is False for r in reports)
+    assert len(maps) <= 200
 
 
 def test_bound_scheme_lattice_mismatch(capsys):
@@ -668,24 +700,23 @@ def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
 
 
-def test_import_and_light_commands_load_no_scipy_submodule():
+def test_no_command_loads_scipy():
     # a fresh interpreter, since the test process itself imports scipy:
-    # the import, verify, the block scheme and strip load none of the scipy
-    # submodules; only the L-BFGS solves import scipy.optimize, on first use
+    # neither the import nor any command loads a scipy module
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         from hardcore_entropy import cli
 
-        HEAVY = ("scipy.optimize", "scipy.special", "scipy.sparse",
-                 "scipy.stats")
-
         def loaded():
             return sorted(m for m in sys.modules
-                          if any(m == h or m.startswith(h + ".")
-                                 for h in HEAVY))
+                          if m == "scipy" or m.startswith("scipy."))
 
         seen = {"import": loaded()}
         for argv in (["verify"], ["bound", "--scheme", "block", "--n", "2"],
+                     ["bound", "--scheme", "closed"],
+                     ["bound", "--scheme", "equalized"],
+                     ["bound", "--scheme", "three-hex"],
+                     ["profile", "--n", "2", "--generators", "1"],
                      ["strip", "--width", "2"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(argv)
@@ -699,7 +730,7 @@ def test_import_and_light_commands_load_no_scipy_submodule():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert len(seen) == 4
+    assert len(seen) == 8
     assert all(mods == [] for mods in seen.values()), seen
 
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hardcore_entropy import bounds, cli, optimize
 from hardcore_entropy.bounds import (
@@ -66,6 +66,53 @@ def test_weighted_simplex_constraint_holds():
     assert (res.argmax > 0).all()
 
 
+@settings(derandomize=True, deadline=None)
+@given(wc=st.lists(st.tuples(st.floats(0.5, 4.0), st.floats(-2.0, 2.0)),
+                   min_size=2, max_size=5))
+# an uncapped second step lands where three of the five entries are below
+# 1e-80: the t-gradient there reads converged at 3.05, short of the 3.36
+# maximum
+@example(wc=[(0.50925, 1.54444), (4.0, -1.46618), (0.94954, 0.0),
+             (0.50925, 1.54444), (4.0, 0.0)])
+# at t-gradient 5e-9 every step that still moves t lowers the rounded value
+@example(wc=[(0.77, -1.47), (2.21, 0.02), (1.24, 1.14)])
+def test_weighted_entropy_plus_linear_optimum(wc):
+    """On Simplex(w), -sum_i w_i x_i ln x_i + c.x peaks at
+    x_i proportional to exp(c_i / w_i) (Lagrange: w_i (ln x_i + 1) + lambda
+    w_i = c_i)."""
+    w, c = (np.array(v) for v in zip(*wc))
+
+    def obj(x):
+        return -(w * x * np.log(x)).sum(axis=1) + x @ c
+
+    res = maximize(obj, Domain((Simplex(tuple(w)),)))
+    peak = np.exp(c / w) / (w @ np.exp(c / w))
+    assert res.converged
+    np.testing.assert_allclose(res.argmax, peak, rtol=0, atol=1e-6)
+
+
+@settings(derandomize=True, deadline=None)
+@given(boxes=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.5, 5.0),
+                                st.floats(0.1, 0.9)), min_size=1, max_size=5),
+       mix=st.lists(st.floats(-1.0, 1.0), min_size=25, max_size=25))
+def test_concave_quadratic_box_optimum(boxes, mix):
+    """On a product of random boxes, -(x - p).A(x - p) with A positive
+    definite peaks at its p inside the boxes."""
+    lo, width, frac = (np.array(v) for v in zip(*boxes))
+    d = len(boxes)
+    m = np.array(mix[:d * d]).reshape(d, d)
+    a = m @ m.T + 0.5 * np.eye(d)
+    peak = lo + frac * width
+
+    def obj(x):
+        return -np.einsum("mi,ij,mj->m", x - peak, a, x - peak)
+
+    res = maximize(obj, Domain(tuple(Box(b, b + h)
+                                     for b, h in zip(lo, width))))
+    assert res.converged
+    np.testing.assert_allclose(res.argmax, peak, rtol=0, atol=1e-6)
+
+
 def test_determinism_bit_for_bit():
     dom = Domain((Simplex((1.0, 3.0, 3.0, 1.0)), Box(0.0, 1.0)))
 
@@ -101,63 +148,63 @@ def test_non_finite_row_is_named():
         f"objective returned non-finite value inf at {center}"
 
 
-def record_solves(monkeypatch):
-    """A list that collects the result of each L-BFGS solve."""
-    solves = []
-    minimize = optimize.minimize
-
-    def counted(fun, x0, **kwargs):
-        solves.append(minimize(fun, x0, **kwargs))
-        return solves[-1]
-
-    monkeypatch.setattr(optimize, "minimize", counted)
-    return solves
+def recorded(objective, calls):
+    """`objective`, appending each call's rows and values to `calls`."""
+    def call(x):
+        calls.append((x, objective(x)))
+        return calls[-1][1]
+    return call
 
 
-def test_one_objective_call_per_evaluation(monkeypatch):
-    """One call on d complex-step rows per L-BFGS evaluation, and no
-    other call."""
-    calls, solves = [], record_solves(monkeypatch)
+def test_one_objective_call_per_evaluation():
+    """One call on d complex-step rows per evaluation, and no other call:
+    the result is the real part of the last accepted evaluation."""
+    calls = []
     dom = Domain((Simplex((1.0, 3.0, 3.0, 1.0)), Box(0.0, 1.0)))
 
     def obj(x):
-        calls.append(len(x))
         return -(x[:, :4] ** 2).sum(axis=1) - (x[:, 4] - 0.4) ** 2
 
-    res = maximize(obj, dom)
-    assert res.converged and len(solves) == 1
-    assert res.iterations == solves[0].nit > 0
-    assert calls == [5] * solves[0].nfev
+    res = maximize(recorded(obj, calls), dom)
+    assert res.converged and res.iterations > 0
+    assert [len(x) for x, _ in calls] == [5] * len(calls)
+    assert len(calls) > res.iterations
+    x, v = calls[-1]
+    assert res.value == v[0].real and np.array_equal(res.argmax, x[0].real)
 
 
-def test_frozen_start_is_not_moved(monkeypatch):
+def test_frozen_start_is_not_moved():
     # the center of a symmetric objective is stationary from the start:
-    # L-BFGS stops after evaluating it, and the center is the result
-    solves = record_solves(monkeypatch)
-    res = maximize(lambda x: -(x[:, 0] - 0.5) ** 2, UNIT)
-    assert len(solves) == 1
-    assert solves[0].nit == 0 and solves[0].nfev == 1
+    # the solve stops after evaluating it, and the center is the result
+    calls = []
+    res = maximize(recorded(lambda x: -(x[:, 0] - 0.5) ** 2, calls), UNIT)
+    assert len(calls) == 1
     assert res.argmax[0] == 0.5 and res.value == 0.0
     assert res.stationarity == 0.0 and res.iterations == 0 and res.converged
 
 
 def test_table_objective_calls_work_counter(monkeypatch, capsys):
     """The closed, equalized and three-hex tables (9 solves) take one
-    L-BFGS solve each and at most 100 mappings by Domain.to_interior of
-    at most 260 rows in all: one per L-BFGS evaluation and one per
-    argmax.  Central differences with a separate center and last-iterate
-    evaluation took 111 maps of 663 rows."""
-    rows, solves = [], record_solves(monkeypatch)
-    to_interior = Domain.to_interior
+    `maximize` each and at most 100 mappings by Domain.to_interior of at
+    most 260 rows in all: one per evaluation, the argmax being the real
+    part of one.  Central differences with a separate center and
+    last-iterate evaluation took 111 maps of 663 rows."""
+    rows, solves = [], []
+    to_interior, maximize_ = Domain.to_interior, optimize.maximize
 
     def counted(self, t):
         rows.append(len(np.atleast_2d(t)))
         return to_interior(self, t)
 
+    def counted_maximize(*args, **kwargs):
+        solves.append(maximize_(*args, **kwargs))
+        return solves[-1]
+
     monkeypatch.setattr(Domain, "to_interior", counted)
+    monkeypatch.setattr(optimize, "maximize", counted_maximize)
     for scheme in ("closed", "equalized", "three-hex"):
         assert cli.main(["bound", "--scheme", scheme, "--lattice", "all"]) == 0
-    assert len(solves) == 9
+    assert len(solves) == 9 and all(r.converged for r in solves)
     assert len(rows) <= 100
     assert sum(rows) <= 260
 
@@ -195,30 +242,61 @@ def test_gradient_check_bipartite():
 
 @functools.cache
 def driver_solves():
-    """(objective, domain, fun) of the nine table solves: the batched
-    objective and the domain each driver hands to `maximize`, and the
-    function `maximize` hands to L-BFGS-B."""
-    solves = []
-    maximize_, minimize_ = optimize.maximize, optimize.minimize
+    """(objective, domain, evaluations) of the nine table solves: the
+    batched objective and the domain each driver hands to `maximize`, and
+    for each objective call of its solve the unconstrained rows mapped and
+    the values returned."""
+    solves, mapped = [], []
+    maximize_, to_interior = optimize.maximize, Domain.to_interior
 
     def record_maximize(objective, domain, **kwargs):
-        solves.append([objective, domain])
-        return maximize_(objective, domain, **kwargs)
+        evaluations = []
 
-    def record_minimize(fun, x0, **kwargs):
-        solves[-1].append(fun)
-        return minimize_(fun, x0, **kwargs)
+        def call(x):
+            evaluations.append((mapped[-1], objective(x)))
+            return evaluations[-1][1]
+
+        solves.append((objective, domain, evaluations))
+        return maximize_(call, domain, **kwargs)
+
+    def record_to_interior(self, t):
+        mapped.append(t)
+        return to_interior(self, t)
 
     with mock.patch.object(optimize, "maximize", record_maximize), \
-            mock.patch.object(optimize, "minimize", record_minimize):
+            mock.patch.object(Domain, "to_interior", record_to_interior):
         for lattice in STAGE_UNFORCED:
             bounds.optimize_closed_form(lattice)
         for lattice in bounds.EQUALIZED_CAPS:
             bounds.optimize_equalized(lattice)
         for lattice in THREE_HEX_SCHEMES:
             bounds.optimize_three_hex(lattice)
-    assert len(solves) == 9 and all(len(s) == 3 for s in solves)
+    assert len(solves) == 9 and all(s[2] for s in solves)
     return solves
+
+
+def check_complex_step(objective, domain, t, v):
+    """v, the values at the complex-step rows of t, holds the real formula
+    at t and, over STEP, its central difference."""
+    d = domain.size
+    h = 1e-6
+    w = objective(domain.to_interior(
+        t + h * np.vstack([np.zeros(d), np.eye(d), -np.eye(d)])))
+    assert v[0].real == pytest.approx(w[0], rel=0, abs=1e-15)
+    np.testing.assert_allclose(
+        v.imag / STEP, (w[1:d + 1] - w[d + 1:]) / (2 * h), rtol=0, atol=1e-8)
+
+
+def test_solves_evaluate_complex_steps():
+    """Every objective call of the nine table solves is on the d rows
+    t + i STEP e_k of one real t, so it reads the value and the
+    t-gradient at t."""
+    for objective, domain, evaluations in driver_solves():
+        d = domain.size
+        for rows, v in evaluations:
+            t = rows[0].real
+            assert np.array_equal(rows, t + 1j * STEP * np.eye(d))
+            check_complex_step(objective, domain, t, v)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -226,23 +304,17 @@ def driver_solves():
        t=st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5),
        far=st.lists(st.booleans(), min_size=5, max_size=5))
 def test_complex_step_gradient_matches_central_difference(solve, t, far):
-    """At random t, the value and gradient L-BFGS-B sees for each driver
-    objective are its real formula and its central difference.  Complex
+    """At random t, the complex-step rows the solves evaluate give each
+    driver objective's real formula and its central difference.  Complex
     rows map to finite points whose real part is the real map: within two
     ulps at t (a complex quotient multiplies by the reciprocal of its
     denominator), and exactly at |t| = 800."""
-    objective, domain, fun = driver_solves()[solve]
+    objective, domain, _ = driver_solves()[solve]
     d = domain.size
     t = np.array(t[:d])
-    f, g = fun(t)
-    h = 1e-6
-    v = objective(domain.to_interior(
-        t + h * np.vstack([np.zeros(d), np.eye(d), -np.eye(d)])))
-    assert -f == pytest.approx(v[0], rel=0, abs=1e-15)
-    np.testing.assert_allclose(-g, (v[1:d + 1] - v[d + 1:]) / (2 * h),
-                               rtol=0, atol=1e-8)
     steps = 1j * STEP * np.eye(d)
     z = domain.to_interior(t + steps)
+    check_complex_step(objective, domain, t, objective(z))
     assert np.isfinite(z).all()
     np.testing.assert_allclose(
         z.real, np.broadcast_to(domain.to_interior(t), z.shape),
