@@ -14,7 +14,8 @@ periodic strips land much closer at the same width.
 from hardcore_entropy import blocks, block_bounds, oracles
 
 if __name__ == "__main__":
-    gens = {1: block_bounds.equalized_unit_generator(blocks.reduce_family(1))}
+    gens = {}
+    gens[1], _ = block_bounds.equalized_unit_generator(blocks.reduce_family(1))
     for n in (2, 3):
         family = blocks.reduce_family(n)
         gens[n], _ = block_bounds.optimize_block_bound(family)

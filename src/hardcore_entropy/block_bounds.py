@@ -20,7 +20,7 @@ import numpy as np
 
 from . import optimize
 from .blocks import BlockFamily, _marginal_counts, cover_pairs, popcounts
-from .bounds import LN2, BoundReport, optimize_equalized
+from .bounds import LN2, BoundReport, optimize_bound
 
 # a cover pair is a violation when p[big] exceeds p[small] by this much
 MONOTONICITY_TOL = 1e-6
@@ -266,17 +266,17 @@ def density_profile(n: int, generator: BlockDistribution) -> DensityProfile:
 
 def equalized_unit_generator(family: BlockFamily, *,
                              tol: float = optimize.TOL,
-                             max_iter: int = optimize.MAX_ITER
-                             ) -> BlockDistribution:
+                             max_iter: int = optimize.MAX_ITER):
     """Single-site generator at the density-equalized square-lattice optimum.
 
     The raw single-site optimum puts more mass on the odd sublattice than
     the even one, so occupancy profiles built from it are not comparable
     with the larger block optima (whose two densities nearly agree).  The
     fair flat reference is the two-stage scheme whose final coin is chosen
-    to equalize the sublattice densities.
+    to equalize the sublattice densities.  Returns (distribution, report).
     """
     if family.n != 1:
         raise ValueError("unit generator needs the 1x1 family")
-    p = optimize_equalized("square", tol=tol, max_iter=max_iter).densities[0]
-    return BlockDistribution(family, np.array([1.0 - p, p]))
+    rep = optimize_bound("equalized", "square", tol=tol, max_iter=max_iter)
+    p = rep.densities[0]
+    return BlockDistribution(family, np.array([1.0 - p, p])), rep

@@ -98,7 +98,7 @@ class BoundReport:
     value: nats per full-lattice site.
     params: the parameters the bound was evaluated (or maximized) at.
     densities: per-sublattice 1-densities in fill order.
-    lattice: lattice name or scheme label.
+    lattice: lattice name.
     """
 
     lattice: str
@@ -303,59 +303,53 @@ def bound_three_hex_triangular(pvec, q: float) -> BoundReport:
 
 # ------------------------------------------------------- optimizer drivers
 
-# p' = p / U_1(p) stays a probability only below these caps
-EQUALIZED_CAPS = {"square": 0.275, "honeycomb": 0.317}
-
-# lattice -> (Bernoulli stages after the cluster simplex, the bound's value
-# at the columns p0, p1, p2, p3[, q] of a batch, its report at one point)
-THREE_HEX_SCHEMES = {
-    "honeycomb": (0, lambda c: _three_hex_honeycomb(c)[0],
-                  lambda x: bound_three_hex_honeycomb(x)),
-    "triangular": (1, lambda c: _three_hex_triangular(c[:4], c[4])[0],
-                   lambda x: bound_three_hex_triangular(x[:4], x[4])),
-}
-
-_THREE_HEX_WEIGHTS = (1.0, 3.0, 3.0, 1.0)
+_UNIT = optimize.Box(0.0, 1.0)
+_TILES = optimize.Simplex((1.0, 3.0, 3.0, 1.0))
 
 
-def optimize_closed_form(lattice, *, tol: float = TOL,
-                         max_iter: int = MAX_ITER) -> BoundReport:
-    """Maximize the staged closed-form bound of one lattice over its
-    Bernoulli parameters."""
-    arity = build_lattice(lattice).partite_count - 1
-    domain = optimize.Domain([optimize.Box(0.0, 1.0)] * arity)
-    res = optimize.maximize(lambda x: _staged_value(lattice, (*x.T, 0.5)),
-                            domain, tol=tol, max_iter=max_iter)
-    return replace(staged_bound(lattice, res.argmax), meta=res.meta())
+def _closed(lattice):
+    k = build_lattice(lattice).partite_count
+    return (optimize.Domain([_UNIT] * (k - 1)),
+            lambda x: _staged_value(lattice, (*x.T, 0.5)),
+            lambda x: staged_bound(lattice, x))
 
 
-def optimize_equalized(lattice, *, tol: float = TOL,
-                       max_iter: int = MAX_ITER) -> BoundReport:
-    """Maximize the density-equalized two-stage bound: the final stage is
-    B(p') with p' = p / U_1(p), so both sublattice densities equal p."""
-    if lattice not in EQUALIZED_CAPS:
-        raise ValueError(f"equalized scheme needs a bipartite lattice, "
-                         f"got {lattice!r}")
-
+def _equalized(lattice, cap):
+    """The final stage is B(p') with p' = p / U_1(p), so both sublattice
+    densities equal p; p' stays a probability only for p below cap."""
     def stages(p):
         return p, p / STAGE_UNFORCED[lattice]((p,))[1]
 
-    domain = optimize.Domain([optimize.Box(0.0, EQUALIZED_CAPS[lattice])])
-    res = optimize.maximize(lambda x: _staged_value(lattice, stages(x[:, 0])),
-                            domain, tol=tol, max_iter=max_iter)
-    p, p_prime = stages(res.argmax[:1])
-    return replace(staged_bound(lattice, (p[0], p_prime[0])), meta=res.meta())
+    return (optimize.Domain([optimize.Box(0.0, cap)]),
+            lambda x: _staged_value(lattice, stages(x[:, 0])),
+            lambda x: staged_bound(lattice, [v[0] for v in stages(x[:1])]))
 
 
-def optimize_three_hex(lattice, *, tol: float = TOL,
-                       max_iter: int = MAX_ITER) -> BoundReport:
-    """Maximize the three-tile cluster bound over the tile-count simplex
-    (plus the dot-stage parameter on the triangular lattice)."""
-    if lattice not in THREE_HEX_SCHEMES:
-        raise ValueError(f"no three-hex scheme for lattice {lattice!r}")
-    boxes, value, report = THREE_HEX_SCHEMES[lattice]
-    domain = optimize.Domain([optimize.Simplex(_THREE_HEX_WEIGHTS)]
-                             + [optimize.Box(0.0, 1.0)] * boxes)
-    res = optimize.maximize(lambda x: value(x.T), domain, tol=tol,
-                            max_iter=max_iter)
+# scheme -> lattice -> (domain, batched value, report at one point)
+SCHEMES = {
+    "closed": {lattice: _closed(lattice) for lattice in STAGE_UNFORCED},
+    "equalized": {"square": _equalized("square", 0.275),
+                  "honeycomb": _equalized("honeycomb", 0.317)},
+    "three-hex": {
+        # each report looks its builder up at call time, as tracers expect
+        "honeycomb": (optimize.Domain([_TILES]),
+                      lambda x: _three_hex_honeycomb(x.T)[0],
+                      lambda x: bound_three_hex_honeycomb(x)),
+        "triangular": (optimize.Domain([_TILES, _UNIT]),
+                       lambda x: _three_hex_triangular(x.T[:4], x.T[4])[0],
+                       lambda x: bound_three_hex_triangular(x[:4], x[4])),
+    },
+}
+
+
+def optimize_bound(scheme, lattice, *, tol: float = TOL,
+                   max_iter: int = MAX_ITER) -> BoundReport:
+    """Maximize one `SCHEMES` entry; the report carries the solver meta."""
+    if lattice not in SCHEMES.get(scheme, ()):
+        table = "; ".join(f"{name}: {', '.join(lattices)}"
+                          for name, lattices in SCHEMES.items())
+        raise ValueError(f"no {scheme} bound on lattice {lattice!r}; "
+                         f"supported lattices by scheme: {table}")
+    domain, value, report = SCHEMES[scheme][lattice]
+    res = optimize.maximize(value, domain, tol=tol, max_iter=max_iter)
     return replace(report(res.argmax), meta=res.meta())

@@ -42,12 +42,7 @@ EXIT_CONFIG = 2
 
 SCHEMA_VERSION = 8
 
-_SCHEME_LATTICES = {
-    "closed": tuple(bounds.STAGE_UNFORCED),
-    "equalized": tuple(bounds.EQUALIZED_CAPS),
-    "three-hex": tuple(bounds.THREE_HEX_SCHEMES),
-    "block": ("square",),
-}
+_SCHEME_LATTICES = {**bounds.SCHEMES, "block": ("square",)}
 
 # sampler torus sizes chosen even, divisible by 3 (triangular stacking)
 # and by 8 (tile-based standard errors)
@@ -266,13 +261,9 @@ def _write_bundle(command: str, cfg: argparse.Namespace, reports: list,
 def _write_csv(out: str | None, header: list, rows: list) -> None:
     if out:
         with open(out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            csv.writer(fh).writerows([header, *rows])
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(sys.stdout).writerows([header, *rows])
 
 
 def _print_bound_table(reports) -> None:
@@ -285,6 +276,14 @@ def _print_bound_table(reports) -> None:
               f"{rep.value:>11.6f}  {dens}")
 
 
+def _convergence_exit(reports) -> int:
+    """EXIT_NUMERICAL, with a message, if any solve did not converge."""
+    if all(r.meta["converged"] for r in reports):
+        return EXIT_OK
+    print("optimizer did not converge", file=sys.stderr)
+    return EXIT_NUMERICAL
+
+
 # ------------------------------------------------------------- commands
 
 def cmd_bound(cfg: argparse.Namespace) -> int:
@@ -294,26 +293,18 @@ def cmd_bound(cfg: argparse.Namespace) -> int:
         raise ConfigError(f"scheme {cfg.scheme!r} supports lattices "
                           f"{', '.join(allowed)}")
     targets = allowed if cfg.lattice == "all" else (cfg.lattice,)
-    reports = []
-    settings = {"tol": cfg.tol, "max_iter": cfg.max_iter}
-    for lat in targets:
-        if cfg.scheme == "closed":
-            rep = bounds.optimize_closed_form(lat, **settings)
-        elif cfg.scheme == "equalized":
-            rep = bounds.optimize_equalized(lat, **settings)
-        elif cfg.scheme == "three-hex":
-            rep = bounds.optimize_three_hex(lat, **settings)
-        else:
-            family = blocks.load_or_build_family(cfg.n, True, cfg.cache_dir)
-            _, rep = block_bounds.optimize_block_bound(
-                family, tol=cfg.tol, max_iter=cfg.max_iter)
-        reports.append(rep)
+    if cfg.scheme == "block":
+        family = blocks.load_or_build_family(cfg.n, True, cfg.cache_dir)
+        _, rep = block_bounds.optimize_block_bound(
+            family, tol=cfg.tol, max_iter=cfg.max_iter)
+        reports = [rep]
+    else:
+        reports = [bounds.optimize_bound(cfg.scheme, lat, tol=cfg.tol,
+                                         max_iter=cfg.max_iter)
+                   for lat in targets]
     _print_bound_table(reports)
     _write_bundle("bound", cfg, [r.as_dict() for r in reports], started)
-    if any(not r.meta.get("converged", True) for r in reports):
-        print("optimizer did not converge", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return _convergence_exit(reports)
 
 
 def cmd_reduce(cfg: argparse.Namespace) -> int:
@@ -445,23 +436,22 @@ def cmd_profile(cfg: argparse.Namespace) -> int:
     if any(not 1 <= g <= cfg.n for g in sizes):
         raise ConfigError(f"generator sides must lie in 1..{cfg.n}")
 
-    generators = {}
+    profiles, reports = {}, []
     for g in sorted(set(sizes)):
         family = blocks.load_or_build_family(g, True, cfg.cache_dir)
         if g == 1:
             # flat reference: the density-equalized single-site scheme,
             # comparable with the block optima whose densities agree
-            generators[g] = block_bounds.equalized_unit_generator(
+            dist, rep = block_bounds.equalized_unit_generator(
                 family, tol=cfg.tol, max_iter=cfg.max_iter)
         else:
-            generators[g], _ = block_bounds.optimize_block_bound(
+            dist, rep = block_bounds.optimize_block_bound(
                 family, tol=cfg.tol, max_iter=cfg.max_iter)
-    profiles = {g: block_bounds.density_profile(cfg.n, generators[g])
-                for g in sorted(set(sizes))}
+        profiles[g] = block_bounds.density_profile(cfg.n, dist)
+        reports.append(rep)
 
-    rows = [(k, f"{p:.7f}", g)
-            for g in sorted(set(sizes))
-            for k, p in enumerate(profiles[g].occupancy_probs)]
+    rows = [(k, f"{p:.7f}", g) for g, prof in profiles.items()
+            for k, p in enumerate(prof.occupancy_probs)]
     _write_csv(cfg.out, ["k", "probability", "generator"], rows)
 
     cells = cfg.n * cfg.n
@@ -493,7 +483,7 @@ def cmd_profile(cfg: argparse.Namespace) -> int:
         else:
             print(f"# no upward crossing of generators {big} and {small}",
                   file=note)
-    return EXIT_OK
+    return _convergence_exit(reports)
 
 
 def _parse_params(raw: str | None) -> tuple[float, ...]:

@@ -16,9 +16,7 @@ from hardcore_entropy.bounds import (
     LN2,
     entropy_bernoulli,
     entropy_three_hex,
-    optimize_closed_form,
-    optimize_equalized,
-    optimize_three_hex,
+    optimize_bound,
 )
 from hardcore_entropy.lattices import (
     LATTICES,
@@ -71,7 +69,7 @@ def test_criterion_01_closed_form_table():
     problems = []
     summary = []
     for lattice, (value, densities) in TABLE_CLOSED.items():
-        rep = optimize_closed_form(lattice)
+        rep = optimize_bound("closed", lattice)
         summary.append(f"{lattice} {rep.value:.4f}")
         if abs(rep.value - value) > 5e-4:
             problems.append(f"{lattice} value {rep.value:.5f} != {value}")
@@ -91,7 +89,7 @@ def test_criterion_02_typo_regressions():
     # variant of the tripartite closed form with the final exponent
     # fixed at 2 (only correct for the kagome lattice) instead of the
     # coordination-driven 3
-    tri = optimize_closed_form("triangular")
+    tri = optimize_bound("closed", "triangular")
     p, q = tri.params["p"], tri.params["q"]
     s = 1.0 - (1.0 - p) * q
     wrong_tail = (entropy_bernoulli(p) + (1.0 - p) ** 3
@@ -99,7 +97,7 @@ def test_criterion_02_typo_regressions():
 
     # variant of the triangular cluster bound with the compact but
     # inconsistent third term 3 (p1 + p0(1-q)) a^3 (2-q)^2
-    th = optimize_three_hex("triangular")
+    th = optimize_bound("three-hex", "triangular")
     pvec = (th.params["p0"], th.params["p1"], th.params["p2"],
             th.params["p3"])
     qq = th.params["q"]
@@ -124,7 +122,7 @@ def test_criterion_03_three_hex_table():
     problems = []
     summary = []
     for lattice, (value, densities) in TABLE_THREE_HEX.items():
-        rep = optimize_three_hex(lattice)
+        rep = optimize_bound("three-hex", lattice)
         summary.append(f"{lattice} {rep.value:.4f}")
         if abs(rep.value - value) > 1e-3:
             problems.append(f"{lattice} value {rep.value:.5f} != {value}")
@@ -191,8 +189,8 @@ def test_criterion_06_blocking_constants():
 
 
 def test_criterion_07_equalized_optima():
-    sq = optimize_equalized("square")
-    hc = optimize_equalized("honeycomb")
+    sq = optimize_bound("equalized", "square")
+    hc = optimize_bound("equalized", "honeycomb")
     ok = (abs(sq.value - 0.3921) <= 5e-4
           and abs(sq.densities[0] - 0.2015) <= 5e-3
           and abs(hc.value - 0.427875) <= 5e-4
@@ -307,7 +305,7 @@ def test_criterion_10_monotonicity_at_optima(block_optima):
 
 
 def test_criterion_11_profile_shape(block_optima):
-    gen1 = block_bounds.equalized_unit_generator(blocks.reduce_family(1))
+    gen1, _ = block_bounds.equalized_unit_generator(blocks.reduce_family(1))
     gen2 = block_optima[2][0]
     gen3 = block_optima[3][0]
     profiles = {g: block_bounds.density_profile(3, gen)

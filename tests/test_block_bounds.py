@@ -331,7 +331,8 @@ class TestDensityProfile:
 def test_equalized_unit_generator():
     from hardcore_entropy.block_bounds import equalized_unit_generator
 
-    gen = equalized_unit_generator(FAMILIES[1])
+    gen, rep = equalized_unit_generator(FAMILIES[1])
+    assert rep.meta["converged"] and rep.scheme == "equalized"
     assert gen.even_density() == pytest.approx(0.2015, abs=5e-4)
     prof = density_profile(3, gen)
     assert prof.mean() / 9 == pytest.approx(gen.even_density(), abs=1e-12)

@@ -179,19 +179,39 @@ def test_batched_staged_value_matches_staged_bound(
         bounds._staged_value(lattice, (*x.T, *final))
 
 
+_ENTRIES = [(scheme, lattice) for scheme, lattices in bounds.SCHEMES.items()
+            for lattice in lattices]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(entry=st.sampled_from(_ENTRIES),
+       t=st.lists(st.lists(st.floats(-40.0, 40.0), min_size=5, max_size=5),
+                  min_size=1, max_size=11))
+def test_batched_scheme_value_is_the_report_formula(entry, t):
+    """At feasible points mapped from random unconstrained rows, row i of
+    each scheme's batched value is its report's value at row i exactly:
+    the report is the optimizer's formula."""
+    domain, value, report = bounds.SCHEMES[entry[0]][entry[1]]
+    x = domain.to_interior(np.array(t)[:, :domain.size])
+    values = value(x)
+    assert values.shape == (len(x),)
+    for row, v in zip(x, values):
+        assert v == report(row).value
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(lattice=st.sampled_from(sorted(bounds.THREE_HEX_SCHEMES)),
+@given(lattice=st.sampled_from(sorted(bounds.SCHEMES["three-hex"])),
        batch=_BATCH, bad_row=st.integers(0, 10), bad_column=st.integers(0, 5))
 def test_batched_three_hex_matches_scalar_bounds(lattice, batch, bad_row,
                                                  bad_column):
     """Row i of the batched three-hex formula is the scalar bound's value
     exactly, and one infeasible row fails the whole batch."""
-    boxes, value, _ = bounds.THREE_HEX_SCHEMES[lattice]
-    x = np.array(batch)[:, :4 + boxes]
+    domain, value, _ = bounds.SCHEMES["three-hex"][lattice]
+    x = np.array(batch)[:, :domain.size]
     total = x[:, 0] + 3 * x[:, 1] + 3 * x[:, 2] + x[:, 3]
     assume((total > 0).all())
     x[:, :4] /= total[:, None]
-    values = value(x.T)
+    values = value(x)
     assert values.shape == (len(x),)
     for row, v in zip(x, values):
         rep = (bound_three_hex_honeycomb(row) if lattice == "honeycomb"
@@ -204,7 +224,7 @@ def test_batched_three_hex_matches_scalar_bounds(lattice, batch, bad_row,
     else:
         x[i, :4] *= 1.0 + 1e-9
     with pytest.raises(ValueError):
-        value(x.T)
+        value(x)
 
 
 def test_three_hex_param_validation():
@@ -280,42 +300,40 @@ def test_report_shape():
 
 # ------------------------------------------------------- optimizer drivers
 
-from hardcore_entropy.bounds import (  # noqa: E402
-    optimize_closed_form, optimize_equalized, optimize_three_hex,
-)
+from hardcore_entropy.bounds import optimize_bound  # noqa: E402
 
 
 @pytest.mark.parametrize("lattice", sorted(KNOWN_CLOSED))
-def test_optimize_closed_form_recovers_table(lattice):
+def test_closed_optimum_recovers_table(lattice):
     value, densities = KNOWN_CLOSED[lattice]
-    rep = optimize_closed_form(lattice)
+    rep = optimize_bound("closed", lattice)
     assert rep.value == pytest.approx(value, abs=5e-4)
     assert rep.densities == pytest.approx(densities, abs=5e-3)
     assert rep.meta["converged"]
 
 
-def test_optimize_equalized_recovers_table():
-    sq = optimize_equalized("square")
+def test_equalized_optimum_recovers_table():
+    sq = optimize_bound("equalized", "square")
     assert sq.value == pytest.approx(0.3921, abs=5e-4)
     assert sq.densities[0] == pytest.approx(sq.densities[1], abs=1e-9)
     assert sq.densities[0] == pytest.approx(0.2015, abs=5e-3)
-    hc = optimize_equalized("honeycomb")
+    hc = optimize_bound("equalized", "honeycomb")
     assert hc.value == pytest.approx(0.427875, abs=5e-4)
     assert hc.densities[0] == pytest.approx(0.2284, abs=5e-3)
 
 
-def test_optimize_three_hex_recovers_table():
-    hc = optimize_three_hex("honeycomb")
+def test_three_hex_optimum_recovers_table():
+    hc = optimize_bound("three-hex", "honeycomb")
     assert hc.value == pytest.approx(0.4304, abs=1e-3)
-    tri = optimize_three_hex("triangular")
+    tri = optimize_bound("three-hex", "triangular")
     assert tri.value == pytest.approx(0.3265, abs=1e-3)
     # cluster bound must beat the single-site scheme it refines
-    assert hc.value > optimize_closed_form("honeycomb").value
-    assert tri.value > optimize_closed_form("triangular").value
+    assert hc.value > optimize_bound("closed", "honeycomb").value
+    assert tri.value > optimize_bound("closed", "triangular").value
 
 
 def test_optimizer_driver_rejects_wrong_lattice():
-    for call in (lambda: optimize_closed_form("hexagonal"),
+    for call in (lambda: optimize_bound("closed", "hexagonal"),
                  lambda: build_lattice("hexagonal"),
                  lambda: stage_unforced("hexagonal", (0.1,)),
                  lambda: staged_bound("hexagonal", (0.1,)),
@@ -325,7 +343,13 @@ def test_optimizer_driver_rejects_wrong_lattice():
                                                        1)):
         with pytest.raises(ValueError):
             call()
-    with pytest.raises(ValueError):
-        optimize_equalized("triangular")
-    with pytest.raises(ValueError):
-        optimize_three_hex("square")
+    # an unknown scheme, or a lattice the scheme lacks, names the
+    # lattices every scheme supports
+    supported = "closed: square, honeycomb, triangular, kagome, square_moore"
+    for scheme, lattice in (("equalized", "triangular"),
+                            ("three-hex", "square"), ("block", "square"),
+                            ("closed", "hexagonal")):
+        with pytest.raises(ValueError, match=supported) as info:
+            optimize_bound(scheme, lattice)
+        assert "equalized: square, honeycomb" in str(info.value)
+        assert "three-hex: honeycomb, triangular" in str(info.value)

@@ -354,6 +354,40 @@ def test_profile_three_generators(tmp_path, capsys):
     assert "between k=3 and k=4" in err
 
 
+# the default `profile --n 3` curves, k = 0..9, as printed
+PRINTED_PROFILE = {
+    "1": "0.1319555 0.2997063 0.3025393 0.1781495 0.0674375 0.0170188 "
+         "0.0028633 0.0003097 0.0000195 0.0000005",
+    "2": "0.1784426 0.2849412 0.2595686 0.1640309 0.0772574 0.0272503 "
+         "0.0070680 0.0012842 0.0001484 0.0000084",
+    "3": "0.2350652 0.2433919 0.2049630 0.1499679 0.0932646 0.0477245 "
+         "0.0189919 0.0055017 0.0010323 0.0000969",
+}
+
+
+def test_profile_default_csv_pinned(capsys):
+    assert run(["profile", "--n", "3"]) == 0
+    printed = capsys.readouterr().out
+    assert printed == "k,probability,generator\r\n" + "".join(
+        f"{k},{p},{g}\r\n" for g, curve in PRINTED_PROFILE.items()
+        for k, p in enumerate(curve.split()))
+
+
+@pytest.mark.parametrize("args", [
+    ["--n", "3", "--generators", "1,3", "--max-iter", "3"],
+    ["--n", "2", "--generators", "1", "--max-iter", "1"]])
+def test_profile_not_converged_exits_one(tmp_path, capsys, args):
+    # as bound does: the output is still written, then the exit is 1
+    out = tmp_path / "profile.csv"
+    assert run(["profile", *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "optimizer did not converge"
+    assert any(line.startswith("# variance order: ") for line in err)
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(args[3].split(",")) * (int(args[1]) ** 2 + 1)
+
+
 def test_profile_digits_hold_at_default_tol(tmp_path, monkeypatch):
     # 7 decimals, what a solve to the default --tol pins: each printed
     # probability is within 1e-7 of the profile solved to 1e-12
@@ -380,13 +414,13 @@ def test_profile_digits_hold_at_default_tol(tmp_path, monkeypatch):
 def test_profile_unit_generator_honours_starts_and_tol(monkeypatch,
                                                       capsys):
     seen = []
-    real = bounds.optimize_equalized
+    real = bounds.optimize_bound
 
-    def recording(lattice, **kwargs):
+    def recording(scheme, lattice, **kwargs):
         seen.append(kwargs)
-        return real(lattice, **kwargs)
+        return real(scheme, lattice, **kwargs)
 
-    monkeypatch.setattr(block_bounds, "optimize_equalized", recording)
+    monkeypatch.setattr(block_bounds, "optimize_bound", recording)
     assert run(["profile", "--n", "2", "--generators", "1",
                 "--tol", "1e-8", "--max-iter", "500"]) == 0
     assert seen == [{"tol": 1e-8, "max_iter": 500}]

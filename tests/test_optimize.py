@@ -9,8 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hardcore_entropy import bounds, cli, optimize
 from hardcore_entropy.bounds import (
-    STAGE_UNFORCED, THREE_HEX_SCHEMES, bound_three_hex_honeycomb,
-    staged_bound,
+    SCHEMES, STAGE_UNFORCED, bound_three_hex_honeycomb, staged_bound,
 )
 from hardcore_entropy.optimize import (
     STEP, Box, Domain, Simplex, maximize,
@@ -20,14 +19,13 @@ UNIT = Domain((Box(0.0, 1.0),))
 
 
 def closed(lattice):
-    """The batched closed-form objective `optimize_closed_form` maximizes."""
+    """The batched closed-form objective `optimize_bound` maximizes."""
     return lambda x: bounds._staged_value(lattice, (*x.T, 0.5))
 
 
 def three_hex(lattice):
-    """The batched three-hex objective `optimize_three_hex` maximizes."""
-    value = THREE_HEX_SCHEMES[lattice][1]
-    return lambda x: value(x.T)
+    """The batched three-hex objective `optimize_bound` maximizes."""
+    return SCHEMES["three-hex"][lattice][1]
 
 
 def test_quadratic_box():
@@ -265,12 +263,9 @@ def driver_solves():
 
     with mock.patch.object(optimize, "maximize", record_maximize), \
             mock.patch.object(Domain, "to_interior", record_to_interior):
-        for lattice in STAGE_UNFORCED:
-            bounds.optimize_closed_form(lattice)
-        for lattice in bounds.EQUALIZED_CAPS:
-            bounds.optimize_equalized(lattice)
-        for lattice in THREE_HEX_SCHEMES:
-            bounds.optimize_three_hex(lattice)
+        for scheme, lattices in SCHEMES.items():
+            for lattice in lattices:
+                bounds.optimize_bound(scheme, lattice)
     assert len(solves) == 9 and all(s[2] for s in solves)
     return solves
 
@@ -384,7 +379,7 @@ def test_known_optimum_recovery(name, obj, dom, val, params):
 
 
 def _equalized_value(lattice):
-    """The batched objective `optimize_equalized` maximizes."""
+    """The batched equalized objective `optimize_bound` maximizes."""
     def value(x):
         p = x[:, 0]
         return bounds._staged_value(
