@@ -13,18 +13,24 @@ Two reductions shrink the 2^(n^2) variables:
 * D4: masks related by the dihedral symmetries of the square are identified
   (the maximal-entropy measure is isotropic).  A mask's orbit is named by
   its smallest image.
-* Weak sites: position s is weak in mask b when every odd site adjacent to s
-  is already adjacent to some 1 of b other than s, so b[s] has no effect on
-  which odd sites the block forces.  Toggling a weak site preserves the
-  forced set; the classes are the connected components of the graph on
-  orbits whose edges are weak toggles, found by propagating the smallest
-  orbit id along the edges.  Corner positions have an odd neighbor
-  touching no other position, hence are never weak.
+* Weak sites: position s is weak in mask b when toggling s keeps the set
+  of odd sites the block forces, forced(b) == forced(b ^ 1<<s).
+  Equivalently, every odd site adjacent to s is already adjacent to some 1
+  of b other than s, so weakness does not depend on b[s].  Corner positions
+  have an odd neighbor touching no other position, hence are never weak.
+  The classes are the connected components of the graph on orbits whose
+  edges are weak toggles, found by propagating the smallest orbit id along
+  the edges.  The odd-site geometry is D4-symmetric, so s is weak in b iff
+  g(s) is weak in g(b) for every symmetry g; every orbit edge is therefore
+  already produced by a toggle of the orbit's smallest mask, and edges are
+  generated from those D4-canonical masks alone.
 
 The quotient family keeps one probability variable per class, stored per
 arrangement: the probability of one specific member, entering normalization
 as multiplicity * prob.  Classes are numbered in order of their smallest
-member, which is their representative.
+member, which is their representative.  Each mask is labelled by that
+member, so the representatives are the masks labelled by themselves and a
+running count over them numbers the classes, with no sort.
 """
 from __future__ import annotations
 
@@ -106,10 +112,6 @@ def _odd_geometry(n: int):
     return k, tuple(per_pos)
 
 
-def corner_positions(n: int) -> frozenset[int]:
-    return frozenset({0, n - 1, (n - 1) * n, n * n - 1})
-
-
 @dataclass
 class BlockFamily:
     """Partition of all n x n masks into equivalence classes."""
@@ -167,28 +169,24 @@ def reduce_family(n: int, use_weak: bool = True) -> BlockFamily:
 
     if use_weak:
         _, per_pos = _odd_geometry(n)
-        corners = corner_positions(n)
-        ends = [np.zeros(0, dtype=np.int64)]  # n = 1 has only corners
+        forced = np.zeros(total, dtype=np.int32)  # (n+1)^2 <= 25 odd sites
         for s in range(N):
-            if s in corners:
-                continue
-            forced_wo = np.zeros(total, dtype=np.int32)
-            for t in range(N):
-                if t != s:
-                    forced_wo |= bits[t] * per_pos[t]
-            idx = masks[(per_pos[s] & ~forced_wo) == 0]
-            # weakness of s does not depend on bit s, so each toggle edge
-            # appears in both directions; keep one
-            a, b = orbit[idx], orbit[idx ^ (1 << s)]
-            keep = a < b
-            ends.append(a[keep].astype(np.int64) * total + b[keep])
-        a, b = np.divmod(np.unique(np.concatenate(ends)), total)
+            forced |= bits[s] * per_pos[s]
+        canon = masks[orbit == masks]
+        canon_forced = forced[canon]
+        a, b = [], []
+        for s in range(N):
+            flip = canon ^ (1 << s)
+            weak = forced[flip] == canon_forced
+            a.append(canon[weak])
+            b.append(orbit[flip[weak]])
+        a, b = np.concatenate(a), np.concatenate(b)
         # min-label propagation: both ends of each edge take the smaller
         # label, then each label jumps to its own label, until a sweep
         # changes nothing.  Labels stay in their component and never rise,
         # so each node ends labelled by its component's smallest node: its
         # smallest orbit id, hence the smallest member of the class
-        label = np.arange(total)
+        label = np.arange(total, dtype=np.int32)
         while True:
             before = label.copy()
             np.minimum.at(label, b, label[a])
@@ -198,10 +196,11 @@ def reduce_family(n: int, use_weak: bool = True) -> BlockFamily:
                 break
         orbit = label[orbit]
 
-    reps, class_of, mult = np.unique(orbit, return_inverse=True,
-                                     return_counts=True)
-    return BlockFamily(n, use_weak, class_of.astype(np.int32),
-                       reps.astype(np.int64), mult.astype(np.int64))
+    # a class's smallest member is the one mask that is its own label
+    is_rep = orbit == masks
+    class_of = (np.cumsum(is_rep, dtype=np.int32) - 1)[orbit]
+    return BlockFamily(n, use_weak, class_of, np.flatnonzero(is_rep),
+                       np.bincount(class_of))
 
 
 def save_family(family: BlockFamily, path) -> None:

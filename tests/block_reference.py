@@ -26,6 +26,11 @@ def d4_canonical(n: int, mask: int) -> int:
     return min(d4_images(n, mask))
 
 
+def corner_positions(n: int) -> frozenset[int]:
+    """The four corner positions of an n x n block."""
+    return frozenset({0, n - 1, (n - 1) * n, n * n - 1})
+
+
 def forced_odd_sites(n: int, mask: int) -> int:
     """Bitmask of odd sites forced to 0 by the block's 1s."""
     _, per_pos = blocks._odd_geometry(n)
@@ -45,7 +50,7 @@ def weak_sites(n: int, mask: int) -> set[int]:
     neighbor it alone touches.
     """
     _, per_pos = blocks._odd_geometry(n)
-    corners = blocks.corner_positions(n)
+    corners = corner_positions(n)
     out = set()
     for s in range(n * n):
         if s in corners:
@@ -70,7 +75,7 @@ def weak_family_by_csgraph(n: int):
     masks = np.arange(total)
     _, per_pos = blocks._odd_geometry(n)
     ends = [(np.zeros(0, int), np.zeros(0, int))]
-    for s in sorted(set(range(n * n)) - blocks.corner_positions(n)):
+    for s in sorted(set(range(n * n)) - corner_positions(n)):
         forced_wo = np.zeros(total, int)
         for t in range(n * n):
             if t != s:
