@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import optimize
-from .blocks import BlockFamily, _marginal_counts, cover_pairs, popcounts
+from .blocks import BlockFamily, _unforced_counts, cover_pairs, popcounts
 from .bounds import LN2, BoundReport, optimize_bound
 
 # a cover pair is a violation when p[big] exceeds p[small] by this much
@@ -69,24 +69,23 @@ def _evaluate(family: BlockFamily, probs):
     """(value, gradient in the class probabilities, u) of the block bound.
 
     value = (h + u ln 2) / 2 with h = -(1/n^2) sum multiplicity * p ln p
-    (0 ln 0 = 0) and u the unforced odd density.  Interior odd sites see
-    one block; boundary odd sites see two independent blocks (so the
-    all-zero probability squares) and corner odd sites four, and are
-    shared by as many blocks, hence the 1/2 and 1/4 census weights.  The
-    powers pair marginals of positions that are D4 images of each other,
-    which is exact because class probabilities are D4-invariant.
+    (0 ln 0 = 0) and u the unforced odd density.  With q = A p the
+    probability that one block leaves odd site k unforced, a site shared
+    by e blocks is unforced with probability q^e and counts q^e / e:
+    u = (1/n^2) sum q^e / e.  Raising q to the e-th power pairs marginals
+    of positions that are D4 images of each other, which is exact because
+    class probabilities are D4-invariant.
     """
     n2 = family.n ** 2
     w = family.multiplicities.astype(float)
-    a_int, a_dom, a_cor, int_cover = _marginal_counts(family)
+    a, e = _unforced_counts(family)
     p = np.asarray(probs, dtype=float)
     logp = np.log(np.maximum(p, 1e-300))
     h = -float(w @ (p * logp)) / n2
-    p_dom, p_cor = a_dom @ p, a_cor @ p
-    u = float((a_int @ p).sum() + 0.5 * (p_dom ** 2).sum()
-              + 0.25 * (p_cor ** 4).sum()) / n2
+    q = a @ p
+    u = float((q ** e / e).sum()) / n2
     dh = -w * (logp + 1.0) / n2
-    du = (int_cover + a_dom.T @ p_dom + a_cor.T @ p_cor ** 3) / n2
+    du = a.T @ q ** (e - 1) / n2
     return 0.5 * (h + u * LN2), 0.5 * (dh + LN2 * du), u
 
 
@@ -198,14 +197,9 @@ def _region_pmf(dist: BlockDistribution, region: int) -> np.ndarray:
     """Popcount distribution of mask & region under the block measure."""
     m = dist.n
     masks = np.arange(1 << (m * m), dtype=np.int64)
-    pop = np.zeros(len(masks), dtype=np.int64)
-    size = 0
-    for i in range(m * m):
-        if (region >> i) & 1:
-            pop += (masks >> i) & 1
-            size += 1
-    return np.bincount(pop, weights=dist.mask_probabilities(),
-                       minlength=size + 1)
+    return np.bincount(popcounts(m * m)[masks & region],
+                       weights=dist.mask_probabilities(),
+                       minlength=region.bit_count() + 1)
 
 
 def _axis_segments(window: int, m: int, offset: int):

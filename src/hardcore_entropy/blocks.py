@@ -6,7 +6,10 @@ lattice-adjacent).  Blocks tile the even sublattice; the odd sites a block
 interacts with are the plaquette centers (i + 1/2, j + 1/2) for
 i, j in [-1, n), indexed here by (i, j).  An odd site is adjacent to the even
 positions {i, i+1} x {j, j+1} that fall inside the block; odd sites on the
-block boundary are shared with neighboring blocks.
+block boundary are shared with neighboring blocks.  `_odd_sites(n)` holds
+that geometry once, as one position mask per odd site: a block forces the
+sites whose mask it meets, and both weakness and the unforced counts of
+`_unforced_counts` are read from those masks.
 
 Two reductions shrink the 2^(n^2) variables:
 
@@ -89,27 +92,12 @@ def d4_position_maps(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _odd_geometry(n: int):
-    """Odd-site indexing and per-position adjacency.
-
-    Returns (odd_count, odd_mask_of_position) where odd_mask_of_position[s]
-    has bit k set iff odd site k is adjacent to even position s.
-    """
-    ids = {}
-    k = 0
-    for i in range(-1, n):
-        for j in range(-1, n):
-            ids[(i, j)] = k
-            k += 1
-    per_pos = []
-    for y in range(n):
-        for x in range(n):
-            om = 0
-            for i in (x - 1, x):
-                for j in (y - 1, y):
-                    om |= 1 << ids[(i, j)]
-            per_pos.append(om)
-    return k, tuple(per_pos)
+def _odd_sites(n: int) -> tuple:
+    """Mask of the block positions adjacent to each odd site (i, j),
+    i, j in [-1, n), j fastest: {i, i+1} x {j, j+1} inside the block."""
+    return tuple(sum(1 << (y * n + x) for x in (i, i + 1) for y in (j, j + 1)
+                     if 0 <= x < n and 0 <= y < n)
+                 for i in range(-1, n) for j in range(-1, n))
 
 
 @dataclass
@@ -168,10 +156,11 @@ def reduce_family(n: int, use_weak: bool = True) -> BlockFamily:
         np.minimum(orbit, img, out=orbit)
 
     if use_weak:
-        _, per_pos = _odd_geometry(n)
+        sites = _odd_sites(n)
         forced = np.zeros(total, dtype=np.int32)  # (n+1)^2 <= 25 odd sites
-        for s in range(N):
-            forced |= bits[s] * per_pos[s]
+        for s in range(N):  # per position: 16 passes at n=4, not 25
+            near = sum(1 << k for k, om in enumerate(sites) if om >> s & 1)
+            forced |= bits[s] * near
         canon = masks[orbit == masks]
         canon_forced = forced[canon]
         a, b = [], []
@@ -266,49 +255,22 @@ def load_or_build_family(n: int, use_weak: bool = True,
     return fam
 
 
-@lru_cache(maxsize=None)
-def _marginal_position_masks(n: int):
-    def bit(x, y):
-        return 1 << (y * n + x)
+def _unforced_counts(family: BlockFamily):
+    """(A, e) over the odd sites of `_odd_sites`.
 
-    interior = [bit(i, j) | bit(i + 1, j) | bit(i, j + 1) | bit(i + 1, j + 1)
-                for j in range(n - 1) for i in range(n - 1)]
-    dominoes = []
-    dominoes += [bit(i, 0) | bit(i + 1, 0) for i in range(n - 1)]          # bottom
-    dominoes += [bit(i, n - 1) | bit(i + 1, n - 1) for i in range(n - 1)]  # top
-    dominoes += [bit(0, j) | bit(0, j + 1) for j in range(n - 1)]          # left
-    dominoes += [bit(n - 1, j) | bit(n - 1, j + 1) for j in range(n - 1)]  # right
-    corners = [bit(0, 0), bit(n - 1, 0), bit(0, n - 1), bit(n - 1, n - 1)]
-    return tuple(interior), tuple(dominoes), tuple(corners)
-
-
-def _zero_count_matrix(family: BlockFamily, position_masks) -> np.ndarray:
-    """A[r, c] = number of class-c members with no 1 on position mask r."""
-    masks = np.arange(1 << (family.n * family.n), dtype=np.int64)
-    rows = []
-    for pm in position_masks:
-        sel = (masks & pm) == 0
-        rows.append(np.bincount(family.class_of[sel],
-                                minlength=family.class_count))
-    if not rows:
-        return np.zeros((0, family.class_count))
-    return np.stack(rows).astype(float)
-
-
-def _marginal_counts(family: BlockFamily):
-    """(A_interior, A_dominoes, A_corners, column sums of A_interior).
-
-    A @ probs gives the all-zero probabilities of the positions visible to
-    neighbor blocks.  Interior rows: the 4 even sites around each interior
-    odd site, row-major.  Domino rows: the 4(n-1) boundary dominoes,
-    bottom, top, left, right, each side left-to-right/bottom-to-top.
-    Corner rows: (0,0), (n-1,0), (0,n-1), (n-1,n-1).
+    A[k, c] is the number of class-c members with no 1 next to odd site k,
+    so A @ probs gives the probability that one block leaves site k
+    unforced.  e[k] = 4 // popcount(mask of k) is the number of blocks
+    sharing site k: 1 inside the block, 2 on an edge, 4 at a corner.
     """
     if family._marginal_count_cache is None:
-        pos = _marginal_position_masks(family.n)
-        a_int, a_dom, a_cor = (_zero_count_matrix(family, pm) for pm in pos)
-        family._marginal_count_cache = (a_int, a_dom, a_cor,
-                                        a_int.sum(axis=0))
+        sites = _odd_sites(family.n)
+        masks = np.arange(1 << (family.n * family.n), dtype=np.int64)
+        a = np.stack([np.bincount(family.class_of[(masks & om) == 0],
+                                  minlength=family.class_count)
+                      for om in sites]).astype(float)
+        e = np.array([4 // om.bit_count() for om in sites])
+        family._marginal_count_cache = (a, e)
     return family._marginal_count_cache
 
 

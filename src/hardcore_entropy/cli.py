@@ -97,7 +97,8 @@ OPTIONS = {
                      *_one_of(*_SCHEME_LATTICES)),
     "n": Option(int, 3, ("bound", "reduce", "profile"),
                 "block side (bound --scheme block, reduce) or window side "
-                "(profile)", lambda n: 1 <= n <= 4, "in 1..4"),
+                "(profile)", lambda n: 1 <= n <= blocks.MAX_N,
+                f"in 1..{blocks.MAX_N}"),
     # bound draws nothing; it accepts --seed only because the benchmark
     # workloads in perfbench/workloads.py pass it (ROADMAP direction 1)
     "seed": Option(int, 0, ("bound", "verify", "sample"), "random seed"),

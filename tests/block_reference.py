@@ -1,7 +1,8 @@
-"""References for the vectorized block reduction `blocks.reduce_family`:
-scalar, one-mask-at-a-time dihedral images, forced odd sites and weak
-sites, written straight from their definitions in the `blocks` module
-docstring, and the weak-site classes by scipy's graph components."""
+"""References for the vectorized block calculus of `blocks` and
+`block_bounds`: the odd-site geometry, scalar, one-mask-at-a-time
+dihedral images, forced odd sites and weak sites, written straight from
+their definitions in the `blocks` module docstring, the weak-site classes
+by scipy's graph components, and the unforced odd density of a tiling."""
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
@@ -31,9 +32,18 @@ def corner_positions(n: int) -> frozenset[int]:
     return frozenset({0, n - 1, (n - 1) * n, n * n - 1})
 
 
+def odd_neighbors(n: int) -> list[int]:
+    """Per position (x, y), row-major: the bitmask of its odd neighbours,
+    the sites (i, j) with i in {x-1, x} and j in {y-1, y}, where odd site
+    (i, j), i, j in [-1, n), has bit (i+1)(n+1) + (j+1)."""
+    return [sum(1 << ((i + 1) * (n + 1) + j + 1)
+                for i in (x - 1, x) for j in (y - 1, y))
+            for y in range(n) for x in range(n)]
+
+
 def forced_odd_sites(n: int, mask: int) -> int:
     """Bitmask of odd sites forced to 0 by the block's 1s."""
-    _, per_pos = blocks._odd_geometry(n)
+    per_pos = odd_neighbors(n)
     forced = 0
     for s in range(n * n):
         if (mask >> s) & 1:
@@ -49,7 +59,7 @@ def weak_sites(n: int, mask: int) -> set[int]:
     mask[s] by construction.  Corners never qualify: each corner has an odd
     neighbor it alone touches.
     """
-    _, per_pos = blocks._odd_geometry(n)
+    per_pos = odd_neighbors(n)
     corners = corner_positions(n)
     out = set()
     for s in range(n * n):
@@ -73,7 +83,7 @@ def weak_family_by_csgraph(n: int):
     orbit = d4.representatives[d4.class_of]
     total = 1 << (n * n)
     masks = np.arange(total)
-    _, per_pos = blocks._odd_geometry(n)
+    per_pos = odd_neighbors(n)
     ends = [(np.zeros(0, int), np.zeros(0, int))]
     for s in sorted(set(range(n * n)) - corner_positions(n)):
         forced_wo = np.zeros(total, int)
@@ -90,3 +100,26 @@ def weak_family_by_csgraph(n: int):
     reps, class_of, mult = np.unique(smallest[comp[orbit]],
                                      return_inverse=True, return_counts=True)
     return class_of, reps, mult
+
+
+def unforced_density(n: int, mask_prob: np.ndarray) -> float:
+    """Fraction of odd sites with no occupied even neighbour when the plane
+    is tiled by independent n x n blocks with mask probabilities
+    `mask_prob`.  Odd site (i + 1/2, j + 1/2), i, j in [0, n), stands for
+    its translates; its four neighbours {i, i+1} x {j, j+1} fall into one
+    to four blocks, which are all-zero there independently."""
+    masks = np.arange(1 << (n * n))
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            by_block = {}
+            for x in (i, i + 1):
+                for y in (j, j + 1):
+                    block = (x // n, y // n)
+                    pos = (y % n) * n + x % n
+                    by_block[block] = by_block.get(block, 0) | (1 << pos)
+            prob = 1.0
+            for pm in by_block.values():
+                prob *= mask_prob[(masks & pm) == 0].sum()
+            total += prob
+    return total / (n * n)

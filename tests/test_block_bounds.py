@@ -8,6 +8,7 @@ from hardcore_entropy import blocks, optimize
 from hardcore_entropy.block_bounds import (
     BlockDistribution,
     DensityProfile,
+    _evaluate,
     block_bound,
     bound_value,
     check_monotonicity,
@@ -16,6 +17,8 @@ from hardcore_entropy.block_bounds import (
     value_and_gradient,
 )
 from hardcore_entropy.bounds import LN2, staged_bound
+
+from block_reference import unforced_density
 
 FAMILIES = {n: blocks.reduce_family(n) for n in (1, 2, 3)}
 # the values the multistart L-BFGS solve reached before the fixed point
@@ -122,6 +125,17 @@ class TestUnforcedDensity:
         assert entropy_and_unforced(point_mass(2, 0b1111))[1] == \
             pytest.approx(0.0)
         assert block_bound(point_mass(3, 0)).value == pytest.approx(LN2 / 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("use_weak", [True, False])
+    def test_against_tiling_reference(self, n, use_weak):
+        # each odd site's neighbours grouped by the block they fall in, with
+        # no pairing of D4-image marginals
+        fam = blocks.reduce_family(n, use_weak)
+        raw = np.random.default_rng(10 + n).random(fam.class_count)
+        probs = raw / (fam.multiplicities @ raw)
+        want = unforced_density(n, probs[fam.class_of])
+        assert abs(_evaluate(fam, probs)[2] - want) <= 1e-15
 
     def test_n3_against_tiling_monte_carlo(self):
         # independent oracle: tile a torus with independent blocks and count

@@ -21,6 +21,7 @@ from block_reference import (
     d4_canonical,
     d4_images,
     forced_odd_sites,
+    odd_neighbors,
     weak_family_by_csgraph,
     weak_sites,
 )
@@ -243,11 +244,35 @@ class TestReduceFamily:
                 assert got == want
 
 
+def reference_odd_sites(n):
+    """Position mask of each odd site, transposed from `odd_neighbors`."""
+    per_pos = odd_neighbors(n)
+    return [sum(1 << s for s, om in enumerate(per_pos) if om >> k & 1)
+            for k in range((n + 1) ** 2)]
+
+
+class TestOddSites:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_transpose_of_reference_geometry(self, n):
+        assert blocks._odd_sites(n) == tuple(reference_odd_sites(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sharing_census(self, n):
+        # (n-1)^2 interior sites, 4(n-1) edge sites shared by two blocks
+        # and 4 corner sites shared by four
+        _, e = blocks._unforced_counts(reduce_family(n))
+        assert e.shape == ((n + 1) ** 2,)
+        assert [(e == k).sum() for k in (1, 2, 4)] == \
+            [(n - 1) ** 2, 4 * (n - 1), 4]
+
+
 def zero_marginals(fam, probs):
     """All-zero probabilities of the interior plaquettes, boundary dominoes
-    and corner sites of one block, from the marginal-count matrices."""
-    a_int, a_dom, a_cor, _ = blocks._marginal_counts(fam)
-    return a_int @ probs, a_dom @ probs, a_cor @ probs
+    and corner sites of one block: the unforced counts A @ probs, split by
+    the number e of blocks sharing each odd site."""
+    a, e = blocks._unforced_counts(fam)
+    q = a @ probs
+    return q[e == 1], q[e == 2], q[e == 4]
 
 
 class TestMarginalCounts:
@@ -296,19 +321,21 @@ class TestMarginalCounts:
         with pytest.raises(ValueError, match="class probabilities"):
             block_bounds.BlockDistribution(fam, np.ones(5))
 
-    def test_marginals_against_direct_enumeration(self):
-        fam = reduce_family(3, use_weak=True)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_marginals_against_direct_enumeration(self, n):
+        fam = reduce_family(n, use_weak=True)
         rng = np.random.default_rng(3)
         raw = rng.random(fam.class_count)
         probs = raw / (fam.multiplicities @ raw)
         mask_prob = probs[fam.class_of]
-        interior_masks, domino_masks, corner_masks = \
-            blocks._marginal_position_masks(3)
-        masks = np.arange(512)
-        for got, pms in zip(zero_marginals(fam, probs),
-                            (interior_masks, domino_masks, corner_masks)):
-            want = [mask_prob[(masks & pm) == 0].sum() for pm in pms]
+        sites = reference_odd_sites(n)
+        masks = np.arange(1 << (n * n))
+        # interior plaquettes touch 4 positions, dominoes 2, corners 1
+        for got, size in zip(zero_marginals(fam, probs), (4, 2, 1)):
+            want = [mask_prob[(masks & pm) == 0].sum()
+                    for pm in sites if pm.bit_count() == size]
             np.testing.assert_allclose(got, want, atol=1e-12)
+
 
 def class_closure(k, small, big):
     """Transitive closure of a relation on k classes, as a k x k matrix."""
