@@ -15,6 +15,8 @@ point of a closed-form stationarity map (see `optimize_block_bound`).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial, reduce
+from itertools import product
 
 import numpy as np
 
@@ -57,8 +59,10 @@ class BlockDistribution:
 
     def even_density(self) -> float:
         """Expected fraction of 1s on the even sublattice."""
-        pops = self.family.population_counts()
-        return float(pops @ self.probs) / self.n ** 2
+        fam, n2 = self.family, self.n ** 2
+        pops = np.bincount(fam.class_of, weights=popcounts(n2),
+                           minlength=fam.class_count)
+        return float(pops @ self.probs) / n2
 
     def mask_probabilities(self) -> np.ndarray:
         """Per-arrangement probability of every raw mask."""
@@ -202,60 +206,31 @@ def _region_pmf(dist: BlockDistribution, region: int) -> np.ndarray:
                        minlength=region.bit_count() + 1)
 
 
-def _axis_segments(window: int, m: int, offset: int):
-    """Split a window of length `window` over blocks of length m, the first
-    block entered at `offset`.  Yields (start within block, length)."""
-    first = min(window, m - offset)
-    segs = [(offset, first)]
-    rem = window - first
-    while rem >= m:
-        segs.append((0, m))
-        rem -= m
-    if rem:
-        segs.append((0, rem))
-    return segs
-
-
 def density_profile(n: int, generator: BlockDistribution) -> DensityProfile:
     """Occupancy distribution of an n x n even-site window.
 
-    generator of the same side: class probabilities aggregated by 1-count.
-    Smaller generator m < n: the window is laid over a fresh tiling of
-    independent m x m blocks; the window splits into rectangular pieces from
-    distinct blocks, the piece popcount laws convolve, and the m^2 possible
-    window offsets are averaged uniformly.
+    The window is laid over a tiling of independent m x m generator blocks
+    (m <= n) at each of the m^2 offsets, or at the single offset (0, 0) when
+    m == n, the aligned window.  At each offset the window cuts one region
+    out of every block it meets; the region popcount laws convolve, and the
+    offsets are averaged uniformly.
     """
     if generator is None:
         raise ValueError("density_profile needs an optimized distribution")
     m = generator.n
     if m > n:
         raise ValueError(f"generator side {m} exceeds window side {n}")
-    if m == n:
-        pops = popcounts(m * m)
-        pmf = np.bincount(pops, weights=generator.mask_probabilities(),
-                          minlength=n * n + 1)
-        return DensityProfile(n, pmf)
-
-    cache: dict[int, np.ndarray] = {}
-
-    def region_pmf(region):
-        if region not in cache:
-            cache[region] = _region_pmf(generator, region)
-        return cache[region]
-
+    region_pmf = lru_cache(maxsize=None)(partial(_region_pmf, generator))
+    offsets = [(0, 0)] if m == n else list(product(range(m), repeat=2))
     acc = np.zeros(n * n + 1)
-    for ox in range(m):
-        for oy in range(m):
-            pmf = np.ones(1)
-            for x0, w in _axis_segments(n, m, ox):
-                for y0, h in _axis_segments(n, m, oy):
-                    region = 0
-                    for y in range(y0, y0 + h):
-                        for x in range(x0, x0 + w):
-                            region |= 1 << (y * m + x)
-                    pmf = np.convolve(pmf, region_pmf(region))
-            acc += pmf
-    return DensityProfile(n, acc / m ** 2)
+    for ox, oy in offsets:
+        regions: dict[tuple[int, int], int] = {}
+        for x in range(ox, ox + n):
+            for y in range(oy, oy + n):
+                key = (x // m, y // m)
+                regions[key] = regions.get(key, 0) | 1 << (y % m * m + x % m)
+        acc += reduce(np.convolve, map(region_pmf, regions.values()))
+    return DensityProfile(n, acc / len(offsets))
 
 
 def equalized_unit_generator(family: BlockFamily, *,

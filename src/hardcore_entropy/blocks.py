@@ -14,8 +14,9 @@ sites whose mask it meets, and both weakness and the unforced counts of
 Two reductions shrink the 2^(n^2) variables:
 
 * D4: masks related by the dihedral symmetries of the square are identified
-  (the maximal-entropy measure is isotropic).  A mask's orbit is named by
-  its smallest image.
+  (the maximal-entropy measure is isotropic).  The images come from
+  rotating and mirroring the n x n grid of positions, and a mask's orbit is
+  named by its smallest image.
 * Weak sites: position s is weak in mask b when toggling s keeps the set
   of odd sites the block forces, forced(b) == forced(b ^ 1<<s).
   Equivalently, every odd site adjacent to s is already adjacent to some 1
@@ -67,28 +68,12 @@ def popcounts(nbits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def d4_position_maps(n: int) -> tuple:
-    """The 8 dihedral symmetries as position permutations.
-
-    maps[k][i] is the destination bit of source bit i under symmetry k;
-    maps[0] is the identity.
-    """
-    n = _check_n(n)
-    maps = []
-    for flip in (False, True):
-        for rot in range(4):
-            perm = []
-            for y in range(n):
-                for x in range(n):
-                    xx, yy = x, y
-                    if flip:
-                        xx = n - 1 - xx
-                    for _ in range(rot):
-                        xx, yy = yy, n - 1 - xx
-                    perm.append(yy * n + xx)
-            maps.append(tuple(perm))
-    maps.sort()  # identity first
-    return tuple(maps)
+def _d4_sources(n: int) -> tuple:
+    """The 7 dihedral symmetries other than the identity, read off the
+    rotated and mirrored position grid: image bit j is source bit s[j]."""
+    grid = np.arange(n * n).reshape(n, n)
+    return tuple(np.rot90(g, k).ravel().tolist()
+                 for g in (grid, grid.T) for k in range(4))[1:]
 
 
 @lru_cache(maxsize=None)
@@ -110,8 +95,6 @@ class BlockFamily:
     representatives: np.ndarray   # class id -> canonical mask
     multiplicities: np.ndarray    # class id -> member count
     # derived data, filled on first use
-    _population_counts: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False)
     _marginal_count_cache: tuple | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -132,14 +115,6 @@ class BlockFamily:
         normalization constraint."""
         return self.class_count - 1
 
-    def population_counts(self) -> np.ndarray:
-        """Total number of 1s over each class's members."""
-        if self._population_counts is None:
-            self._population_counts = np.bincount(
-                self.class_of, weights=popcounts(self.n * self.n),
-                minlength=self.class_count)
-        return self._population_counts
-
 
 def reduce_family(n: int, use_weak: bool = True) -> BlockFamily:
     """Build the D4 (and optionally weak-site) quotient of all n x n masks."""
@@ -149,10 +124,10 @@ def reduce_family(n: int, use_weak: bool = True) -> BlockFamily:
     masks = np.arange(total, dtype=np.int32)  # n <= 4: every mask fits
     bits = [(masks >> i) & 1 for i in range(N)]
     orbit = masks.copy()
-    for perm in d4_position_maps(n)[1:]:
+    for image in _d4_sources(n):
         img = np.zeros(total, dtype=np.int32)
-        for i in range(N):
-            img |= bits[i] << perm[i]
+        for j, s in enumerate(image):
+            img |= bits[s] << j
         np.minimum(orbit, img, out=orbit)
 
     if use_weak:

@@ -318,7 +318,8 @@ def blocking_constant_upper(h_ref: float = PLANE_ENTROPY
     """Largest blocking constant consistent with a reference entropy.
 
     Solves 1/2 [ h_B(rho) + 2 rho ln 2 ] = h_ref for rho = 1/(2+c) by
-    bisection on c in [0, 20]; returns (c_max, rho_min).
+    bisection on c in [0, hi], hi = 20 doubled until it brackets the root;
+    returns (c_max, rho_min).
     """
     if not 0.0 < h_ref < LN2:
         raise ValueError(f"reference entropy {h_ref} outside (0, ln 2)")
@@ -327,10 +328,13 @@ def blocking_constant_upper(h_ref: float = PLANE_ENTROPY
         rho = 1.0 / (2.0 + c)
         return 0.5 * (entropy_bernoulli(rho) + 2 * rho * LN2) - h_ref
 
-    # gap(0) = ln 2 - h_ref > 0, so a root needs gap(20) <= 0
+    # gap(0) = ln 2 - h_ref > 0 and gap tends to -h_ref < 0 as c grows, so
+    # doubling finds a root bracket unless c_max overflows the floats
     lo, step = 0.0, 20.0
-    if gap(step) > 0:
-        raise ValueError(f"no root in [0.0, 20.0] for h_ref={h_ref}")
+    while gap(step) > 0:
+        step *= 2.0
+        if step == np.inf:
+            raise ValueError(f"no root in [0.0, inf) for h_ref={h_ref}")
     # the steps of scipy.optimize.bisect at xtol 1e-8 and its default
     # rtol 4 eps, so c_max is the same float
     while True:

@@ -10,16 +10,28 @@ from scipy.sparse.csgraph import connected_components
 from hardcore_entropy import blocks
 
 
+def d4_maps(n: int) -> list[list[int]]:
+    """The 8 dihedral symmetries as destination maps, maps[g][s] the image
+    of position s: k quarter turns (x, y) -> (n-1-y, x), k = 0..3, with or
+    without first mirroring x -> n-1-x.  maps[0] is the identity."""
+    maps = []
+    for mirror in (False, True):
+        for k in range(4):
+            perm = []
+            for y in range(n):
+                for x in range(n):
+                    xx, yy = (n - 1 - x if mirror else x), y
+                    for _ in range(k):
+                        xx, yy = n - 1 - yy, xx
+                    perm.append(yy * n + xx)
+            maps.append(perm)
+    return maps
+
+
 def d4_images(n: int, mask: int) -> list[int]:
     """All 8 dihedral images of a mask (with repeats for symmetric masks)."""
-    out = []
-    for perm in blocks.d4_position_maps(n):
-        img = 0
-        for i, dest in enumerate(perm):
-            if (mask >> i) & 1:
-                img |= 1 << dest
-        out.append(img)
-    return out
+    return [sum(1 << perm[s] for s in range(n * n) if mask >> s & 1)
+            for perm in d4_maps(n)]
 
 
 def d4_canonical(n: int, mask: int) -> int:

@@ -327,6 +327,24 @@ class TestDensityProfile:
         got = np.bincount(pops.ravel(), minlength=10) / pops.size
         np.testing.assert_allclose(got, want, atol=0.01)
 
+    def test_cross_size_against_exact_enumeration(self):
+        # every joint mask of the four 2x2 blocks a 3x3 window can meet,
+        # laid out on a 4x4 grid of even sites and weighted by the product
+        # of the mask probabilities, at each of the 4 window offsets
+        dist = random_distribution(2, 5)
+        joint = np.indices((16,) * 4).reshape(4, -1)  # block (bx, by): 2by+bx
+        weight = np.prod(dist.mask_probabilities()[joint], axis=0)
+        site = {(x, y): (joint[2 * (y // 2) + x // 2] >> 2 * (y % 2) + x % 2)
+                & 1 for x in range(4) for y in range(4)}
+        want = np.zeros(10)
+        for ox in (0, 1):
+            for oy in (0, 1):
+                pops = sum(site[ox + dx, oy + dy]
+                           for dx in range(3) for dy in range(3))
+                want += np.bincount(pops, weights=weight, minlength=10)
+        np.testing.assert_allclose(density_profile(3, dist).occupancy_probs,
+                                   want / 4, rtol=0, atol=1e-13)
+
     def test_rejects_generator_larger_than_window(self, optima):
         with pytest.raises(ValueError, match="exceeds"):
             density_profile(2, optima[3][0])

@@ -20,6 +20,7 @@ from block_reference import (
     corner_positions,
     d4_canonical,
     d4_images,
+    d4_maps,
     forced_odd_sites,
     odd_neighbors,
     weak_family_by_csgraph,
@@ -48,19 +49,23 @@ class TestEnumeration:
         for n in (0, 5):
             with pytest.raises(ValueError, match="block side"):
                 reduce_family(n)
-            with pytest.raises(ValueError, match="block side"):
-                blocks.d4_position_maps(n)
 
 
 class TestD4:
-    def test_identity_first(self):
-        maps = blocks.d4_position_maps(3)
-        assert maps[0] == tuple(range(9))
-        assert len(set(maps)) == 8
+    def test_sources_are_the_other_seven(self):
+        # _d4_sources maps image bits to source bits; D4 holds the inverse
+        # of each map, so with the identity they are the reference's 8
+        for n in (2, 3, 4):
+            identity = tuple(range(n * n))
+            sources = {tuple(src) for src in blocks._d4_sources(n)}
+            assert len(sources) == 7 and identity not in sources
+            assert sources | {identity} == {tuple(g) for g in d4_maps(n)}
 
     def test_maps_are_permutations(self):
-        for perm in blocks.d4_position_maps(3):
-            assert sorted(perm) == list(range(9))
+        for n in (1, 2, 3, 4):
+            assert len(blocks._d4_sources(n)) == 7
+            for src in blocks._d4_sources(n):
+                assert sorted(src) == list(range(n * n))
 
     def test_canonical_idempotent(self):
         for m in range(512):
@@ -116,7 +121,7 @@ class TestWeakSites:
     def test_weak_sites_are_d4_equivariant(self, n):
         # s weak in m iff g(s) weak in g(m): the lemma that lets
         # reduce_family draw toggle edges from D4-canonical masks alone
-        maps = blocks.d4_position_maps(n)
+        maps = d4_maps(n)
         for m in mask_sample(n):
             weak = weak_sites(n, m)
             for g, image in zip(maps, d4_images(n, m)):
@@ -169,16 +174,19 @@ class TestReduceFamily:
         raw = np.ascontiguousarray(fam.class_of, dtype="<i4").tobytes()
         assert hashlib.sha256(raw).hexdigest() == digest
 
-    def test_d4_family_is_canonical_image(self):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_d4_family_is_canonical_image(self, n):
         # without weak merges, two masks share a class exactly when they
         # have the same smallest dihedral image
-        fam = reduce_family(3, use_weak=False)
-        canon = np.array([d4_canonical(3, m) for m in range(512)])
-        same_class = fam.class_of[:, None] == fam.class_of[None, :]
-        np.testing.assert_array_equal(same_class,
-                                      canon[:, None] == canon[None, :])
-        np.testing.assert_array_equal(fam.representatives[fam.class_of],
-                                      canon)
+        fam = reduce_family(n, use_weak=False)
+        sample = np.array(mask_sample(4) if n == 4 else range(1 << n * n))
+        canon = np.array([d4_canonical(n, m) for m in sample])
+        np.testing.assert_array_equal(
+            fam.representatives[fam.class_of[sample]], canon)
+        if n < 4:  # every mask
+            same_class = fam.class_of[:, None] == fam.class_of[None, :]
+            np.testing.assert_array_equal(same_class,
+                                          canon[:, None] == canon[None, :])
 
     def test_representatives_are_lex_min_members(self):
         fam = reduce_family(3, use_weak=True)

@@ -2,6 +2,7 @@
 import argparse
 import ast
 import csv
+import hashlib
 import inspect
 import io
 import json
@@ -329,6 +330,14 @@ def test_verify_href_can_empty_the_interval(capsys):
     assert "[FAIL] density_interval_nonempty" in text
 
 
+def test_verify_low_href_widens_the_bisection(capsys):
+    # below h_ref ~ 0.1246 the blocking constant c_max exceeds 20
+    assert run(["verify", "--href", "0.12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len([ln for ln in lines if ln.startswith("[PASS]")]) == 10
+    assert "c_max=20.8963, href=0.12" in lines[5]
+
+
 def test_verify_href_out_of_range_is_config_error(capsys):
     assert run(["verify", "--href", "0.8"]) == 2
     assert run(["verify", "--href", "-0.1"]) == 2
@@ -371,6 +380,16 @@ def test_profile_default_csv_pinned(capsys):
     assert printed == "k,probability,generator\r\n" + "".join(
         f"{k},{p},{g}\r\n" for g, curve in PRINTED_PROFILE.items()
         for k, p in enumerate(curve.split()))
+
+
+def test_profile_n4_all_generators_pinned(tmp_path):
+    # the aligned m=4 window and every cut of a 4x4 window by 1x1, 2x2 and
+    # 3x3 tilings
+    out = tmp_path / "profile.csv"
+    assert run(["profile", "--n", "4", "--generators", "1,2,3,4",
+                "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3093d2cd52f89402dcf5d40a780af136dc6445d94a44eb8169105a76a077da55")
 
 
 @pytest.mark.parametrize("args", [

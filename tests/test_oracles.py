@@ -321,10 +321,22 @@ class TestBlockingConstants:
         assert rho_min < float(density_upper_from_blocking())
 
     def test_h_ref_validation(self):
+        from scipy.optimize import bisect
+
         with pytest.raises(ValueError, match="outside"):
             blocking_constant_upper(0.8)
+        # c_max > 20: the bracket doubles from 20 to 80
+        def gap(c):
+            rho = 1.0 / (2.0 + c)
+            return (0.5 * (bounds.entropy_bernoulli(rho) + 2 * rho * bounds.LN2)
+                    - 0.05)
+
+        c_max, _ = blocking_constant_upper(0.05)
+        assert c_max == bisect(gap, 0.0, 80.0, xtol=1e-8)
+        assert c_max == pytest.approx(63.626, abs=1e-3)
+        # only a bracket that overflows to inf has no root
         with pytest.raises(ValueError, match="no root"):
-            blocking_constant_upper(0.05)
+            blocking_constant_upper(1e-310)
 
 
 class TestReferenceConstants:
