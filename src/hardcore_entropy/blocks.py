@@ -16,7 +16,8 @@ Two reductions shrink the 2^(n^2) variables:
 * D4: masks related by the dihedral symmetries of the square are identified
   (the maximal-entropy measure is isotropic).  The images come from
   rotating and mirroring the n x n grid of positions, and a mask's orbit is
-  named by its smallest image.
+  named by its smallest image, `_d4_orbit`.  Every whole-mask table is
+  built by doubling (`_or_table`, `popcounts`), one write per mask.
 * Weak sites: position s is weak in mask b when toggling s keeps the set
   of odd sites the block forces, forced(b) == forced(b ^ 1<<s).
   Equivalently, every odd site adjacent to s is already adjacent to some 1
@@ -59,12 +60,23 @@ def _check_n(n: int) -> int:
 
 
 def popcounts(nbits: int) -> np.ndarray:
-    """Number of 1s in every mask 0 .. 2^nbits - 1."""
-    masks = np.arange(1 << nbits, dtype=np.int64)
-    out = np.zeros(len(masks), dtype=np.int64)
-    for i in range(nbits):
-        out += (masks >> i) & 1
+    """Number of 1s in every mask 0 .. 2^nbits - 1, built by doubling."""
+    out = np.zeros(1 << nbits, dtype=np.int64)
+    for b in range(nbits):
+        np.add(out[:1 << b], 1, out=out[1 << b:2 << b])
     return out
+
+
+def _or_table(units) -> np.ndarray:
+    """t[..., m] = OR of units[b] over the 1 bits b of m, m < 2^len(units);
+    a row units[b] gives one table per column.  Built by doubling: the masks
+    in [2^b, 2^(b+1)) are those below 2^b with units[b] ORed in."""
+    units = np.asarray(units, dtype=np.int32)  # n <= 4: at most 25 bits
+    t = np.zeros(units.shape[1:] + (1 << len(units),), dtype=np.int32)
+    for b, u in enumerate(units):
+        np.bitwise_or(t[..., :1 << b], u[..., None],
+                      out=t[..., 1 << b:2 << b])
+    return t
 
 
 @lru_cache(maxsize=None)
@@ -74,6 +86,13 @@ def _d4_sources(n: int) -> tuple:
     grid = np.arange(n * n).reshape(n, n)
     return tuple(np.rot90(g, k).ravel().tolist()
                  for g in (grid, grid.T) for k in range(4))[1:]
+
+
+def _d4_orbit(n: int) -> np.ndarray:
+    """Smallest D4 image of every mask.  Unit 1 << s[j] at bit j makes the
+    image under the inverse of map s, and D4 holds every inverse."""
+    maps = np.vstack([np.arange(n * n), _d4_sources(n)])
+    return _or_table(1 << maps.T).min(axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -122,20 +141,13 @@ def reduce_family(n: int, use_weak: bool = True) -> BlockFamily:
     N = n * n
     total = 1 << N
     masks = np.arange(total, dtype=np.int32)  # n <= 4: every mask fits
-    bits = [(masks >> i) & 1 for i in range(N)]
-    orbit = masks.copy()
-    for image in _d4_sources(n):
-        img = np.zeros(total, dtype=np.int32)
-        for j, s in enumerate(image):
-            img |= bits[s] << j
-        np.minimum(orbit, img, out=orbit)
+    orbit = _d4_orbit(n)
 
     if use_weak:
+        # forced[m]: the odd sites next to a 1 of m, one bit per site
         sites = _odd_sites(n)
-        forced = np.zeros(total, dtype=np.int32)  # (n+1)^2 <= 25 odd sites
-        for s in range(N):  # per position: 16 passes at n=4, not 25
-            near = sum(1 << k for k, om in enumerate(sites) if om >> s & 1)
-            forced |= bits[s] * near
+        forced = _or_table([sum(1 << k for k, om in enumerate(sites)
+                                if om >> s & 1) for s in range(N)])
         canon = masks[orbit == masks]
         canon_forced = forced[canon]
         a, b = [], []
@@ -240,10 +252,14 @@ def _unforced_counts(family: BlockFamily):
     """
     if family._marginal_count_cache is None:
         sites = _odd_sites(family.n)
-        masks = np.arange(1 << (family.n * family.n), dtype=np.int64)
-        a = np.stack([np.bincount(family.class_of[(masks & om) == 0],
-                                  minlength=family.class_count)
-                      for om in sites]).astype(float)
+        N = family.n * family.n
+        # axis a of the (2,)*N cube is mask bit N-1-a: the members with no
+        # 1 next to site k are the face with 0 on the axes of its positions
+        cube = family.class_of.reshape((2,) * N)
+        a = np.stack([np.bincount(
+            cube[tuple(0 if om >> (N - 1 - ax) & 1 else slice(None)
+                       for ax in range(N))].ravel(),
+            minlength=family.class_count) for om in sites]).astype(float)
         e = np.array([4 // om.bit_count() for om in sites])
         family._marginal_count_cache = (a, e)
     return family._marginal_count_cache
@@ -259,14 +275,20 @@ def cover_pairs(family: BlockFamily):
     closure of these pairs is the class-level inclusion relation.  On a
     weak-site family a 1 added on a weak site stays inside its class, so no
     pair joins two classes whose optimal probabilities must be equal.
+
+    Classes are unions of D4 orbits, so a symmetry g maps the cover
+    (s, s | 1<<b) to (g s, g s | 1<<g(b)), which has the same class pair:
+    the covers of the D4-canonical masks alone give every pair.
     """
     n2 = family.n * family.n
-    masks = np.arange(1 << n2, dtype=np.int64)
+    canon = np.flatnonzero(_d4_orbit(family.n) == np.arange(1 << n2))
     keys = []
     for b in range(n2):
-        small = masks[(masks >> b) & 1 == 0]
+        small = canon[(canon >> b) & 1 == 0]
         cs = family.class_of[small]
         cb = family.class_of[small | (1 << b)]
         keep = cs != cb
         keys.append(cs[keep].astype(np.int64) * family.class_count + cb[keep])
-    return np.divmod(np.unique(np.concatenate(keys)), family.class_count)
+    keys = np.sort(np.concatenate(keys))  # np.unique hashes: 5x slower here
+    return np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]],
+                     family.class_count)

@@ -2,7 +2,8 @@
 `block_bounds`: the odd-site geometry, scalar, one-mask-at-a-time
 dihedral images, forced odd sites and weak sites, written straight from
 their definitions in the `blocks` module docstring, the weak-site classes
-by scipy's graph components, and the unforced odd density of a tiling."""
+by scipy's graph components, the cover pairs over every mask, and the
+unforced odd density of a tiling."""
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
@@ -112,6 +113,21 @@ def weak_family_by_csgraph(n: int):
     reps, class_of, mult = np.unique(smallest[comp[orbit]],
                                      return_inverse=True, return_counts=True)
     return class_of, reps, mult
+
+
+def cover_pairs_all_masks(family):
+    """(small, big) of `blocks.cover_pairs` from the covers (s, s | 1<<b)
+    of every mask s, not only the D4-canonical ones."""
+    n2 = family.n * family.n
+    masks = np.arange(1 << n2, dtype=np.int64)
+    keys = []
+    for b in range(n2):
+        small = masks[(masks >> b) & 1 == 0]
+        cs = family.class_of[small]
+        cb = family.class_of[small | (1 << b)]
+        keep = cs != cb
+        keys.append(cs[keep].astype(np.int64) * family.class_count + cb[keep])
+    return np.divmod(np.unique(np.concatenate(keys)), family.class_count)
 
 
 def unforced_density(n: int, mask_prob: np.ndarray) -> float:

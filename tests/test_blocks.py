@@ -18,6 +18,7 @@ from hardcore_entropy.blocks import (
 
 from block_reference import (
     corner_positions,
+    cover_pairs_all_masks,
     d4_canonical,
     d4_images,
     d4_maps,
@@ -78,6 +79,45 @@ class TestD4:
         # single 1 at (0,0) visits all four corners under rotation
         imgs = set(d4_images(3, bit(3, 0, 0)))
         assert imgs == {bit(3, 0, 0), bit(3, 2, 0), bit(3, 0, 2), bit(3, 2, 2)}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_orbit_is_smallest_image(self, n):
+        orbit = blocks._d4_orbit(n)
+        assert orbit.shape == (1 << n * n,)
+        sample = mask_sample(4) if n == 4 else range(1 << n * n)
+        assert [int(orbit[m]) for m in sample] == \
+            [min(d4_images(n, m)) for m in sample]
+
+
+class TestOrTable:
+    @pytest.mark.parametrize("length", range(11))
+    def test_matches_per_mask_or(self, length):
+        # length 0 is the one-entry table [0]
+        rng = np.random.default_rng(100 + length)
+        units = [int(u) for u in rng.integers(0, 1 << 25, size=length)]
+        want = []
+        for m in range(1 << length):
+            acc = 0
+            for b, u in enumerate(units):
+                if m >> b & 1:
+                    acc |= u
+            want.append(acc)
+        assert blocks._or_table(units).tolist() == want
+
+    def test_unit_rows_give_one_table_per_column(self):
+        rng = np.random.default_rng(99)
+        units = rng.integers(0, 1 << 25, size=(6, 3))
+        np.testing.assert_array_equal(
+            blocks._or_table(units),
+            [blocks._or_table(col.tolist()) for col in units.T])
+
+
+class TestPopcounts:
+    @pytest.mark.parametrize("nbits", range(17))
+    def test_bit_counts(self, nbits):
+        got = blocks.popcounts(nbits)
+        assert got.dtype == np.int64
+        assert got.tolist() == [m.bit_count() for m in range(1 << nbits)]
 
 
 class TestWeakSites:
@@ -387,6 +427,16 @@ class TestCoverPairs:
         eq = (weak[fam.representatives[small]]
               == weak[fam.representatives[big]])
         assert int(eq.sum()) == equal
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("use_weak", [True, False])
+    def test_canonical_covers_match_all_masks(self, n, use_weak):
+        # covers of the D4-canonical masks alone give every class pair
+        fam = reduce_family(n, use_weak=use_weak)
+        got, want = cover_pairs(fam), cover_pairs_all_masks(fam)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
 
     def test_n4_speed(self):
         fam = reduce_family(4)
