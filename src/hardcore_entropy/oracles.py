@@ -42,6 +42,9 @@ def entropy_1d() -> float:
 
 def legal_columns(width: int, boundary: str = "free") -> np.ndarray:
     """All 0/1 columns of the given height with no two adjacent 1s."""
+    if boundary not in ("free", "periodic"):
+        raise ValueError(f"boundary must be free or periodic, "
+                         f"got {boundary!r}")
     masks = np.arange(1 << width, dtype=np.int64)
     ok = (masks & (masks >> 1)) == 0
     if boundary == "periodic" and width > 1:
@@ -49,11 +52,26 @@ def legal_columns(width: int, boundary: str = "free") -> np.ndarray:
     return masks[ok]
 
 
+def _half_columns(halves: np.ndarray, nbits: int):
+    """Index of each half-column among the distinct ones, and the 0/1
+    disjointness matrix of the distinct ones (numbered without a sort)."""
+    seen = np.bincount(halves, minlength=1 << nbits) > 0
+    distinct = np.flatnonzero(seen)
+    index = (np.cumsum(seen) - 1)[halves]
+    return index, ((distinct[:, None] & distinct[None, :]) == 0).astype(float)
+
+
 def strip_entropy(width: int, boundary: str = "free") -> float:
     """Entropy per site of an infinite strip of the given width.
 
     Dominant transfer-matrix eigenvalue by power iteration to relative
-    tolerance 1e-13.
+    tolerance 1e-13.  The matrix T[c, c'] = [c & c' == 0] is never built:
+    split each column into its top and bottom halves, so T factors as
+    [hi & hi' == 0] [lo & lo' == 0], and T v = (D_hi G D_lo)[hi, lo] with
+    G the vector scattered onto the grid of half-columns (at most 34 x 34
+    at width 14) and D the half-column disjointness matrices.  Grid cells
+    that are not legal columns stay 0, which is all the periodic boundary
+    changes.
     """
     width = int(width)
     if not 1 <= width <= MAX_STRIP_WIDTH:
@@ -61,15 +79,16 @@ def strip_entropy(width: int, boundary: str = "free") -> float:
             f"strip width {width} outside the supported range "
             f"1..{MAX_STRIP_WIDTH} (transfer matrix grows as a Fibonacci "
             f"number of the width)")
-    if boundary not in ("free", "periodic"):
-        raise ValueError(f"boundary must be free or periodic, "
-                         f"got {boundary!r}")
     cols = legal_columns(width, boundary)
-    t = ((cols[:, None] & cols[None, :]) == 0).astype(float)
+    lo_bits = width // 2
+    ia, d_hi = _half_columns(cols >> lo_bits, width - lo_bits)
+    ib, d_lo = _half_columns(cols & ((1 << lo_bits) - 1), lo_bits)
+    grid = np.zeros((len(d_hi), len(d_lo)))
     v = np.full(len(cols), 1.0 / math.sqrt(len(cols)))
     lam = 0.0
     for _ in range(_POWER_MAX_ITER):
-        w = t @ v
+        grid[ia, ib] = v
+        w = (d_hi @ grid @ d_lo)[ia, ib]
         lam_new = float(v @ w)
         v = w / np.linalg.norm(w)
         if abs(lam_new - lam) <= 1e-13 * max(lam_new, 1.0):
@@ -237,37 +256,31 @@ def window_probability_exhaustive(lattice: str, params, stage: int) -> float:
 
     The window is dependency-closed (every non-initial-stage member has all
     its earlier neighbors inside), which makes the restricted measure the
-    exact marginal.  Windows hold 2 to 16 sites.
+    exact marginal.  Windows hold 2 to 16 sites.  The weights of all
+    assignments are built by doubling: after site j (sites in stage order,
+    bit j of the assignment index) they cover the 2^(j+1) assignments of
+    sites 0..j, the first half with site j at 0 and the second at 1.
     """
     spec = build_lattice(lattice)
     probs = stage_probabilities(lattice, params)
     target, window = influence_window(lattice, stage)
-    m = len(window)
     order = sorted(window, key=lambda s: stage_of(spec, s))
     pos = {site: j for j, site in enumerate(order)}
 
-    def earlier_neighbors(site, s):
-        return [pos[nb] for nb in set(neighbor_sites(spec, _WINDOW_DIMS, site))
-                if stage_of(spec, nb) < s]
+    def earlier_mask(site, s):
+        return sum({1 << pos[nb]
+                    for nb in neighbor_sites(spec, _WINDOW_DIMS, site)
+                    if stage_of(spec, nb) < s})
 
-    idx = np.arange(1 << m, dtype=np.int64)
-    bits = [(idx >> j) & 1 for j in range(m)]
-    weights = np.ones(1 << m)
+    weights = np.ones(1)
     for j, site in enumerate(order):
         s = stage_of(spec, site)
-        p = probs[s]
-        b = bits[j]
-        if s == 0:
-            weights *= np.where(b == 1, p, 1 - p)
-            continue
-        forced = np.zeros(1 << m, dtype=bool)
-        for jj in earlier_neighbors(site, s):
-            forced |= bits[jj] == 1
-        weights *= np.where(forced, np.where(b == 1, 0.0, 1.0),
-                            np.where(b == 1, p, 1 - p))
-    ok = np.ones(1 << m, dtype=bool)
-    for jj in earlier_neighbors(target, stage):
-        ok &= bits[jj] == 0
+        f0, f1 = 1 - probs[s], probs[s]
+        if s:
+            forced = (np.arange(1 << j) & earlier_mask(site, s)) != 0
+            f0, f1 = np.where(forced, 1.0, f0), np.where(forced, 0.0, f1)
+        weights = np.concatenate([weights * f0, weights * f1])
+    ok = (np.arange(len(weights)) & earlier_mask(target, stage)) == 0
     return float(weights[ok].sum())
 
 

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sampler_reference
+import strip_reference
+import window_reference
 from hardcore_entropy import bounds, oracles
 from hardcore_entropy.lattices import LATTICES, build_lattice, verify_hard_core
 from hardcore_entropy import cli
 from hardcore_entropy.oracles import (
+    MAX_STRIP_WIDTH,
     PLANE_ENTROPY,
     blocking_constant_lower,
     blocking_constant_upper,
@@ -124,6 +127,30 @@ class TestStrips:
         with pytest.raises(ValueError, match="boundary"):
             strip_entropy(4, "helical")
 
+    def test_legal_columns_rejects_unknown_boundary(self):
+        with pytest.raises(ValueError,
+                           match="boundary must be free or periodic"):
+            legal_columns(4, "helical")
+
+    @pytest.mark.parametrize("boundary", ["free", "periodic"])
+    def test_matches_dense_reference(self, boundary):
+        for w in range(1, MAX_STRIP_WIDTH + 1):
+            got = strip_entropy(w, boundary)
+            want = strip_reference.strip_entropy(w, boundary)
+            assert f"{got:.12f}" == f"{want:.12f}", w
+            assert abs(got - want) <= 1e-15, w
+
+    def test_power_iteration_cap(self, monkeypatch):
+        # the _POWER_MAX_ITER comment: every width converges in at most
+        # 19 steps, and free width 13 needs all of them
+        monkeypatch.setattr(oracles, "_POWER_MAX_ITER", 19)
+        for boundary in ("free", "periodic"):
+            for w in range(1, MAX_STRIP_WIDTH + 1):
+                strip_entropy(w, boundary)
+        monkeypatch.setattr(oracles, "_POWER_MAX_ITER", 18)
+        with pytest.raises(ValueError, match="in 18 iterations"):
+            strip_entropy(13)
+
 
 class TestWindows:
     def test_window_sizes(self):
@@ -170,6 +197,19 @@ class TestWindows:
                                             (p, q, r), 2)
         s = 1 - (1 - p) * q
         assert got == pytest.approx((1 - p) ** 2 * s ** 4, abs=1e-12)
+
+    @pytest.mark.parametrize("lattice", LATTICES)
+    def test_matches_reference_enumeration(self, lattice):
+        spec = build_lattice(lattice)
+        rng = np.random.default_rng(sum(map(ord, lattice)))
+        for k in (spec.partite_count - 1, spec.partite_count):
+            for _ in range(4):
+                params = tuple(float(x) for x in rng.uniform(0.05, 0.45, k))
+                for stage in range(1, spec.partite_count):
+                    got = window_probability_exhaustive(lattice, params, stage)
+                    want = window_reference.window_probability_exhaustive(
+                        lattice, params, stage)
+                    assert got == want, (params, stage)
 
     def test_stage_bounds_checked(self):
         with pytest.raises(ValueError, match="stage"):
