@@ -47,7 +47,7 @@ class BlockDistribution:
         if (p < -optimize.PROB_NEG_TOL).any():
             raise ValueError("negative class probability")
         total = float(self.family.multiplicities @ p)
-        if abs(total - 1.0) > optimize.PROB_SUM_TOL:
+        if not abs(total - 1.0) <= optimize.PROB_SUM_TOL:  # NaN fails too
             raise ValueError(f"class probabilities sum to {total}, not 1")
         p = np.clip(p, 0.0, None)
         p.flags.writeable = False
@@ -73,24 +73,23 @@ def _evaluate(family: BlockFamily, probs):
     """(value, gradient in the class probabilities, u) of the block bound.
 
     value = (h + u ln 2) / 2 with h = -(1/n^2) sum multiplicity * p ln p
-    (0 ln 0 = 0) and u the unforced odd density.  With q = A p the
-    probability that one block leaves odd site k unforced, a site shared
-    by e blocks is unforced with probability q^e and counts q^e / e:
-    u = (1/n^2) sum q^e / e.  Raising q to the e-th power pairs marginals
-    of positions that are D4 images of each other, which is exact because
-    class probabilities are D4-invariant.
+    (0 ln 0 = 0) and u the unforced odd density.  An odd site shared by e
+    blocks is unforced with probability q^e and counts 1/e, with q = A p;
+    the m sites of a D4 orbit o share one row A_o and one e_o
+    (`blocks._unforced_counts`), so u = (1/n^2) sum_o m_o q_o^e_o / e_o
+    and du/dp = (1/n^2) sum_o m_o q_o^(e_o - 1) A_o.
     """
-    n2 = family.n ** 2
-    w = family.multiplicities.astype(float)
-    a, e = _unforced_counts(family)
+    a, e, me, ga, gw, _ = _unforced_counts(family)
     p = np.asarray(probs, dtype=float)
-    logp = np.log(np.maximum(p, 1e-300))
-    h = -float(w @ (p * logp)) / n2
-    q = a @ p
-    u = float((q ** e / e).sum()) / n2
-    dh = -w * (logp + 1.0) / n2
-    du = a.T @ q ** (e - 1) / n2
-    return 0.5 * (h + u * LN2), 0.5 * (dh + LN2 * du), u
+    # in place: gradient = gw (ln p + 1) + ln 2 du/dp / 2, h = 2 p.(gw ln p)
+    gradient = np.log(np.maximum(p, 1e-300))
+    gradient *= gw
+    h = 2.0 * float(np.dot(p, gradient))
+    gradient += gw
+    q = np.dot(a, p)  # np.dot dispatches faster than @ on small products
+    u = float(np.dot(me, q ** e)) / family.n ** 2
+    gradient += np.dot(q ** (e - 1.0), ga)
+    return 0.5 * (h + u * LN2), gradient, u
 
 
 def value_and_gradient(family: BlockFamily, probs):
@@ -126,7 +125,7 @@ def optimize_block_bound(family: BlockFamily, *, tol: float = optimize.TOL,
     `optimize.maximize`, is at most `tol`, or after `max_iter` steps.
     Returns (distribution, report); the report carries the solver meta.
     """
-    w = family.multiplicities.astype(float)
+    w = _unforced_counts(family)[-1]
     scale = 2.0 * family.n ** 2 / w
     p = np.full(family.class_count, 1.0 / w.sum())
     for iterations in range(max_iter + 1):
@@ -181,7 +180,7 @@ class DensityProfile:
         if q.shape != (self.n ** 2 + 1,):
             raise ValueError(f"profile needs {self.n ** 2 + 1} entries")
         if ((q < -optimize.PROB_NEG_TOL).any()
-                or abs(q.sum() - 1.0) > optimize.PROB_SUM_TOL):
+                or not abs(q.sum() - 1.0) <= optimize.PROB_SUM_TOL):
             raise ValueError("occupancy probabilities are not a distribution")
         q = np.clip(q, 0.0, None)
         q.flags.writeable = False

@@ -9,7 +9,9 @@ positions {i, i+1} x {j, j+1} that fall inside the block; odd sites on the
 block boundary are shared with neighboring blocks.  `_odd_sites(n)` holds
 that geometry once, as one position mask per odd site: a block forces the
 sites whose mask it meets, and both weakness and the unforced counts of
-`_unforced_counts` are read from those masks.
+`_unforced_counts` are read from those masks.  D4 moves the odd-site grid
+with the block and classes are D4-invariant, so `_unforced_counts` keeps
+the equal unforced counts of one orbit of odd sites once.
 
 Two reductions shrink the 2^(n^2) variables:
 
@@ -47,6 +49,8 @@ from pathlib import Path
 from zipfile import BadZipFile
 
 import numpy as np
+
+from .bounds import LN2
 
 CACHE_VERSION = 1
 MAX_N = 4  # 2^25 masks at n=5 exceed the supported budget
@@ -113,7 +117,7 @@ class BlockFamily:
     class_of: np.ndarray          # mask -> class id, shape 2^(n^2)
     representatives: np.ndarray   # class id -> canonical mask
     multiplicities: np.ndarray    # class id -> member count
-    # derived data, filled on first use
+    # filled by `_unforced_counts` on first use; perfbench reads this name
     _marginal_count_cache: tuple | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -243,25 +247,37 @@ def load_or_build_family(n: int, use_weak: bool = True,
 
 
 def _unforced_counts(family: BlockFamily):
-    """(A, e) over the odd sites of `_odd_sites`.
+    """(a, e, me, ga, gw, w): the constants of `block_bounds._evaluate`,
+    one row per D4 orbit of odd sites, ordered by the orbit's smallest site.
 
-    A[k, c] is the number of class-c members with no 1 next to odd site k,
-    so A @ probs gives the probability that one block leaves site k
-    unforced.  e[k] = 4 // popcount(mask of k) is the number of blocks
-    sharing site k: 1 inside the block, 2 on an edge, 4 at a corner.
+    a[o, c] counts the class-c members with no 1 next to a site of orbit o,
+    so a @ probs is the probability that one block leaves it unforced, and
+    e[o] = 4 // popcount(its mask) blocks share it: 1, 2 or 4.  Both depend
+    on a site only through its mask and classes are D4-invariant, so the m
+    sites of an orbit share them: me = m / e of them per block.  w holds the
+    class multiplicities; ga = ln 2 m a / 2n^2 and gw = -w / 2n^2 fold in
+    the gradient's scale factors to save numpy calls per evaluation.
     """
     if family._marginal_count_cache is None:
-        sites = _odd_sites(family.n)
         N = family.n * family.n
+        odd, maps = _odd_sites(family.n), _d4_sources(family.n + 1)
+        size = {}  # orbit size, keyed by the orbit's smallest odd site
+        for k in range(len(odd)):
+            key = min(k, *(s[k] for s in maps))
+            size[key] = size.get(key, 0) + 1
+        sites = [odd[k] for k in size]
+        m = np.array(list(size.values()), float)
         # axis a of the (2,)*N cube is mask bit N-1-a: the members with no
-        # 1 next to site k are the face with 0 on the axes of its positions
+        # 1 next to a site are the face with 0 on the axes of its positions
         cube = family.class_of.reshape((2,) * N)
         a = np.stack([np.bincount(
             cube[tuple(0 if om >> (N - 1 - ax) & 1 else slice(None)
                        for ax in range(N))].ravel(),
             minlength=family.class_count) for om in sites]).astype(float)
-        e = np.array([4 // om.bit_count() for om in sites])
-        family._marginal_count_cache = (a, e)
+        e = np.array([4 // om.bit_count() for om in sites], float)
+        w = family.multiplicities.astype(float)
+        family._marginal_count_cache = (
+            a, e, m / e, (LN2 / (2 * N)) * m[:, None] * a, w / (-2 * N), w)
     return family._marginal_count_cache
 
 

@@ -77,10 +77,10 @@ def check_three_hex(pvec) -> np.ndarray:
         raise ValueError(f"three-hex entries "
                          f"{rows[:, low.argmax()].real.tolist()} not >= 0")
     total = (rows[0] + 3 * rows[1] + 3 * rows[2] + rows[3]).real
-    off = abs(total - 1.0) > optimize.PROB_SUM_TOL
-    if off.any():
+    ok = abs(total - 1.0) <= optimize.PROB_SUM_TOL  # NaN fails too
+    if not ok.all():
         raise ValueError(f"three-hex normalization p0+3p1+3p2+p3="
-                         f"{total[off.argmax()]} != 1")
+                         f"{total[ok.argmin()]} != 1")
     np.maximum(p.real, 0.0, out=p.real)
     return p
 

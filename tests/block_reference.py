@@ -2,13 +2,15 @@
 `block_bounds`: the odd-site geometry, scalar, one-mask-at-a-time
 dihedral images, forced odd sites and weak sites, written straight from
 their definitions in the `blocks` module docstring, the weak-site classes
-by scipy's graph components, the cover pairs over every mask, and the
-unforced odd density of a tiling."""
+by scipy's graph components, the cover pairs over every mask, the block
+objective with one unforced-count row per odd site, and the unforced odd
+density of a tiling."""
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from hardcore_entropy import blocks
+from hardcore_entropy.bounds import LN2
 
 
 def d4_maps(n: int) -> list[list[int]]:
@@ -128,6 +130,45 @@ def cover_pairs_all_masks(family):
         keep = cs != cb
         keys.append(cs[keep].astype(np.int64) * family.class_count + cb[keep])
     return np.divmod(np.unique(np.concatenate(keys)), family.class_count)
+
+
+def unforced_counts_by_site(family):
+    """(A, e) over the odd sites of `blocks._odd_sites`, one row per site.
+
+    A[k, c] is the number of class-c members with no 1 next to odd site k,
+    so A @ probs gives the probability that one block leaves site k
+    unforced.  e[k] = 4 // popcount(mask of k) is the number of blocks
+    sharing site k: 1 inside the block, 2 on an edge, 4 at a corner.
+    """
+    sites = blocks._odd_sites(family.n)
+    N = family.n * family.n
+    # axis a of the (2,)*N cube is mask bit N-1-a: the members with no
+    # 1 next to site k are the face with 0 on the axes of its positions
+    cube = family.class_of.reshape((2,) * N)
+    a = np.stack([np.bincount(
+        cube[tuple(0 if om >> (N - 1 - ax) & 1 else slice(None)
+                   for ax in range(N))].ravel(),
+        minlength=family.class_count) for om in sites]).astype(float)
+    e = np.array([4 // om.bit_count() for om in sites])
+    return a, e
+
+
+def evaluate_by_site(family, probs):
+    """(value, gradient, u) of `block_bounds._evaluate` from the per-site
+    rows of `unforced_counts_by_site`: a site shared by e blocks is
+    unforced with probability q^e and counts q^e / e, so
+    u = (1/n^2) sum_k q_k^e_k / e_k."""
+    n2 = family.n ** 2
+    w = family.multiplicities.astype(float)
+    a, e = unforced_counts_by_site(family)
+    p = np.asarray(probs, dtype=float)
+    logp = np.log(np.maximum(p, 1e-300))
+    h = -float(w @ (p * logp)) / n2
+    q = a @ p
+    u = float((q ** e / e).sum()) / n2
+    dh = -w * (logp + 1.0) / n2
+    du = a.T @ q ** (e - 1) / n2
+    return 0.5 * (h + u * LN2), 0.5 * (dh + LN2 * du), u
 
 
 def unforced_density(n: int, mask_prob: np.ndarray) -> float:

@@ -18,7 +18,7 @@ from hardcore_entropy.block_bounds import (
 )
 from hardcore_entropy.bounds import LN2, staged_bound
 
-from block_reference import unforced_density
+from block_reference import evaluate_by_site, unforced_density
 
 FAMILIES = {n: blocks.reduce_family(n) for n in (1, 2, 3)}
 # the values the multistart L-BFGS solve reached before the fixed point
@@ -68,6 +68,10 @@ class TestDistribution:
         fam = FAMILIES[2]
         with pytest.raises(ValueError, match="sum"):
             BlockDistribution(fam, np.full(6, 0.2))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="sum"):
+            BlockDistribution(FAMILIES[2], [np.nan, 0, 0, 0, 0, 0])
 
     def test_rejects_negative(self):
         fam = FAMILIES[1]
@@ -177,6 +181,49 @@ class TestBoundAndGradient:
                 lambda p, f=fam: value_and_gradient(f, p)[0], x, 1e-6)
             g = value_and_gradient(fam, x)[1]
             assert (np.abs(g - fd) / np.maximum(1.0, np.abs(fd))).max() < 1e-6
+
+    @pytest.mark.parametrize("n,use_weak,coords", [
+        (1, True, None), (4, True, None), (4, False, 300)])
+    def test_gradient_matches_relative_step(self, n, use_weak, coords):
+        # at n=4 p is about 1.5e-5, where p ln p is too curved for a fixed
+        # h=1e-6; step each coordinate by 1e-4 of itself instead
+        fam = blocks.reduce_family(n, use_weak)
+        rng = np.random.default_rng(11 + n)
+        raw = 0.2 + rng.random(fam.class_count)
+        x = raw / (fam.multiplicities @ raw)
+        idx = np.arange(fam.class_count) if coords is None else \
+            np.sort(rng.choice(fam.class_count, coords, replace=False))
+        g = value_and_gradient(fam, x)[1][idx]
+        fd = np.empty(len(idx))
+        for j, i in enumerate(idx):
+            step = np.zeros_like(x)
+            step[i] = 1e-4 * x[i]
+            fd[j] = (value_and_gradient(fam, x + step)[0]
+                     - value_and_gradient(fam, x - step)[0]) / (2 * step[i])
+        assert (np.abs(g - fd) / np.maximum(1.0, np.abs(fd))).max() < 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("use_weak", [True, False])
+    def test_orbit_rows_match_per_site_rows(self, n, use_weak):
+        # one row per D4 orbit of odd sites against one row per site, at
+        # interior points and at points with zero or point-mass entries
+        fam = blocks.reduce_family(n, use_weak)
+        rng = np.random.default_rng(20 + n)
+        points = [rng.dirichlet(np.full(fam.class_count, c))
+                  for c in (0.05, 1.0, 20.0)]
+        sparse = rng.random(fam.class_count)
+        sparse[rng.random(fam.class_count) < 0.7] = 0.0
+        empty = np.zeros(fam.class_count)  # point mass on the empty block
+        sparse[fam.class_of[0]] = empty[fam.class_of[0]] = 1.0
+        points += [sparse, empty]
+        for raw in points:
+            p = raw / (fam.multiplicities @ raw)
+            value, gradient, u = _evaluate(fam, p)
+            ref_value, ref_gradient, ref_u = evaluate_by_site(fam, p)
+            assert abs(value - ref_value) <= 1e-15
+            assert abs(u - ref_u) <= 1e-15
+            assert np.abs(gradient - ref_gradient).max() <= \
+                1e-14 * np.abs(ref_gradient).max()
 
     def test_value_consistent_with_assembly(self):
         dist = random_distribution(3, 7)
@@ -358,6 +405,10 @@ class TestDensityProfile:
             DensityProfile(2, np.ones(3) / 3)
         with pytest.raises(ValueError, match="not a distribution"):
             DensityProfile(1, np.array([0.7, 0.7]))
+
+    def test_profile_rejects_nan(self):
+        with pytest.raises(ValueError, match="not a distribution"):
+            DensityProfile(1, np.array([np.nan, 0.0]))
 
 
 def test_equalized_unit_generator():

@@ -307,20 +307,37 @@ class TestOddSites:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sharing_census(self, n):
         # (n-1)^2 interior sites, 4(n-1) edge sites shared by two blocks
-        # and 4 corner sites shared by four
-        _, e = blocks._unforced_counts(reduce_family(n))
-        assert e.shape == ((n + 1) ** 2,)
-        assert [(e == k).sum() for k in (1, 2, 4)] == \
+        # and 4 corner sites shared by four, m = me * e sites per orbit
+        _, e, me = blocks._unforced_counts(reduce_family(n))[:3]
+        m = me * e
+        assert m.tolist() == {1: [4], 2: [4, 4, 1], 3: [4, 8, 4],
+                              4: [4, 8, 4, 4, 4, 1]}[n]
+        assert m.sum() == (n + 1) ** 2
+        assert [m[e == k].sum() for k in (1, 2, 4)] == \
             [(n - 1) ** 2, 4 * (n - 1), 4]
+
+
+def reference_orbits(n):
+    """Odd sites grouped by D4 orbit, in the order of their smallest site:
+    site (i, j) is position (j + 1, i + 1) of the (n+1) x (n+1) grid that
+    `d4_maps(n + 1)` moves."""
+    orbits = {}
+    for k in range((n + 1) ** 2):
+        orbits.setdefault(min(g[k] for g in d4_maps(n + 1)), []).append(k)
+    return [orbits[key] for key in sorted(orbits)]
 
 
 def zero_marginals(fam, probs):
     """All-zero probabilities of the interior plaquettes, boundary dominoes
-    and corner sites of one block: the unforced counts A @ probs, split by
-    the number e of blocks sharing each odd site."""
-    a, e = blocks._unforced_counts(fam)
-    q = a @ probs
-    return q[e == 1], q[e == 2], q[e == 4]
+    and corner sites of one block: each orbit's unforced count A_o @ probs,
+    spread over the orbit's sites and split by the number of positions
+    each site touches."""
+    q = blocks._unforced_counts(fam)[0] @ probs
+    per_site = np.empty((fam.n + 1) ** 2)
+    for o, sites in enumerate(reference_orbits(fam.n)):
+        per_site[sites] = q[o]
+    size = np.array([om.bit_count() for om in reference_odd_sites(fam.n)])
+    return per_site[size == 4], per_site[size == 2], per_site[size == 1]
 
 
 class TestMarginalCounts:
@@ -371,18 +388,24 @@ class TestMarginalCounts:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_marginals_against_direct_enumeration(self, n):
+        # every member site of each orbit, by its own position mask, has
+        # the orbit's row and the orbit's sharing number
         fam = reduce_family(n, use_weak=True)
         rng = np.random.default_rng(3)
         raw = rng.random(fam.class_count)
         probs = raw / (fam.multiplicities @ raw)
         mask_prob = probs[fam.class_of]
+        a, e = blocks._unforced_counts(fam)[:2]
+        orbits = reference_orbits(n)
+        assert len(a) == len(e) == len(orbits)
+        q = a @ probs
         sites = reference_odd_sites(n)
         masks = np.arange(1 << (n * n))
-        # interior plaquettes touch 4 positions, dominoes 2, corners 1
-        for got, size in zip(zero_marginals(fam, probs), (4, 2, 1)):
-            want = [mask_prob[(masks & pm) == 0].sum()
-                    for pm in sites if pm.bit_count() == size]
-            np.testing.assert_allclose(got, want, atol=1e-12)
+        for o, members in enumerate(orbits):
+            for k in members:
+                want = mask_prob[(masks & sites[k]) == 0].sum()
+                assert abs(q[o] - want) <= 1e-12
+                assert e[o] == 4 // sites[k].bit_count()
 
 
 def class_closure(k, small, big):

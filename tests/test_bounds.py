@@ -234,6 +234,15 @@ def test_three_hex_param_validation():
         entropy_three_hex((1.3, -0.1, 0.0, 0.0))
 
 
+def test_three_hex_rejects_nan():
+    # abs(nan - 1) > tol is False: the normalization must fail NaN itself
+    with pytest.raises(ValueError, match="normalization"):
+        bounds.check_three_hex([np.nan, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="normalization"):
+        bounds.check_three_hex(np.array([[1.0, np.nan], [0, 0], [0, 0],
+                                         [0, 0]]))
+
+
 def _normalize_three_hex(pvec):
     total = pvec[0] + 3 * pvec[1] + 3 * pvec[2] + pvec[3]
     return tuple(v / total for v in pvec)
