@@ -1,13 +1,13 @@
 """Closed-form lower bounds for hard-core topological entropy.
 
 Every bound here comes from a sequential fill-in construction: sublattices
-are filled in order with independent Bernoulli entries, a site staying 0
-whenever an already-placed neighbor carries a 1, and the final sublattice's
-unforced sites contribute ln 2 per site (or h_B(p') when a final Bernoulli
-parameter is given).  `staged_bound` is that one formula for every lattice,
-fed by the table of unforced fractions U_s in `STAGE_UNFORCED`; the
-three-hex bounds fill the first stage with tile clusters instead.  All
-values are nats per full-lattice site.
+are filled in order, a site staying 0 whenever an already-placed neighbor
+carries a 1, and stage s fills its unforced sites, a fraction U_s, with a
+law of entropy H_s per site: a coin B(p_s), or three-tile clusters in the
+first stage of the three-hex schemes.  `_staged_value`, (1/k) sum_s U_s
+H_s over the k stages, is the one formula for every closed, equalized and
+three-hex bound, fed by the U_s tables `STAGE_UNFORCED` and
+`THREE_HEX_UNFORCED`.  All values are nats per full-lattice site.
 
 Each formula is written once and broadcasts: its parameters are floats or
 equal-length columns, real or complex, one entry per point, so the
@@ -166,6 +166,23 @@ STAGE_UNFORCED = {
     "square_moore": _unforced_square_moore,
 }
 
+# Three-hex: tiles p = (p0, p1, p2, p3) per arrangement, as `check_three_hex`
+# returns them, fill the circle sites; a = p0 + 2 p1 + p2 is the chance a
+# tile is 0.  Of a cluster's 3 dots one touches only its tiles (p0), two a
+# tile of each of three clusters (a^3).  After B(q) on the dots, 3 a (p1 +
+# p0 (1-q)) (1 - a q)^2 of its 3 triangle sites stay unforced: P(the two
+# dots adjacent only to in-cluster tiles stay 0) times the joint chance of
+# the other two boundary dots, over the two arrangements leaving the site
+# uncovered; U_s is each count over 3.  The compact variant 3 (p1 + p0
+# (1-q)) a^3 (2-q)^2 of some derivations double-counts the shared-dot
+# correlation and misses the known optimum.
+THREE_HEX_UNFORCED = {
+    "honeycomb": lambda p, a, q: (1.0, (p[0] + 2 * a ** 3) / 3),
+    "triangular": lambda p, a, q: (
+        1.0, (p[0] + 2 * a ** 3) / 3,
+        a * (p[1] + p[0] * (1.0 - q)) * (1.0 - a * q) ** 2),
+}
+
 _PARAM_NAMES = ("p", "q", "r")
 
 
@@ -194,12 +211,25 @@ def stage_unforced(lattice, probs) -> tuple[float, ...]:
     return STAGE_UNFORCED[lattice](probs)
 
 
-def _staged_value(lattice, probs):
-    """(1/k) sum_s U_s h_B(p_s) at all k stage probabilities, each a float
-    or a column; every entry is checked to lie in [0, 1]."""
-    unforced = STAGE_UNFORCED[lattice](probs)
-    return sum(u * entropy_bernoulli(p)
-               for u, p in zip(unforced, probs)) / len(probs)
+def _staged_value(unforced, entropies):
+    """(1/k) sum_s U_s H_s over k stages, U_s and H_s floats or columns."""
+    return sum(u * h for u, h in zip(unforced, entropies)) / len(entropies)
+
+
+def _coin_stages(lattice, probs):
+    """U_s and H_s = h_B(p_s) of k coin stages B(p_s); p_s in [0, 1]."""
+    return (STAGE_UNFORCED[lattice](probs),
+            [entropy_bernoulli(p) for p in probs])
+
+
+def _three_hex_stages(lattice, x):
+    """U_s and H_s of the three-hex scheme at columns x = (p0, p1, p2, p3)
+    on honeycomb or (p0, p1, p2, p3, q) on triangular: the tile stage has
+    H3/3 per circle site, and then come B(q) on triangular and B(1/2)."""
+    pvec, coins = x[:4], (*x[4:], 0.5)
+    p = check_three_hex(pvec)
+    return (THREE_HEX_UNFORCED[lattice](p, p[0] + 2 * p[1] + p[2], coins[0]),
+            [entropy_three_hex(pvec) / 3, *map(entropy_bernoulli, coins)])
 
 
 def _one_row(values) -> np.ndarray:
@@ -207,13 +237,16 @@ def _one_row(values) -> np.ndarray:
     return np.array(values, dtype=float)[:, None]
 
 
-def _report(lattice, scheme, value, params, densities) -> BoundReport:
-    """A BoundReport from one-row columns."""
+def _report(lattice, scheme, params, densities, unforced, entropies):
+    """The staged bound's report from one-row columns: the parameters,
+    the 1-density d_s of each stage's law, U_s and H_s.  The sublattice
+    densities are d_s U_s."""
     def first(v):
         return float(np.ravel(v)[0])
-    return BoundReport(lattice, scheme, first(value),
-                       {k: first(v) for k, v in params.items()},
-                       tuple(first(d) for d in densities))
+    return BoundReport(
+        lattice, scheme, first(_staged_value(unforced, entropies)),
+        {k: first(v) for k, v in params.items()},
+        tuple(first(d * u) for d, u in zip(densities, unforced)))
 
 
 def staged_bound(lattice, probs) -> BoundReport:
@@ -233,72 +266,7 @@ def staged_bound(lattice, probs) -> BoundReport:
     if len(given) == k:
         params["p_prime"] = probs[-1]
         scheme = "equalized"
-    densities = [p * u for p, u in zip(cols, STAGE_UNFORCED[lattice](cols))]
-    return _report(lattice, scheme, _staged_value(lattice, cols), params,
-                   densities)
-
-
-def _three_hex_honeycomb(pvec):
-    """Value, parameters and densities of `bound_three_hex_honeycomb` at
-    four floats or columns."""
-    p0, p1, p2, p3 = check_three_hex(pvec)
-    a = p0 + 2 * p1 + p2
-    unforced_per_cluster = p0 + 2 * a ** 3
-    value = (entropy_three_hex(pvec) + unforced_per_cluster * LN2) / 6.0
-    circle_density = p1 + 2 * p2 + p3
-    dot_density = unforced_per_cluster / 6.0
-    return (value, {"p0": p0, "p1": p1, "p2": p2, "p3": p3},
-            (circle_density, dot_density))
-
-
-def _three_hex_triangular(pvec, q):
-    """Value, parameters and densities of `bound_three_hex_triangular` at
-    floats or columns."""
-    p0, p1, p2, p3 = check_three_hex(pvec)
-    q = _check_prob(q, "q")
-    a = p0 + 2 * p1 + p2
-    dot_unforced_per_cluster = p0 + 2 * a ** 3
-    tri_unforced_per_cluster = 3 * a * (p1 + p0 * (1.0 - q)) * (1.0 - a * q) ** 2
-    value = (entropy_three_hex(pvec)
-             + dot_unforced_per_cluster * entropy_bernoulli(q)
-             + tri_unforced_per_cluster * LN2) / 9.0
-    circle_density = p1 + 2 * p2 + p3
-    dot_density = dot_unforced_per_cluster * q / 3.0
-    tri_density = tri_unforced_per_cluster / 3.0 / 2.0
-    return (value, {"p0": p0, "p1": p1, "p2": p2, "p3": p3, "q": q},
-            (circle_density, dot_density, tri_density))
-
-
-def bound_three_hex_honeycomb(pvec) -> BoundReport:
-    """Honeycomb bound from filling one sublattice by independent
-    three-tile clusters with occupancy distribution pvec, then B(1/2) on
-    unforced dot sites.
-
-    value = 1/6 { H3(pvec) + (p0 + 2 a^3) ln 2 },  a = p0 + 2 p1 + p2.
-    Densities per site: circle = p1 + 2 p2 + p3, dot = (p0 + 2 a^3) / 6.
-    """
-    return _report("honeycomb", "three-hex",
-                   *_three_hex_honeycomb(_one_row(pvec)))
-
-
-def bound_three_hex_triangular(pvec, q: float) -> BoundReport:
-    """Triangular bound: three-tile clusters on the circle sublattice,
-    B(q) on unforced dots, B(1/2) on unforced triangle sites.
-
-    value = 1/9 { H3(pvec) + (p0 + 2 a^3) h_B(q)
-                  + 3 a (p1 + p0 (1-q)) (1 - a q)^2 ln 2 }.
-
-    The last term counts unforced triangle sites per cluster; it is the
-    product of P(the two dots adjacent only to in-cluster tiles stay 0)
-    with the joint probability of the remaining two boundary dots, summed
-    over the two tile arrangements that leave a triangle site uncovered.
-    (The compact variant 3 (p1 + p0(1-q)) a^3 (2-q)^2 that appears in some
-    derivations double-counts the shared-dot correlation; the regression
-    tests show it does not reproduce the known optimum.)
-    """
-    *pvec, q = _one_row((*pvec, q))
-    return _report("triangular", "three-hex",
-                   *_three_hex_triangular(pvec, q))
+    return _report(lattice, scheme, params, cols, *_coin_stages(lattice, cols))
 
 
 # ------------------------------------------------------- optimizer drivers
@@ -310,7 +278,7 @@ _TILES = optimize.Simplex((1.0, 3.0, 3.0, 1.0))
 def _closed(lattice):
     k = build_lattice(lattice).partite_count
     return (optimize.Domain([_UNIT] * (k - 1)),
-            lambda x: _staged_value(lattice, (*x.T, 0.5)),
+            lambda x: _staged_value(*_coin_stages(lattice, (*x.T, 0.5))),
             lambda x: staged_bound(lattice, x))
 
 
@@ -321,8 +289,26 @@ def _equalized(lattice, cap):
         return p, p / STAGE_UNFORCED[lattice]((p,))[1]
 
     return (optimize.Domain([optimize.Box(0.0, cap)]),
-            lambda x: _staged_value(lattice, stages(x[:, 0])),
+            lambda x: _staged_value(*_coin_stages(lattice, stages(x[:, 0]))),
             lambda x: staged_bound(lattice, [v[0] for v in stages(x[:1])]))
+
+
+def _three_hex(lattice):
+    """Three-tile clusters on the circle sites, then coin stages; the tile
+    law puts p1 + 2 p2 + p3 ones on a circle site."""
+    k = build_lattice(lattice).partite_count
+
+    def report(x):
+        cols = _one_row(x)
+        p = check_three_hex(cols[:4])
+        params = dict(zip(("p0", "p1", "p2", "p3", "q"), (*p, *cols[4:])))
+        return _report(lattice, "three-hex", params,
+                       (p[1] + 2 * p[2] + p[3], *cols[4:], 0.5),
+                       *_three_hex_stages(lattice, cols))
+
+    return (optimize.Domain([_TILES] + [_UNIT] * (k - 2)),
+            lambda x: _staged_value(*_three_hex_stages(lattice, x.T)),
+            report)
 
 
 # scheme -> lattice -> (domain, batched value, report at one point)
@@ -330,15 +316,8 @@ SCHEMES = {
     "closed": {lattice: _closed(lattice) for lattice in STAGE_UNFORCED},
     "equalized": {"square": _equalized("square", 0.275),
                   "honeycomb": _equalized("honeycomb", 0.317)},
-    "three-hex": {
-        # each report looks its builder up at call time, as tracers expect
-        "honeycomb": (optimize.Domain([_TILES]),
-                      lambda x: _three_hex_honeycomb(x.T)[0],
-                      lambda x: bound_three_hex_honeycomb(x)),
-        "triangular": (optimize.Domain([_TILES, _UNIT]),
-                       lambda x: _three_hex_triangular(x.T[:4], x.T[4])[0],
-                       lambda x: bound_three_hex_triangular(x[:4], x[4])),
-    },
+    "three-hex": {lattice: _three_hex(lattice)
+                  for lattice in THREE_HEX_UNFORCED},
 }
 
 

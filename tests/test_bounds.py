@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from hardcore_entropy import bounds
+import three_hex_reference
+from hardcore_entropy import bounds, optimize
 from hardcore_entropy.bounds import (
-    LN2, BoundReport, bound_three_hex_honeycomb, bound_three_hex_triangular,
-    entropy_bernoulli, entropy_three_hex, stage_unforced, staged_bound,
+    LN2, BoundReport, entropy_bernoulli, entropy_three_hex, stage_unforced,
+    staged_bound,
 )
 from hardcore_entropy.lattices import LATTICES, build_lattice
 from hardcore_entropy.oracles import (
@@ -170,13 +171,14 @@ def test_batched_staged_value_matches_staged_bound(
     width = k if explicit_final else k - 1
     x = np.array(batch)[:, :width]  # the optimizer's (m, size) layout
     final = () if explicit_final else (0.5,)
-    values = bounds._staged_value(lattice, (*x.T, *final))
+    values = bounds._staged_value(*bounds._coin_stages(lattice,
+                                                       (*x.T, *final)))
     assert values.shape == (len(x),)
     for row, value in zip(x, values):
         assert value == staged_bound(lattice, tuple(row)).value
     x[bad_row % len(x), bad_stage % width] = bad
     with pytest.raises(ValueError, match="outside"):
-        bounds._staged_value(lattice, (*x.T, *final))
+        bounds._staged_value(*bounds._coin_stages(lattice, (*x.T, *final)))
 
 
 _ENTRIES = [(scheme, lattice) for scheme, lattices in bounds.SCHEMES.items()
@@ -202,21 +204,15 @@ def test_batched_scheme_value_is_the_report_formula(entry, t):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(lattice=st.sampled_from(sorted(bounds.SCHEMES["three-hex"])),
        batch=_BATCH, bad_row=st.integers(0, 10), bad_column=st.integers(0, 5))
-def test_batched_three_hex_matches_scalar_bounds(lattice, batch, bad_row,
-                                                 bad_column):
-    """Row i of the batched three-hex formula is the scalar bound's value
-    exactly, and one infeasible row fails the whole batch."""
+def test_batched_three_hex_rejects_infeasible_rows(lattice, batch, bad_row,
+                                                   bad_column):
+    """One infeasible row fails the whole batch of the three-hex formula."""
     domain, value, _ = bounds.SCHEMES["three-hex"][lattice]
     x = np.array(batch)[:, :domain.size]
     total = x[:, 0] + 3 * x[:, 1] + 3 * x[:, 2] + x[:, 3]
     assume((total > 0).all())
     x[:, :4] /= total[:, None]
-    values = value(x)
-    assert values.shape == (len(x),)
-    for row, v in zip(x, values):
-        rep = (bound_three_hex_honeycomb(row) if lattice == "honeycomb"
-               else bound_three_hex_triangular(row[:4], row[4]))
-        assert v == rep.value
+    assert value(x).shape == (len(x),)
     # a negative p_k or q, or (past the last column) p off its simplex
     i = bad_row % len(x)
     if bad_column < x.shape[1]:
@@ -225,6 +221,63 @@ def test_batched_three_hex_matches_scalar_bounds(lattice, batch, bad_row,
         x[i, :4] *= 1.0 + 1e-9
     with pytest.raises(ValueError):
         value(x)
+
+
+def three_hex_bound(lattice, *point):
+    """The three-hex report at (p0, p1, p2, p3), and q on triangular."""
+    return bounds.SCHEMES["three-hex"][lattice][2](point)
+
+
+_TILE_WEIGHTS = np.array([1.0, 3.0, 3.0, 1.0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(lattice=st.sampled_from(sorted(bounds.SCHEMES["three-hex"])),
+       raw=st.lists(_UNIT, min_size=4, max_size=4), q=_UNIT,
+       negative=st.one_of(st.none(), st.tuples(
+           st.integers(0, 3), st.floats(-optimize.PROB_NEG_TOL, 0.0,
+                                        exclude_max=True))))
+@example(lattice="honeycomb", raw=[1.0, 0.0, 0.0, 0.0], q=0.0, negative=None)
+@example(lattice="triangular", raw=[1.0, 0.0, 0.0, 0.0], q=0.0,
+         negative=None)
+@example(lattice="triangular", raw=[1.0, 0.0, 0.0, 0.0], q=1.0,
+         negative=None)
+@example(lattice="triangular", raw=[0.3, 0.1, 0.05, 0.2], q=1.0,
+         negative=None)
+@example(lattice="triangular", raw=[0.6, 0.1, 0.02, 0.03], q=0.25,
+         negative=(2, -optimize.PROB_NEG_TOL))
+@example(lattice="honeycomb", raw=[0.5, 0.1, 0.05, 0.02], q=0.5,
+         negative=(0, -optimize.PROB_NEG_TOL))
+def test_three_hex_staged_bound_is_the_per_cluster_form(lattice, raw, q,
+                                                        negative):
+    """The staged three-hex report is the per-cluster /6 and /9 form of
+    `three_hex_reference` within 1e-15 at feasible (pvec, q), entries a
+    hair below 0 read as 0, with the p0..p3 (and q) parameters and one
+    density per sublattice."""
+    pvec = np.array(raw)
+    if negative is not None:
+        # entry i a hair below 0, so the entries read as 0 sum to 1 and
+        # the row's own sum is within PROB_SUM_TOL of 1
+        i, v = negative
+        pvec[i] = 0.0
+    total = _TILE_WEIGHTS @ pvec
+    assume(total > 0)
+    pvec /= total
+    if negative is not None:
+        pvec[i] = v
+    names = ("p0", "p1", "p2", "p3")
+    if lattice == "honeycomb":
+        rep = three_hex_bound(lattice, *pvec)
+        value, densities = three_hex_reference.honeycomb(pvec)
+    else:
+        rep = three_hex_bound(lattice, *pvec, q)
+        value, densities = three_hex_reference.triangular(pvec, q)
+        names += ("q",)
+    assert abs(rep.value - value) <= 1e-15
+    assert len(rep.densities) == len(densities)
+    np.testing.assert_allclose(rep.densities, densities, rtol=0, atol=1e-15)
+    assert tuple(rep.params) == names
+    assert rep.params == dict(zip(names, (*np.maximum(pvec, 0.0), q)))
 
 
 def test_three_hex_param_validation():
@@ -250,21 +303,23 @@ def _normalize_three_hex(pvec):
 
 def test_three_hex_honeycomb_reference_point():
     # printed values are rounded (they sum to 0.999); rescale onto the simplex
-    rep = bound_three_hex_honeycomb(_normalize_three_hex((0.504, 0.110, 0.048, 0.021)))
+    rep = three_hex_bound(
+        "honeycomb", *_normalize_three_hex((0.504, 0.110, 0.048, 0.021)))
     assert rep.value == pytest.approx(0.4304, abs=2e-4)
     assert rep.densities == pytest.approx((0.2276, 0.2376), abs=5e-3)
 
 
 def test_three_hex_honeycomb_degenerate():
-    rep = bound_three_hex_honeycomb((1.0, 0.0, 0.0, 0.0))
+    rep = three_hex_bound("honeycomb", 1.0, 0.0, 0.0, 0.0)
     assert rep.value == pytest.approx(0.5 * LN2, abs=1e-15)
     assert rep.value == pytest.approx(staged_bound("honeycomb", (0.0,)).value,
                                       abs=1e-15)
 
 
 def test_three_hex_triangular_reference_point():
-    rep = bound_three_hex_triangular(
-        _normalize_three_hex((0.64, 0.092, 0.025, 0.010)), 0.25)
+    rep = three_hex_bound(
+        "triangular", *_normalize_three_hex((0.64, 0.092, 0.025, 0.010)),
+        0.25)
     assert rep.value == pytest.approx(0.3265, abs=2e-4)
     assert rep.densities == pytest.approx((0.153, 0.155, 0.151), abs=5e-3)
 
@@ -272,13 +327,13 @@ def test_three_hex_triangular_reference_point():
 def test_three_hex_triangular_reduces_to_tripartite():
     # single-tile limit: cluster scheme with empty clusters = plain scheme
     for q in np.linspace(0.0, 1.0, 11):
-        lhs = bound_three_hex_triangular((1.0, 0.0, 0.0, 0.0), q).value
+        lhs = three_hex_bound("triangular", 1.0, 0.0, 0.0, 0.0, q).value
         rhs = staged_bound("triangular", (0.0, q)).value
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_three_hex_triangular_degenerate_q1():
-    rep = bound_three_hex_triangular((1.0, 0.0, 0.0, 0.0), 1.0)
+    rep = three_hex_bound("triangular", 1.0, 0.0, 0.0, 0.0, 1.0)
     # every unforced dot occupied: the triangle stage contributes nothing
     assert rep.value == pytest.approx(0.0, abs=1e-12)
 

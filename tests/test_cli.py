@@ -176,7 +176,7 @@ def test_bound_scheme_lattice_mismatch(capsys):
 def test_bound_non_finite_objective_exits_one(monkeypatch, capsys):
     # a numerical failure, not a configuration error
     monkeypatch.setattr(bounds, "_staged_value",
-                        lambda lattice, probs: probs[0] * math.nan)
+                        lambda unforced, entropies: entropies[0] * math.nan)
     assert run(["bound", "--scheme", "closed", "--lattice", "square"]) == 1
     assert "non-finite" in capsys.readouterr().err
 

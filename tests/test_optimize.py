@@ -8,9 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hardcore_entropy import bounds, cli, optimize
-from hardcore_entropy.bounds import (
-    SCHEMES, STAGE_UNFORCED, bound_three_hex_honeycomb, staged_bound,
-)
+from hardcore_entropy.bounds import SCHEMES, staged_bound
 from hardcore_entropy.optimize import (
     STEP, Box, Domain, Simplex, maximize,
 )
@@ -20,7 +18,7 @@ UNIT = Domain((Box(0.0, 1.0),))
 
 def closed(lattice):
     """The batched closed-form objective `optimize_bound` maximizes."""
-    return lambda x: bounds._staged_value(lattice, (*x.T, 0.5))
+    return SCHEMES["closed"][lattice][1]
 
 
 def three_hex(lattice):
@@ -327,7 +325,7 @@ def test_projected_gradient_small_at_three_hex_optimum():
     def obj(x):
         # probes are rescaled back onto the simplex, where the bound is
         # defined
-        return bound_three_hex_honeycomb(tuple(x / (w @ x))).value
+        return SCHEMES["three-hex"]["honeycomb"][2](x / (w @ x)).value
 
     opt = np.asarray(res.argmax)
     g = np.empty(4)
@@ -380,11 +378,7 @@ def test_known_optimum_recovery(name, obj, dom, val, params):
 
 def _equalized_value(lattice):
     """The batched equalized objective `optimize_bound` maximizes."""
-    def value(x):
-        p = x[:, 0]
-        return bounds._staged_value(
-            lattice, (p, p / STAGE_UNFORCED[lattice]((p,))[1]))
-    return value
+    return SCHEMES["equalized"][lattice][1]
 
 
 def test_equalized_optima_recovered():
