@@ -3,9 +3,8 @@
 Five lattices are supported, named by the strings in `LATTICES`.
 `LatticeSpec` is the single description of each: per-cell neighbor offsets
 and a periodic stage coloring.  Neighbor lists, sublattice labels, the torus
-side rule, the stage-index array, the hard-core checker and the sampler's
-"some neighbor carries a 1" test are all computed from those two fields,
-with no per-lattice code.
+side rule, the hard-core checker and the sampler's sublattice planes are
+all computed from those two fields, with no per-lattice code.
 
 Every site is a plain tuple ``(x, y, t)``: ``t`` is the site within unit
 cell ``(x, y)``, and is 0 on the lattices with one site per cell (square,
@@ -138,15 +137,6 @@ def stage_of(spec: LatticeSpec, site) -> int:
     x, y, t = site
     px, py = spec.period
     return spec.coloring[t][y % py][x % px]
-
-
-def stage_index(spec: LatticeSpec, dims) -> np.ndarray:
-    """Fill stage of every site, shaped like TorusConfiguration.values."""
-    w, h = _validate_dims(spec, dims)
-    px, py = spec.period
-    # one period of the coloring, indexed (y, x, t)
-    cell = np.array(spec.coloring, dtype=np.int8).transpose(1, 2, 0)
-    return np.tile(cell, (h // py, w // px, 1))
 
 
 def occupied_neighbor(spec: LatticeSpec, values: np.ndarray) -> np.ndarray:

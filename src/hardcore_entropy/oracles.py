@@ -20,8 +20,6 @@ from .lattices import (
     TorusConfiguration,
     build_lattice,
     neighbor_sites,
-    occupied_neighbor,
-    stage_index,
     stage_of,
 )
 
@@ -105,13 +103,16 @@ _TILE = 8
 # with fewer tile means than this their spread can read 0 (two tiles that
 # happen to agree), so smaller tori use the binomial error
 _MIN_TILES = 16
+# the stage draws pass through one reused buffer of whole torus rows, at
+# most this many bytes unless one coloring period of rows is larger
+_BAND_BYTES = 1 << 18
 
 
 def _tile_counts(x: np.ndarray) -> np.ndarray:
-    """Number of True sites in each 8 x 8-cell tile of a boolean torus
-    array, as an (h/8, w/8) int64 array.  Exact: a tile holds at most
-    8 * 8 * 3 = 192 sites (kagome), so the uint8 partial sums cannot
-    wrap."""
+    """Number of nonzero sites in each 8 x 8-cell tile of a 0/1 torus
+    array (bool or int8), as an (h/8, w/8) int64 array.  Exact: a tile
+    holds at most 8 * 8 * 3 = 192 sites (kagome), so the uint8 partial
+    sums cannot wrap."""
     h, w, c = x.shape
     rows = x.view(np.uint8).reshape(h // _TILE, _TILE, w * c).sum(
         axis=1, dtype=np.uint8)
@@ -119,18 +120,30 @@ def _tile_counts(x: np.ndarray) -> np.ndarray:
         axis=2, dtype=np.int64)
 
 
-def _stderr(hits: np.ndarray, tile_sites: np.ndarray | None, n_sites: int,
-            analytic: float) -> float:
-    """Standard error of the mean of `hits` over a stage's n_sites sites,
-    from the spread of per-tile means (captures short-range correlation).
-    `tile_sites` holds the stage's site count per 8 x 8 tile, or is None
-    for a torus that is not a grid of at least _MIN_TILES tiles: that gets
-    the binomial standard error at the analytic mean instead, since the
-    empirical mean of a small torus can be exactly 0 or 1, which would
-    give no error at all."""
+def _tile_sites(spec, positions, h: int, w: int) -> np.ndarray:
+    """Number of sites of the given period positions (oy, ox, t) in each
+    8 x 8-cell tile of an h x w torus, as an (h/8, w/8) int64 array: the
+    plane at (oy, ox, t) holds torus rows oy, oy + py, ... and columns
+    ox, ox + px, ..., so its share of a tile is the product of the rows
+    and the columns that fall in it."""
+    px, py = spec.period
+    return sum(np.multiply.outer(np.bincount(np.arange(oy, h, py) // _TILE),
+                                 np.bincount(np.arange(ox, w, px) // _TILE))
+               for oy, ox, _ in positions)
+
+
+def _stderr(hits: np.ndarray, tile_sites: np.ndarray | None,
+            n_sites: int, analytic: float) -> float:
+    """Standard error of a stage's mean over its n_sites sites, from the
+    spread of per-tile means (captures short-range correlation).  `hits`
+    and `tile_sites` hold the stage's hit and site counts per 8 x 8 tile;
+    `tile_sites` is None for a torus that is not a grid of at least
+    _MIN_TILES tiles: that gets the binomial standard error at the
+    analytic mean instead, since the empirical mean of a small torus can
+    be exactly 0 or 1, which would give no error at all."""
     if tile_sites is None:
         return math.sqrt(max(analytic * (1 - analytic), 0.0) / n_sites)
-    means = _tile_counts(hits) / tile_sites
+    means = hits / tile_sites
     return float(means.std(ddof=1)) / math.sqrt(means.size)
 
 
@@ -174,39 +187,78 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
     exist.  The statistics come from exact integer counts (per stage, and
     per 8 x 8 tile for the standard errors): the stages' site sets are
     disjoint, so the 1s of stage s are exactly the sites it placed.
+
+    The work runs on sublattice planes: with (px, py) the coloring period,
+    the sites (X px + ox, Y py + oy, t) form one (h/py, w/px) plane per
+    period position (oy, ox, t), a strided view of `values`, and each
+    position belongs to one stage.  Stage s first sets its planes to its
+    unforced sites, those whose earlier-stage neighbors, each read from a
+    rolled plane, all hold 0; the counts of `values` then grow by the
+    stage's unforced sites.  Its draws pass through one reused band of
+    whole torus rows, at most _BAND_BYTES on tori up to 10,922 cells wide,
+    and each band's stage-s sites keep their 1 where the draw is below
+    p_s; the counts then grow by the sites placed.  Nothing torus-sized is
+    allocated but `values` itself (one byte per site); the scratch of one
+    plane at a time adds at most one more.
     """
     spec = build_lattice(lattice)
     probs = stage_probabilities(lattice, params)
     config = TorusConfiguration.empty(lattice, dims)
-    h, w = config.values.shape[:2]
+    h, w, c = config.values.shape
+    px, py = spec.period
     tiled = (not (h % _TILE or w % _TILE)
              and (h // _TILE) * (w // _TILE) >= _MIN_TILES)
-    stages = stage_index(spec, config.dims)
     analytic = stage_unforced(lattice, probs)
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(seed).spawn(len(probs))]
-    ones = np.zeros(config.values.shape, dtype=bool)
-    draw = np.empty(config.values.shape)
+    # the sublattice planes, as views of `values` (0 or 1, so valid bools):
+    # planes[:, oy, :, ox, t][Y, X] is site (X px + ox, Y py + oy, t)
+    planes = config.values.view(bool).reshape(h // py, py, w // px, px, c)
+    band = np.empty((min(h, max(1, _BAND_BYTES // (8 * w * c * py)) * py),
+                     w, c))
+
+    def ones():
+        """The 1s of `values`: their number, and per tile if tiled."""
+        return (np.count_nonzero(config.values),
+                _tile_counts(config.values) if tiled else 0)
+
+    n_before, tiles_before = 0, 0
     stats = []
     for s, label in enumerate(spec.fill_order):
-        mask = stages == s
-        unforced = mask & ~occupied_neighbor(spec, ones) if s else mask
-        streams[s].random(out=draw)
-        placed = unforced & (draw < probs[s])
-        ones |= placed
-        n_sites = int(np.count_nonzero(mask))
-        tile_sites = _tile_counts(mask) if tiled else None
+        mine = [(oy, ox, t) for oy in range(py) for ox in range(px)
+                for t in range(c) if spec.coloring[t][oy][ox] == s]
+        for oy, ox, t in mine:
+            blocked = np.zeros((h // py, w // px), dtype=bool)
+            for dx, dy, t2 in spec.neighbors[t]:
+                ny, nx = oy + dy, ox + dx
+                if spec.coloring[t2][ny % py][nx % px] < s:
+                    # blocked[Y, X] |= plane[Y + ny // py, X + nx // px]
+                    blocked |= np.roll(planes[:, ny % py, :, nx % px, t2],
+                                       (-(ny // py), -(nx // px)),
+                                       axis=(0, 1))
+            np.logical_not(blocked, out=planes[:, oy, :, ox, t])
+        n_unforced, tiles_unforced = ones()
+        for y0 in range(0, h, len(band)):
+            draw = band[:h - y0]
+            streams[s].random(out=draw)
+            cells = draw.reshape(-1, py, w // px, px, c)
+            y = slice(y0 // py, y0 // py + len(cells))
+            for oy, ox, t in mine:
+                planes[y, oy, :, ox, t] &= cells[:, oy, :, ox, t] < probs[s]
+        n_placed, tiles_placed = ones()
+        n_sites = len(mine) * (h // py) * (w // px)
+        tile_sites = _tile_sites(spec, mine, h, w) if tiled else None
         stats.append(StageStats(
             stage=label, probability=probs[s], n_sites=n_sites,
             unforced_analytic=analytic[s],
-            unforced_empirical=int(np.count_nonzero(unforced)) / n_sites,
-            unforced_stderr=_stderr(unforced, tile_sites, n_sites,
-                                    analytic[s]),
+            unforced_empirical=int(n_unforced - n_before) / n_sites,
+            unforced_stderr=_stderr(tiles_unforced - tiles_before,
+                                    tile_sites, n_sites, analytic[s]),
             density_analytic=probs[s] * analytic[s],
-            density_empirical=int(np.count_nonzero(placed)) / n_sites,
-            density_stderr=_stderr(placed, tile_sites, n_sites,
-                                   probs[s] * analytic[s])))
-    config.values[...] = ones
+            density_empirical=int(n_placed - n_before) / n_sites,
+            density_stderr=_stderr(tiles_placed - tiles_before, tile_sites,
+                                   n_sites, probs[s] * analytic[s])))
+        n_before, tiles_before = n_placed, tiles_placed
     return config, stats
 
 

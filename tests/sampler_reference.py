@@ -1,7 +1,9 @@
 """The torus sampler as it was before its statistics came from integer
 tile counts: one boolean scatter, a grid copy and two float tile
-reductions per stage.  `oracles.fill_in_sample` must return the same
-configuration and `==` stage statistics for every input."""
+reductions per stage, on whole-torus arrays with one float64 draw per
+site.  `oracles.fill_in_sample` must return the same configuration and
+`==` stage statistics for every input.  `stage_index`, the array form of
+`lattices.stage_of`, lives here because only the tests use it."""
 import math
 
 import numpy as np
@@ -11,9 +13,18 @@ from hardcore_entropy.lattices import (
     TorusConfiguration,
     build_lattice,
     occupied_neighbor,
-    stage_index,
 )
 from hardcore_entropy.oracles import _MIN_TILES, _TILE, StageStats
+
+
+def stage_index(spec, dims) -> np.ndarray:
+    """Fill stage of every site of a valid torus, shaped like
+    TorusConfiguration.values."""
+    w, h = dims
+    px, py = spec.period
+    # one period of the coloring, indexed (y, x, t)
+    cell = np.array(spec.coloring, dtype=np.int8).transpose(1, 2, 0)
+    return np.tile(cell, (h // py, w // px, 1))
 
 
 def _tile_stderr(indicator: np.ndarray, where: np.ndarray,

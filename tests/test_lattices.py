@@ -5,8 +5,9 @@ import pytest
 
 from hardcore_entropy.lattices import (
     LATTICES, TorusConfiguration, build_lattice, neighbor_sites,
-    stage_index, stage_of, verify_hard_core,
+    stage_of, verify_hard_core,
 )
+from sampler_reference import stage_index
 
 
 def _sites(lattice, dims):
@@ -208,8 +209,9 @@ def test_stage_index_counts():
 
 @pytest.mark.parametrize("lattice", LATTICES)
 def test_stage_index_matches_stage_of(lattice):
-    # stage_index, the array form the sampler uses, agrees with stage_of
-    # site by site, and per-stage densities read off it are direct counts
+    # stage_index, the array form the reference sampler uses, agrees with
+    # stage_of site by site, and per-stage densities read off it are
+    # direct counts
     spec = build_lattice(lattice)
     dims = SMALL_DIMS[lattice]
     rng = np.random.default_rng(1)

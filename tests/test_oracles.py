@@ -1,5 +1,6 @@
 """Transfer matrices, fill-in sampler, window enumeration, blocking shares."""
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -243,28 +244,61 @@ class TestSampler:
             sig = abs(st.density_empirical - st.density_analytic)
             assert sig < 5 * max(st.density_stderr, 1e-9)
 
-    @pytest.mark.parametrize("shape", [(32, 32, 1), (32, 64, 3), (64, 40, 2)])
+    @pytest.mark.parametrize("shape", [(32, 32, 1), (32, 64, 3), (64, 40, 2),
+                                       (48, 72, 1)])
     def test_tile_stderr_matches_per_tile_float_means(self, shape):
         rng = np.random.default_rng(sum(shape))
         indicator = rng.random(shape) < 0.3
+
+        def float_loop_stderr(where):
+            means = []
+            for y in range(0, shape[0], 8):
+                for x in range(0, shape[1], 8):
+                    tile = np.s_[y:y + 8, x:x + 8]
+                    means.append((indicator[tile] * where[tile]).astype(
+                        float).sum() / where[tile].astype(float).sum())
+            return float(np.std(means, ddof=1)) / math.sqrt(len(means))
+
         where = rng.random(shape) < 0.7
-        means = []
-        for y in range(0, shape[0], 8):
-            for x in range(0, shape[1], 8):
-                tile = np.s_[y:y + 8, x:x + 8]
-                means.append((indicator[tile] * where[tile]).astype(float).sum()
-                             / where[tile].astype(float).sum())
-        want = float(np.std(means, ddof=1)) / math.sqrt(len(means))
-        hits = indicator & where
-        got = oracles._stderr(hits, oracles._tile_counts(where),
+        got = oracles._stderr(oracles._tile_counts(indicator & where),
+                              oracles._tile_counts(where),
                               int(where.sum()), 0.3)
-        assert got == want
+        assert got == float_loop_stderr(where)
+        # the stages of every lattice whose cell and coloring period fit,
+        # with their tile site counts read off the sublattice planes
+        h, w, c = shape
+        specs = [spec for spec in map(build_lattice, LATTICES)
+                 if spec.sites_per_cell == c
+                 and not (w % spec.period[0] or h % spec.period[1])]
+        assert specs
+        for spec in specs:
+            px, py = spec.period
+            stages = sampler_reference.stage_index(spec, (w, h))
+            for s in range(spec.partite_count):
+                mine = [(oy, ox, t) for oy, ox, t in np.ndindex(py, px, c)
+                        if spec.coloring[t][oy][ox] == s]
+                where = stages == s
+                got = oracles._stderr(
+                    oracles._tile_counts(indicator & where),
+                    oracles._tile_sites(spec, mine, h, w),
+                    int(where.sum()), 0.3)
+                assert got == float_loop_stderr(where), (spec.name, s)
 
     def test_tile_counts_hold_full_tiles(self):
         # 8 * 8 * 3 = 192 sites per tile: the largest count, no wrap-around
         counts = oracles._tile_counts(np.ones((16, 24, 3), dtype=bool))
         assert counts.shape == (2, 3)
         assert (counts == 192).all()
+        # every lattice's planes together fill each tile, also where the
+        # period-3 planes of triangular cross tiles at offsets 1 and 2
+        w, h = 24, 48
+        for lattice in LATTICES:
+            spec = build_lattice(lattice)
+            px, py = spec.period
+            sites = oracles._tile_sites(
+                spec, np.ndindex(py, px, spec.sites_per_cell), h, w)
+            assert sites.shape == (h // 8, w // 8)
+            assert (sites == 64 * spec.sites_per_cell).all(), lattice
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(case=_sample_cases(), seed=st.integers(0, 2 ** 32 - 1))
@@ -272,6 +306,14 @@ class TestSampler:
     @example(case=("kagome", (0.1, 0.4), (6, 6)), seed=2)
     @example(case=("square", (0.45,), (8, 128)), seed=3)
     @example(case=("square_moore", (0.05, 0.2, 0.45), (8, 128)), seed=4)
+    # 200 rows in draw bands of 68, the last one short
+    @example(case=("square_moore", (0.1, 0.2, 0.3), (480, 200)), seed=5)
+    # 40 rows in one band, which has room for 256
+    @example(case=("honeycomb", (0.3,), (64, 40)), seed=6)
+    # period 3: tiles cut the planes at offsets oy, ox > 0, and 96 rows
+    # pass in bands of 66 and 30
+    @example(case=("triangular", (0.2, 0.35), (480, 96)), seed=7)
+    @example(case=("kagome", (0.1944, 0.3002), (480, 480)), seed=8)
     def test_statistics_match_reference_sampler(self, case, seed):
         lattice, params, dims = case
         config, stats = fill_in_sample(lattice, params, dims, seed)
@@ -280,6 +322,19 @@ class TestSampler:
         assert stats == want_stats
         assert config.values.dtype == want_config.values.dtype
         np.testing.assert_array_equal(config.values, want_config.values)
+
+    @pytest.mark.parametrize("lattice,params", [c[:2] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_peak_memory_per_site(self, lattice, params):
+        # nothing torus-sized but `values` (1 byte per site): a float64
+        # draw per site (8 bytes) would not fit
+        tracemalloc.start()
+        try:
+            config, _ = fill_in_sample(lattice, params, (480, 480), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / config.values.size <= 8
 
     def test_deterministic_per_seed(self):
         a, _ = fill_in_sample("square", (0.2,), (64, 64), seed=3)
