@@ -6,7 +6,8 @@ carries a 1, and stage s fills its unforced sites, a fraction U_s, with a
 law of entropy H_s per site: a coin B(p_s), or three-tile clusters in the
 first stage of the three-hex schemes.  `_staged_value`, (1/k) sum_s U_s
 H_s over the k stages, is the one formula for every closed, equalized and
-three-hex bound, fed by the U_s tables `STAGE_UNFORCED` and
+three-hex bound.  The coin schemes' U_s are counted from the influence
+windows of the lattice table (`_unforced_forms`), the three-hex ones are
 `THREE_HEX_UNFORCED`.  All values are nats per full-lattice site.
 
 Each formula is written once and broadcasts: its parameters are floats or
@@ -24,12 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
 from . import optimize
 from .optimize import MAX_ITER, TOL
-from .lattices import build_lattice
+from .lattices import (LATTICES, build_lattice, influence_window,
+                       window_order)
 
 LN2 = math.log(2.0)
 
@@ -66,7 +69,9 @@ def check_three_hex(pvec) -> np.ndarray:
     exactly k ones; the k=1 and k=2 levels each have 3 arrangements, so the
     normalization is p0 + 3 p1 + 3 p2 + p3 = 1.  Returns the entries as
     one array, real or complex, the real parts of slightly negative ones
-    clipped to 0.  Only real parts are checked.
+    clipped to 0 and all divided by their weighted total, so that a
+    report passes `BoundReport`'s 1e-12 checks.  Only real parts are
+    checked, the normalization after clipping.
     """
     p = np.array(pvec, dtype=np.result_type(*pvec, 1.0))
     if len(p) != 4:
@@ -76,12 +81,13 @@ def check_three_hex(pvec) -> np.ndarray:
     if low.any():
         raise ValueError(f"three-hex entries "
                          f"{rows[:, low.argmax()].real.tolist()} not >= 0")
-    total = (rows[0] + 3 * rows[1] + 3 * rows[2] + rows[3]).real
-    ok = abs(total - 1.0) <= optimize.PROB_SUM_TOL  # NaN fails too
+    np.maximum(p.real, 0.0, out=p.real)
+    total = rows[0] + 3 * rows[1] + 3 * rows[2] + rows[3]
+    ok = abs(total.real - 1.0) <= optimize.PROB_SUM_TOL  # NaN fails too
     if not ok.all():
         raise ValueError(f"three-hex normalization p0+3p1+3p2+p3="
-                         f"{total[ok.argmin()]} != 1")
-    np.maximum(p.real, 0.0, out=p.real)
+                         f"{total.real[ok.argmin()]} != 1")
+    p /= total
     return p
 
 
@@ -131,40 +137,48 @@ class BoundReport:
         return out
 
 
-# U_s: the fraction of stage-s sites left unforced once the earlier stages
-# are filled, as a function of all stage probabilities.  An unforced site
-# needs every earlier neighbor at 0; s = 1 - (1-p) q is P(a dot site is 0
-# given its circle neighbors are).  On the tripartite lattices a stage-2
-# site has m neighbors in each earlier stage (triangular 3, kagome 2); the
-# last exponent is m, not 2, which would overshoot the triangular optimum.
+@cache
+def _unforced_forms(lattice) -> tuple:
+    """U_s for s = 1..k-1 as count forms (N, E, starts), built on first use.
 
-def _unforced_bipartite(m):
-    return lambda probs: (1.0, (1.0 - probs[0]) ** m)
+    U_s, the chance that stage s's influence window leaves its target
+    unforced, is sum_i N_i prod_t p_t^E[i, t] (1 - p_t)^E[i, k-1+t] over
+    the rows i from starts[s - 1]; the N_i are positive integers, so no
+    term cancels another.  Row i of `drawn` counts the 1s and 0s per stage
+    that window assignment i draws (a forced 0 is drawn by no law), built
+    by doubling in stage order, and ok[i] says it puts no 1 on a site that
+    an earlier 1 forces to 0.
+    """
+    spec = build_lattice(lattice)
+    k = spec.partite_count
+    forms = []
+    for stage in range(1, k):
+        sites, target = window_order(spec, *influence_window(lattice, stage))
+        drawn = np.zeros((1, 2 * k - 2), dtype=np.int8)
+        ok = np.ones(1, dtype=bool)
+        for t, forced in sites:
+            zero, one = drawn.copy(), drawn.copy()
+            zero[~forced, k - 1 + t] += 1
+            one[:, t] += 1
+            drawn = np.concatenate([zero, one])
+            ok = np.concatenate([ok, ok & ~forced])
+        forms.append(np.unique(drawn[ok & ~target], axis=0,
+                               return_counts=True))
+    exps, counts = (np.concatenate(f) for f in zip(*forms))
+    return counts, exps, np.cumsum([0] + [len(n) for _, n in forms[:-1]])
 
 
-def _unforced_tripartite(m):
-    def unforced(probs):
-        p, q = probs[0], probs[1]
-        dot = (1.0 - p) ** m
-        return (1.0, dot, dot * (1.0 - (1.0 - p) * q) ** m)
-    return unforced
+def _unforced(lattice, probs) -> tuple:
+    """U_s of every stage s, from the first k - 1 stage probabilities in
+    `probs`, floats or columns."""
+    counts, exps, starts = _unforced_forms(lattice)
+    p = np.array(probs[:len(starts)]).T
+    x = np.concatenate([p, 1.0 - p], axis=-1)
+    # (points, terms, factors): each point's sums run over its own
+    # contiguous row, so a batch row rounds as a one-row call does
+    terms = counts * np.multiply.reduce(x[..., None, :] ** exps, axis=-1)
+    return (1.0, *np.add.reduceat(terms, starts, axis=-1).T)
 
-
-def _unforced_square_moore(probs):
-    p, q, r = probs[0], probs[1], probs[2]
-    s = 1.0 - (1.0 - p) * q
-    dot = (1.0 - p) ** 2
-    return (1.0, dot, dot * s ** 4,
-            (1.0 - p) ** 4 * (1.0 - q) ** 2 * (1.0 - s ** 2 * r) ** 2)
-
-
-STAGE_UNFORCED = {
-    "square": _unforced_bipartite(4),
-    "honeycomb": _unforced_bipartite(3),
-    "triangular": _unforced_tripartite(3),
-    "kagome": _unforced_tripartite(2),
-    "square_moore": _unforced_square_moore,
-}
 
 # Three-hex: tiles p = (p0, p1, p2, p3) per arrangement, as `check_three_hex`
 # returns them, fill the circle sites; a = p0 + 2 p1 + p2 is the chance a
@@ -189,8 +203,6 @@ _PARAM_NAMES = ("p", "q", "r")
 def stage_probabilities(lattice, probs) -> tuple[float, ...]:
     """All k stage probabilities of a k-partite lattice: the k - 1 given
     ones followed by 1/2, or k explicit ones."""
-    if lattice not in STAGE_UNFORCED:
-        raise ValueError(f"no closed-form scheme for lattice {lattice!r}")
     k = build_lattice(lattice).partite_count
     probs = tuple(float(p) for p in probs)
     if len(probs) == k - 1:
@@ -207,8 +219,8 @@ def stage_probabilities(lattice, probs) -> tuple[float, ...]:
 def stage_unforced(lattice, probs) -> tuple[float, ...]:
     """U_s for every stage s, given the stage probabilities (k - 1 of them
     with a final B(1/2) stage, or all k)."""
-    probs = stage_probabilities(lattice, probs)
-    return STAGE_UNFORCED[lattice](probs)
+    return tuple(map(float, _unforced(lattice,
+                                      stage_probabilities(lattice, probs))))
 
 
 def _staged_value(unforced, entropies):
@@ -218,8 +230,7 @@ def _staged_value(unforced, entropies):
 
 def _coin_stages(lattice, probs):
     """U_s and H_s = h_B(p_s) of k coin stages B(p_s); p_s in [0, 1]."""
-    return (STAGE_UNFORCED[lattice](probs),
-            [entropy_bernoulli(p) for p in probs])
+    return _unforced(lattice, probs), [entropy_bernoulli(p) for p in probs]
 
 
 def _three_hex_stages(lattice, x):
@@ -286,7 +297,7 @@ def _equalized(lattice, cap):
     """The final stage is B(p') with p' = p / U_1(p), so both sublattice
     densities equal p; p' stays a probability only for p below cap."""
     def stages(p):
-        return p, p / STAGE_UNFORCED[lattice]((p,))[1]
+        return p, p / _unforced(lattice, (p,))[1]
 
     return (optimize.Domain([optimize.Box(0.0, cap)]),
             lambda x: _staged_value(*_coin_stages(lattice, stages(x[:, 0]))),
@@ -313,7 +324,7 @@ def _three_hex(lattice):
 
 # scheme -> lattice -> (domain, batched value, report at one point)
 SCHEMES = {
-    "closed": {lattice: _closed(lattice) for lattice in STAGE_UNFORCED},
+    "closed": {lattice: _closed(lattice) for lattice in LATTICES},
     "equalized": {"square": _equalized("square", 0.275),
                   "honeycomb": _equalized("honeycomb", 0.317)},
     "three-hex": {lattice: _three_hex(lattice)

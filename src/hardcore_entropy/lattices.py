@@ -3,8 +3,9 @@
 Five lattices are supported, named by the strings in `LATTICES`.
 `LatticeSpec` is the single description of each: per-cell neighbor offsets
 and a periodic stage coloring.  Neighbor lists, sublattice labels, the torus
-side rule, the hard-core checker and the sampler's sublattice planes are
-all computed from those two fields, with no per-lattice code.
+side rule, the hard-core checker, the sampler's sublattice planes and the
+influence windows, from which `bounds` counts every unforced fraction U_s,
+are all computed from those two fields, with no per-lattice code.
 
 Every site is a plain tuple ``(x, y, t)``: ``t`` is the site within unit
 cell ``(x, y)``, and is 0 on the lattices with one site per cell (square,
@@ -154,6 +155,55 @@ def occupied_neighbor(spec: LatticeSpec, values: np.ndarray) -> np.ndarray:
             plane |= np.roll(planes[t2], (-dy, -dx), axis=(0, 1))
         out[..., t] = plane
     return out
+
+
+# the torus the influence windows live on: every coloring period divides
+# 12, and no window is wide enough to meet itself around it
+_WINDOW_DIMS = (12, 12)
+
+
+def _target_site(spec, stage: int):
+    """The first stage-`stage` site scanning from the torus center; every
+    stage meets every coloring period, so there is one."""
+    w, h = _WINDOW_DIMS
+    return next((x, y, t) for y in range(h // 2, h) for x in range(w // 2, w)
+                for t in range(spec.sites_per_cell)
+                if stage_of(spec, (x, y, t)) == stage)
+
+
+def influence_window(lattice: str, stage: int) -> tuple:
+    """The earlier-stage sites whose values determine whether a stage-`stage`
+    site is unforced: its earlier neighbors, closed under taking earlier
+    neighbors of everything added."""
+    spec = build_lattice(lattice)
+    if not 1 <= stage < spec.partite_count:
+        raise ValueError(f"stage must be in 1..{spec.partite_count - 1}")
+    target = _target_site(spec, stage)
+    # the target is no site's earlier neighbor, so it never joins
+    window, frontier = [], [target]
+    while frontier:
+        site = frontier.pop()
+        s = stage_of(spec, site)
+        for nb in neighbor_sites(spec, _WINDOW_DIMS, site):
+            if stage_of(spec, nb) < s and nb not in window:
+                window.append(nb)
+                frontier.append(nb)
+    return target, tuple(window)
+
+
+def window_order(spec: LatticeSpec, target, window) -> tuple:
+    """An influence window's sites in stage order as (stage, forced) pairs,
+    and the target's `forced`.  Assignment i of the sites before a site
+    gives site j the value of bit j of i, and forced[i] says it puts a 1
+    on one of the site's earlier-stage neighbors (all in the window)."""
+    order = sorted(window, key=lambda site: stage_of(spec, site))
+    bits = {site: 1 << j for j, site in enumerate(order)}
+    masks = [sum({bits[nb] for nb in neighbor_sites(spec, _WINDOW_DIMS, site)
+                  if stage_of(spec, nb) < stage_of(spec, site)})
+             for site in (*order, target)]
+    forced = [(np.arange(1 << j) & m) != 0 for j, m in enumerate(masks)]
+    stages = [stage_of(spec, site) for site in order]
+    return list(zip(stages, forced)), forced[-1]
 
 
 @dataclass

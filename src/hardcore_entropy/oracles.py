@@ -4,7 +4,9 @@ Transfer matrices, Monte Carlo fill-in, exhaustive window enumeration, and
 exact rational blocking-share arithmetic each provide a second route to
 numbers the rest of the package computes analytically.  The sampler and the
 window enumeration work from the lattice geometry alone and are compared
-against `bounds.stage_unforced`, the same U_s table the staged bounds use.
+against `bounds.stage_unforced`, the U_s the staged bounds use; those are
+counted over the same influence windows (`lattices.window_order`), but in
+integers, where the enumeration here multiplies float weights.
 `PLANE_ENTROPY` is the one literature value the checks compare against.
 """
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .bounds import LN2, entropy_bernoulli, stage_probabilities, stage_unforced
 from .lattices import (
     TorusConfiguration,
     build_lattice,
-    neighbor_sites,
-    stage_of,
+    influence_window,
+    window_order,
 )
 
 MAX_STRIP_WIDTH = 14
@@ -264,44 +266,6 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
 
 # ------------------------------------------------------- window enumeration
 
-# the torus the influence windows live on: every coloring period divides
-# 12, and no window is wide enough to meet itself around it
-_WINDOW_DIMS = (12, 12)
-
-
-def _target_site(spec, stage: int):
-    """The first stage-`stage` site scanning from the torus center."""
-    w, h = _WINDOW_DIMS
-    for y in range(h // 2, h):
-        for x in range(w // 2, w):
-            for t in range(spec.sites_per_cell):
-                if stage_of(spec, (x, y, t)) == stage:
-                    return x, y, t
-    raise ValueError(f"no stage-{stage} site found")
-
-
-def influence_window(lattice: str, stage: int) -> tuple:
-    """The earlier-stage sites whose values determine whether a stage-`stage`
-    site is unforced: its earlier neighbors, closed under taking earlier
-    neighbors of everything added."""
-    spec = build_lattice(lattice)
-    if not 1 <= stage < spec.partite_count:
-        raise ValueError(f"stage must be in 1..{spec.partite_count - 1}")
-    target = _target_site(spec, stage)
-    window = []
-    frontier = [target]
-    seen = {target}
-    while frontier:
-        site = frontier.pop()
-        s = stage_of(spec, site)
-        for nb in neighbor_sites(spec, _WINDOW_DIMS, site):
-            if stage_of(spec, nb) < s and nb not in seen:
-                seen.add(nb)
-                window.append(nb)
-                frontier.append(nb)
-    return target, tuple(window)
-
-
 def window_probability_exhaustive(lattice: str, params, stage: int) -> float:
     """P(a stage-`stage` site is unforced), by exact enumeration of every
     assignment of its influence window under the sequential measure.
@@ -315,43 +279,25 @@ def window_probability_exhaustive(lattice: str, params, stage: int) -> float:
     """
     spec = build_lattice(lattice)
     probs = stage_probabilities(lattice, params)
-    target, window = influence_window(lattice, stage)
-    order = sorted(window, key=lambda s: stage_of(spec, s))
-    pos = {site: j for j, site in enumerate(order)}
-
-    def earlier_mask(site, s):
-        return sum({1 << pos[nb]
-                    for nb in neighbor_sites(spec, _WINDOW_DIMS, site)
-                    if stage_of(spec, nb) < s})
-
+    sites, target = window_order(spec, *influence_window(lattice, stage))
     weights = np.ones(1)
-    for j, site in enumerate(order):
-        s = stage_of(spec, site)
-        f0, f1 = 1 - probs[s], probs[s]
-        if s:
-            forced = (np.arange(1 << j) & earlier_mask(site, s)) != 0
-            f0, f1 = np.where(forced, 1.0, f0), np.where(forced, 0.0, f1)
-        weights = np.concatenate([weights * f0, weights * f1])
-    ok = (np.arange(len(weights)) & earlier_mask(target, stage)) == 0
-    return float(weights[ok].sum())
+    for s, forced in sites:
+        weights = np.concatenate([
+            weights * np.where(forced, 1.0, 1 - probs[s]),
+            weights * np.where(forced, 0.0, probs[s])])
+    return float(weights[~target].sum())
 
 
 # ------------------------------------------------------- blocking constants
 
 def _blocking_geometry():
-    center = (0, 0)
-    odd_sites = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    triples = []
-    ring = []
-    for o in odd_sites:
-        others = []
-        for d in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
-            e = (o[0] + d[0], o[1] + d[1])
-            if e != center:
-                if e not in ring:
-                    ring.append(e)
-                others.append(e)
-        triples.append(others)
+    """The 8 even sites around an even site at the origin (the ring) and,
+    for each odd neighbor of the origin in the square lattice's neighbor
+    order, that neighbor's 3 other even neighbors."""
+    steps = [(dx, dy) for dx, dy, _ in build_lattice("square").neighbors[0]]
+    triples = [[(ox + dx, oy + dy) for dx, dy in steps
+                if (ox + dx, oy + dy) != (0, 0)] for ox, oy in steps]
+    ring = list(dict.fromkeys(e for others in triples for e in others))
     return ring, triples
 
 

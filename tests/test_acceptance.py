@@ -11,12 +11,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import stage_unforced_reference
 from hardcore_entropy import block_bounds, blocks, bounds, oracles
 from hardcore_entropy.bounds import (
     LN2,
     entropy_bernoulli,
     entropy_three_hex,
     optimize_bound,
+    stage_probabilities,
 )
 from hardcore_entropy.lattices import (
     LATTICES,
@@ -226,10 +228,13 @@ def test_criterion_08_oracle_checks():
         for _ in range(5):
             params = tuple(rng.uniform(0.05, 0.45, size=max(arity, 1)))
             analytic = bounds.stage_unforced(lattice, params)
+            hand = stage_unforced_reference.STAGE_UNFORCED[lattice](
+                stage_probabilities(lattice, params))
             for stage in range(1, len(analytic)):
                 got = oracles.window_probability_exhaustive(lattice, params,
                                                             stage)
-                worst = max(worst, abs(got - analytic[stage]))
+                worst = max(worst, abs(got - analytic[stage]),
+                            abs(got - hand[stage]))
     windows_ok = worst <= 1e-12
 
     detail = (f"entropy_1d |diff| = {abs(e1 - golden):.1e}; "

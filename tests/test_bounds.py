@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import stage_unforced_reference
 import three_hex_reference
 from hardcore_entropy import bounds, optimize
 from hardcore_entropy.bounds import (
@@ -127,7 +130,7 @@ def test_staged_bound_params_and_scheme():
     assert rep.params == {"p": 0.2, "p_prime": 0.4}
     with pytest.raises(ValueError, match="stage probabilities"):
         staged_bound("square", (0.1, 0.2, 0.3))
-    with pytest.raises(ValueError, match="no closed-form scheme"):
+    with pytest.raises(ValueError, match="unknown lattice 'hexagonal'"):
         staged_bound("hexagonal", (0.1,))
 
 
@@ -152,6 +155,31 @@ def test_staged_bound_matches_window_oracle(lattice, probs, explicit_final):
     assert rep.value == pytest.approx(want, abs=1e-12)
     assert rep.densities == pytest.approx(
         [p * u for p, u in zip(stage_probs, unforced)], abs=1e-12)
+    # the third route, the hand-written forms
+    assert unforced == pytest.approx(
+        stage_unforced_reference.STAGE_UNFORCED[lattice](stage_probs),
+        abs=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(lattice=st.sampled_from(LATTICES),
+       probs=st.lists(_UNIT, min_size=4, max_size=4))
+@example(lattice="square_moore", probs=[0.0, 1e-9, 1.0 - 1e-9, 0.0])
+@example(lattice="triangular", probs=[1e-200, 1.0, 0.5, 0.0])
+def test_unforced_forms_match_hand_reference(lattice, probs):
+    """Every U_s counted from its window is the hand-written form within
+    1e-14 relative, on every lattice and stage.  The hand forms are
+    evaluated exactly on `Fraction`s: in floats their differences such as
+    1 - s^2 r lose relative precision where they nearly cancel.  The 1e-300
+    floor covers the terms that underflow."""
+    k = build_lattice(lattice).partite_count
+    probs = tuple(probs[:k])
+    want = stage_unforced_reference.STAGE_UNFORCED[lattice](
+        tuple(map(Fraction, probs)))
+    got = stage_unforced(lattice, probs)
+    assert len(got) == k
+    for u, w in zip(got, want):
+        assert abs(Fraction(u) - w) <= Fraction(1e-14) * w + Fraction(1e-300)
 
 
 _BATCH = st.lists(st.lists(_UNIT, min_size=5, max_size=5),
@@ -277,7 +305,10 @@ def test_three_hex_staged_bound_is_the_per_cluster_form(lattice, raw, q,
     assert len(rep.densities) == len(densities)
     np.testing.assert_allclose(rep.densities, densities, rtol=0, atol=1e-15)
     assert tuple(rep.params) == names
-    assert rep.params == dict(zip(names, (*np.maximum(pvec, 0.0), q)))
+    # the entries read as 0, divided by their weighted total
+    tiles = np.maximum(pvec, 0.0)
+    tiles /= tiles[0] + 3 * tiles[1] + 3 * tiles[2] + tiles[3]
+    assert rep.params == dict(zip(names, (*tiles, q)))
 
 
 def test_three_hex_param_validation():
@@ -285,6 +316,21 @@ def test_three_hex_param_validation():
         entropy_three_hex((0.5, 0.1, 0.1, 0.1))  # not normalized
     with pytest.raises(ValueError):
         entropy_three_hex((1.3, -0.1, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("lattice", sorted(bounds.SCHEMES["three-hex"]))
+@pytest.mark.parametrize("pvec", [(0.0, 0.0, 0.0, 1.0 + 5e-11),
+                                  (0.0, -1e-12, 1e-12, 1.0)])
+def test_three_hex_report_at_accepted_points(lattice, pvec):
+    """A point `check_three_hex` accepts, its sum off 1 by up to
+    PROB_SUM_TOL or an entry a hair below 0, gives a report within
+    `BoundReport`'s 1e-12 gates: unscaled, these read a bound value of
+    -8.3e-12 and a density of 1 + 2e-12."""
+    rep = three_hex_bound(lattice, *pvec, *(0.3,) * (lattice != "honeycomb"))
+    tiles = [rep.params[name] for name in ("p0", "p1", "p2", "p3")]
+    assert _TILE_WEIGHTS @ tiles == pytest.approx(1.0, abs=1e-15)
+    assert rep.value >= 0.0
+    assert max(rep.densities) <= 1.0
 
 
 def test_three_hex_rejects_nan():

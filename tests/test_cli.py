@@ -322,6 +322,33 @@ def test_verify_default_green(tmp_path, capsys):
     assert all(rep["passed"] for rep in bundle["reports"])
 
 
+_VERIFY_HEAD = (
+    "[PASS] one_dimensional_entropy: 0.481211825060, "
+    "log golden ratio 0.481211825060\n"
+    "[PASS] strip_width_2_closed_form: 0.440686793510\n"
+    "[PASS] strip_width_12_periodic_vs_reference: 0.4074964 vs 0.4075\n"
+    "[PASS] blocking_constant_lower_exact: 15/8 = 1.8750\n"
+    "[PASS] density_upper_exact: 8/31\n"
+    "[PASS] density_interval_nonempty: (0.21367, 0.25806) "
+    "at c_max=2.6800, href=0.4075\n"
+    "[PASS] window_probabilities_vs_closed_forms: max |diff| <= 1e-12\n"
+    "[PASS] block_family_census: n=1: 2/2, n=2: 6/6, n=3: 102/47\n"
+    "[PASS] unit_block_equals_closed_form: max |diff| <= 1e-12\n")
+PRINTED_VERIFY = {
+    seed: _VERIFY_HEAD
+    + f"[PASS] sampler_consistency: max |z| = {z} on a 64x64 torus\n"
+    "10/10 checks passed\n"
+    for seed, z in ((0, "1.36"), (11, "1.49"))
+}
+
+
+@pytest.mark.parametrize("seed", PRINTED_VERIFY)
+def test_verify_printed_pinned(capsys, seed):
+    # every figure printed to its check's resolution, byte for byte
+    assert run(["verify", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == PRINTED_VERIFY[seed]
+
+
 def test_verify_href_can_empty_the_interval(capsys):
     # a reference entropy of 0.55 nats pushes the density lower limit
     # above 8/31, so the interval check must fail honestly
@@ -785,6 +812,36 @@ def test_no_command_loads_scipy():
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert len(seen) == 8
     assert all(mods == [] for mods in seen.values()), seen
+
+
+def test_unforced_forms_built_on_first_use_once():
+    # a fresh interpreter: the import, the block bound, reduce and strip
+    # enumerate no influence window; the staged commands build each
+    # lattice's U_s forms once, however often they evaluate them
+    script = textwrap.dedent("""
+        import contextlib, io, json
+        from hardcore_entropy import bounds, cli
+
+        built = bounds._unforced_forms.cache_info
+        seen = {"import": built().misses}
+        for argv in (["bound", "--scheme", "block", "--n", "2"],
+                     ["reduce", "--n", "2"], ["strip", "--max-width", "4"],
+                     ["bound", "--scheme", "closed"],
+                     ["bound", "--scheme", "equalized"], ["verify"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            seen[" ".join(argv)] = built().misses if code == 0 else -code
+        print(json.dumps([seen, built().hits, built().currsize]))
+        """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("HC_CACHE_DIR", None)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen, hits, size = json.loads(proc.stdout.splitlines()[-1])
+    assert list(seen.values()) == [0, 0, 0, 0, 5, 5, 5]
+    assert size == 5 and hits > 50
 
 
 def test_bound_json_deterministic(tmp_path, capsys):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hardcore_entropy import lattices
 from hardcore_entropy.lattices import (
     LATTICES, TorusConfiguration, build_lattice, neighbor_sites,
     stage_of, verify_hard_core,
@@ -233,3 +234,24 @@ def test_stage_index_matches_stage_of(lattice):
         direct = sum(cfg.values[_at(site)] for site in members) / len(members)
         assert cfg.values[stages == s].mean() == pytest.approx(direct,
                                                                abs=1e-12)
+
+
+@pytest.mark.parametrize("lattice", LATTICES)
+def test_influence_windows_do_not_wrap(lattice, monkeypatch):
+    # no window meets itself around the 12 x 12 torus: on a 24 x 24 one
+    # every window holds the same sites, at the same offsets from its
+    # target and in the same order
+    def offsets(stage):
+        target, window = lattices.influence_window(lattice, stage)
+        w, h = lattices._WINDOW_DIMS
+        return stage_of(spec, target), [
+            ((x - target[0] + w // 2) % w - w // 2,
+             (y - target[1] + h // 2) % h - h // 2, t)
+            for x, y, t in window]
+
+    spec = build_lattice(lattice)
+    stages = range(1, spec.partite_count)
+    small = [offsets(stage) for stage in stages]
+    monkeypatch.setattr(lattices, "_WINDOW_DIMS", (24, 24))
+    assert [offsets(stage) for stage in stages] == small
+    assert [s for s, _ in small] == list(stages)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sampler_reference
+import stage_unforced_reference
 import strip_reference
 import window_reference
 from hardcore_entropy import bounds, oracles
@@ -184,6 +185,16 @@ class TestWindows:
                 got = window_probability_exhaustive(lattice, (p, q, r), 3)
                 want = (1 - p) ** 4 * (1 - q) ** 2 * (1 - s ** 2 * r) ** 2
             assert got == pytest.approx(want, abs=1e-12)
+            # the count forms and the hand-written reference, at all stages
+            probs = (p, q, r)[:build_lattice(lattice).partite_count - 1]
+            hand = stage_unforced_reference.STAGE_UNFORCED[lattice](
+                probs + (0.5,))
+            counted = bounds.stage_unforced(lattice, probs)
+            assert counted[-1] == pytest.approx(got, abs=1e-12)
+            for stage in range(1, len(probs) + 1):
+                got = window_probability_exhaustive(lattice, probs, stage)
+                assert got == pytest.approx(hand[stage], abs=1e-12)
+                assert got == pytest.approx(counted[stage], abs=1e-12)
 
     def test_square_and_honeycomb_single_stage(self):
         p = 0.1702
@@ -191,6 +202,12 @@ class TestWindows:
         assert got == pytest.approx((1 - p) ** 4, abs=1e-14)
         got = window_probability_exhaustive("honeycomb", (0.2284,), 1)
         assert got == pytest.approx((1 - 0.2284) ** 3, abs=1e-14)
+        for lattice, p in (("square", 0.1702), ("honeycomb", 0.2284)):
+            got = window_probability_exhaustive(lattice, (p,), 1)
+            hand = stage_unforced_reference.STAGE_UNFORCED[lattice]((p, 0.5))
+            assert got == pytest.approx(hand[1], abs=1e-14)
+            counted = bounds.stage_unforced(lattice, (p,))
+            assert got == pytest.approx(counted[1], abs=1e-14)
 
     def test_moore_middle_stage(self):
         p, q, r = 0.1189, 0.1623, 0.2628
@@ -198,6 +215,11 @@ class TestWindows:
                                             (p, q, r), 2)
         s = 1 - (1 - p) * q
         assert got == pytest.approx((1 - p) ** 2 * s ** 4, abs=1e-12)
+        hand = stage_unforced_reference.STAGE_UNFORCED["square_moore"](
+            (p, q, r, 0.5))
+        assert got == pytest.approx(hand[2], abs=1e-12)
+        assert got == pytest.approx(
+            bounds.stage_unforced("square_moore", (p, q, r))[2], abs=1e-12)
 
     @pytest.mark.parametrize("lattice", LATTICES)
     def test_matches_reference_enumeration(self, lattice):

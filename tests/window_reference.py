@@ -6,8 +6,9 @@ in the same order at the same index, so
 import numpy as np
 
 from hardcore_entropy.bounds import stage_probabilities
-from hardcore_entropy.lattices import build_lattice, neighbor_sites, stage_of
-from hardcore_entropy.oracles import _WINDOW_DIMS, influence_window
+from hardcore_entropy.lattices import (
+    _WINDOW_DIMS, build_lattice, influence_window, neighbor_sites, stage_of,
+)
 
 
 def window_probability_exhaustive(lattice: str, params, stage: int) -> float:
