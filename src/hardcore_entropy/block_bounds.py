@@ -33,7 +33,8 @@ class BlockDistribution:
     """Per-class arrangement probabilities over a block family.
 
     probs[c] is the probability of one specific member of class c, so the
-    normalization is sum(multiplicity * probs) = 1.
+    normalization is sum(multiplicity * probs) = 1, which
+    `optimize.on_simplex` checks and then divides by.
     """
 
     family: BlockFamily
@@ -44,12 +45,8 @@ class BlockDistribution:
         if p.shape != (self.family.class_count,):
             raise ValueError(
                 f"need {self.family.class_count} class probabilities")
-        if (p < -optimize.PROB_NEG_TOL).any():
-            raise ValueError("negative class probability")
-        total = float(self.family.multiplicities @ p)
-        if not abs(total - 1.0) <= optimize.PROB_SUM_TOL:  # NaN fails too
-            raise ValueError(f"class probabilities sum to {total}, not 1")
-        p = np.clip(p, 0.0, None)
+        p = optimize.on_simplex(p, self.family.multiplicities,
+                                "class probabilities")
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -169,7 +166,8 @@ def check_monotonicity(dist: BlockDistribution
 class DensityProfile:
     """Occupancy distribution of an n x n window of even sites.
 
-    occupancy_probs[k] = P(window holds exactly k ones), k = 0..n^2.
+    occupancy_probs[k] = P(window holds exactly k ones), k = 0..n^2, put
+    on the simplex by `optimize.on_simplex`.
     """
 
     n: int
@@ -179,10 +177,7 @@ class DensityProfile:
         q = np.asarray(self.occupancy_probs, dtype=float)
         if q.shape != (self.n ** 2 + 1,):
             raise ValueError(f"profile needs {self.n ** 2 + 1} entries")
-        if ((q < -optimize.PROB_NEG_TOL).any()
-                or not abs(q.sum() - 1.0) <= optimize.PROB_SUM_TOL):
-            raise ValueError("occupancy probabilities are not a distribution")
-        q = np.clip(q, 0.0, None)
+        q = optimize.on_simplex(q, np.ones(len(q)), "occupancy probabilities")
         q.flags.writeable = False
         object.__setattr__(self, "occupancy_probs", q)
 

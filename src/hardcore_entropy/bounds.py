@@ -31,8 +31,7 @@ import numpy as np
 
 from . import optimize
 from .optimize import MAX_ITER, TOL
-from .lattices import (LATTICES, build_lattice, influence_window,
-                       window_order)
+from .lattices import LATTICES, build_lattice, stage_window
 
 LN2 = math.log(2.0)
 
@@ -68,27 +67,14 @@ def check_three_hex(pvec) -> np.ndarray:
     p_k is the per-arrangement probability of a three-tile cluster carrying
     exactly k ones; the k=1 and k=2 levels each have 3 arrangements, so the
     normalization is p0 + 3 p1 + 3 p2 + p3 = 1.  Returns the entries as
-    one array, real or complex, the real parts of slightly negative ones
-    clipped to 0 and all divided by their weighted total, so that a
-    report passes `BoundReport`'s 1e-12 checks.  Only real parts are
-    checked, the normalization after clipping.
+    one array, real or complex, put on that simplex by
+    `optimize.on_simplex`, so that a report passes `BoundReport`'s 1e-12
+    checks.
     """
     p = np.array(pvec, dtype=np.result_type(*pvec, 1.0))
     if len(p) != 4:
         raise ValueError(f"three-hex parameter has {len(p)} entries, not 4")
-    rows = p.reshape(4, -1)
-    low = rows.real.min(axis=0) < -optimize.PROB_NEG_TOL
-    if low.any():
-        raise ValueError(f"three-hex entries "
-                         f"{rows[:, low.argmax()].real.tolist()} not >= 0")
-    np.maximum(p.real, 0.0, out=p.real)
-    total = rows[0] + 3 * rows[1] + 3 * rows[2] + rows[3]
-    ok = abs(total.real - 1.0) <= optimize.PROB_SUM_TOL  # NaN fails too
-    if not ok.all():
-        raise ValueError(f"three-hex normalization p0+3p1+3p2+p3="
-                         f"{total.real[ok.argmin()]} != 1")
-    p /= total
-    return p
+    return optimize.on_simplex(p, (1, 3, 3, 1), "three-hex tiles")
 
 
 def entropy_three_hex(pvec):
@@ -149,11 +135,10 @@ def _unforced_forms(lattice) -> tuple:
     by doubling in stage order, and ok[i] says it puts no 1 on a site that
     an earlier 1 forces to 0.
     """
-    spec = build_lattice(lattice)
-    k = spec.partite_count
+    k = build_lattice(lattice).partite_count
     forms = []
     for stage in range(1, k):
-        sites, target = window_order(spec, *influence_window(lattice, stage))
+        sites, target = stage_window(lattice, stage)
         drawn = np.zeros((1, 2 * k - 2), dtype=np.int8)
         ok = np.ones(1, dtype=bool)
         for t, forced in sites:

@@ -229,6 +229,7 @@ def build_run_config(args: argparse.Namespace) -> argparse.Namespace:
 
 # ------------------------------------------------------------ reporting
 
+@functools.cache
 def _versions() -> dict:
     from importlib import metadata
 
@@ -246,7 +247,7 @@ def _write_bundle(command: str, cfg: argparse.Namespace, reports: list,
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": vars(cfg),
-        "versions": _versions(),
+        "versions": dict(_versions()),
         "reports": reports,
     }
     if extra:

@@ -23,7 +23,7 @@ neighborhood; its four sublattices are the parity classes (x mod 2, y mod 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -140,23 +140,6 @@ def stage_of(spec: LatticeSpec, site) -> int:
     return spec.coloring[t][y % py][x % px]
 
 
-def occupied_neighbor(spec: LatticeSpec, values: np.ndarray) -> np.ndarray:
-    """Boolean array shaped like `values`: some neighbor carries a 1."""
-    # one contiguous (h, w) plane per site of the cell: rolling the strided
-    # values[..., t] slices instead is several times slower
-    planes = np.ascontiguousarray(np.moveaxis(values, -1, 0), dtype=bool)
-    # C-contiguous like `values`: elementwise work on a moveaxis view of
-    # the planes is about ten times slower when sites_per_cell > 1
-    out = np.empty(values.shape, dtype=bool)
-    for t, offsets in enumerate(spec.neighbors):
-        plane = np.zeros(planes.shape[1:], dtype=bool)
-        for dx, dy, t2 in offsets:
-            # plane[y, x] |= planes[t2, (y + dy) % h, (x + dx) % w]
-            plane |= np.roll(planes[t2], (-dy, -dx), axis=(0, 1))
-        out[..., t] = plane
-    return out
-
-
 # the torus the influence windows live on: every coloring period divides
 # 12, and no window is wide enough to meet itself around it
 _WINDOW_DIMS = (12, 12)
@@ -191,19 +174,25 @@ def influence_window(lattice: str, stage: int) -> tuple:
     return target, tuple(window)
 
 
-def window_order(spec: LatticeSpec, target, window) -> tuple:
-    """An influence window's sites in stage order as (stage, forced) pairs,
-    and the target's `forced`.  Assignment i of the sites before a site
-    gives site j the value of bit j of i, and forced[i] says it puts a 1
-    on one of the site's earlier-stage neighbors (all in the window)."""
+@cache
+def stage_window(lattice: str, stage: int) -> tuple:
+    """The stage's influence window in stage order as (stage, forced)
+    pairs, and the target's `forced`, built once per (lattice, stage), the
+    arrays read-only.  Assignment i of the sites before a site gives site j
+    the value of bit j of i, and forced[i] says it puts a 1 on one of the
+    site's earlier-stage neighbors (all in the window)."""
+    spec = build_lattice(lattice)
+    target, window = influence_window(lattice, stage)
     order = sorted(window, key=lambda site: stage_of(spec, site))
     bits = {site: 1 << j for j, site in enumerate(order)}
     masks = [sum({bits[nb] for nb in neighbor_sites(spec, _WINDOW_DIMS, site)
                   if stage_of(spec, nb) < stage_of(spec, site)})
              for site in (*order, target)]
     forced = [(np.arange(1 << j) & m) != 0 for j, m in enumerate(masks)]
+    for f in forced:
+        f.flags.writeable = False
     stages = [stage_of(spec, site) for site in order]
-    return list(zip(stages, forced)), forced[-1]
+    return tuple(zip(stages, forced)), forced[-1]
 
 
 @dataclass
@@ -227,6 +216,12 @@ class TorusConfiguration:
 
 
 def verify_hard_core(config: TorusConfiguration) -> bool:
-    """True iff no two adjacent sites both carry 1."""
-    g = config.values.astype(bool)
-    return not (g & occupied_neighbor(build_lattice(config.lattice), g)).any()
+    """True iff no two adjacent sites both carry 1.  Each edge is read
+    once, from the end whose offset to the other has (t2, dy, dx) > (t, 0,
+    0), on one contiguous plane per site of the cell (a view of `values`
+    when there is one)."""
+    planes = np.ascontiguousarray(np.moveaxis(config.values.view(bool), -1, 0))
+    return not any(
+        (planes[t] & np.roll(planes[t2], (-dy, -dx), axis=(0, 1))).any()
+        for t, offsets in enumerate(build_lattice(config.lattice).neighbors)
+        for dx, dy, t2 in offsets if (t2, dy, dx) > (t, 0, 0))

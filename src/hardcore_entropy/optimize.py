@@ -48,6 +48,28 @@ PROB_SUM_TOL = 1e-10
 PROB_NEG_TOL = 1e-12
 
 
+def on_simplex(p, weights, what: str) -> np.ndarray:
+    """The one feasibility contract for a probability array p: entries
+    along the first axis, one column per point, real or complex.  Raises
+    ValueError unless every real part is >= -PROB_NEG_TOL and, after they
+    are clipped at 0, the real part of sum_i weights_i p_i, summed in entry
+    order, is within PROB_SUM_TOL of 1.  Returns a copy, clipped and
+    divided by that total: complex for complex-step columns, an analytic
+    map, so the derivative is that of the normalized point."""
+    p = np.array(p, dtype=np.result_type(p, 1.0))
+    if (p.real < -PROB_NEG_TOL).any():
+        raise ValueError(f"{what} not a distribution: negative entry "
+                         f"{p.real.min()}")
+    np.maximum(p.real, 0.0, out=p.real)
+    total = np.cumsum((p.T * weights).T, axis=0)[-1:]
+    bad = ~(abs(total.real - 1.0) <= PROB_SUM_TOL)  # NaN fails too
+    if bad.any():
+        raise ValueError(f"{what} not a distribution: weighted sum "
+                         f"{total.real[bad][0]} != 1")
+    p /= total
+    return p
+
+
 @dataclass(frozen=True)
 class Box:
     lo: float

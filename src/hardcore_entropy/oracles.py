@@ -5,7 +5,7 @@ exact rational blocking-share arithmetic each provide a second route to
 numbers the rest of the package computes analytically.  The sampler and the
 window enumeration work from the lattice geometry alone and are compared
 against `bounds.stage_unforced`, the U_s the staged bounds use; those are
-counted over the same influence windows (`lattices.window_order`), but in
+counted over the same influence windows (`lattices.stage_window`), but in
 integers, where the enumeration here multiplies float weights.
 `PLANE_ENTROPY` is the one literature value the checks compare against.
 """
@@ -21,8 +21,8 @@ from .bounds import LN2, entropy_bernoulli, stage_probabilities, stage_unforced
 from .lattices import (
     TorusConfiguration,
     build_lattice,
-    influence_window,
-    window_order,
+    influence_window,  # noqa: F401  read from here by tests and perfbench
+    stage_window,
 )
 
 MAX_STRIP_WIDTH = 14
@@ -277,9 +277,8 @@ def window_probability_exhaustive(lattice: str, params, stage: int) -> float:
     bit j of the assignment index) they cover the 2^(j+1) assignments of
     sites 0..j, the first half with site j at 0 and the second at 1.
     """
-    spec = build_lattice(lattice)
     probs = stage_probabilities(lattice, params)
-    sites, target = window_order(spec, *influence_window(lattice, stage))
+    sites, target = stage_window(lattice, stage)
     weights = np.ones(1)
     for s, forced in sites:
         weights = np.concatenate([

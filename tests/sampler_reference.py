@@ -3,18 +3,32 @@ tile counts: one boolean scatter, a grid copy and two float tile
 reductions per stage, on whole-torus arrays with one float64 draw per
 site.  `oracles.fill_in_sample` must return the same configuration and
 `==` stage statistics for every input.  `stage_index`, the array form of
-`lattices.stage_of`, lives here because only the tests use it."""
+`lattices.stage_of`, and `occupied_neighbor` live here because only the
+tests use them."""
 import math
 
 import numpy as np
 
 from hardcore_entropy.bounds import stage_probabilities, stage_unforced
-from hardcore_entropy.lattices import (
-    TorusConfiguration,
-    build_lattice,
-    occupied_neighbor,
-)
+from hardcore_entropy.lattices import TorusConfiguration, build_lattice
 from hardcore_entropy.oracles import _MIN_TILES, _TILE, StageStats
+
+
+def occupied_neighbor(spec, values: np.ndarray) -> np.ndarray:
+    """Boolean array shaped like `values`: some neighbor carries a 1."""
+    # one contiguous (h, w) plane per site of the cell: rolling the strided
+    # values[..., t] slices instead is several times slower
+    planes = np.ascontiguousarray(np.moveaxis(values, -1, 0), dtype=bool)
+    # C-contiguous like `values`: elementwise work on a moveaxis view of
+    # the planes is about ten times slower when sites_per_cell > 1
+    out = np.empty(values.shape, dtype=bool)
+    for t, offsets in enumerate(spec.neighbors):
+        plane = np.zeros(planes.shape[1:], dtype=bool)
+        for dx, dy, t2 in offsets:
+            # plane[y, x] |= planes[t2, (y + dy) % h, (x + dx) % w]
+            plane |= np.roll(planes[t2], (-dy, -dx), axis=(0, 1))
+        out[..., t] = plane
+    return out
 
 
 def stage_index(spec, dims) -> np.ndarray:

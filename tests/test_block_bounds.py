@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardcore_entropy import blocks, optimize
 from hardcore_entropy.block_bounds import (
@@ -92,6 +93,71 @@ class TestDistribution:
         mp = dist.mask_probabilities()
         assert fam.class_of[m] == fam.class_of[m | (1 << 4)]
         assert mp[m] == mp[m | (1 << 4)]
+
+
+def _full_mask_mass(n, mass):
+    """All of `mass` on the class of the block of n^2 ones."""
+    fam = FAMILIES[n]
+    probs = np.zeros(fam.class_count)
+    probs[fam.class_of[(1 << n * n) - 1]] = mass
+    return fam, probs
+
+
+@pytest.mark.parametrize("fam, probs", [
+    (FAMILIES[1], [0.0, 1.0 + 5e-11]),
+    (FAMILIES[1], [-1e-12, 1.0 + 1e-12]),
+    _full_mask_mass(2, 1.0 + 5e-11),
+])
+def test_block_report_at_accepted_points(fam, probs):
+    """A point `BlockDistribution` accepts, its weighted sum off 1 by up to
+    PROB_SUM_TOL or an entry a hair below 0, gives a report within
+    `BoundReport`'s 1e-12 gates: unscaled, the first and third read a
+    bound value of -2.5e-11 and -6.25e-12, and the second one of -5e-13."""
+    dist = BlockDistribution(fam, probs)
+    rep = block_bound(dist)
+    assert rep.value >= 0.0
+    assert max(rep.densities) <= 1.0
+    assert fam.multiplicities @ dist.probs == pytest.approx(1.0, abs=1e-15)
+
+
+@st.composite
+def _near_simplex(draw, weights):
+    """A point of the weights' simplex moved as far as `on_simplex`
+    allows: its zero entries pushed below 0 by less than PROB_NEG_TOL and
+    the whole scaled by 1 +- less than PROB_SUM_TOL."""
+    k = len(weights)
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k,
+                                 max_size=k)))
+    raw[draw(st.integers(0, k - 1))] += draw(st.floats(1e-3, 1.0))
+    point = raw / (weights @ raw)
+    push = np.array(draw(st.lists(
+        st.floats(0.0, 0.99 * optimize.PROB_NEG_TOL), min_size=k,
+        max_size=k)))
+    point[point == 0] -= push[point == 0]
+    tol = 0.99 * optimize.PROB_SUM_TOL
+    return point * (1.0 + draw(st.floats(-tol, tol)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_accepted_block_points_give_reports(data):
+    n = data.draw(st.integers(1, 3))
+    fam = FAMILIES[n]
+    dist = BlockDistribution(fam, data.draw(_near_simplex(
+        fam.multiplicities.astype(float))))
+    rep = block_bound(dist)
+    assert rep.value >= -1e-12
+    assert all(-1e-12 <= d <= 1 + 1e-12 for d in rep.densities)
+    assert fam.multiplicities @ dist.probs == pytest.approx(1.0, abs=1e-14)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_accepted_profiles_have_mean_in_range(data):
+    n = data.draw(st.integers(1, 3))
+    prof = DensityProfile(n, data.draw(_near_simplex(np.ones(n * n + 1))))
+    assert 0.0 <= prof.mean() <= n * n
+    assert prof.occupancy_probs.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 class TestEntropyTerm:

@@ -335,9 +335,9 @@ def test_three_hex_report_at_accepted_points(lattice, pvec):
 
 def test_three_hex_rejects_nan():
     # abs(nan - 1) > tol is False: the normalization must fail NaN itself
-    with pytest.raises(ValueError, match="normalization"):
+    with pytest.raises(ValueError, match="not a distribution"):
         bounds.check_three_hex([np.nan, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="normalization"):
+    with pytest.raises(ValueError, match="not a distribution"):
         bounds.check_three_hex(np.array([[1.0, np.nan], [0, 0], [0, 0],
                                          [0, 0]]))
 

@@ -255,3 +255,23 @@ def test_influence_windows_do_not_wrap(lattice, monkeypatch):
     monkeypatch.setattr(lattices, "_WINDOW_DIMS", (24, 24))
     assert [offsets(stage) for stage in stages] == small
     assert [s for s, _ in small] == list(stages)
+
+
+@pytest.mark.parametrize("lattice", LATTICES)
+def test_checker_reads_every_edge(lattice):
+    # one planted adjacent pair, for every site of the cell and neighbor
+    # offset, at corners where the pair wraps around the torus and inside:
+    # the checker reads each edge in one orientation only, so dropping an
+    # offset lets one of these pairs through
+    spec = build_lattice(lattice)
+    dims = (24, 24)
+    for x, y in ((0, 0), (23, 23), (11, 5)):
+        for t, offsets in enumerate(spec.neighbors):
+            for dx, dy, t2 in offsets:
+                near = ((x + dx) % 24, (y + dy) % 24, t2)
+                far = ((x + dx + 12) % 24, (y + dy + 12) % 24, t2)
+                for other, legal in ((near, False), (far, True)):
+                    cfg = TorusConfiguration.empty(lattice, dims)
+                    cfg.values[_at((x, y, t))] = 1
+                    cfg.values[_at(other)] = 1
+                    assert verify_hard_core(cfg) is legal
