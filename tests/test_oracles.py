@@ -12,7 +12,9 @@ import stage_unforced_reference
 import strip_reference
 import window_reference
 from hardcore_entropy import bounds, oracles
-from hardcore_entropy.lattices import LATTICES, build_lattice, verify_hard_core
+from hardcore_entropy.lattices import (
+    LATTICES, build_lattice, influence_window, verify_hard_core,
+)
 from hardcore_entropy import cli
 from hardcore_entropy.oracles import (
     MAX_STRIP_WIDTH,
@@ -23,7 +25,6 @@ from hardcore_entropy.oracles import (
     density_upper_from_blocking,
     entropy_1d,
     fill_in_sample,
-    influence_window,
     legal_columns,
     strip_entropy,
     window_probability_exhaustive,

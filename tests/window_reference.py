@@ -2,13 +2,12 @@
 by doubling: m bit columns of 2^m entries, one factor multiplied into
 every assignment per window site.  Every weight is the same product taken
 in the same order at the same index, so
-`oracles.window_probability_exhaustive` must return `==` the same float."""
+`oracles.window_probability_exhaustive` must return `==` the same float.
+A site's earlier neighbors come from the offset table directly."""
 import numpy as np
 
 from hardcore_entropy.bounds import stage_probabilities
-from hardcore_entropy.lattices import (
-    _WINDOW_DIMS, build_lattice, influence_window, neighbor_sites, stage_of,
-)
+from hardcore_entropy.lattices import build_lattice, influence_window, stage_of
 
 
 def window_probability_exhaustive(lattice: str, params, stage: int) -> float:
@@ -20,8 +19,9 @@ def window_probability_exhaustive(lattice: str, params, stage: int) -> float:
     pos = {site: j for j, site in enumerate(order)}
 
     def earlier_neighbors(site, s):
-        return [pos[nb] for nb in set(neighbor_sites(spec, _WINDOW_DIMS, site))
-                if stage_of(spec, nb) < s]
+        x, y, t = site
+        plane = [(x + dx, y + dy, t2) for dx, dy, t2 in spec.neighbors[t]]
+        return [pos[nb] for nb in plane if stage_of(spec, nb) < s]
 
     idx = np.arange(1 << m, dtype=np.int64)
     bits = [(idx >> j) & 1 for j in range(m)]
