@@ -9,9 +9,12 @@ size, and the 3x3 curve overtakes the flat one between k=3 and k=4.
 
 Part 2 tabulates transfer-matrix strip entropies.  Free-boundary strips
 decrease toward the plane value with a ~1/width surface excess;
-periodic strips land much closer at the same width.
+periodic strips land much closer at the same width.  The widest free
+strip of each lattice (at most 14 sites a column) is a ceiling on its
+plane entropy, above every bound the package computes.
 """
-from hardcore_entropy import blocks, block_bounds, oracles
+from hardcore_entropy import blocks, block_bounds, bounds, oracles
+from hardcore_entropy.lattices import LATTICES, build_lattice
 
 if __name__ == "__main__":
     gens = {}
@@ -35,7 +38,18 @@ if __name__ == "__main__":
     print()
     print("width   free        periodic")
     for w in range(2, 13, 2):
-        free = oracles.strip_entropy(w, boundary="free")
-        per = oracles.strip_entropy(w, boundary="periodic")
+        free = oracles.strip_entropy("square", w, boundary="free")
+        per = oracles.strip_entropy("square", w, boundary="periodic")
         print(f"{w:<7} {free:.8f}  {per:.8f}")
     print("accepted plane value: 0.4075")
+
+    print()
+    print("lattice       width  free ceiling  best staged bound")
+    for lattice in LATTICES:
+        width = (oracles.MAX_STRIP_WIDTH
+                 // build_lattice(lattice).sites_per_cell)
+        best = max(bounds.optimize_bound(scheme, lattice).value
+                   for scheme, table in bounds.SCHEMES.items()
+                   if lattice in table)
+        print(f"{lattice:<13} {width:>5}  "
+              f"{oracles.strip_entropy(lattice, width):.6f}      {best:.6f}")

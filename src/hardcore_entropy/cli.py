@@ -338,19 +338,19 @@ def _max_diff(worst: float) -> str:
 def _verify_checks(cfg: argparse.Namespace) -> list[tuple[str, bool, str]]:
     checks = []
 
-    value = oracles.entropy_1d()
+    value = oracles.strip_entropy("square", 1)
     golden = math.log((1.0 + math.sqrt(5.0)) / 2.0)
     checks.append(("one_dimensional_entropy",
                    abs(value - golden) <= 1e-12,
                    f"{value:.12f}, log golden ratio {golden:.12f}"))
 
-    w2 = oracles.strip_entropy(2)
+    w2 = oracles.strip_entropy("square", 2)
     ref2 = 0.5 * math.log(1.0 + math.sqrt(2.0))
     checks.append(("strip_width_2_closed_form",
                    abs(w2 - ref2) <= 1e-12, f"{w2:.12f}"))
 
     ref = oracles.PLANE_ENTROPY
-    w12 = oracles.strip_entropy(12, boundary="periodic")
+    w12 = oracles.strip_entropy("square", 12, boundary="periodic")
     checks.append(("strip_width_12_periodic_vs_reference",
                    abs(w12 - ref) <= 3e-3,
                    f"{w12:.7f} vs {ref:.4f}"))
@@ -535,6 +535,8 @@ def cmd_sample(cfg: argparse.Namespace) -> int:
                                                cfg.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except MemoryError:
+        raise ConfigError(f"a {w}x{h} torus does not fit in memory") from None
 
     valid = verify_hard_core(config)
     print(f"{cfg.lattice} torus {dims[0]}x{dims[1]}, seed {cfg.seed}, "
@@ -569,7 +571,7 @@ def cmd_strip(cfg: argparse.Namespace) -> int:
               else list(range(1, cfg.max_width + 1)))
     boundaries = (("free", "periodic") if cfg.boundary == "both"
                   else (cfg.boundary,))
-    rows = [(w, b, f"{oracles.strip_entropy(w, boundary=b):.12f}")
+    rows = [(w, b, f"{oracles.strip_entropy('square', w, boundary=b):.12f}")
             for w in widths for b in boundaries]
     _write_csv(cfg.out, ["width", "boundary", "entropy"], rows)
     return EXIT_OK

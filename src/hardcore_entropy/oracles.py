@@ -2,10 +2,10 @@
 
 Transfer matrices, Monte Carlo fill-in, exhaustive window enumeration, and
 exact rational blocking-share arithmetic each provide a second route to
-numbers the rest of the package computes analytically.  The sampler and the
-window enumeration work from the lattice geometry alone and are compared
-against `bounds.stage_unforced`, the U_s the staged bounds use; those are
-counted over the same influence windows (`lattices.stage_window`), but in
+numbers the rest of the package computes analytically, from the lattice
+table alone: strips read `LatticeSpec.neighbors`, the sampler and the
+window enumeration `earlier_neighbors`.  The last two are compared with
+`bounds.stage_unforced`, counted over the same influence windows in
 integers, where the enumeration here multiplies float weights.
 `PLANE_ENTROPY` is the one literature value the checks compare against.
 """
@@ -17,13 +17,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from .blocks import _or_table
 from .bounds import LN2, entropy_bernoulli, stage_probabilities, stage_unforced
 from .lattices import (
     TorusConfiguration, build_lattice, earlier_neighbors, stage_window,
 )
 
 MAX_STRIP_WIDTH = 14
-# every width 1..MAX_STRIP_WIDTH, free or periodic, converges in at most 19
+# the most steps any strip width takes, free or periodic: 19 on square, 21
+# honeycomb, 29 triangular, 18 kagome, 27 square_moore
 _POWER_MAX_ITER = 1000
 # square-lattice hard-core entropy per site, a near-truth anchor (not a bound)
 PLANE_ENTROPY = 0.4075
@@ -31,69 +33,80 @@ PLANE_ENTROPY = 0.4075
 
 # ---------------------------------------------------------------- strips
 
-def entropy_1d() -> float:
-    """Per-site entropy of the 1-D chain: largest eigenvalue of [[1,1],[1,0]]."""
-    lam = float(np.linalg.eigvalsh(np.array([[1.0, 1.0], [1.0, 0.0]]))[-1])
-    return math.log(lam)
+def _column_units(spec, width: int, boundary: str, dx: int) -> list:
+    """Per column bit (site t of cell y is bit y c + t), the bits its dx
+    offsets reach in the column dx to the right.  A periodic strip wraps
+    dy mod width and drops an offset onto the site itself."""
+    c = spec.sites_per_cell
+    units = [0] * (width * c)
+    for bit in range(width * c):
+        y, t = divmod(bit, c)
+        for ox, dy, t2 in spec.neighbors[t]:
+            y2 = (y + dy) % width if boundary == "periodic" else y + dy
+            if ox == dx and 0 <= y2 < width and (dx, y2, t2) != (0, y, t):
+                units[bit] |= 1 << (y2 * c + t2)
+    return units
 
 
-def legal_columns(width: int, boundary: str = "free") -> np.ndarray:
-    """All 0/1 columns of the given height with no two adjacent 1s."""
+def legal_columns(lattice: str, width: int, boundary: str) -> np.ndarray:
+    """The strip columns `width` cells high with no two adjacent 1s."""
     if boundary not in ("free", "periodic"):
         raise ValueError(f"boundary must be free or periodic, "
                          f"got {boundary!r}")
-    masks = np.arange(1 << width, dtype=np.int64)
-    ok = (masks & (masks >> 1)) == 0
-    if boundary == "periodic" and width > 1:
-        ok &= ~((masks & 1).astype(bool) & (masks >> (width - 1) & 1).astype(bool))
-    return masks[ok]
+    inside = _or_table(_column_units(build_lattice(lattice), width,
+                                     boundary, 0))
+    masks = np.arange(len(inside), dtype=inside.dtype)
+    return masks[(inside & masks) == 0]
 
 
-def _half_columns(halves: np.ndarray, nbits: int):
-    """Index of each half-column among the distinct ones, and the 0/1
-    disjointness matrix of the distinct ones (numbered without a sort)."""
-    seen = np.bincount(halves, minlength=1 << nbits) > 0
-    distinct = np.flatnonzero(seen)
-    index = (np.cumsum(seen) - 1)[halves]
-    return index, ((distinct[:, None] & distinct[None, :]) == 0).astype(float)
+def _half_columns(own: np.ndarray, forbidden: np.ndarray, nbits: int):
+    """Index of each own and forbidden half-column among the distinct ones
+    of either kind, and the 0/1 disjointness matrix of those."""
+    seen = np.zeros(1 << nbits, dtype=bool)
+    seen[own] = seen[forbidden] = True
+    halves, index = np.flatnonzero(seen), np.cumsum(seen) - 1
+    return index[own], index[forbidden], (
+        (halves[:, None] & halves[None, :]) == 0).astype(float)
 
 
-def strip_entropy(width: int, boundary: str = "free") -> float:
-    """Entropy per site of an infinite strip of the given width.
+def strip_entropy(lattice: str, width: int, boundary: str = "free") -> float:
+    """Entropy per site of an infinite strip `width` cells high.
 
     Dominant transfer-matrix eigenvalue by power iteration to relative
-    tolerance 1e-13.  The matrix T[c, c'] = [c & c' == 0] is never built:
-    split each column into its top and bottom halves, so T factors as
-    [hi & hi' == 0] [lo & lo' == 0], and T v = (D_hi G D_lo)[hi, lo] with
-    G the vector scattered onto the grid of half-columns (at most 34 x 34
-    at width 14) and D the half-column disjointness matrices.  Grid cells
-    that are not legal columns stay 0, which is all the periodic boundary
-    changes.
+    tolerance 1e-13.  Column c may precede c' iff f(c) & c' == 0, with
+    f(c) the bits the dx = +1 offsets of its 1s reach (f(c) = c on the
+    square lattice).  T is never built: halving the columns factors it as
+    [f_hi(c) & hi' == 0] [f_lo(c) & lo' == 0], so T v = (D_hi G D_lo)[
+    f_hi(c), f_lo(c)], with G the vector scattered onto the grid of
+    half-columns (34 x 34 on a square strip 14 high; cells that are not
+    legal columns stay 0) and D the half-column disjointness matrices.
     """
-    width = int(width)
-    if not 1 <= width <= MAX_STRIP_WIDTH:
+    spec = build_lattice(lattice)
+    nbits = int(width) * spec.sites_per_cell
+    if not 1 <= nbits <= MAX_STRIP_WIDTH:
         raise ValueError(
-            f"strip width {width} outside the supported range "
-            f"1..{MAX_STRIP_WIDTH} (transfer matrix grows as a Fibonacci "
-            f"number of the width)")
-    cols = legal_columns(width, boundary)
-    lo_bits = width // 2
-    ia, d_hi = _half_columns(cols >> lo_bits, width - lo_bits)
-    ib, d_lo = _half_columns(cols & ((1 << lo_bits) - 1), lo_bits)
+            f"strip width {width} outside the supported range 1.."
+            f"{MAX_STRIP_WIDTH // spec.sites_per_cell} on {lattice}")
+    cols = legal_columns(lattice, width, boundary)
+    after = _or_table(_column_units(spec, width, boundary, 1))[cols]
+    lo_bits, low = nbits // 2, (1 << nbits // 2) - 1
+    ia, fa, d_hi = _half_columns(cols >> lo_bits, after >> lo_bits,
+                                 nbits - lo_bits)
+    ib, fb, d_lo = _half_columns(cols & low, after & low, lo_bits)
     grid = np.zeros((len(d_hi), len(d_lo)))
     v = np.full(len(cols), 1.0 / math.sqrt(len(cols)))
     lam = 0.0
     for _ in range(_POWER_MAX_ITER):
         grid[ia, ib] = v
-        w = (d_hi @ grid @ d_lo)[ia, ib]
+        w = (d_hi @ grid @ d_lo)[fa, fb]
         lam_new = float(v @ w)
         v = w / np.linalg.norm(w)
         if abs(lam_new - lam) <= 1e-13 * max(lam_new, 1.0):
-            return math.log(lam_new) / width
+            return math.log(lam_new) / nbits
         lam = lam_new
     raise ValueError(
-        f"strip width {width} ({boundary}): power iteration did not reach "
-        f"relative tolerance 1e-13 in {_POWER_MAX_ITER} iterations")
+        f"{lattice} strip width {width} ({boundary}): power iteration did "
+        f"not reach relative tolerance 1e-13 in {_POWER_MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------- sampler

@@ -1,0 +1,116 @@
+"""Mutation checks: wrong programs the tests must reject.
+
+Run from anywhere (well under a minute on 2 CPUs):
+
+    python tests/mutants.py
+
+Each entry of MUTANTS is one exact edit of a file under src/ and the tests
+expected to kill it.  For each, the script copies src/ to a temporary
+directory, checks that the old text occurs exactly once, applies the edit
+and runs those tests with PYTHONPATH on the copy.  A mutant is killed when
+the tests fail.  The last entry is a harmless edit that must survive: if
+it is killed, the tests fail on the unmutated program and no kill above
+means anything.  Exits 1 naming every mutant that ends otherwise than
+expected.  The working tree is never edited.  A claim that "the tests
+catch X" belongs in this table.  pytest does not collect this file.
+"""
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file under src/hardcore_entropy, old text, new text, tests,
+#  whether the tests should kill it)
+MUTANTS = [
+    ("strip ignores the periodic wrap", "oracles.py",
+     'y2 = (y + dy) % width if boundary == "periodic" else y + dy',
+     "y2 = y + dy",
+     ["tests/test_oracles.py::TestStrips"], True),
+    ("strip drops the dx = +1 offsets", "oracles.py",
+     "if ox == dx and 0 <= y2 < width",
+     "if ox == dx == 0 and 0 <= y2 < width",
+     ["tests/test_oracles.py::TestStrips"], True),
+    ("earlier_neighbors drops its last offset", "lattices.py",
+     "for dx, dy, t2 in spec.neighbors[t]\n",
+     "for dx, dy, t2 in spec.neighbors[t][:-1]\n",
+     ["tests/test_lattices.py"], True),
+    ("influence_window drops its last site", "lattices.py",
+     "return target, tuple(window)",
+     "return target, tuple(window[:-1])",
+     ["tests/test_lattices.py"], True),
+    ("verify_hard_core drops the first offset of each site", "lattices.py",
+     "for dx, dy, t2 in offsets if",
+     "for dx, dy, t2 in offsets[1:] if",
+     ["tests/test_lattices.py"], True),
+    ("on_simplex without the division", "optimize.py",
+     "    p /= total\n",
+     "",
+     ["tests/test_block_bounds.py", "tests/test_bounds.py"], True),
+    ("sampler overwrites its stage planes (= for &=)", "oracles.py",
+     "planes[y, oy, :, ox, t] &= cells",
+     "planes[y, oy, :, ox, t] = cells",
+     ["tests/test_oracles.py::TestSampler"], True),
+    ("_tile_sites ignores the row offset", "oracles.py",
+     "np.arange(oy, h, py) // _TILE",
+     "np.arange(0, h, py) // _TILE",
+     ["tests/test_oracles.py::TestSampler"], True),
+    ("three-hex: the compact third term", "bounds.py",
+     "a * (p[1] + p[0] * (1.0 - q)) * (1.0 - a * q) ** 2",
+     "(p[1] + p[0] * (1.0 - q)) * a ** 3 * (2.0 - q) ** 2",
+     ["tests/test_bounds.py::test_three_hex_triangular_reference_point",
+      "tests/test_bounds.py::test_three_hex_optimum_recovers_table"], True),
+    ("self-test: a docstring edit", "oracles.py",
+     '"""Entropy per site of an infinite strip',
+     '"""The entropy per site of an infinite strip',
+     ["tests/test_oracles.py::TestStrips"], False),
+]
+
+
+def _run(name, path, old, new, tests, scratch):
+    """Whether the tests pass on src/ with the one edit applied, and
+    pytest's summary line.  Exit code 1 is a failed test; any other
+    failure (a collection error, no test found) stops the script."""
+    copy = Path(scratch) / "src"
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(ROOT / "src", copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    target = copy / "hardcore_entropy" / path
+    text = target.read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        raise SystemExit(f"{name}: the old text occurs {text.count(old)} "
+                         f"times in {path}, not once")
+    target.write_text(text.replace(old, new), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *(str(ROOT / t) for t in tests)],
+        cwd=scratch, env=env, capture_output=True, text=True, timeout=300)
+    if proc.returncode not in (0, 1):
+        raise SystemExit(f"{name}: pytest exited {proc.returncode}\n"
+                         f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return proc.returncode == 0, proc.stdout.strip().splitlines()[-1]
+
+
+def main() -> int:
+    wrong = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, path, old, new, tests, killable in MUTANTS:
+            started = time.perf_counter()
+            survived, summary = _run(name, path, old, new, tests, scratch)
+            verdict = "survived" if survived else "killed"
+            print(f"{verdict:<9}{time.perf_counter() - started:5.1f} s  "
+                  f"{name}: {summary}")
+            if survived == killable:
+                wrong.append(name)
+    for name in wrong:
+        print(f"unexpected: {name}", file=sys.stderr)
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

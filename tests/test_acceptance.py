@@ -205,7 +205,7 @@ def test_criterion_07_equalized_optima():
 
 def test_criterion_08_oracle_checks():
     golden = math.log((1.0 + math.sqrt(5.0)) / 2.0)
-    e1 = oracles.entropy_1d()
+    e1 = oracles.strip_entropy("square", 1)
     one_d_ok = abs(e1 - golden) <= 1e-12
 
     # ln lambda_w is subadditive in w (a hard-core strip restricts to two
@@ -216,8 +216,8 @@ def test_criterion_08_oracle_checks():
     # width-12 free matrix promises two things instead: the ratio
     # ln(lambda_12/lambda_11), where the surface term cancels, sits on the
     # plane value, and the free strip lies above it.
-    s11 = oracles.strip_entropy(11, boundary="free")
-    s12 = oracles.strip_entropy(12, boundary="free")
+    s11 = oracles.strip_entropy("square", 11, boundary="free")
+    s12 = oracles.strip_entropy("square", 12, boundary="free")
     inc = 12 * s12 - 11 * s11
     strip_ok = abs(inc - 0.4075) <= 0.003 and s12 >= inc
 
@@ -237,7 +237,7 @@ def test_criterion_08_oracle_checks():
                             abs(got - hand[stage]))
     windows_ok = worst <= 1e-12
 
-    detail = (f"entropy_1d |diff| = {abs(e1 - golden):.1e}; "
+    detail = (f"strip(1) |diff| = {abs(e1 - golden):.1e}; "
               f"strip(12, free) = {s12:.6f}, ln(l12/l11) = {inc:.6f}, "
               f"gap to 0.4075 = {abs(inc - 0.4075):.1e} vs allowed 0.003, "
               f"excess 12*(s12 - inc) = {12 * (s12 - inc):.4f} "

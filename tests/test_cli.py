@@ -558,6 +558,21 @@ def test_sample_rejects_torus_smaller_than_a_window(tmp_path, capsys,
     assert out.exists() != bool(code)
 
 
+def test_sample_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
+    # a torus that does not fit in memory is a configuration error, not
+    # a traceback; the stand-in sampler fails before allocating anything
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 1.00 GiB")
+
+    monkeypatch.setattr(oracles, "fill_in_sample", no_memory)
+    out = tmp_path / "sample.json"
+    assert run(["sample", "--lattice", "square", "--params", "0.2",
+                "--dims", "32768x32768", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: a 32768x32768 torus does not fit in memory\n")
+    assert not out.exists()
+
+
 def test_sample_deterministic_per_seed(tmp_path):
     a, b, c = (tmp_path / name for name in ("a.json", "b.json", "c.json"))
     args = ["sample", "--lattice", "kagome", "--params", "0.19,0.30",

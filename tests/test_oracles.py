@@ -16,6 +16,8 @@ from hardcore_entropy.lattices import (
     LATTICES, build_lattice, influence_window, verify_hard_core,
 )
 from hardcore_entropy import cli
+from hardcore_entropy.block_bounds import optimize_block_bound
+from hardcore_entropy.blocks import reduce_family
 from hardcore_entropy.oracles import (
     MAX_STRIP_WIDTH,
     PLANE_ENTROPY,
@@ -23,7 +25,6 @@ from hardcore_entropy.oracles import (
     blocking_constant_upper,
     blocking_share_per_odd_site,
     density_upper_from_blocking,
-    entropy_1d,
     fill_in_sample,
     legal_columns,
     strip_entropy,
@@ -65,94 +66,166 @@ def _blocking_constant_lower_by_fractions():
 
 
 class TestOneDimensional:
+    # the square strip one cell high is the 1-D chain, whose transfer
+    # matrix [[1, 1], [1, 0]] has the golden ratio as its eigenvalue
     def test_value(self):
-        assert entropy_1d() == pytest.approx(0.4812118250596, abs=1e-12)
-        assert entropy_1d() == pytest.approx(math.log(GOLDEN_RATIO), abs=1e-14)
+        h = strip_entropy("square", 1)
+        assert h == pytest.approx(0.4812118250596, abs=1e-12)
+        assert h == pytest.approx(math.log(GOLDEN_RATIO), abs=1e-14)
 
     def test_eigenvalue_is_golden_ratio(self):
-        assert math.exp(entropy_1d()) == pytest.approx(GOLDEN_RATIO, abs=1e-14)
+        assert math.exp(strip_entropy("square", 1)) == pytest.approx(
+            GOLDEN_RATIO, abs=1e-14)
 
     def test_width_one_strip_coincides(self):
-        assert strip_entropy(1) == pytest.approx(entropy_1d(), abs=1e-12)
+        chain = np.linalg.eigvalsh(np.array([[1.0, 1.0], [1.0, 0.0]]))[-1]
+        assert strip_entropy("square", 1) == pytest.approx(math.log(chain),
+                                                           abs=1e-12)
+        # the periodic offsets land on the site itself and are dropped
+        assert strip_entropy("square", 1, "periodic") == strip_entropy(
+            "square", 1)
+
+
+# the free strip at the widest width, and the ceiling it sets above the
+# plane entropy: ln lambda_w is subadditive in w (an independent set of a
+# (w1 + w2)-strip restricts to one of each part), so by Fekete's lemma
+# ln lambda_w / (w sites_per_cell) >= h at every width
+FREE_CEILINGS = {"square": (14, 0.4122847607), "honeycomb": (7, 0.4440300740),
+                 "triangular": (14, 0.3412300796), "kagome": (4, 0.4024470079),
+                 "square_moore": (14, 0.3043178124)}
+# the most power steps any width takes, free or periodic, and one width
+# that needs all of them (the _POWER_MAX_ITER comment)
+POWER_STEPS = {"square": (19, 13, "free"), "honeycomb": (21, 7, "periodic"),
+               "triangular": (29, 14, "free"), "kagome": (18, 1, "periodic"),
+               "square_moore": (27, 3, "periodic")}
+
+
+def _widths(lattice):
+    return range(1, MAX_STRIP_WIDTH // build_lattice(lattice).sites_per_cell
+                 + 1)
 
 
 class TestStrips:
     def test_legal_column_counts_are_fibonacci(self):
         fib = [1, 2, 3, 5, 8, 13, 21, 34]
         for w, f in zip(range(1, 7), fib[1:]):
-            assert len(legal_columns(w)) == f
+            assert len(legal_columns("square", w, "free")) == f
+
+    def test_square_columns_match_reference(self):
+        for boundary in ("free", "periodic"):
+            for w in _widths("square"):
+                assert np.array_equal(
+                    legal_columns("square", w, boundary),
+                    strip_reference.square_columns(w, boundary)), w
 
     def test_width_two_free(self):
         # 3 legal columns (00, 01, 10); dominant eigenvalue 1 + sqrt(2)
-        assert strip_entropy(2) == pytest.approx(math.log(1 + math.sqrt(2)) / 2,
-                                                 abs=1e-12)
+        assert strip_entropy("square", 2) == pytest.approx(
+            math.log(1 + math.sqrt(2)) / 2, abs=1e-12)
 
     def test_width_twelve_free(self):
-        h = strip_entropy(12)
+        h = strip_entropy("square", 12)
         assert h == pytest.approx(0.4130830372, abs=1e-9)
 
     def test_width_fourteen_free(self):
-        assert strip_entropy(14) == pytest.approx(0.4122847607, abs=1e-9)
+        assert strip_entropy("square", 14) == pytest.approx(0.4122847607,
+                                                            abs=1e-9)
 
     def test_free_ratio_cancels_surface_excess(self):
         # ln(lambda_w / lambda_{w-1}) drops the surface term and sits on
         # ln kappa; the free per-site value stays above by 0.0671/width
         ln_kappa = 0.4074951013
         for w in range(10, 15):
-            s = strip_entropy(w)
-            ratio = w * s - (w - 1) * strip_entropy(w - 1)
+            s = strip_entropy("square", w)
+            ratio = w * s - (w - 1) * strip_entropy("square", w - 1)
             assert ratio == pytest.approx(ln_kappa, abs=1e-9)
             assert 0.066 <= w * (s - ratio) <= 0.068
 
     def test_width_twelve_periodic(self):
-        h = strip_entropy(12, "periodic")
+        h = strip_entropy("square", 12, "periodic")
         assert h == pytest.approx(0.4074963771, abs=1e-9)
         assert abs(h - PLANE_ENTROPY) < 3e-3
 
     def test_monotone_decreasing_in_width(self):
-        hs = [strip_entropy(w) for w in range(1, 13)]
+        hs = [strip_entropy("square", w) for w in range(1, 13)]
         assert all(a >= b - 1e-12 for a, b in zip(hs, hs[1:]))
         assert all(h > 0.4075 - 1e-3 for h in hs)
 
     def test_periodic_below_free(self):
         for w in (8, 12):
-            assert strip_entropy(w, "periodic") < strip_entropy(w)
+            assert strip_entropy("square", w, "periodic") < strip_entropy(
+                "square", w)
 
     def test_closed_form_bounds_below_strip(self):
-        ceiling = strip_entropy(12)
+        ceiling = strip_entropy("square", 12)
         for p in np.linspace(0.01, 0.6, 8):
             assert bounds.staged_bound("square", (float(p),)).value < ceiling
 
     def test_width_validation(self):
-        for w in (0, 15, -3):
-            with pytest.raises(ValueError, match="width"):
-                strip_entropy(w)
+        for lattice, widths in (("square", (0, 15, -3)),
+                                ("honeycomb", (0, 8)), ("kagome", (5,))):
+            for w in widths:
+                with pytest.raises(ValueError, match="width"):
+                    strip_entropy(lattice, w)
         with pytest.raises(ValueError, match="boundary"):
-            strip_entropy(4, "helical")
+            strip_entropy("square", 4, "helical")
+        with pytest.raises(ValueError, match="unknown lattice"):
+            strip_entropy("hexagonal", 4)
 
     def test_legal_columns_rejects_unknown_boundary(self):
         with pytest.raises(ValueError,
                            match="boundary must be free or periodic"):
-            legal_columns(4, "helical")
+            legal_columns("square", 4, "helical")
 
     @pytest.mark.parametrize("boundary", ["free", "periodic"])
     def test_matches_dense_reference(self, boundary):
         for w in range(1, MAX_STRIP_WIDTH + 1):
-            got = strip_entropy(w, boundary)
+            got = strip_entropy("square", w, boundary)
             want = strip_reference.strip_entropy(w, boundary)
             assert f"{got:.12f}" == f"{want:.12f}", w
             assert abs(got - want) <= 1e-15, w
 
-    def test_power_iteration_cap(self, monkeypatch):
-        # the _POWER_MAX_ITER comment: every width converges in at most
-        # 19 steps, and free width 13 needs all of them
-        monkeypatch.setattr(oracles, "_POWER_MAX_ITER", 19)
+    @pytest.mark.parametrize("lattice", LATTICES)
+    def test_matches_coordinate_reference(self, lattice):
+        # every width up to 10 column sites, against the dense matrix
+        # built from site coordinates
+        c = build_lattice(lattice).sites_per_cell
         for boundary in ("free", "periodic"):
-            for w in range(1, MAX_STRIP_WIDTH + 1):
-                strip_entropy(w, boundary)
-        monkeypatch.setattr(oracles, "_POWER_MAX_ITER", 18)
-        with pytest.raises(ValueError, match="in 18 iterations"):
-            strip_entropy(13)
+            for w in range(1, 10 // c + 1):
+                got = strip_entropy(lattice, w, boundary)
+                want = strip_reference.lattice_strip_entropy(lattice, w,
+                                                             boundary)
+                assert abs(got - want) <= 1e-12, (w, boundary)
+
+    @pytest.mark.parametrize("lattice", LATTICES)
+    def test_free_ceiling(self, lattice):
+        width, ceiling = FREE_CEILINGS[lattice]
+        assert max(_widths(lattice)) == width
+        assert strip_entropy(lattice, width) == pytest.approx(ceiling,
+                                                              abs=1e-9)
+
+    def test_every_bound_below_its_free_ceiling(self):
+        values = [(lattice, bounds.optimize_bound(scheme, lattice).value)
+                  for scheme, table in bounds.SCHEMES.items()
+                  for lattice in table]
+        values += [("square", optimize_block_bound(reduce_family(n))[1].value)
+                    for n in (1, 2, 3, 4)]
+        for lattice, value in values:
+            width, _ = FREE_CEILINGS[lattice]
+            assert value <= strip_entropy(lattice, width) + 1e-9, lattice
+
+    def test_power_iteration_cap(self, monkeypatch):
+        # the _POWER_MAX_ITER comment: on each lattice every width
+        # converges within its step count, and the width named needs all
+        for lattice, (steps, width, boundary) in POWER_STEPS.items():
+            monkeypatch.setattr(oracles, "_POWER_MAX_ITER", steps)
+            for b in ("free", "periodic"):
+                for w in _widths(lattice):
+                    strip_entropy(lattice, w, b)
+            monkeypatch.setattr(oracles, "_POWER_MAX_ITER", steps - 1)
+            with pytest.raises(ValueError,
+                               match=f"in {steps - 1} iterations"):
+                strip_entropy(lattice, width, boundary)
 
 
 class TestWindows:
