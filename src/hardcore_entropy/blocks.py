@@ -25,12 +25,12 @@ Two reductions shrink the 2^(n^2) variables:
   Equivalently, every odd site adjacent to s is already adjacent to some 1
   of b other than s, so weakness does not depend on b[s].  Corner positions
   have an odd neighbor touching no other position, hence are never weak.
-  The classes are the connected components of the graph on orbits whose
-  edges are weak toggles, found by propagating the smallest orbit id along
-  the edges.  The odd-site geometry is D4-symmetric, so s is weak in b iff
-  g(s) is weak in g(b) for every symmetry g; every orbit edge is therefore
-  already produced by a toggle of the orbit's smallest mask, and edges are
-  generated from those D4-canonical masks alone.
+  Classes join masks by D4 images and weak toggles.  Masks forcing the
+  same set F are joined through their union, as every mask between them
+  forces exactly F, so a class is the D4 images of one level set of
+  forced.  Its largest member, the closure, holds the positions with no odd
+  neighbor outside F; D4 moves closures with their masks, so each class is
+  keyed by the orbit of its closures and labelled by its smallest member.
 
 The quotient family keeps one probability variable per class, stored per
 arrangement: the probability of one specific member, entering normalization
@@ -41,6 +41,7 @@ running count over them numbers the classes, with no sort.
 """
 from __future__ import annotations
 
+import operator
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -57,7 +58,10 @@ MAX_N = 4  # 2^25 masks at n=5 exceed the supported budget
 
 
 def _check_n(n: int) -> int:
-    n = int(n)
+    try:
+        n = operator.index(n)  # an int or numpy integer, never truncated
+    except TypeError:
+        raise ValueError(f"block side must be an integer, got {n!r}") from None
     if not 1 <= n <= MAX_N:
         raise ValueError(f"block side must be in [1, {MAX_N}], got {n}")
     return n
@@ -92,11 +96,14 @@ def _d4_sources(n: int) -> tuple:
                  for g in (grid, grid.T) for k in range(4))[1:]
 
 
+@lru_cache(maxsize=None)
 def _d4_orbit(n: int) -> np.ndarray:
-    """Smallest D4 image of every mask.  Unit 1 << s[j] at bit j makes the
-    image under the inverse of map s, and D4 holds every inverse."""
+    """Smallest D4 image of every mask, read-only.  Unit 1 << s[j] at bit j
+    makes the image under the inverse of map s, and D4 holds every inverse."""
     maps = np.vstack([np.arange(n * n), _d4_sources(n)])
-    return _or_table(1 << maps.T).min(axis=0)
+    orbit = _or_table(1 << maps.T).min(axis=0)
+    orbit.flags.writeable = False
+    return orbit
 
 
 @lru_cache(maxsize=None)
@@ -152,29 +159,19 @@ def reduce_family(n: int, use_weak: bool = True) -> BlockFamily:
         sites = _odd_sites(n)
         forced = _or_table([sum(1 << k for k, om in enumerate(sites)
                                 if om >> s & 1) for s in range(N)])
-        canon = masks[orbit == masks]
-        canon_forced = forced[canon]
-        a, b = [], []
-        for s in range(N):
-            flip = canon ^ (1 << s)
-            weak = forced[flip] == canon_forced
-            a.append(canon[weak])
-            b.append(orbit[flip[weak]])
-        a, b = np.concatenate(a), np.concatenate(b)
-        # min-label propagation: both ends of each edge take the smaller
-        # label, then each label jumps to its own label, until a sweep
-        # changes nothing.  Labels stay in their component and never rise,
-        # so each node ends labelled by its component's smallest node: its
-        # smallest orbit id, hence the smallest member of the class
-        label = np.arange(total, dtype=np.int32)
-        while True:
-            before = label.copy()
-            np.minimum.at(label, b, label[a])
-            np.minimum.at(label, a, label[b])
-            label = label[label]
-            if (label == before).all():
-                break
-        orbit = label[orbit]
+        # closure[m]: the complement of the positions next to a site not in
+        # forced[m], ORed from one table per half of the odd sites
+        h = len(sites) // 2
+        lo, hi = _or_table(sites[:h]), _or_table(sites[h:])
+        free = np.bitwise_xor(forced, (1 << len(sites)) - 1, out=forced)
+        top = np.right_shift(free, h)
+        closure = lo[np.bitwise_and(free, (1 << h) - 1, out=free)]
+        np.bitwise_or(closure, hi[top], out=closure)
+        np.bitwise_xor(closure, total - 1, out=closure)
+        key = orbit[closure]  # names the class; label it by its least member
+        label = masks.copy()
+        np.minimum.at(label, key, masks)
+        orbit = label[key]
 
     # a class's smallest member is the one mask that is its own label
     is_rep = orbit == masks

@@ -1,10 +1,10 @@
 """References for the vectorized block calculus of `blocks` and
 `block_bounds`: the odd-site geometry, scalar, one-mask-at-a-time
-dihedral images, forced odd sites and weak sites, written straight from
-their definitions in the `blocks` module docstring, the weak-site classes
-by scipy's graph components, the cover pairs over every mask, the block
-objective with one unforced-count row per odd site, and the unforced odd
-density of a tiling."""
+dihedral images, forced odd sites, their closure and weak sites, written
+straight from their definitions in the `blocks` module docstring, the
+weak-site classes by scipy's graph components, the cover pairs over every
+mask, the block objective with one unforced-count row per odd site, and
+the unforced odd density of a tiling."""
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
@@ -64,6 +64,14 @@ def forced_odd_sites(n: int, mask: int) -> int:
         if (mask >> s) & 1:
             forced |= per_pos[s]
     return forced
+
+
+def closure(n: int, mask: int) -> int:
+    """The positions s whose odd neighbours all lie in the mask's forced
+    set: the largest mask that forces the same odd sites."""
+    forced = forced_odd_sites(n, mask)
+    return sum(1 << s for s, om in enumerate(odd_neighbors(n))
+               if om & ~forced == 0)
 
 
 def weak_sites(n: int, mask: int) -> set[int]:

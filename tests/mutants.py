@@ -64,6 +64,18 @@ MUTANTS = [
      "(p[1] + p[0] * (1.0 - q)) * a ** 3 * (2.0 - q) ** 2",
      ["tests/test_bounds.py::test_three_hex_triangular_reference_point",
       "tests/test_bounds.py::test_three_hex_optimum_recovers_table"], True),
+    ("weak closure ignores the second half of the odd sites", "blocks.py",
+     "        np.bitwise_or(closure, hi[top], out=closure)\n",
+     "",
+     ["tests/test_blocks.py"], True),
+    ("weak classes labelled by key, not by smallest member", "blocks.py",
+     "orbit = label[key]",
+     "orbit = key",
+     ["tests/test_blocks.py"], True),
+    ("weak key skips the D4 orbit of the closure", "blocks.py",
+     "key = orbit[closure]",
+     "key = closure",
+     ["tests/test_blocks.py"], True),
     ("self-test: a docstring edit", "oracles.py",
      '"""Entropy per site of an infinite strip',
      '"""The entropy per site of an infinite strip',

@@ -17,6 +17,7 @@ from hardcore_entropy.blocks import (
 )
 
 from block_reference import (
+    closure,
     corner_positions,
     cover_pairs_all_masks,
     d4_canonical,
@@ -38,18 +39,23 @@ def members(fam, cid):
 
 
 def mask_sample(n):
-    """Every n=3 mask, or 2,000 seeded random n=4 masks."""
-    if n == 3:
-        return range(512)
+    """Every mask for n <= 3, or 2,000 seeded random n=4 masks."""
+    if n <= 3:
+        return range(1 << n * n)
     rng = np.random.default_rng(20)
     return [int(m) for m in rng.integers(0, 1 << 16, size=2000)]
 
 
 class TestEnumeration:
     def test_rejects_bad_n(self):
-        for n in (0, 5):
+        # a side that is not an integer is never truncated: 2.7 is not 2
+        for n in (0, 5, 2.7, 2.0, "2"):
             with pytest.raises(ValueError, match="block side"):
                 reduce_family(n)
+
+    def test_accepts_numpy_integers(self):
+        fam = reduce_family(np.int64(2))
+        assert type(fam.n) is int and fam.class_count == 6
 
 
 class TestD4:
@@ -87,6 +93,37 @@ class TestD4:
         sample = mask_sample(4) if n == 4 else range(1 << n * n)
         assert [int(orbit[m]) for m in sample] == \
             [min(d4_images(n, m)) for m in sample]
+
+
+class TestOrbitTable:
+    def test_built_once_and_read_only(self):
+        blocks._d4_orbit.cache_clear()
+        for use_weak in (True, False):
+            cover_pairs(reduce_family(3, use_weak))
+        assert blocks._d4_orbit.cache_info().misses == 1
+        orbit = blocks._d4_orbit(3)
+        assert blocks._d4_orbit(3) is orbit
+        with pytest.raises(ValueError, match="read-only"):
+            orbit[0] = 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_same_results_from_a_fresh_and_a_cached_table(self, n,
+                                                          monkeypatch):
+        def results():
+            out = []
+            for use_weak in (True, False):
+                fam = reduce_family(n, use_weak)
+                out += [fam.class_of, fam.representatives,
+                        fam.multiplicities, *cover_pairs(fam)]
+            return out
+
+        with monkeypatch.context() as m:  # a new writable table every call
+            m.setattr(blocks, "_d4_orbit", blocks._d4_orbit.__wrapped__)
+            fresh = results()
+        for cached in (results(), results()):
+            for want, got in zip(fresh, cached, strict=True):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
 
 class TestOrTable:
@@ -290,6 +327,29 @@ class TestReduceFamily:
                 got = sorted(bin(forced_odd_sites(3, im)).count("1")
                              for im in d4_images(3, m))
                 assert got == want
+
+
+class TestClosure:
+    """A weak class is the D4 images of one level set of the forced set,
+    and the closure is the largest member of that level set."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_same_class_iff_closures_share_an_orbit(self, n):
+        fam = reduce_family(n, use_weak=True)
+        sample = np.array(mask_sample(n))
+        key = np.array([d4_canonical(n, closure(n, int(m))) for m in sample])
+        cls = fam.class_of[sample]
+        np.testing.assert_array_equal(cls[:, None] == cls[None, :],
+                                      key[:, None] == key[None, :])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_closure_lies_in_the_class(self, n):
+        fam = reduce_family(n, use_weak=True)
+        for m in mask_sample(n):
+            c = closure(n, m)
+            assert c & m == m
+            assert forced_odd_sites(n, c) == forced_odd_sites(n, m)
+            assert fam.class_of[c] == fam.class_of[m], m
 
 
 def reference_odd_sites(n):
