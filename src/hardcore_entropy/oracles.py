@@ -8,12 +8,20 @@ window enumeration `earlier_neighbors`.  The last two are compared with
 `bounds.stage_unforced`, counted over the same influence windows in
 integers, where the enumeration here multiplies float weights.
 `PLANE_ENTROPY` is the one literature value the checks compare against.
+
+A strip's transfer tables (its legal columns' scatter and gather indices
+and the two half-column disjointness matrices) are built once per process
+for each (lattice, width, boundary) and are read-only, as the lattice
+windows are; all 106 of them hold about 1.4 MB.  The sampler places each
+band of draws in three contiguous passes over whole torus rows.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -48,13 +56,30 @@ def _column_units(spec, width: int, boundary: str, dx: int) -> list:
     return units
 
 
+def _strip_bits(spec, width) -> tuple[int, int]:
+    """The strip width as an int, and its column bits: ValueError naming
+    the width unless it is an integer (numpy integers too, never
+    truncated) giving 1..MAX_STRIP_WIDTH bits."""
+    try:
+        width = operator.index(width)
+    except TypeError:
+        raise ValueError(f"strip width {width!r} is not an integer") from None
+    nbits = width * spec.sites_per_cell
+    if not 1 <= nbits <= MAX_STRIP_WIDTH:
+        raise ValueError(
+            f"strip width {width} outside the supported range 1.."
+            f"{MAX_STRIP_WIDTH // spec.sites_per_cell} on {spec.name}")
+    return width, nbits
+
+
 def legal_columns(lattice: str, width: int, boundary: str) -> np.ndarray:
     """The strip columns `width` cells high with no two adjacent 1s."""
+    spec = build_lattice(lattice)
+    width, _ = _strip_bits(spec, width)
     if boundary not in ("free", "periodic"):
         raise ValueError(f"boundary must be free or periodic, "
                          f"got {boundary!r}")
-    inside = _or_table(_column_units(build_lattice(lattice), width,
-                                     boundary, 0))
+    inside = _or_table(_column_units(spec, width, boundary, 0))
     masks = np.arange(len(inside), dtype=inside.dtype)
     return masks[(inside & masks) == 0]
 
@@ -69,6 +94,30 @@ def _half_columns(own: np.ndarray, forbidden: np.ndarray, nbits: int):
         (halves[:, None] & halves[None, :]) == 0).astype(float)
 
 
+@cache
+def _strip_tables(lattice: str, width: int, boundary: str) -> tuple:
+    """The tables of one strip's transfer step, built once per process and
+    read-only: the flat index into the half-column grid that each legal
+    column scatters to, the flat index its forbidden halves (f_hi(c),
+    f_lo(c)) gather from, and the top and bottom half-column disjointness
+    matrices D_hi and D_lo.  `legal_columns` checks the boundary; the
+    width comes as a plain int from `_strip_bits`, so a numpy integer
+    shares the key of its int and a bad width never reaches the cache."""
+    spec = build_lattice(lattice)
+    cols = legal_columns(lattice, width, boundary)
+    after = _or_table(_column_units(spec, width, boundary, 1))[cols]
+    nbits = width * spec.sites_per_cell
+    lo_bits, low = nbits // 2, (1 << nbits // 2) - 1
+    ia, fa, d_hi = _half_columns(cols >> lo_bits, after >> lo_bits,
+                                 nbits - lo_bits)
+    ib, fb, d_lo = _half_columns(cols & low, after & low, lo_bits)
+    put = ia * len(d_lo) + ib
+    take = fa * len(d_lo) + fb
+    for table in (put, take, d_hi, d_lo):
+        table.flags.writeable = False
+    return put, take, d_hi, d_lo
+
+
 def strip_entropy(lattice: str, width: int, boundary: str = "free") -> float:
     """Entropy per site of an infinite strip `width` cells high.
 
@@ -80,27 +129,22 @@ def strip_entropy(lattice: str, width: int, boundary: str = "free") -> float:
     f_hi(c), f_lo(c)], with G the vector scattered onto the grid of
     half-columns (34 x 34 on a square strip 14 high; cells that are not
     legal columns stay 0) and D the half-column disjointness matrices.
+    Those tables (`_strip_tables`) are built once per process for each
+    (lattice, width, boundary) and are read-only, so a repeated strip
+    costs only its power loop.
     """
     spec = build_lattice(lattice)
-    nbits = int(width) * spec.sites_per_cell
-    if not 1 <= nbits <= MAX_STRIP_WIDTH:
-        raise ValueError(
-            f"strip width {width} outside the supported range 1.."
-            f"{MAX_STRIP_WIDTH // spec.sites_per_cell} on {lattice}")
-    cols = legal_columns(lattice, width, boundary)
-    after = _or_table(_column_units(spec, width, boundary, 1))[cols]
-    lo_bits, low = nbits // 2, (1 << nbits // 2) - 1
-    ia, fa, d_hi = _half_columns(cols >> lo_bits, after >> lo_bits,
-                                 nbits - lo_bits)
-    ib, fb, d_lo = _half_columns(cols & low, after & low, lo_bits)
+    width, nbits = _strip_bits(spec, width)
+    put, take, d_hi, d_lo = _strip_tables(lattice, width, boundary)
     grid = np.zeros((len(d_hi), len(d_lo)))
-    v = np.full(len(cols), 1.0 / math.sqrt(len(cols)))
+    flat = grid.reshape(-1)
+    v = np.full(len(put), 1.0 / math.sqrt(len(put)))
     lam = 0.0
     for _ in range(_POWER_MAX_ITER):
-        grid[ia, ib] = v
-        w = (d_hi @ grid @ d_lo)[fa, fb]
+        flat[put] = v
+        w = (d_hi @ grid @ d_lo).reshape(-1)[take]
         lam_new = float(v @ w)
-        v = w / np.linalg.norm(w)
+        v = w / math.sqrt(w @ w)
         if abs(lam_new - lam) <= 1e-13 * max(lam_new, 1.0):
             return math.log(lam_new) / nbits
         lam = lam_new
@@ -208,11 +252,16 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
     the period position), each read from a rolled plane, all hold 0; the
     counts of `values` then grow by the stage's unforced sites.  Its
     draws pass through one reused band of whole torus rows, at most
-    _BAND_BYTES on tori up to 10,922 cells wide, and each band's stage-s
-    sites keep their 1 where the draw is below p_s; the counts then grow
-    by the sites placed.  Nothing torus-sized is allocated but `values`
-    itself (one byte per site); the scratch of one plane at a time adds at
-    most one more.
+    _BAND_BYTES on tori up to 10,922 cells wide, and are placed in three
+    contiguous passes over the band's rows of `values`: `keep` = draw <
+    p_s, `keep` |= the band's sites of the other stages (a mask tiled
+    once per stage from `spec.coloring`), `values` &= `keep`.  So the
+    stage-s sites keep their 1 where the draw is below p_s and every other
+    site keeps its value; the counts then grow by the sites placed.
+    `keep` and the mask take one byte per band site each, an eighth of the
+    band apiece.  Nothing torus-sized is allocated but `values` itself
+    (one byte per site); the scratch of one plane at a time adds at most
+    one more.
     """
     spec = build_lattice(lattice)
     probs = stage_probabilities(lattice, params)
@@ -224,11 +273,15 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
     analytic = stage_unforced(lattice, probs)
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(seed).spawn(len(probs))]
-    # the sublattice planes, as views of `values` (0 or 1, so valid bools):
+    # `values` as bools (0 or 1, so valid), and its sublattice planes:
     # planes[:, oy, :, ox, t][Y, X] is site (X px + ox, Y py + oy, t)
-    planes = config.values.view(bool).reshape(h // py, py, w // px, px, c)
+    values = config.values.view(bool)
+    planes = values.reshape(h // py, py, w // px, px, c)
     band = np.empty((min(h, max(1, _BAND_BYTES // (8 * w * c * py)) * py),
                      w, c))
+    keep = np.empty(band.shape, dtype=bool)
+    # the stage of each site of the period, as (py, px, c)
+    period_stage = np.transpose(spec.coloring, (1, 2, 0))
 
     def ones():
         """The 1s of `values`: their number, and per tile if tiled."""
@@ -248,13 +301,14 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
                                    (-(ny // py), -(nx // px)), axis=(0, 1))
             np.logical_not(blocked, out=planes[:, oy, :, ox, t])
         n_unforced, tiles_unforced = ones()
+        # True at the band's sites of the other stages, which keep their value
+        others = np.tile(period_stage != s, (len(band) // py, w // px, 1))
         for y0 in range(0, h, len(band)):
-            draw = band[:h - y0]
+            draw, kept = band[:h - y0], keep[:h - y0]
             streams[s].random(out=draw)
-            cells = draw.reshape(-1, py, w // px, px, c)
-            y = slice(y0 // py, y0 // py + len(cells))
-            for oy, ox, t in mine:
-                planes[y, oy, :, ox, t] &= cells[:, oy, :, ox, t] < probs[s]
+            np.less(draw, probs[s], out=kept)
+            kept |= others[:len(kept)]
+            values[y0:y0 + len(kept)] &= kept
         n_placed, tiles_placed = ones()
         n_sites = len(mine) * (h // py) * (w // px)
         tile_sites = _tile_sites(spec, mine, h, w) if tiled else None

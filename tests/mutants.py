@@ -51,10 +51,26 @@ MUTANTS = [
      "    p /= total\n",
      "",
      ["tests/test_block_bounds.py", "tests/test_bounds.py"], True),
-    ("sampler overwrites its stage planes (= for &=)", "oracles.py",
-     "planes[y, oy, :, ox, t] &= cells",
-     "planes[y, oy, :, ox, t] = cells",
+    ("strip gathers at its own half-columns, not the forbidden ones",
+     "oracles.py",
+     "take = fa * len(d_lo) + fb",
+     "take = ia * len(d_lo) + ib",
+     ["tests/test_oracles.py::TestStrips"], True),
+    ("sampler overwrites its band rows (= for &=)", "oracles.py",
+     "values[y0:y0 + len(kept)] &= kept",
+     "values[y0:y0 + len(kept)] = kept",
      ["tests/test_oracles.py::TestSampler"], True),
+    ("sampler placement drops the other stages' mask", "oracles.py",
+     "            kept |= others[:len(kept)]\n",
+     "",
+     ["tests/test_oracles.py::TestSampler::"
+      "test_statistics_match_reference_sampler"], True),
+    ("sampler draws into a torus-sized buffer", "oracles.py",
+     "band = np.empty((min(h, max(1, _BAND_BYTES // (8 * w * c * py)) * py),"
+     "\n                     w, c))",
+     "band = np.empty((h, w, c))",
+     ["tests/test_oracles.py::TestSampler::test_peak_memory_per_site"],
+     True),
     ("_tile_sites ignores the row offset", "oracles.py",
      "np.arange(oy, h, py) // _TILE",
      "np.arange(0, h, py) // _TILE",
