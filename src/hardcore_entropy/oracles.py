@@ -9,11 +9,8 @@ window enumeration `earlier_neighbors`.  The last two are compared with
 integers, where the enumeration here multiplies float weights.
 `PLANE_ENTROPY` is the one literature value the checks compare against.
 
-A strip's transfer tables (its legal columns' scatter and gather indices
-and the two half-column disjointness matrices) are built once per process
-for each (lattice, width, boundary) and are read-only, as the lattice
-windows are; all 106 of them hold about 1.4 MB.  The sampler places each
-band of draws in three contiguous passes over whole torus rows.
+The sampler places each band of draws in three contiguous passes over
+whole torus rows.
 """
 from __future__ import annotations
 
@@ -21,7 +18,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 import numpy as np
 
@@ -56,26 +52,20 @@ def _column_units(spec, width: int, boundary: str, dx: int) -> list:
     return units
 
 
-def _strip_bits(spec, width) -> tuple[int, int]:
-    """The strip width as an int, and its column bits: ValueError naming
-    the width unless it is an integer (numpy integers too, never
-    truncated) giving 1..MAX_STRIP_WIDTH bits."""
+def legal_columns(lattice: str, width: int, boundary: str) -> np.ndarray:
+    """The strip columns `width` cells high with no two adjacent 1s.
+
+    ValueError naming the width unless it is an integer (numpy integers
+    too, never truncated) giving 1..MAX_STRIP_WIDTH bits per column."""
+    spec = build_lattice(lattice)
     try:
         width = operator.index(width)
     except TypeError:
         raise ValueError(f"strip width {width!r} is not an integer") from None
-    nbits = width * spec.sites_per_cell
-    if not 1 <= nbits <= MAX_STRIP_WIDTH:
+    if not 1 <= width * spec.sites_per_cell <= MAX_STRIP_WIDTH:
         raise ValueError(
             f"strip width {width} outside the supported range 1.."
-            f"{MAX_STRIP_WIDTH // spec.sites_per_cell} on {spec.name}")
-    return width, nbits
-
-
-def legal_columns(lattice: str, width: int, boundary: str) -> np.ndarray:
-    """The strip columns `width` cells high with no two adjacent 1s."""
-    spec = build_lattice(lattice)
-    width, _ = _strip_bits(spec, width)
+            f"{MAX_STRIP_WIDTH // spec.sites_per_cell} on {lattice}")
     if boundary not in ("free", "periodic"):
         raise ValueError(f"boundary must be free or periodic, "
                          f"got {boundary!r}")
@@ -94,30 +84,6 @@ def _half_columns(own: np.ndarray, forbidden: np.ndarray, nbits: int):
         (halves[:, None] & halves[None, :]) == 0).astype(float)
 
 
-@cache
-def _strip_tables(lattice: str, width: int, boundary: str) -> tuple:
-    """The tables of one strip's transfer step, built once per process and
-    read-only: the flat index into the half-column grid that each legal
-    column scatters to, the flat index its forbidden halves (f_hi(c),
-    f_lo(c)) gather from, and the top and bottom half-column disjointness
-    matrices D_hi and D_lo.  `legal_columns` checks the boundary; the
-    width comes as a plain int from `_strip_bits`, so a numpy integer
-    shares the key of its int and a bad width never reaches the cache."""
-    spec = build_lattice(lattice)
-    cols = legal_columns(lattice, width, boundary)
-    after = _or_table(_column_units(spec, width, boundary, 1))[cols]
-    nbits = width * spec.sites_per_cell
-    lo_bits, low = nbits // 2, (1 << nbits // 2) - 1
-    ia, fa, d_hi = _half_columns(cols >> lo_bits, after >> lo_bits,
-                                 nbits - lo_bits)
-    ib, fb, d_lo = _half_columns(cols & low, after & low, lo_bits)
-    put = ia * len(d_lo) + ib
-    take = fa * len(d_lo) + fb
-    for table in (put, take, d_hi, d_lo):
-        table.flags.writeable = False
-    return put, take, d_hi, d_lo
-
-
 def strip_entropy(lattice: str, width: int, boundary: str = "free") -> float:
     """Entropy per site of an infinite strip `width` cells high.
 
@@ -129,16 +95,23 @@ def strip_entropy(lattice: str, width: int, boundary: str = "free") -> float:
     f_hi(c), f_lo(c)], with G the vector scattered onto the grid of
     half-columns (34 x 34 on a square strip 14 high; cells that are not
     legal columns stay 0) and D the half-column disjointness matrices.
-    Those tables (`_strip_tables`) are built once per process for each
-    (lattice, width, boundary) and are read-only, so a repeated strip
-    costs only its power loop.
+    `legal_columns` checks the width and the boundary.
     """
     spec = build_lattice(lattice)
-    width, nbits = _strip_bits(spec, width)
-    put, take, d_hi, d_lo = _strip_tables(lattice, width, boundary)
+    cols = legal_columns(lattice, width, boundary)
+    nbits = int(width) * spec.sites_per_cell
+    after = _or_table(_column_units(spec, width, boundary, 1))[cols]
+    lo_bits, low = nbits // 2, (1 << nbits // 2) - 1
+    ia, fa, d_hi = _half_columns(cols >> lo_bits, after >> lo_bits,
+                                 nbits - lo_bits)
+    ib, fb, d_lo = _half_columns(cols & low, after & low, lo_bits)
+    # flat indices into the half-column grid: where each column scatters
+    # to, and where its forbidden halves (f_hi(c), f_lo(c)) gather from
+    put = ia * len(d_lo) + ib
+    take = fa * len(d_lo) + fb
     grid = np.zeros((len(d_hi), len(d_lo)))
     flat = grid.reshape(-1)
-    v = np.full(len(put), 1.0 / math.sqrt(len(put)))
+    v = np.full(len(cols), 1.0 / math.sqrt(len(cols)))
     lam = 0.0
     for _ in range(_POWER_MAX_ITER):
         flat[put] = v
@@ -284,9 +257,12 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
     period_stage = np.transpose(spec.coloring, (1, 2, 0))
 
     def ones():
-        """The 1s of `values`: their number, and per tile if tiled."""
-        return (np.count_nonzero(config.values),
-                _tile_counts(config.values) if tiled else 0)
+        """The 1s of `values`: their number, and per tile if tiled (the
+        number is then the sum of the tiles, with no second pass)."""
+        if not tiled:
+            return np.count_nonzero(config.values), 0
+        tiles = _tile_counts(config.values)
+        return int(tiles.sum()), tiles
 
     n_before, tiles_before = 0, 0
     stats = []

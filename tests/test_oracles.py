@@ -178,6 +178,12 @@ class TestStrips:
                 with pytest.raises(ValueError,
                                    match=f"strip width {w!r} is not"):
                     f("square", w)
+        # numpy integers are integers
+        assert strip_entropy("square", np.int64(6)) == strip_entropy(
+            "square", 6)
+        np.testing.assert_array_equal(
+            legal_columns("kagome", np.int32(2), "free"),
+            legal_columns("kagome", 2, "free"))
 
     def test_legal_columns_rejects_unknown_boundary(self):
         with pytest.raises(ValueError,
@@ -233,69 +239,6 @@ class TestStrips:
             with pytest.raises(ValueError,
                                match=f"in {steps - 1} iterations"):
                 strip_entropy(lattice, width, boundary)
-
-
-class TestStripTables:
-    def test_strip_then_verify_builds_each_key_once(self, tmp_path,
-                                                    monkeypatch):
-        built = []
-
-        def counted(*key):  # legal_columns runs on a cache miss alone
-            built.append(key)
-            return legal_columns(*key)
-
-        monkeypatch.setattr(oracles, "legal_columns", counted)
-        oracles._strip_tables.cache_clear()
-        assert cli.main(["strip", "--max-width", "14", "--boundary", "both",
-                         "--out", str(tmp_path / "strip.csv")]) == 0
-        assert cli.main(["verify", "--out", str(tmp_path / "v.json")]) == 0
-        info = oracles._strip_tables.cache_info()
-        assert (info.misses, info.currsize) == (28, 28)
-        assert info.hits == 3  # verify's widths 1, 2 and 12
-        assert sorted(built) == sorted(
-            ("square", w, b) for w in range(1, 15)
-            for b in ("free", "periodic"))
-
-    def test_tables_are_read_only(self):
-        for table in oracles._strip_tables("honeycomb", 3, "periodic"):
-            with pytest.raises(ValueError, match="read-only"):
-                table[0] = 1
-
-    def test_same_value_from_fresh_tables(self):
-        keys = [("square", 14, "free"), ("triangular", 7, "periodic"),
-                ("kagome", 4, "free"), ("honeycomb", 1, "periodic")]
-        cached = [strip_entropy(*key) for key in keys]
-        oracles._strip_tables.cache_clear()
-        assert [strip_entropy(*key) for key in keys] == cached
-        assert oracles._strip_tables.cache_info().misses == len(keys)
-        assert [strip_entropy(*key) for key in keys] == cached
-
-    def test_bad_arguments_cache_nothing(self):
-        oracles._strip_tables.cache_clear()
-        for _ in range(2):
-            for args in (("square", 15), ("square", 2.7), ("kagome", 5),
-                         ("square", 4, "helical")):
-                with pytest.raises(ValueError):
-                    strip_entropy(*args)
-        assert oracles._strip_tables.cache_info().currsize == 0
-
-    def test_numpy_width_shares_the_int_key(self):
-        oracles._strip_tables.cache_clear()
-        assert strip_entropy("square", np.int64(6)) == strip_entropy(
-            "square", 6)
-        info = oracles._strip_tables.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        np.testing.assert_array_equal(
-            legal_columns("kagome", np.int32(2), "free"),
-            legal_columns("kagome", 2, "free"))
-
-    def test_all_keys_hold_under_two_megabytes(self):
-        keys = [(lattice, w, b) for lattice in LATTICES
-                for w in _widths(lattice) for b in ("free", "periodic")]
-        assert len(keys) == 106
-        nbytes = sum(table.nbytes for key in keys
-                     for table in oracles._strip_tables(*key))
-        assert nbytes < 2 << 20
 
 
 class TestWindows:
