@@ -20,7 +20,6 @@ and explicit flags win over both.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import functools
 import json
@@ -33,7 +32,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import block_bounds, blocks, bounds, lattices, optimize, oracles
+from . import (__version__, block_bounds, blocks, bounds, lattices, optimize,
+               oracles)
 from .lattices import LATTICES, build_lattice, verify_hard_core
 
 EXIT_OK = 0
@@ -140,6 +140,8 @@ def load_config_file(path: str, command: str) -> tuple[dict, dict]:
     it does not read, are rejected rather than ignored so that a typo
     cannot silently fall back to a default.
     """
+    import configparser  # loaded only when --config is given
+
     parser = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as fh:
@@ -230,25 +232,15 @@ def build_run_config(args: argparse.Namespace) -> argparse.Namespace:
 
 # ------------------------------------------------------------ reporting
 
-@functools.cache
-def _versions() -> dict:
-    from importlib import metadata
-
-    try:
-        pkg = metadata.version("hardcore-entropy")
-    except metadata.PackageNotFoundError:
-        pkg = "unknown"
-    return {"package": pkg, "cache_format": blocks.CACHE_VERSION,
-            "numpy": np.__version__}
-
-
 def _write_bundle(command: str, cfg: argparse.Namespace, reports: list,
                   started: float, extra: dict | None = None) -> dict:
     bundle = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": vars(cfg),
-        "versions": dict(_versions()),
+        "versions": {"package": __version__,
+                     "cache_format": blocks.CACHE_VERSION,
+                     "numpy": np.__version__},
         "reports": reports,
     }
     if extra:

@@ -92,6 +92,15 @@ MUTANTS = [
      "key = orbit[closure]",
      "key = closure",
      ["tests/test_blocks.py"], True),
+    ("a count-form exponent one too small", "bounds.py",
+     "    exps, counts = (np.concatenate(f) for f in zip(*forms))\n",
+     "    exps, counts = (np.concatenate(f) for f in zip(*forms))\n"
+     "    exps[0, k - 1] -= 1\n",
+     ["tests/test_bounds.py"], True),
+    ("the bundle writer imports importlib.metadata again", "cli.py",
+     "    bundle = {\n",
+     "    import importlib.metadata\n    bundle = {\n",
+     ["tests/test_cli.py::test_no_command_loads_unneeded_modules"], True),
     ("self-test: a docstring edit", "oracles.py",
      '"""Entropy per site of an infinite strip',
      '"""The entropy per site of an infinite strip',

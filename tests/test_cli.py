@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end (in-process)."""
 import argparse
 import ast
+import contextlib
 import csv
 import hashlib
 import inspect
@@ -15,8 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hardcore_entropy import block_bounds, bounds, cli, optimize, oracles
+import hardcore_entropy
+from hardcore_entropy import (block_bounds, bounds, cli, lattices, optimize,
+                              oracles)
+from hardcore_entropy.lattices import LATTICES, build_lattice
 
 
 def run(argv):
@@ -873,37 +878,196 @@ def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
 
 
-def test_no_command_loads_scipy():
+def _option_values(tmp_path):
+    """Per option, a strategy for flag arguments that keep its rule and
+    one for arguments that break it or do not parse; every path lies
+    under `tmp_path`.  The valid stage probabilities and torus sides suit
+    the lattice drawn for --lattice, or some lattice where there is none
+    to suit."""
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    lattice = st.shared(st.sampled_from([*LATTICES, "all"]), key="lattice")
+
+    def ints(lo, hi):
+        return st.integers(lo, hi).map(str)
+
+    def params(name):
+        k = build_lattice(name).partite_count if name in LATTICES else 2
+        return st.lists(st.floats(0.0, 1.0).map(repr), min_size=k - 1,
+                        max_size=k).map(",".join)
+
+    def side(period):
+        # small tori, where windows wrap, as often as the others
+        return (st.integers(1, 3) | st.integers(1, 32 // period)).map(
+            lambda m: m * period)
+
+    def dims(name):
+        px, py = build_lattice(name).period if name in LATTICES else (1, 1)
+        return st.tuples(side(px), side(py)).map("{0[0]}x{0[1]}".format)
+
+    valid = {
+        "lattice": lattice,
+        "scheme": st.sampled_from([*bounds.SCHEMES, "block"]),
+        "n": ints(1, 3),
+        "seed": ints(0, 2**32),
+        "tol": st.floats(1e-12, 1.0).map(repr),
+        "max_iter": ints(1, 100),
+        "out": st.just(str(tmp_path / "out")),
+        "cache_dir": st.just(str(tmp_path / "cache")),
+        "href": st.floats(0.01, 0.69).map(repr),
+        "params": lattice.flatmap(params),
+        "dims": lattice.flatmap(dims),
+        "generators": st.lists(ints(1, 3), min_size=1,
+                               max_size=3).map(",".join),
+        "width": ints(1, 10),
+        "max_width": ints(1, 10),
+        "boundary": st.sampled_from(["free", "periodic", "both"]),
+    }
+    broken = {name: st.sampled_from(values) for name, values in {
+        "lattice": ["hexagonal", ""],
+        "scheme": ["open", "Block"],
+        "n": ["0", "5", "2.5", "x"],
+        "seed": ["-1", "1e3"],
+        "tol": ["0", "-1e-9", "inf", "nan", "x"],
+        "max_iter": ["0", "-3", "1.5"],
+        "out": [str(tmp_path / "missing" / "out")],
+        "cache_dir": [str(blocker / "cache")],
+        "href": ["0", "0.7", "nan"],
+        "params": ["", "x", "0.2,y", "1.5", "-0.1", "nan",
+                   "0.1,0.1,0.1,0.1,0.1"],
+        "dims": ["0x4", "8", "8x8x8", "ax8", "-4x8"],
+        "generators": ["", "x", "0", "1,-2"],
+        "width": ["0", "15", "x"],
+        "max_width": ["0", "15"],
+        "boundary": ["open", "FREE"],
+    }.items()}
+    return valid, broken
+
+
+def _documented_exit_two(command, given):
+    """Whether `command` exits 2 on flags that each keep their option's
+    rule, by a combination the README documents."""
+    def value(name):
+        return given.get(name, cli.OPTIONS[name].default)
+
+    if command == "bound":
+        scheme, lattice = value("scheme"), value("lattice")
+        return ((lattice != "all"
+                 and lattice not in cli._SCHEME_LATTICES[scheme])
+                or (scheme != "block" and bool({"n", "cache_dir"}
+                                               & given.keys())))
+    if command == "profile":
+        return max(map(int, value("generators").split(","))) > int(value("n"))
+    if command == "strip":
+        return {"width", "max_width"} <= given.keys()
+    if command != "sample":
+        return False
+    if value("lattice") == "all" or "params" not in given:
+        return True
+    if "dims" not in given:
+        return False
+    # a torus too small for a stage: its influence window and its target
+    # do not land on distinct torus sites
+    w, h = map(int, given["dims"].split("x"))
+    for stage in range(1, build_lattice(given["lattice"]).partite_count):
+        target, window = lattices.influence_window(given["lattice"], stage)
+        if len({(x % w, y % h, t) for x, y, t in (target, *window)}) \
+                <= len(window):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@settings(derandomize=True, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_exit_codes_over_the_option_table(tmp_path, monkeypatch, command,
+                                          data):
+    # a command with some of its options, one perhaps breaking its rule,
+    # and perhaps a flag it does not read: the exit code keeps the
+    # contract, exit 2 says why, and options that all keep their rules
+    # exit 2 exactly where the README says they do
+    monkeypatch.delenv("HC_CACHE_DIR", raising=False)
+    valid, broken = _option_values(tmp_path)
+    names = [name for name, opt in cli.OPTIONS.items()
+             if command in opt.readers]
+    bad = (data.draw(st.sampled_from(names))
+           if data.draw(st.integers(0, 2)) == 0 else None)
+    # each option in two runs of three, and the broken one in every run
+    given = {name: data.draw((broken if name == bad else valid)[name])
+             for name in names if name == bad or data.draw(st.integers(0, 2))}
+    argv = [command]
+    for name, arg in given.items():
+        argv += ["--" + name.replace("_", "-"), arg]
+    others = [name for name in cli.OPTIONS if name not in names]
+    unknown = (data.draw(st.sampled_from(["no_such_flag", *others]))
+               if data.draw(st.integers(0, 3)) == 0 else None)
+    if unknown:
+        argv += ["--" + unknown.replace("_", "-"), "1"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert "error:" in err.getvalue(), argv
+    if bad or unknown:
+        assert code == 2, argv
+    else:
+        assert (code == 2) == _documented_exit_two(command, given), argv
+
+
+# modules no command needs, and whether a run given --config may load one
+UNNEEDED_MODULES = {
+    # scipy is a test oracle only
+    "scipy": False,
+    # the bundles' package version is hardcore_entropy.__version__
+    "importlib.metadata": False,
+    # INI parsing serves --config alone
+    "configparser": True,
+}
+
+
+def test_no_command_loads_unneeded_modules(tmp_path):
     # a fresh interpreter, since the test process itself imports scipy:
-    # neither the import nor any command loads a scipy module
+    # neither the import nor any command loads a module of the table, but
+    # for those it allows a run given --config
+    ini = tmp_path / "strip.ini"
+    ini.write_text("[strip]\nboundary = free\n", encoding="utf-8")
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         from hardcore_entropy import cli
 
-        def loaded():
+        def loaded(config):
             return sorted(m for m in sys.modules
-                          if m == "scipy" or m.startswith("scipy."))
+                          for name, allowed in %r.items()
+                          if (m == name or m.startswith(name + "."))
+                          and not (config and allowed))
 
-        seen = {"import": loaded()}
+        seen = {"import": loaded(False)}
         for argv in (["verify"], ["bound", "--scheme", "block", "--n", "2"],
                      ["bound", "--scheme", "closed"],
                      ["bound", "--scheme", "equalized"],
                      ["bound", "--scheme", "three-hex"],
                      ["profile", "--n", "2", "--generators", "1"],
-                     ["strip", "--width", "2"]):
+                     ["strip", "--width", "2"],
+                     ["strip", "--width", "2", "--config", %r]):
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(argv)
-            seen[" ".join(argv)] = loaded() if code == 0 else f"exit {code}"
+            seen[" ".join(argv)] = (loaded("--config" in argv) if code == 0
+                                    else f"exit {code}")
         print(json.dumps(seen))
-        """)
-    src = Path(__file__).resolve().parents[1] / "src"
+        """ % (UNNEEDED_MODULES, str(ini)))
+    # the package under test, wherever it was imported from
+    src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("HC_CACHE_DIR", None)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert len(seen) == 8
+    assert len(seen) == 9
     assert all(mods == [] for mods in seen.values()), seen
 
 
@@ -949,6 +1113,9 @@ def test_bound_json_deterministic(tmp_path, capsys):
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
         assert read_bundle(a) == read_bundle(b)
+        # the version of the code that ran, also in a source checkout
+        assert read_bundle(a)["versions"]["package"] == \
+            hardcore_entropy.__version__
         # the config holds exactly what the command reads; no top-level seed
         assert "seed" not in read_bundle(a)
         assert set(read_bundle(a, drop_out=False)["config"]) == {
