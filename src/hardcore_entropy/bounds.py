@@ -130,24 +130,27 @@ def _unforced_forms(lattice) -> tuple:
     U_s, the chance that stage s's influence window leaves its target
     unforced, is sum_i N_i prod_t p_t^E[i, t] (1 - p_t)^E[i, k-1+t] over
     the rows i from starts[s - 1]; the N_i are positive integers, so no
-    term cancels another.  Row i of `drawn` counts the 1s and 0s per stage
-    that window assignment i draws (a forced 0 is drawn by no law), built
-    by doubling in stage order, and ok[i] says it puts no 1 on a site that
-    an earlier 1 forces to 0.
+    term cancels another.  The window assignments that put no 1 on a
+    forced site are built by doubling in stage order, each site adding a 0
+    to every assignment and a 1 to those that leave it free: ones[i] holds
+    the window bits that assignment i sets to 1, and row i of `drawn`
+    counts the 1s and 0s per stage that it draws (a forced 0 is drawn by
+    no law).
     """
     k = build_lattice(lattice).partite_count
     forms = []
     for stage in range(1, k):
         sites, target = stage_window(lattice, stage)
         drawn = np.zeros((1, 2 * k - 2), dtype=np.int8)
-        ok = np.ones(1, dtype=bool)
-        for t, forced in sites:
-            zero, one = drawn.copy(), drawn.copy()
-            zero[~forced, k - 1 + t] += 1
+        ones = np.zeros(1, dtype=np.int64)
+        for j, (t, mask) in enumerate(sites):
+            free = ones & mask == 0
+            zero, one = drawn.copy(), drawn[free]
+            zero[free, k - 1 + t] += 1
             one[:, t] += 1
             drawn = np.concatenate([zero, one])
-            ok = np.concatenate([ok, ok & ~forced])
-        forms.append(np.unique(drawn[ok & ~target], axis=0,
+            ones = np.concatenate([ones, ones[free] | 1 << j])
+        forms.append(np.unique(drawn[ones & target == 0], axis=0,
                                return_counts=True))
     exps, counts = (np.concatenate(f) for f in zip(*forms))
     return counts, exps, np.cumsum([0] + [len(n) for _, n in forms[:-1]])

@@ -25,6 +25,7 @@ neighborhood; its four sublattices are the parity classes (x mod 2, y mod 2).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -150,23 +151,19 @@ def influence_window(lattice: str, stage: int) -> tuple:
 
 @cache
 def stage_window(lattice: str, stage: int) -> tuple:
-    """The stage's influence window in stage order as (stage, forced)
-    pairs, and the target's `forced`, built once per (lattice, stage), the
-    arrays read-only.  Assignment i of the sites before a site gives site
-    j the value of bit j of i, and forced[i] says it puts a 1 on one of
-    the site's earlier neighbors (all in the window, which is closed under
-    them)."""
+    """The stage's influence window in stage order as (stage, mask) pairs,
+    and the target's mask, built once per (lattice, stage).  An assignment
+    i of the window gives site j the value of bit j of i, and a site's
+    mask holds the bits of its earlier neighbors (all in the window, which
+    is closed under them): i forces the site to 0 iff i & mask != 0."""
     spec = build_lattice(lattice)
     target, window = influence_window(lattice, stage)
     order = sorted(window, key=lambda site: stage_of(spec, site))
     bits = {site: 1 << j for j, site in enumerate(order)}
     masks = [sum(bits[nb] for nb in earlier_neighbors(spec, site))
              for site in (*order, target)]
-    forced = [(np.arange(1 << j) & m) != 0 for j, m in enumerate(masks)]
-    for f in forced:
-        f.flags.writeable = False
     stages = [stage_of(spec, site) for site in order]
-    return tuple(zip(stages, forced)), forced[-1]
+    return tuple(zip(stages, masks)), masks[-1]
 
 
 @dataclass
@@ -184,7 +181,11 @@ class TorusConfiguration:
     @classmethod
     def empty(cls, lattice: str, dims) -> "TorusConfiguration":
         spec = build_lattice(lattice)
-        w, h = int(dims[0]), int(dims[1])
+        try:
+            w, h = map(operator.index, dims)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"torus sides {dims!r} are not two integers") from None
         if w < 2 or h < 2:
             raise ValueError(
                 f"torus dimensions must be at least 2x2, got {w}x{h}")

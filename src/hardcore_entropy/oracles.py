@@ -10,13 +10,14 @@ integers, where the enumeration here multiplies float weights.
 `PLANE_ENTROPY` is the one literature value the checks compare against.
 
 The sampler places each band of draws in three contiguous passes over
-whole torus rows.
+whole torus rows, and returns per stage the unforced and density rows
+that `hce sample` prints and bundles.  The window enumeration reads each
+window site's forcing from its bit mask in `lattices.stage_window`.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -176,40 +177,15 @@ def _stderr(hits: np.ndarray, tile_sites: np.ndarray | None,
     return float(means.std(ddof=1)) / math.sqrt(means.size)
 
 
-@dataclass(frozen=True)
-class StageStats:
-    """Per-stage sampler statistics: unforced fraction and 1-density,
-    empirical vs analytic, with tile-based standard errors."""
-
-    stage: str
-    probability: float
-    n_sites: int
-    unforced_analytic: float
-    unforced_empirical: float
-    unforced_stderr: float
-    density_analytic: float
-    density_empirical: float
-    density_stderr: float
-
-    def rows(self) -> list[dict]:
-        common = {"stage": self.stage, "probability": self.probability,
-                  "n_sites": self.n_sites}
-        return [
-            {**common, "metric": "unforced", "analytic": self.unforced_analytic,
-             "empirical": self.unforced_empirical,
-             "stderr": self.unforced_stderr},
-            {**common, "metric": "density", "analytic": self.density_analytic,
-             "empirical": self.density_empirical,
-             "stderr": self.density_stderr},
-        ]
-
-
 def fill_in_sample(lattice: str, params, dims, seed: int):
     """Fill a torus sublattice by sublattice with the given stage
     probabilities; a site receives a 1 with its stage probability iff no
     already-placed neighbor carries a 1.
 
-    Returns (TorusConfiguration, [StageStats per stage]).  The seed is
+    Returns (TorusConfiguration, rows): per stage an unforced row, then a
+    density row, each a dict with keys stage, probability, n_sites,
+    metric ("unforced" or "density"), analytic, empirical and stderr (the
+    tile-based standard error of the empirical mean).  The seed is
     split into one independent stream per stage, and stage s draws one
     float64 per site of the whole torus, in C order of `values`, from its
     own stream; so stage s draws are unaffected by how many earlier stages
@@ -265,7 +241,7 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
         return int(tiles.sum()), tiles
 
     n_before, tiles_before = 0, 0
-    stats = []
+    rows = []
     for s, label in enumerate(spec.fill_order):
         mine = [(oy, ox, t) for oy in range(py) for ox in range(px)
                 for t in range(c) if spec.coloring[t][oy][ox] == s]
@@ -288,18 +264,19 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
         n_placed, tiles_placed = ones()
         n_sites = len(mine) * (h // py) * (w // px)
         tile_sites = _tile_sites(spec, mine, h, w) if tiled else None
-        stats.append(StageStats(
-            stage=label, probability=probs[s], n_sites=n_sites,
-            unforced_analytic=analytic[s],
-            unforced_empirical=int(n_unforced - n_before) / n_sites,
-            unforced_stderr=_stderr(tiles_unforced - tiles_before,
-                                    tile_sites, n_sites, analytic[s]),
-            density_analytic=probs[s] * analytic[s],
-            density_empirical=int(n_placed - n_before) / n_sites,
-            density_stderr=_stderr(tiles_placed - tiles_before, tile_sites,
-                                   n_sites, probs[s] * analytic[s])))
+        density = probs[s] * analytic[s]
+        common = {"stage": label, "probability": probs[s], "n_sites": n_sites}
+        rows += [
+            {**common, "metric": "unforced", "analytic": analytic[s],
+             "empirical": int(n_unforced - n_before) / n_sites,
+             "stderr": _stderr(tiles_unforced - tiles_before, tile_sites,
+                               n_sites, analytic[s])},
+            {**common, "metric": "density", "analytic": density,
+             "empirical": int(n_placed - n_before) / n_sites,
+             "stderr": _stderr(tiles_placed - tiles_before, tile_sites,
+                               n_sites, density)}]
         n_before, tiles_before = n_placed, tiles_placed
-    return config, stats
+    return config, rows
 
 
 # ------------------------------------------------------- window enumeration
@@ -313,16 +290,19 @@ def window_probability_exhaustive(lattice: str, params, stage: int) -> float:
     exact marginal.  Windows hold 2 to 16 sites.  The weights of all
     assignments are built by doubling: after site j (sites in stage order,
     bit j of the assignment index) they cover the 2^(j+1) assignments of
-    sites 0..j, the first half with site j at 0 and the second at 1.
+    sites 0..j, the first half with site j at 0 and the second at 1.  An
+    assignment forces a site to 0 where it shares a bit with the site's
+    mask of earlier neighbors.
     """
     probs = stage_probabilities(lattice, params)
     sites, target = stage_window(lattice, stage)
     weights = np.ones(1)
-    for s, forced in sites:
+    for s, mask in sites:
+        forced = np.arange(len(weights)) & mask != 0
         weights = np.concatenate([
             weights * np.where(forced, 1.0, 1 - probs[s]),
             weights * np.where(forced, 0.0, probs[s])])
-    return float(weights[~target].sum())
+    return float(weights[np.arange(len(weights)) & target == 0].sum())
 
 
 # ------------------------------------------------------- blocking constants

@@ -101,6 +101,22 @@ MUTANTS = [
      "    bundle = {\n",
      "    import importlib.metadata\n    bundle = {\n",
      ["tests/test_cli.py::test_no_command_loads_unneeded_modules"], True),
+    ("count forms treat every window site as free", "bounds.py",
+     "free = ones & mask == 0",
+     "free = ones >= 0",
+     ["tests/test_bounds.py"], True),
+    ("the window oracle ignores forcing", "oracles.py",
+     "& mask != 0",
+     "& 0 != 0",
+     ["tests/test_bounds.py", "tests/test_oracles.py"], True),
+    ("the sampler's density row drops the stage probability", "oracles.py",
+     "probs[s] * analytic[s]",
+     "analytic[s]",
+     ["tests/test_oracles.py::TestSampler"], True),
+    ("torus sides truncated again", "lattices.py",
+     "operator.index",
+     "int",
+     ["tests/test_lattices.py"], True),
     ("self-test: a docstring edit", "oracles.py",
      '"""Entropy per site of an infinite strip',
      '"""The entropy per site of an infinite strip',

@@ -2,7 +2,7 @@
 tile counts: one boolean scatter, a grid copy and two float tile
 reductions per stage, on whole-torus arrays with one float64 draw per
 site.  `oracles.fill_in_sample` must return the same configuration and
-`==` stage statistics for every input.  `stage_index`, the array form of
+`==` stage rows for every input.  `stage_index`, the array form of
 `lattices.stage_of`, and `occupied_neighbor` live here because only the
 tests use them."""
 import math
@@ -11,7 +11,7 @@ import numpy as np
 
 from hardcore_entropy.bounds import stage_probabilities, stage_unforced
 from hardcore_entropy.lattices import TorusConfiguration, build_lattice
-from hardcore_entropy.oracles import _MIN_TILES, _TILE, StageStats
+from hardcore_entropy.oracles import _MIN_TILES, _TILE
 
 
 def occupied_neighbor(spec, values: np.ndarray) -> np.ndarray:
@@ -68,7 +68,7 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
     analytic = stage_unforced(lattice, probs)
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(seed).spawn(len(probs))]
-    stats = []
+    rows = []
     for s, label in enumerate(spec.fill_order):
         mask = stages == s
         blocked = occupied_neighbor(spec, g) if s else \
@@ -77,13 +77,13 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
         draws = streams[s].random(g.shape) < probs[s]
         g[unforced & draws] = 1
         n_sites = int(mask.sum())
-        stats.append(StageStats(
-            stage=label, probability=probs[s], n_sites=n_sites,
-            unforced_analytic=analytic[s],
-            unforced_empirical=float(unforced.sum() / n_sites),
-            unforced_stderr=_tile_stderr(unforced, mask, analytic[s]),
-            density_analytic=probs[s] * analytic[s],
-            density_empirical=float(g[mask].mean()),
-            density_stderr=_tile_stderr(g == 1, mask,
-                                        probs[s] * analytic[s])))
-    return config, stats
+        common = {"stage": label, "probability": probs[s], "n_sites": n_sites}
+        rows += [
+            {**common, "metric": "unforced", "analytic": analytic[s],
+             "empirical": float(unforced.sum() / n_sites),
+             "stderr": _tile_stderr(unforced, mask, analytic[s])},
+            {**common, "metric": "density",
+             "analytic": probs[s] * analytic[s],
+             "empirical": float(g[mask].mean()),
+             "stderr": _tile_stderr(g == 1, mask, probs[s] * analytic[s])}]
+    return config, rows

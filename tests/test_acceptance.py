@@ -267,13 +267,13 @@ def test_criterion_09_sampler_consistency():
     all_valid = True
     for lattice, (params, dims) in SAMPLER_RUNS.items():
         for seed in range(4):
-            config, stats = oracles.fill_in_sample(lattice, params, dims, seed)
+            config, rows = oracles.fill_in_sample(lattice, params, dims, seed)
             all_valid &= verify_hard_core(config)
             z_ok = True
-            for st in stats:
-                if st.density_stderr > 0:
-                    z = abs(st.density_empirical - st.density_analytic) \
-                        / st.density_stderr
+            for row in rows:
+                if row["metric"] == "density" and row["stderr"] > 0:
+                    z = abs(row["empirical"] - row["analytic"]) \
+                        / row["stderr"]
                     z_ok &= z <= 3.0
             runs += 1
             within += z_ok

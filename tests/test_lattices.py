@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,13 @@ def test_dims_validation(lattice):
     if lattice == "triangular":
         with pytest.raises(ValueError):
             TorusConfiguration.empty(lattice, (4, 6))
+    # sides are integers, never truncated; numpy integers are integers
+    for dims in ((12.5, 12), (12, 12.0), ("12", 12), (12, 12, 12)):
+        with pytest.raises(ValueError, match=re.escape(repr(dims))):
+            TorusConfiguration.empty(lattice, dims)
+    config = TorusConfiguration.empty(lattice, (np.int64(12), np.int64(6)))
+    assert config.dims == (12, 6)
+    assert config.values.shape[:2] == (6, 12)
 
 
 def _config_from_bits(lattice, dims, bits, sites):

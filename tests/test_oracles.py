@@ -340,18 +340,21 @@ class TestSampler:
     @pytest.mark.parametrize("lattice,params,dims", CASES,
                              ids=[c[0] for c in CASES])
     def test_hard_core_and_stats(self, lattice, params, dims):
-        config, stats = fill_in_sample(lattice, params, dims, seed=7)
+        config, rows = fill_in_sample(lattice, params, dims, seed=7)
         assert verify_hard_core(config)
-        assert len(stats) == len(params) + 1
-        assert stats[0].unforced_empirical == 1.0
-        for st in stats:
-            assert st.n_sites > 0
-            assert 0 <= st.density_empirical <= 1
-            if st.unforced_stderr:
-                sig = abs(st.unforced_empirical - st.unforced_analytic)
-                assert sig < 5 * st.unforced_stderr
-            sig = abs(st.density_empirical - st.density_analytic)
-            assert sig < 5 * max(st.density_stderr, 1e-9)
+        assert len(rows) == 2 * (len(params) + 1)
+        unforced, density = rows[::2], rows[1::2]
+        assert {r["metric"] for r in unforced} == {"unforced"}
+        assert {r["metric"] for r in density} == {"density"}
+        assert unforced[0]["empirical"] == 1.0
+        for u, d in zip(unforced, density):
+            assert u["n_sites"] > 0
+            assert 0 <= d["empirical"] <= 1
+            if u["stderr"]:
+                sig = abs(u["empirical"] - u["analytic"])
+                assert sig < 5 * u["stderr"]
+            sig = abs(d["empirical"] - d["analytic"])
+            assert sig < 5 * max(d["stderr"], 1e-9)
 
     @pytest.mark.parametrize("shape", [(32, 32, 1), (32, 64, 3), (64, 40, 2),
                                        (48, 72, 1)])
@@ -425,10 +428,10 @@ class TestSampler:
     @example(case=("kagome", (0.1944, 0.3002), (480, 480)), seed=8)
     def test_statistics_match_reference_sampler(self, case, seed):
         lattice, params, dims = case
-        config, stats = fill_in_sample(lattice, params, dims, seed)
-        want_config, want_stats = sampler_reference.fill_in_sample(
+        config, rows = fill_in_sample(lattice, params, dims, seed)
+        want_config, want_rows = sampler_reference.fill_in_sample(
             lattice, params, dims, seed)
-        assert stats == want_stats
+        assert rows == want_rows
         assert config.values.dtype == want_config.values.dtype
         np.testing.assert_array_equal(config.values, want_config.values)
 
@@ -454,11 +457,14 @@ class TestSampler:
 
     def test_explicit_final_stage_probability(self):
         # equalized variant: final stage gets its own parameter, not 1/2
-        config, stats = fill_in_sample("square", (0.2015, 0.4423),
-                                       (128, 128), seed=11)
+        config, rows = fill_in_sample("square", (0.2015, 0.4423),
+                                      (128, 128), seed=11)
         assert verify_hard_core(config)
-        assert stats[1].probability == 0.4423
-        assert stats[1].density_analytic == pytest.approx(
+        dot_density = rows[3]
+        assert (dot_density["stage"], dot_density["metric"]) == \
+            ("dot", "density")
+        assert dot_density["probability"] == 0.4423
+        assert dot_density["analytic"] == pytest.approx(
             0.4423 * (1 - 0.2015) ** 4)
 
     def test_arity_checked(self):
@@ -468,8 +474,7 @@ class TestSampler:
             fill_in_sample("square", (1.2,), (12, 12), seed=0)
 
     def test_stats_rows_schema(self):
-        _, stats = fill_in_sample("square", (0.2,), (32, 32), seed=0)
-        rows = [r for st in stats for r in st.rows()]
+        _, rows = fill_in_sample("square", (0.2,), (32, 32), seed=0)
         assert len(rows) == 4
         for row in rows:
             assert {"stage", "metric", "analytic", "empirical", "stderr",
