@@ -15,14 +15,14 @@ point of a closed-form stationarity map (see `optimize_block_bound`).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial, reduce
+from functools import reduce
 from itertools import product
 
 import numpy as np
 
 from . import optimize
 from .blocks import BlockFamily, _unforced_counts, cover_pairs, popcounts
-from .bounds import LN2, BoundReport, optimize_bound
+from .bounds import LN2, BoundReport, _staged_value, optimize_bound
 
 # a cover pair is a violation when p[big] exceeds p[small] by this much
 MONOTONICITY_TOL = 1e-6
@@ -69,12 +69,13 @@ class BlockDistribution:
 def _evaluate(family: BlockFamily, probs):
     """(value, gradient in the class probabilities, u) of the block bound.
 
-    value = (h + u ln 2) / 2 with h = -(1/n^2) sum multiplicity * p ln p
-    (0 ln 0 = 0) and u the unforced odd density.  An odd site shared by e
-    blocks is unforced with probability q^e and counts 1/e, with q = A p;
-    the m sites of a D4 orbit o share one row A_o and one e_o
-    (`blocks._unforced_counts`), so u = (1/n^2) sum_o m_o q_o^e_o / e_o
-    and du/dp = (1/n^2) sum_o m_o q_o^(e_o - 1) A_o.
+    value = (h + u ln 2) / 2, the `_staged_value` of the block stage (U = 1,
+    H = h) and the coin stage (U = u, H = ln 2), with h = -(1/n^2) sum
+    multiplicity * p ln p (0 ln 0 = 0) and u the unforced odd density.  An
+    odd site shared by e blocks is unforced with probability q^e and
+    counts 1/e, with q = A p; the m sites of a D4 orbit o share one row
+    A_o and one e_o (`blocks._unforced_counts`), so u = (1/n^2) sum_o m_o
+    q_o^e_o / e_o and du/dp = (1/n^2) sum_o m_o q_o^(e_o - 1) A_o.
     """
     a, e, me, ga, gw, _ = _unforced_counts(family)
     p = np.asarray(probs, dtype=float)
@@ -86,7 +87,7 @@ def _evaluate(family: BlockFamily, probs):
     q = np.dot(a, p)  # np.dot dispatches faster than @ on small products
     u = float(np.dot(me, q ** e)) / family.n ** 2
     gradient += np.dot(q ** (e - 1.0), ga)
-    return 0.5 * (h + u * LN2), gradient, u
+    return _staged_value((1.0, u), (h, LN2)), gradient, u
 
 
 def value_and_gradient(family: BlockFamily, probs):
@@ -214,7 +215,6 @@ def density_profile(n: int, generator: BlockDistribution) -> DensityProfile:
     m = generator.n
     if m > n:
         raise ValueError(f"generator side {m} exceeds window side {n}")
-    region_pmf = lru_cache(maxsize=None)(partial(_region_pmf, generator))
     offsets = [(0, 0)] if m == n else list(product(range(m), repeat=2))
     acc = np.zeros(n * n + 1)
     for ox, oy in offsets:
@@ -223,7 +223,8 @@ def density_profile(n: int, generator: BlockDistribution) -> DensityProfile:
             for y in range(oy, oy + n):
                 key = (x // m, y // m)
                 regions[key] = regions.get(key, 0) | 1 << (y % m * m + x % m)
-        acc += reduce(np.convolve, map(region_pmf, regions.values()))
+        acc += reduce(np.convolve, (_region_pmf(generator, region)
+                                    for region in regions.values()))
     return DensityProfile(n, acc / len(offsets))
 
 

@@ -24,6 +24,7 @@ Convention 0 * ln 0 = 0 throughout.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cache
 
@@ -213,7 +214,7 @@ def stage_unforced(lattice, probs) -> tuple[float, ...]:
 
 def _staged_value(unforced, entropies):
     """(1/k) sum_s U_s H_s over k stages, U_s and H_s floats or columns."""
-    return sum(u * h for u, h in zip(unforced, entropies)) / len(entropies)
+    return sum(map(operator.mul, unforced, entropies)) / len(entropies)
 
 
 def _coin_stages(lattice, probs):

@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -356,11 +355,12 @@ def _verify_checks(cfg: argparse.Namespace) -> list[tuple[str, bool, str]]:
 
     c_lo = oracles.blocking_constant_lower()
     checks.append(("blocking_constant_lower_exact",
-                   c_lo == Fraction(15, 8), f"{c_lo} = {float(c_lo):.4f}"))
+                   c_lo.as_integer_ratio() == (15, 8),
+                   f"{c_lo} = {float(c_lo):.4f}"))
 
     rho_hi = oracles.density_upper_from_blocking()
     checks.append(("density_upper_exact",
-                   rho_hi == Fraction(8, 31), str(rho_hi)))
+                   rho_hi.as_integer_ratio() == (8, 31), str(rho_hi)))
 
     c_max, rho_min = oracles.blocking_constant_upper(cfg.href)
     checks.append(("density_interval_nonempty",
@@ -423,18 +423,18 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     return EXIT_OK if failed == 0 else EXIT_NUMERICAL
 
 
-def _parse_generators(raw: str) -> list[int]:
+def _parse_list(name: str, raw: str, kind: type, sep: str = ",") -> tuple:
+    """Option `name`'s value `raw` as a tuple of `kind`, one per entry
+    between `sep`s; ConfigError naming the flag and `raw` if one is bad."""
     try:
-        sizes = [int(tok) for tok in raw.split(",") if tok.strip()]
+        return tuple(kind(tok) for tok in raw.lower().split(sep))
     except ValueError:
-        raise ConfigError(f"bad generator list {raw!r}") from None
-    if not sizes:
-        raise ConfigError("empty generator list")
-    return sizes
+        raise ConfigError(f"--{name} must be {kind.__name__}s separated by "
+                          f"{sep!r}, not {raw!r}") from None
 
 
 def cmd_profile(cfg: argparse.Namespace) -> int:
-    sizes = _parse_generators(cfg.generators)
+    sizes = _parse_list("generators", cfg.generators, int)
     if any(not 1 <= g <= cfg.n for g in sizes):
         raise ConfigError(f"generator sides must lie in 1..{cfg.n}")
 
@@ -488,32 +488,17 @@ def cmd_profile(cfg: argparse.Namespace) -> int:
     return _convergence_exit(reports)
 
 
-def _parse_params(raw: str | None) -> tuple[float, ...]:
-    if not raw:
-        raise ConfigError("sample needs --params, e.g. --params 0.17,0.25")
-    try:
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"bad probability list {raw!r}") from None
-
-
-def _parse_dims(raw: str) -> tuple[int, ...]:
-    try:
-        dims = tuple(int(tok) for tok in raw.lower().split("x"))
-    except ValueError:
-        raise ConfigError(f"bad dimensions {raw!r}") from None
-    if len(dims) != 2 or min(dims) < 1:
-        raise ConfigError("dims must look like WIDTHxHEIGHT, both positive")
-    return dims
-
-
 def cmd_sample(cfg: argparse.Namespace) -> int:
     started = time.perf_counter()
     if cfg.lattice == "all":
         raise ConfigError("sample needs one --lattice")
-    params = _parse_params(cfg.params)
-    dims = (_parse_dims(cfg.dims) if cfg.dims
+    if not cfg.params:
+        raise ConfigError("sample needs --params, e.g. --params 0.17,0.25")
+    params = _parse_list("params", cfg.params, float)
+    dims = (_parse_list("dims", cfg.dims, int, "x") if cfg.dims
             else _DEFAULT_SAMPLE_DIMS[cfg.lattice])
+    if len(dims) != 2 or min(dims) < 1:
+        raise ConfigError(f"--dims needs two positive sides, not {cfg.dims!r}")
     # the analytic U_s is the torus law only where each stage's influence
     # window and its target land on distinct torus sites
     w, h = dims

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 import numpy as np
 
@@ -75,10 +74,10 @@ def legal_columns(lattice: str, width: int, boundary: str) -> np.ndarray:
     return masks[(inside & masks) == 0]
 
 
-def _half_columns(own: np.ndarray, forbidden: np.ndarray, nbits: int):
+def _half_columns(own: np.ndarray, forbidden: np.ndarray):
     """Index of each own and forbidden half-column among the distinct ones
     of either kind, and the 0/1 disjointness matrix of those."""
-    seen = np.zeros(1 << nbits, dtype=bool)
+    seen = np.zeros(1 + max(own.max(), forbidden.max()), dtype=bool)
     seen[own] = seen[forbidden] = True
     halves, index = np.flatnonzero(seen), np.cumsum(seen) - 1
     return index[own], index[forbidden], (
@@ -103,9 +102,8 @@ def strip_entropy(lattice: str, width: int, boundary: str = "free") -> float:
     nbits = int(width) * spec.sites_per_cell
     after = _or_table(_column_units(spec, width, boundary, 1))[cols]
     lo_bits, low = nbits // 2, (1 << nbits // 2) - 1
-    ia, fa, d_hi = _half_columns(cols >> lo_bits, after >> lo_bits,
-                                 nbits - lo_bits)
-    ib, fb, d_lo = _half_columns(cols & low, after & low, lo_bits)
+    ia, fa, d_hi = _half_columns(cols >> lo_bits, after >> lo_bits)
+    ib, fb, d_lo = _half_columns(cols & low, after & low)
     # flat indices into the half-column grid: where each column scatters
     # to, and where its forbidden halves (f_hi(c), f_lo(c)) gather from
     put = ia * len(d_lo) + ib
@@ -243,8 +241,7 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
     n_before, tiles_before = 0, 0
     rows = []
     for s, label in enumerate(spec.fill_order):
-        mine = [(oy, ox, t) for oy in range(py) for ox in range(px)
-                for t in range(c) if spec.coloring[t][oy][ox] == s]
+        mine = np.argwhere(period_stage == s).tolist()  # (oy, ox, t)
         for oy, ox, t in mine:
             blocked = np.zeros((h // py, w // px), dtype=bool)
             for nx, ny, t2 in earlier_neighbors(spec, (ox, oy, t)):
@@ -322,6 +319,7 @@ def blocking_constant_lower() -> Fraction:
     """Expected number of odd sites a single even 1 blocks exclusively,
     crediting 1/(1+k) for an odd neighbor also blocked by k other even 1s;
     the eight surrounding even sites are enumerated under B(1/2)."""
+    from fractions import Fraction  # loaded only by the exact checks
     ring, triples = _blocking_geometry()
     masks = [sum(1 << ring.index(e) for e in others) for others in triples]
     # credits in units of 1/12: 12 / (1 + k) is an integer for k = 0..3

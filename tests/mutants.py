@@ -117,6 +117,26 @@ MUTANTS = [
      "operator.index",
      "int",
      ["tests/test_lattices.py"], True),
+    ("the cli imports fractions at module level again", "cli.py",
+     "import time\n",
+     "import time\nfrom fractions import Fraction\n",
+     ["tests/test_cli.py::test_no_command_loads_unneeded_modules"], True),
+    ("the sampler's n_sites becomes a float", "oracles.py",
+     "len(mine) * (h // py)",
+     "len(mine) * (h / py)",
+     ["tests/test_cli.py::test_sample_printed_and_bundle_pinned"], True),
+    ("sampler bands shrink to one coloring period", "oracles.py",
+     "_BAND_BYTES = 1 << 18",
+     "_BAND_BYTES = 1 >> 18",
+     ["tests/test_oracles.py::TestSampler::test_draws_in_few_bands"], True),
+    ("a bound value may be negative by 1e-9", "bounds.py",
+     "self.value < -1e-12",
+     "self.value < -1e-9",
+     ["tests/test_bounds.py::test_report_rounding_gates"], True),
+    ("a density may exceed 1 by 1e-9", "bounds.py",
+     "d <= 1 + 1e-12",
+     "d <= 1 + 1e-9",
+     ["tests/test_bounds.py::test_report_rounding_gates"], True),
     ("self-test: a docstring edit", "oracles.py",
      '"""Entropy per site of an infinite strip',
      '"""The entropy per site of an infinite strip',

@@ -410,6 +410,25 @@ def test_report_shape():
     assert set(d) >= {"lattice", "scheme", "value_nats", "params", "densities"}
 
 
+@pytest.mark.parametrize("value, densities, ok", [
+    (-0.5e-12, (0.2, 1 + 0.5e-12), True),
+    (-2e-12, (0.2, 0.3), False),
+    (0.4, (0.2, 1 + 2e-12), False),
+    (0.4, (-2e-12, 0.3), False),
+])
+def test_report_rounding_gates(value, densities, ok):
+    # a value or density past [0, 1] by rounding, at most 1e-12, passes;
+    # twice that raises
+    def report():
+        return BoundReport("square", "closed", value, {}, densities)
+
+    if ok:
+        assert report().densities == densities
+    else:
+        with pytest.raises(ValueError, match="negative|outside"):
+            report()
+
+
 # ------------------------------------------------------- optimizer drivers
 
 from hardcore_entropy.bounds import optimize_bound  # noqa: E402

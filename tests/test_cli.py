@@ -589,6 +589,87 @@ def test_sample_deterministic_per_seed(tmp_path):
     assert read_bundle(a)["reports"] != read_bundle(c)["reports"]
 
 
+# `sample` at each lattice's default dims and seed 1: its params, stdout,
+# and the sha256 of its bundle's JSON text without timing_seconds,
+# config.out and versions
+PRINTED_SAMPLE = {
+    "square": ("0.1702", (
+        "square torus 128x128, seed 1, hard-core constraint satisfied\n"
+        "stage      metric          p   analytic  empirical    stderr      z\n"
+        "circle     unforced   0.1702   1.000000   1.000000  0.000000   0.00\n"
+        "circle     density    0.1702   0.170200   0.170532  0.004264   0.08\n"
+        "dot        unforced   0.5000   0.474126   0.470581  0.009466  -0.37\n"
+        "dot        density    0.5000   0.237063   0.234009  0.006135  -0.50\n"
+    ), "855e072962ca5b4954f0530df1fc977a03311af93298ce5603bf9a12f270ec5d"),
+    "honeycomb": ("0.22", (
+        "honeycomb torus 96x96, seed 1, hard-core constraint satisfied\n"
+        "stage      metric          p   analytic  empirical    stderr      z\n"
+        "circle     unforced   0.2200   1.000000   1.000000  0.000000   0.00\n"
+        "circle     density    0.2200   0.220000   0.225477  0.004523   1.21\n"
+        "dot        unforced   0.5000   0.474552   0.464735  0.008144  -1.21\n"
+        "dot        density    0.5000   0.237276   0.224175  0.005257  -2.49\n"
+    ), "c0a4a695d43031c6be2c665a26279fcee83dc466f648bba628a57b9962dcd7e5"),
+    "triangular": ("0.15,0.18", (
+        "triangular torus 96x96, seed 1, hard-core constraint satisfied\n"
+        "stage      metric          p   analytic  empirical    stderr      z\n"
+        "circle     unforced   0.1500   1.000000   1.000000  0.000000   0.00\n"
+        "circle     density    0.1500   0.150000   0.161458  0.006299   1.82\n"
+        "dot        unforced   0.1800   0.614125   0.590820  0.011981  -1.95\n"
+        "dot        density    0.1800   0.110542   0.101888  0.006018  -1.44\n"
+        "triangle   unforced   0.5000   0.373170   0.369792  0.012142  -0.28\n"
+        "triangle   density    0.5000   0.186585   0.187826  0.007742   0.16\n"
+    ), "e766f00443f890a4e2f6169cd11c3a02c7a9830d266db7be1c387a68fb89958d"),
+    "kagome": ("0.19,0.30", (
+        "kagome torus 96x96, seed 1, hard-core constraint satisfied\n"
+        "stage      metric          p   analytic  empirical    stderr      z\n"
+        "circle     unforced   0.1900   1.000000   1.000000  0.000000   0.00\n"
+        "circle     density    0.1900   0.190000   0.188260  0.003767  -0.46\n"
+        "dot        unforced   0.3000   0.656100   0.660482  0.006338   0.69\n"
+        "dot        density    0.3000   0.196830   0.193142  0.004283  -0.86\n"
+        "triangle   unforced   0.5000   0.375977   0.383247  0.005825   1.25\n"
+        "triangle   density    0.5000   0.187989   0.191406  0.004499   0.76\n"
+    ), "4dce38050c47257ba6745a8993317445bddc39711d817299812dcca8f0a3982e"),
+    "square_moore": ("0.12,0.14,0.16", (
+        "square_moore torus 128x128, seed 1, hard-core constraint satisfied\n"
+        "stage      metric          p   analytic  empirical    stderr      z\n"
+        "circle     unforced   0.1200   1.000000   1.000000  0.000000   0.00\n"
+        "circle     density    0.1200   0.120000   0.119629  0.004978  -0.07\n"
+        "dot        unforced   0.1400   0.774400   0.776123  0.008475   0.20\n"
+        "dot        density    0.1400   0.108416   0.102051  0.004625  -1.38\n"
+        "triangle   unforced   0.1600   0.457686   0.475830  0.011297   1.61\n"
+        "triangle   density    0.1600   0.073230   0.076416  0.004643   0.69\n"
+        "diamond    unforced   0.5000   0.341132   0.346436  0.009422   0.56\n"
+        "diamond    density    0.5000   0.170566   0.178711  0.006862   1.19\n"
+    ), "908b8f427a7f86b06deafe4ae425cbbe1961caaf3ba93bf28c2533373ed2caec"),
+}
+
+
+@pytest.mark.parametrize("lattice", PRINTED_SAMPLE)
+def test_sample_printed_and_bundle_pinned(tmp_path, capsys, lattice):
+    params, printed, digest = PRINTED_SAMPLE[lattice]
+    out = tmp_path / "sample.json"
+    assert run(["sample", "--lattice", lattice, "--params", params,
+                "--seed", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == printed
+    bundle = read_bundle(out)
+    del bundle["versions"]
+    # the text, not the parsed values: an n_sites of 8192.0 == 8192
+    text = json.dumps(bundle, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--lattice", "square", "--params", "0.2,,0.3"],
+    ["sample", "--lattice", "square", "--params", "0.2", "--dims", "64x"],
+    ["sample", "--lattice", "square", "--params", "0.2", "--dims", "8x8x8"],
+    ["profile", "--generators", "1,two"],
+    ["profile", "--generators", ""]])
+def test_bad_list_option_names_flag_and_value(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{argv[-2]} " in err and repr(argv[-1]) in err
+
+
 # ----------------------------------------------------------------- strip
 
 def test_strip_table(tmp_path):
@@ -1018,45 +1099,50 @@ def test_exit_codes_over_the_option_table(tmp_path, monkeypatch, command,
         assert (code == 2) == _documented_exit_two(command, given), argv
 
 
-# modules no command needs, and whether a run given --config may load one
+# modules no command needs, and the argument of the runs that may load one
 UNNEEDED_MODULES = {
     # scipy is a test oracle only
-    "scipy": False,
+    "scipy": None,
     # the bundles' package version is hardcore_entropy.__version__
-    "importlib.metadata": False,
+    "importlib.metadata": None,
     # INI parsing serves --config alone
-    "configparser": True,
+    "configparser": "--config",
+    # exact rationals serve verify's blocking-constant checks alone
+    "fractions": "verify",
 }
 
 
 def test_no_command_loads_unneeded_modules(tmp_path):
     # a fresh interpreter, since the test process itself imports scipy:
-    # neither the import nor any command loads a module of the table, but
-    # for those it allows a run given --config
+    # neither the import nor any command loads a module of the table,
+    # but a run whose arguments hold the word the table allows it for;
+    # verify runs last, so that the runs before it are held to fractions
     ini = tmp_path / "strip.ini"
     ini.write_text("[strip]\nboundary = free\n", encoding="utf-8")
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         from hardcore_entropy import cli
 
-        def loaded(config):
-            return sorted(m for m in sys.modules
+        def loaded(modules, argv):
+            return sorted(m for m in modules
                           for name, allowed in %r.items()
                           if (m == name or m.startswith(name + "."))
-                          and not (config and allowed))
+                          and allowed not in argv)
 
-        seen = {"import": loaded(False)}
-        for argv in (["verify"], ["bound", "--scheme", "block", "--n", "2"],
+        seen = {"import": loaded(sys.modules, [])}
+        for argv in (["bound", "--scheme", "block", "--n", "2"],
                      ["bound", "--scheme", "closed"],
                      ["bound", "--scheme", "equalized"],
                      ["bound", "--scheme", "three-hex"],
                      ["profile", "--n", "2", "--generators", "1"],
                      ["strip", "--width", "2"],
-                     ["strip", "--width", "2", "--config", %r]):
+                     ["strip", "--width", "2", "--config", %r],
+                     ["verify"]):
+            before = set(sys.modules)
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(argv)
-            seen[" ".join(argv)] = (loaded("--config" in argv) if code == 0
-                                    else f"exit {code}")
+            seen[" ".join(argv)] = (loaded(set(sys.modules) - before, argv)
+                                    if code == 0 else f"exit {code}")
         print(json.dumps(seen))
         """ % (UNNEEDED_MODULES, str(ini)))
     # the package under test, wherever it was imported from

@@ -448,6 +448,32 @@ class TestSampler:
             tracemalloc.stop()
         assert peak / config.values.size <= 8
 
+    def test_draws_in_few_bands(self, monkeypatch):
+        # a stage draws its rows in bands of the most whole coloring
+        # periods whose float64s fit in _BAND_BYTES: on a 480x480 square
+        # torus 68 rows, so at most 8 draw calls per stage
+        h, w, py = 480, 480, 2
+        band_rows = max(1, oracles._BAND_BYTES // (8 * w * py)) * py
+        assert (band_rows, math.ceil(h / band_rows)) == (68, 8)
+        real, draws = np.random.default_rng, []
+
+        class Counting:
+            def __init__(self, seed):
+                self.gen, self.sizes = real(seed), []
+                draws.append(self.sizes)
+
+            def random(self, *, out):
+                self.sizes.append(out.nbytes)
+                return self.gen.random(out=out)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        fill_in_sample("square", (0.2,), (w, h), seed=0)
+        assert len(draws) == 2
+        for sizes in draws:
+            assert 0 < len(sizes) <= math.ceil(h / band_rows)
+            assert sum(sizes) == 8 * h * w
+            assert max(sizes) <= oracles._BAND_BYTES
+
     def test_deterministic_per_seed(self):
         a, _ = fill_in_sample("square", (0.2,), (64, 64), seed=3)
         b, _ = fill_in_sample("square", (0.2,), (64, 64), seed=3)
