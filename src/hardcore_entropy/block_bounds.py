@@ -69,13 +69,12 @@ class BlockDistribution:
 def _evaluate(family: BlockFamily, probs):
     """(value, gradient in the class probabilities, u) of the block bound.
 
-    value = (h + u ln 2) / 2, the `_staged_value` of the block stage (U = 1,
-    H = h) and the coin stage (U = u, H = ln 2), with h = -(1/n^2) sum
-    multiplicity * p ln p (0 ln 0 = 0) and u the unforced odd density.  An
-    odd site shared by e blocks is unforced with probability q^e and
-    counts 1/e, with q = A p; the m sites of a D4 orbit o share one row
-    A_o and one e_o (`blocks._unforced_counts`), so u = (1/n^2) sum_o m_o
-    q_o^e_o / e_o and du/dp = (1/n^2) sum_o m_o q_o^(e_o - 1) A_o.
+    value = (h + u ln 2) / 2 with h = -(1/n^2) sum multiplicity * p ln p
+    (0 ln 0 = 0) and u the unforced odd density.  An odd site shared by e
+    blocks is unforced with probability q^e and counts 1/e, with q = A p;
+    the m sites of a D4 orbit o share one row A_o and one e_o
+    (`blocks._unforced_counts`), so u = (1/n^2) sum_o m_o q_o^e_o / e_o
+    and du/dp = (1/n^2) sum_o m_o q_o^(e_o - 1) A_o.
     """
     a, e, me, ga, gw, _ = _unforced_counts(family)
     p = np.asarray(probs, dtype=float)

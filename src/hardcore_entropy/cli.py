@@ -424,8 +424,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 
 def _parse_list(name: str, raw: str, kind: type, sep: str = ",") -> tuple:
-    """Option `name`'s value `raw` as a tuple of `kind`, one per entry
-    between `sep`s; ConfigError naming the flag and `raw` if one is bad."""
+    """Option `name`'s value `raw` as a tuple of `kind`, split at `sep`."""
     try:
         return tuple(kind(tok) for tok in raw.lower().split(sep))
     except ValueError:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from .bounds import LN2, entropy_bernoulli, stage_probabilities, stage_unforced
 from .lattices import (
     TorusConfiguration, build_lattice, earlier_neighbors, stage_window,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MAX_STRIP_WIDTH = 14
 # the most steps any strip width takes, free or periodic: 19 on square, 21

@@ -121,6 +121,10 @@ MUTANTS = [
      "import time\n",
      "import time\nfrom fractions import Fraction\n",
      ["tests/test_cli.py::test_no_command_loads_unneeded_modules"], True),
+    ("verify loads configparser", "cli.py",
+     "    checks = _verify_checks(cfg)\n",
+     "    import configparser\n    checks = _verify_checks(cfg)\n",
+     ["tests/test_cli.py::test_no_command_loads_unneeded_modules"], True),
     ("the sampler's n_sites becomes a float", "oracles.py",
      "len(mine) * (h // py)",
      "len(mine) * (h / py)",

@@ -1112,39 +1112,27 @@ UNNEEDED_MODULES = {
 }
 
 
-def test_no_command_loads_unneeded_modules(tmp_path):
+def _modules_loaded(runs):
     # a fresh interpreter, since the test process itself imports scipy:
-    # neither the import nor any command loads a module of the table,
-    # but a run whose arguments hold the word the table allows it for;
-    # verify runs last, so that the runs before it are held to fractions
-    ini = tmp_path / "strip.ini"
-    ini.write_text("[strip]\nboundary = free\n", encoding="utf-8")
+    # after the import and after each run, the modules of the table in
+    # sys.modules, but for those the table allows the run's arguments
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         from hardcore_entropy import cli
 
-        def loaded(modules, argv):
-            return sorted(m for m in modules
+        def loaded(argv):
+            return sorted(m for m in sys.modules
                           for name, allowed in %r.items()
                           if (m == name or m.startswith(name + "."))
                           and allowed not in argv)
 
-        seen = {"import": loaded(sys.modules, [])}
-        for argv in (["bound", "--scheme", "block", "--n", "2"],
-                     ["bound", "--scheme", "closed"],
-                     ["bound", "--scheme", "equalized"],
-                     ["bound", "--scheme", "three-hex"],
-                     ["profile", "--n", "2", "--generators", "1"],
-                     ["strip", "--width", "2"],
-                     ["strip", "--width", "2", "--config", %r],
-                     ["verify"]):
-            before = set(sys.modules)
+        seen = {"import": loaded([])}
+        for argv in %r:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(argv)
-            seen[" ".join(argv)] = (loaded(set(sys.modules) - before, argv)
-                                    if code == 0 else f"exit {code}")
+            seen[" ".join(argv)] = loaded(argv) if code == 0 else f"exit {code}"
         print(json.dumps(seen))
-        """ % (UNNEEDED_MODULES, str(ini)))
+        """ % (UNNEEDED_MODULES, runs))
     # the package under test, wherever it was imported from
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -1152,9 +1140,27 @@ def test_no_command_loads_unneeded_modules(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
-    assert len(seen) == 9
-    assert all(mods == [] for mods in seen.values()), seen
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_no_command_loads_unneeded_modules(tmp_path):
+    # neither the import nor any command loads a module of the table, but
+    # a run whose arguments hold the word the table allows it for; verify
+    # runs alone, so that no run after it inherits fractions, and the
+    # --config run comes last, so that no run inherits configparser
+    ini = tmp_path / "strip.ini"
+    ini.write_text("[strip]\nboundary = free\n", encoding="utf-8")
+    for runs in ([["verify"]],
+                 [["bound", "--scheme", "block", "--n", "2"],
+                  ["bound", "--scheme", "closed"],
+                  ["bound", "--scheme", "equalized"],
+                  ["bound", "--scheme", "three-hex"],
+                  ["profile", "--n", "2", "--generators", "1"],
+                  ["strip", "--width", "2"],
+                  ["strip", "--width", "2", "--config", str(ini)]]):
+        seen = _modules_loaded(runs)
+        assert len(seen) == 1 + len(runs)
+        assert all(mods == [] for mods in seen.values()), seen
 
 
 def test_unforced_forms_built_on_first_use_once():
