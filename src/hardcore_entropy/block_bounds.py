@@ -126,7 +126,7 @@ def optimize_block_bound(family: BlockFamily, *, tol: float = optimize.TOL,
     scale = 2.0 * family.n ** 2 / w
     p = np.full(family.class_count, 1.0 / w.sum())
     for iterations in range(max_iter + 1):
-        value, g = value_and_gradient(family, p)
+        _, g = value_and_gradient(family, p)
         stationarity = float(np.abs(p * (g - w * (g @ p))).max())
         if stationarity <= tol or iterations == max_iter:
             break
@@ -134,7 +134,7 @@ def optimize_block_bound(family: BlockFamily, *, tol: float = optimize.TOL,
         e = np.exp(e - e.max())
         p = e / (w @ e)
     res = optimize.OptimizationResult(
-        argmax=p, value=value, iterations=iterations,
+        argmax=p, iterations=iterations,
         converged=stationarity <= tol, stationarity=stationarity)
     dist = BlockDistribution(family, p)
     # monotonicity is reported only: a violation marks a suboptimal point,
@@ -209,8 +209,6 @@ def density_profile(n: int, generator: BlockDistribution) -> DensityProfile:
     out of every block it meets; the region popcount laws convolve, and the
     offsets are averaged uniformly.
     """
-    if generator is None:
-        raise ValueError("density_profile needs an optimized distribution")
     m = generator.n
     if m > n:
         raise ValueError(f"generator side {m} exceeds window side {n}")

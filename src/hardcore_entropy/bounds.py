@@ -277,7 +277,7 @@ _TILES = optimize.Simplex((1.0, 3.0, 3.0, 1.0))
 
 def _closed(lattice):
     k = build_lattice(lattice).partite_count
-    return (optimize.Domain([_UNIT] * (k - 1)),
+    return (optimize.Domain((_UNIT,) * (k - 1)),
             lambda x: _staged_value(*_coin_stages(lattice, (*x.T, 0.5))),
             lambda x: staged_bound(lattice, x))
 
@@ -288,7 +288,7 @@ def _equalized(lattice, cap):
     def stages(p):
         return p, p / _unforced(lattice, (p,))[1]
 
-    return (optimize.Domain([optimize.Box(0.0, cap)]),
+    return (optimize.Domain((optimize.Box(0.0, cap),)),
             lambda x: _staged_value(*_coin_stages(lattice, stages(x[:, 0]))),
             lambda x: staged_bound(lattice, [v[0] for v in stages(x[:1])]))
 
@@ -306,7 +306,7 @@ def _three_hex(lattice):
                        (p[1] + 2 * p[2] + p[3], *cols[4:], 0.5),
                        *_three_hex_stages(lattice, cols))
 
-    return (optimize.Domain([_TILES] + [_UNIT] * (k - 2)),
+    return (optimize.Domain((_TILES, *(_UNIT,) * (k - 2))),
             lambda x: _staged_value(*_three_hex_stages(lattice, x.T)),
             report)
 

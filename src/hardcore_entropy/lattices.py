@@ -175,7 +175,6 @@ class TorusConfiguration:
     """
 
     lattice: str
-    dims: tuple[int, int]
     values: np.ndarray = field(repr=False)
 
     @classmethod
@@ -194,7 +193,7 @@ class TorusConfiguration:
             raise ValueError(
                 f"{spec.name} torus needs side lengths divisible by the "
                 f"coloring period {px}x{py}, got {w}x{h}")
-        return cls(lattice, (w, h),
+        return cls(lattice,
                    np.zeros((h, w, spec.sites_per_cell), dtype=np.int8))
 
 

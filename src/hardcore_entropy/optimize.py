@@ -75,10 +75,6 @@ class Box:
     lo: float
     hi: float
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"box needs lo < hi, got [{self.lo}, {self.hi}]")
-
     @property
     def size(self) -> int:
         return 1
@@ -90,12 +86,6 @@ class Simplex:
 
     weights: tuple
 
-    def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
-        if len(w) < 1 or any(v <= 0 for v in w):
-            raise ValueError("simplex weights must be positive")
-        object.__setattr__(self, "weights", w)
-
     @property
     def size(self) -> int:
         return len(self.weights)
@@ -104,15 +94,6 @@ class Simplex:
 @dataclass(frozen=True)
 class Domain:
     components: tuple
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("empty domain")
-        for c in comps:
-            if not isinstance(c, (Box, Simplex)):
-                raise TypeError(f"unsupported component {c!r}")
-        object.__setattr__(self, "components", comps)
 
     @property
     def size(self) -> int:
@@ -144,7 +125,6 @@ class Domain:
 @dataclass
 class OptimizationResult:
     argmax: np.ndarray
-    value: float
     iterations: int
     converged: bool
     stationarity: float
@@ -212,5 +192,5 @@ def maximize(objective, domain: Domain, *, tol: float = TOL,
         iterations += 1
     stationarity = float(np.abs(g).max())
     return OptimizationResult(
-        argmax=x, value=float(f), iterations=iterations,
+        argmax=x, iterations=iterations,
         converged=stationarity <= tol, stationarity=stationarity)

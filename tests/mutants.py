@@ -1,6 +1,6 @@
 """Mutation checks: wrong programs the tests must reject.
 
-Run from anywhere (well under a minute on 2 CPUs):
+Run from anywhere (about a minute on 2 CPUs):
 
     python tests/mutants.py
 
@@ -141,6 +141,16 @@ MUTANTS = [
      "d <= 1 + 1e-12",
      "d <= 1 + 1e-9",
      ["tests/test_bounds.py::test_report_rounding_gates"], True),
+    ("a dims field back on TorusConfiguration", "lattices.py",
+     "    values: np.ndarray = field(repr=False)\n",
+     "    values: np.ndarray = field(repr=False)\n    dims: tuple = ()\n",
+     ["tests/test_api_surface.py::"
+      "test_no_shared_class_member_is_test_only"], True),
+    ("a value field back on OptimizationResult", "optimize.py",
+     "    stationarity: float\n",
+     "    stationarity: float\n    value: float = 0.0\n",
+     ["tests/test_api_surface.py::"
+      "test_no_shared_class_member_is_test_only"], True),
     ("self-test: a docstring edit", "oracles.py",
      '"""Entropy per site of an infinite strip',
      '"""The entropy per site of an infinite strip',

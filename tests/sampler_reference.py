@@ -64,7 +64,7 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
     probs = stage_probabilities(lattice, params)
     config = TorusConfiguration.empty(lattice, dims)
     g = config.values
-    stages = stage_index(spec, config.dims)
+    stages = stage_index(spec, dims)
     analytic = stage_unforced(lattice, probs)
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(seed).spawn(len(probs))]

@@ -1,6 +1,7 @@
 """The package carries no API that only tests use.
 
-Three checks walk the AST of ``src/hardcore_entropy``:
+Three checks walk the AST of the imported package, so a mutated copy on
+``PYTHONPATH`` is checked too:
 
 * every public module-level function or class is referred to by the
   program: an identifier or attribute anywhere in ``src/`` outside the
@@ -10,18 +11,32 @@ Three checks walk the AST of ``src/hardcore_entropy``:
 * every defaulted parameter of a function in ``src/`` is passed by some
   call in ``src/``, ``demos/`` or ``perfbench/``, by keyword or by position;
   a call with ``*args`` or ``**kwargs`` counts as passing everything;
-* every non-dunder class member (method, property or dataclass field) is
-  read as an attribute in ``src/`` outside its own definition, or named as
-  an attribute or string in ``demos/`` or ``perfbench/``.
+* every non-dunder class member (method, property or dataclass field) whose
+  name is not shared is read as an attribute in ``src/`` outside its own
+  definition, or named as an attribute or string in ``demos/`` or
+  ``perfbench/``.
 
-Callees and members are matched by name alone, so a name shared by two
-definitions can hide one of them; the checks never flag code in use.
+Callees are matched by name alone, so a callee name shared by two
+definitions can hide one of them.  A member name is shared when two
+classes define it or it is a ``cli.OPTIONS`` key, which the commands read
+off their config namespace (``cfg.dims``); matched by name, one such read
+would hide every member of that name.  A fourth check judges each shared
+member by the reads that happen: it must be read on an instance, by code
+in ``src/``, while five commands run in process.  Names in ``demos/`` and
+``perfbench/`` do not excuse a shared member, since a demo's ``rep.value``
+does not say which class it reads.
 """
 import ast
+import importlib
+import os
+import sys
 from pathlib import Path
 
+import hardcore_entropy
+from hardcore_entropy import cli
+
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "hardcore_entropy"
+PACKAGE = Path(hardcore_entropy.__file__).parent
 
 # public names exempt from the first check; test-only references live in
 # tests/ instead, so this stays empty
@@ -163,20 +178,81 @@ def _members(cls):
             yield node.target.id, node
 
 
+def _class_members():
+    """(module stem, class node, member name, member node) of every
+    non-dunder member of a class in the package."""
+    for path, tree in _package_trees().items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for name, node in _members(cls):
+                    if not (name.startswith("__") and name.endswith("__")):
+                        yield path.stem, cls, name, node
+
+
+def _shared_names():
+    """Member names two classes define, and the cli.OPTIONS keys."""
+    owners = {}
+    for _, cls, name, _ in _class_members():
+        owners.setdefault(name, set()).add(cls.name)
+    return {name for name, classes in owners.items() if len(classes) > 1} \
+        | set(cli.OPTIONS)
+
+
 def test_no_class_member_is_test_only():
     trees = _package_trees()
     outside = _outside_uses(names=False)
+    shared = _shared_names()
     unused = []
-    for path, tree in trees.items():
-        for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for name, node in _members(cls):
-                if name.startswith("__") and name.endswith("__") \
-                        or name in outside:
-                    continue
-                used = any(name in _identifiers(t, skip=node, names=False)
-                           for t in trees.values())
-                if not used:
-                    unused.append(f"{path.stem}.{cls.name}.{name}")
+    for stem, cls, name, node in _class_members():
+        if name in shared or name in outside:
+            continue
+        used = any(name in _identifiers(t, skip=node, names=False)
+                   for t in trees.values())
+        if not used:
+            unused.append(f"{stem}.{cls.name}.{name}")
     assert unused == [], f"class members only tests use: {unused}"
+
+
+# commands that between them reach every shared member the program reads
+RUNS = (
+    ["bound", "--scheme", "closed", "--lattice", "square"],
+    ["bound", "--scheme", "three-hex", "--lattice", "honeycomb"],
+    ["bound", "--scheme", "block", "--n", "2"],
+    ["profile", "--n", "2", "--generators", "2"],
+    ["sample", "--lattice", "square", "--params", "0.2", "--dims", "16x16"],
+)
+
+
+def test_no_shared_class_member_is_test_only(monkeypatch):
+    """Every member with a shared name is read from src/ at run time."""
+    shared = _shared_names()
+    members = {(getattr(importlib.import_module(f"hardcore_entropy.{stem}"),
+                        cls.name), name)
+               for stem, cls, name, _ in _class_members() if name in shared}
+    reads = set()
+
+    def spy(cls):
+        get = cls.__getattribute__
+
+        def __getattribute__(self, name):
+            caller = sys._getframe(1).f_code.co_filename
+            if os.path.dirname(caller) == str(PACKAGE):
+                reads.add((cls, name))
+            return get(self, name)
+        return __getattribute__
+
+    for cls in {cls for cls, _ in members}:
+        monkeypatch.setattr(cls, "__getattribute__", spy(cls))
+    # a cached result hides the reads that built it in an earlier test
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hardcore_entropy."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+    monkeypatch.delenv("HC_CACHE_DIR", raising=False)
+    for argv in RUNS:
+        assert cli.main(argv) == 0, argv
+    unused = sorted(f"{cls.__module__.removeprefix('hardcore_entropy.')}."
+                    f"{cls.__name__}.{name}"
+                    for cls, name in members - reads)
+    assert unused == [], f"shared class members only tests use: {unused}"

@@ -462,10 +462,6 @@ class TestDensityProfile:
         with pytest.raises(ValueError, match="exceeds"):
             density_profile(2, optima[3][0])
 
-    def test_rejects_missing_generator(self):
-        with pytest.raises(ValueError, match="optimized distribution"):
-            density_profile(3, None)
-
     def test_profile_validation(self):
         with pytest.raises(ValueError, match="entries"):
             DensityProfile(2, np.ones(3) / 3)

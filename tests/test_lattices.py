@@ -146,7 +146,6 @@ def test_dims_validation(lattice):
         with pytest.raises(ValueError, match=re.escape(repr(dims))):
             TorusConfiguration.empty(lattice, dims)
     config = TorusConfiguration.empty(lattice, (np.int64(12), np.int64(6)))
-    assert config.dims == (12, 6)
     assert config.values.shape[:2] == (6, 12)
 
 
@@ -197,10 +196,10 @@ def test_verify_trivial_cases():
 def test_stage_index_counts():
     spec = build_lattice("square")
     cfg = TorusConfiguration.empty("square", (4, 4))
-    circle = stage_index(spec, cfg.dims) == 0
+    circle = stage_index(spec, (4, 4)) == 0
     assert cfg.values[circle].mean() == 0.0
     # fully occupy the even sublattice
-    for site in _sites("square", cfg.dims):
+    for site in _sites("square", (4, 4)):
         if stage_of(spec, site) == 0:
             cfg.values[_at(site)] = 1
     assert verify_hard_core(cfg)
