@@ -47,13 +47,12 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from zipfile import BadZipFile
 
 import numpy as np
 
 from .bounds import LN2
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 MAX_N = 4  # 2^25 masks at n=5 exceed the supported budget
 
 
@@ -181,23 +180,19 @@ def reduce_family(n: int, use_weak: bool = True) -> BlockFamily:
 
 
 def save_family(family: BlockFamily, path) -> None:
-    """Serialize to the versioned cache layout (".npz" is appended to a
-    path without it).  The archive is written to a temporary file in the
-    same directory and renamed into place, so a crash mid-write never
-    leaves a truncated file under the final name."""
+    """Write the family to `path` as one int32 .npy array: the header
+    (CACHE_VERSION, n, use_weak, class count), then class_of,
+    representatives and multiplicities.  The array is written to a
+    temporary file in the same directory and renamed into place, so a crash
+    mid-write never leaves a truncated file under the final name."""
     path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_name(path.name + ".npz")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    header = [CACHE_VERSION, family.n, family.use_weak, family.class_count]
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh,
-                     version=np.array([CACHE_VERSION]),
-                     n=np.array([family.n]),
-                     use_weak=np.array([int(family.use_weak)]),
-                     class_of=family.class_of,
-                     representatives=family.representatives,
-                     multiplicities=family.multiplicities)
+            np.save(fh, np.concatenate(
+                [header, family.class_of, family.representatives,
+                 family.multiplicities], dtype=np.int32))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -205,21 +200,24 @@ def save_family(family: BlockFamily, path) -> None:
 
 
 def load_family(path, n: int, use_weak: bool) -> BlockFamily:
-    """Load the cached (n, use_weak) family; ValueError if it is unusable."""
+    """Load the (n, use_weak) family that `save_family` wrote, with one
+    read; ValueError if the file is unusable or holds another family."""
     path = Path(path)
     try:
-        with np.load(path) as z:
-            found = (int(z["version"][0]), int(z["n"][0]),
-                     bool(z["use_weak"][0]))
-            if found != (CACHE_VERSION, n, use_weak):
-                raise ValueError("holds version=%d, n=%d, use_weak=%s" % found)
-            fam = BlockFamily(n, use_weak, z["class_of"].astype(np.int32),
-                              z["representatives"].astype(np.int64),
-                              z["multiplicities"].astype(np.int64))
+        a = np.load(path)
+        found = (int(a[0]), int(a[1]), bool(a[2]))
+        if found != (CACHE_VERSION, n, use_weak):
+            raise ValueError("holds version=%d, n=%d, use_weak=%s" % found)
+        reps = 4 + (1 << (n * n))  # where class_of ends
+        mults = reps + int(a[3])
+        # copies, so the family does not keep the whole file array alive
+        fam = BlockFamily(n, use_weak, a[4:reps].astype(np.int32),
+                          a[reps:mults].astype(np.int64),
+                          a[mults:].astype(np.int64))
         if (fam.class_of[fam.representatives]
                 != np.arange(fam.class_count)).any():
             raise ValueError("index mismatch")
-    except (OSError, EOFError, LookupError, ValueError, BadZipFile) as exc:
+    except (OSError, EOFError, LookupError, TypeError, ValueError) as exc:
         raise ValueError(f"unusable family cache {path}: {exc}") from exc
     return fam
 
@@ -232,7 +230,7 @@ def load_or_build_family(n: int, use_weak: bool = True,
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     tag = "weak" if use_weak else "d4"
-    path = cache_dir / f"blocks_n{n}_{tag}_v{CACHE_VERSION}.npz"
+    path = cache_dir / f"blocks_n{n}_{tag}_v{CACHE_VERSION}.npy"
     if path.exists():
         try:
             return load_family(path, n, use_weak)

@@ -151,6 +151,27 @@ MUTANTS = [
      "    stationarity: float\n    value: float = 0.0\n",
      ["tests/test_api_surface.py::"
       "test_no_shared_class_member_is_test_only"], True),
+    ("the unforced forms are rebuilt on every use", "bounds.py",
+     "@cache\ndef _unforced_forms(",
+     "def _unforced_forms(",
+     ["tests/test_cli.py::test_unforced_forms_built_on_first_use_once"],
+     True),
+    ("the family cache loads another version, n or use_weak", "blocks.py",
+     "        if found != (CACHE_VERSION, n, use_weak):\n"
+     "            raise ValueError(\"holds version=%d, n=%d, use_weak=%s\""
+     " % found)\n",
+     "",
+     ["tests/test_blocks.py::TestCache"], True),
+    ("the family cache skips its representative check", "blocks.py",
+     "        if (fam.class_of[fam.representatives]\n"
+     "                != np.arange(fam.class_count)).any():\n"
+     "            raise ValueError(\"index mismatch\")\n",
+     "",
+     ["tests/test_blocks.py::TestCache"], True),
+    ("the family cache is written straight to its final path", "blocks.py",
+     'tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")',
+     "tmp = path",
+     ["tests/test_blocks.py::TestCache"], True),
     ("self-test: a docstring edit", "oracles.py",
      '"""Entropy per site of an infinite strip',
      '"""The entropy per site of an infinite strip',

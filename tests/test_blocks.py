@@ -540,37 +540,44 @@ class TestCoverPairs:
 class TestCache:
     def test_round_trip(self, tmp_path):
         fam = reduce_family(3, use_weak=True)
-        path = tmp_path / "fam.npz"
+        path = tmp_path / "fam.npy"
         save_family(fam, path)
         back = load_family(path, fam.n, fam.use_weak)
         assert back.n == 3 and back.use_weak
         np.testing.assert_array_equal(back.class_of, fam.class_of)
         np.testing.assert_array_equal(back.representatives, fam.representatives)
         np.testing.assert_array_equal(back.multiplicities, fam.multiplicities)
+        for got, want in ((back.class_of, fam.class_of),
+                          (back.representatives, fam.representatives),
+                          (back.multiplicities, fam.multiplicities)):
+            assert got.dtype == want.dtype
 
     def test_load_or_build_uses_cache(self, tmp_path):
         fam1 = load_or_build_family(2, cache_dir=tmp_path)
-        files = list(tmp_path.glob("*.npz"))
+        files = list(tmp_path.glob("*.npy"))
         assert len(files) == 1
         fam2 = load_or_build_family(2, cache_dir=tmp_path)
         np.testing.assert_array_equal(fam1.class_of, fam2.class_of)
 
     def test_corrupt_cache_raises_then_rebuilds(self, tmp_path):
         fam = load_or_build_family(2, cache_dir=tmp_path)
-        path = next(tmp_path.glob("*.npz"))
-        path.write_bytes(b"not an archive")
+        path = next(tmp_path.glob("*.npy"))
+        path.write_bytes(b"not an array")
         with pytest.raises(ValueError, match="unusable"):
             load_family(path, fam.n, fam.use_weak)
         with pytest.warns(UserWarning, match="rebuilding"):
             back = load_or_build_family(2, cache_dir=tmp_path)
         np.testing.assert_array_equal(back.class_of, fam.class_of)
 
-    @pytest.mark.parametrize("damage", ["half", "empty"])
+    @pytest.mark.parametrize("damage", ["half", "empty", "matrix"])
     def test_truncated_or_empty_cache_rebuilds(self, tmp_path, damage):
         fam = load_or_build_family(2, cache_dir=tmp_path)
-        path = next(tmp_path.glob("*.npz"))
+        path = next(tmp_path.glob("*.npy"))
         data = path.read_bytes()
-        path.write_bytes(data[:len(data) // 2] if damage == "half" else b"")
+        if damage == "matrix":  # a whole .npy array, but not one row
+            np.save(path, np.zeros((2, 2), dtype=np.int32))
+        else:
+            path.write_bytes(data[:len(data) // 2] if damage == "half" else b"")
         with pytest.raises(ValueError, match="unusable"):
             load_family(path, 2, True)
         with pytest.warns(UserWarning, match="rebuilding"):
@@ -579,11 +586,12 @@ class TestCache:
         assert load_family(path, 2, True).class_count == fam.class_count
 
     def test_cache_of_another_family_rejected(self, tmp_path):
-        path = tmp_path / f"blocks_n3_weak_v{blocks.CACHE_VERSION}.npz"
+        path = tmp_path / f"blocks_n3_weak_v{blocks.CACHE_VERSION}.npy"
         save_family(reduce_family(2), path)
-        with pytest.raises(ValueError, match="unusable.*n=2"):
+        held = f"holds version={blocks.CACHE_VERSION}, n=2, use_weak=True"
+        with pytest.raises(ValueError, match=held):
             load_family(path, 3, True)
-        with pytest.raises(ValueError, match="unusable.*use_weak=True"):
+        with pytest.raises(ValueError, match=held):
             load_family(path, 2, False)
         with pytest.warns(UserWarning, match="rebuilding"):
             back = load_or_build_family(3, cache_dir=tmp_path)
@@ -592,45 +600,52 @@ class TestCache:
 
     def test_out_of_range_representative_rejected(self, tmp_path):
         fam = reduce_family(2)
-        path = tmp_path / "fam.npz"
-        np.savez(path, version=np.array([blocks.CACHE_VERSION]),
-                 n=np.array([2]), use_weak=np.array([1]),
-                 class_of=fam.class_of,
-                 representatives=fam.representatives + 100,
-                 multiplicities=fam.multiplicities)
-        with pytest.raises(ValueError, match="unusable"):
+        path = tmp_path / "fam.npy"
+        save_family(BlockFamily(2, True, fam.class_of,
+                                fam.representatives + 100,
+                                fam.multiplicities), path)
+        with pytest.raises(ValueError, match="out of bounds"):
+            load_family(path, 2, True)
+
+    def test_misplaced_representative_rejected(self, tmp_path):
+        fam = reduce_family(2)
+        path = tmp_path / "fam.npy"
+        save_family(BlockFamily(2, True, fam.class_of,
+                                fam.representatives[::-1],
+                                fam.multiplicities), path)
+        with pytest.raises(ValueError, match="index mismatch"):
             load_family(path, 2, True)
 
     def test_interrupted_save_keeps_cache_consistent(self, tmp_path,
                                                      monkeypatch):
         fam = reduce_family(2)
-        path = tmp_path / "fam.npz"
-        real_savez = np.savez
+        path = tmp_path / "fam.npy"
+        real_save = np.save
 
-        def savez_dies_midway(file, **arrays):
-            file.write(b"PK\x03\x04 truncated archive")
+        def save_dies_midway(file, arr, **kwargs):
+            file.write(b"\x93NUMPY truncated array")
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez", savez_dies_midway)
+        monkeypatch.setattr(np, "save", save_dies_midway)
         with pytest.raises(OSError, match="disk full"):
             save_family(fam, path)
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []  # no temporary left behind
 
         # a failed overwrite leaves the earlier valid cache loadable
-        monkeypatch.setattr(np, "savez", real_savez)
+        monkeypatch.setattr(np, "save", real_save)
         save_family(fam, path)
-        monkeypatch.setattr(np, "savez", savez_dies_midway)
+        monkeypatch.setattr(np, "save", save_dies_midway)
         with pytest.raises(OSError, match="disk full"):
             save_family(reduce_family(2, use_weak=False), path)
         back = load_family(path, fam.n, fam.use_weak)
         assert back.use_weak
         np.testing.assert_array_equal(back.class_of, fam.class_of)
-        assert [p.name for p in tmp_path.iterdir()] == ["fam.npz"]
+        assert [p.name for p in tmp_path.iterdir()] == ["fam.npy"]
 
     def test_partition_violation_rejected(self, tmp_path):
         fam = reduce_family(2)
-        path = tmp_path / "fam.npz"
+        path = tmp_path / "fam.npy"
         bad = BlockFamily.__new__(BlockFamily)
         bad.n = fam.n
         bad.use_weak = fam.use_weak
@@ -639,5 +654,6 @@ class TestCache:
         bad.multiplicities = fam.multiplicities.copy()
         bad.multiplicities[0] += 1
         save_family(bad, path)
-        with pytest.raises(ValueError, match="unusable"):
+        assert path.exists()
+        with pytest.raises(ValueError, match="do not partition the masks"):
             load_family(path, fam.n, fam.use_weak)

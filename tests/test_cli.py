@@ -238,7 +238,7 @@ def test_reduce_cache_round_trip(tmp_path, capsys):
     assert run(["reduce", "--n", "2", "--cache-dir", str(cache),
                 "--out", str(cold)]) == 0
     files = sorted(p.name for p in cache.iterdir())
-    assert files == ["blocks_n2_d4_v1.npz", "blocks_n2_weak_v1.npz"]
+    assert files == ["blocks_n2_d4_v2.npy", "blocks_n2_weak_v2.npy"]
     assert run(["reduce", "--n", "2", "--cache-dir", str(cache),
                 "--out", str(warm)]) == 0
     assert read_bundle(cold) == read_bundle(warm)
@@ -247,11 +247,23 @@ def test_reduce_cache_round_trip(tmp_path, capsys):
 def test_reduce_corrupt_cache_rebuilds(tmp_path, capsys):
     cache = tmp_path / "cache"
     assert run(["reduce", "--n", "2", "--cache-dir", str(cache)]) == 0
-    victim = cache / "blocks_n2_weak_v1.npz"
+    victim = cache / "blocks_n2_weak_v2.npy"
     victim.write_bytes(b"not a cache file")
     with pytest.warns(UserWarning, match="rebuilding"):
         assert run(["reduce", "--n", "2", "--cache-dir", str(cache)]) == 0
     assert "6 (5 free)" in capsys.readouterr().out
+
+
+def test_v1_cache_ignored(tmp_path, recwarn, capsys):
+    # a v1 .npz is neither read nor deleted; the v2 file is built beside it
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    old = cache / "blocks_n2_weak_v1.npz"
+    old.write_bytes(b"any bytes")
+    assert run(["reduce", "--n", "2", "--cache-dir", str(cache)]) == 0
+    assert not recwarn.list and capsys.readouterr().err == ""
+    assert (cache / "blocks_n2_weak_v2.npy").exists()
+    assert old.read_bytes() == b"any bytes"
 
 
 def test_reduce_unusable_cache_dir_exits_two(tmp_path, capsys):
@@ -266,7 +278,7 @@ def test_cache_dir_from_environment(tmp_path, monkeypatch, capsys):
     cache = tmp_path / "envcache"
     monkeypatch.setenv("HC_CACHE_DIR", str(cache))
     assert run(["reduce", "--n", "1"]) == 0
-    assert (cache / "blocks_n1_weak_v1.npz").exists()
+    assert (cache / "blocks_n1_weak_v2.npy").exists()
     # only the commands that read cache_dir take it from the environment
     out = tmp_path / "sample.json"
     assert run(["sample", "--lattice", "square", "--params", "0.2",
@@ -1182,7 +1194,8 @@ def test_unforced_forms_built_on_first_use_once():
             seen[" ".join(argv)] = built().misses if code == 0 else -code
         print(json.dumps([seen, built().hits, built().currsize]))
         """)
-    src = Path(__file__).resolve().parents[1] / "src"
+    # the package under test, wherever it was imported from
+    src = Path(hardcore_entropy.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("HC_CACHE_DIR", None)
     proc = subprocess.run([sys.executable, "-c", script], env=env,

@@ -1,11 +1,13 @@
 """Each narrative script in demos/ runs to completion in a fresh
-interpreter against the package in src/."""
+interpreter against the package the tests import."""
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import hardcore_entropy
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -18,7 +20,9 @@ def test_every_demo_is_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # the package under test, wherever it was imported from
+    src = Path(hardcore_entropy.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("HC_CACHE_DIR", None)
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
