@@ -63,7 +63,7 @@ class BlockDistribution:
 
     def mask_probabilities(self) -> np.ndarray:
         """Per-arrangement probability of every raw mask."""
-        return self.probs[self.family.class_of]
+        return self.probs.take(self.family.class_of)
 
 
 def _evaluate(family: BlockFamily, probs):
@@ -79,13 +79,14 @@ def _evaluate(family: BlockFamily, probs):
     a, e, me, ga, gw, _ = _unforced_counts(family)
     p = np.asarray(probs, dtype=float)
     # in place: gradient = gw (ln p + 1) + ln 2 du/dp / 2, h = 2 p.(gw ln p)
-    gradient = np.log(np.maximum(p, 1e-300))
+    gradient = np.maximum(p, 1e-300)
+    np.log(gradient, out=gradient)
     gradient *= gw
-    h = 2.0 * float(np.dot(p, gradient))
+    h = 2.0 * float(p.dot(gradient))
     gradient += gw
-    q = np.dot(a, p)  # np.dot dispatches faster than @ on small products
-    u = float(np.dot(me, q ** e)) / family.n ** 2
-    gradient += np.dot(q ** (e - 1.0), ga)
+    q = a.dot(p)  # ndarray.dot skips the dispatch of np.dot and of @
+    u = float(me.dot(q ** e)) / family.n ** 2
+    gradient += (q ** (e - 1.0)).dot(ga)
     return _staged_value((1.0, u), (h, LN2)), gradient, u
 
 

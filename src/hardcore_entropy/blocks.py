@@ -36,8 +36,9 @@ The quotient family keeps one probability variable per class, stored per
 arrangement: the probability of one specific member, entering normalization
 as multiplicity * prob.  Classes are numbered in order of their smallest
 member, which is their representative.  Each mask is labelled by that
-member, so the representatives are the masks labelled by themselves and a
-running count over them numbers the classes, with no sort.
+member, so the representatives are the masks labelled by themselves; one
+scatter numbers them, and each mask reads the number at its label.  Gathers
+use `ndarray.take`, about 3x faster than `t[idx]` with an int32 index.
 """
 from __future__ import annotations
 
@@ -164,19 +165,20 @@ def reduce_family(n: int, use_weak: bool = True) -> BlockFamily:
         lo, hi = _or_table(sites[:h]), _or_table(sites[h:])
         free = np.bitwise_xor(forced, (1 << len(sites)) - 1, out=forced)
         top = np.right_shift(free, h)
-        closure = lo[np.bitwise_and(free, (1 << h) - 1, out=free)]
-        np.bitwise_or(closure, hi[top], out=closure)
+        closure = lo.take(np.bitwise_and(free, (1 << h) - 1, out=free))
+        np.bitwise_or(closure, hi.take(top), out=closure)
         np.bitwise_xor(closure, total - 1, out=closure)
-        key = orbit[closure]  # names the class; label it by its least member
+        key = orbit.take(closure)  # names the class; label it by least member
         label = masks.copy()
         np.minimum.at(label, key, masks)
-        orbit = label[key]
+        orbit = label.take(key)
 
     # a class's smallest member is the one mask that is its own label
-    is_rep = orbit == masks
-    class_of = (np.cumsum(is_rep, dtype=np.int32) - 1)[orbit]
-    return BlockFamily(n, use_weak, class_of, np.flatnonzero(is_rep),
-                       np.bincount(class_of))
+    reps = np.flatnonzero(orbit == masks)
+    number = np.empty(total, dtype=np.int32)  # read only at representatives
+    number[reps] = np.arange(len(reps))
+    class_of = number.take(orbit)
+    return BlockFamily(n, use_weak, class_of, reps, np.bincount(class_of))
 
 
 def save_family(family: BlockFamily, path) -> None:

@@ -81,17 +81,27 @@ MUTANTS = [
      ["tests/test_bounds.py::test_three_hex_triangular_reference_point",
       "tests/test_bounds.py::test_three_hex_optimum_recovers_table"], True),
     ("weak closure ignores the second half of the odd sites", "blocks.py",
-     "        np.bitwise_or(closure, hi[top], out=closure)\n",
+     "        np.bitwise_or(closure, hi.take(top), out=closure)\n",
      "",
      ["tests/test_blocks.py"], True),
     ("weak classes labelled by key, not by smallest member", "blocks.py",
-     "orbit = label[key]",
+     "orbit = label.take(key)",
      "orbit = key",
      ["tests/test_blocks.py"], True),
     ("weak key skips the D4 orbit of the closure", "blocks.py",
-     "key = orbit[closure]",
+     "key = orbit.take(closure)",
      "key = closure",
      ["tests/test_blocks.py"], True),
+    ("classes numbered in reverse order of their representatives",
+     "blocks.py",
+     "number[reps] = ",
+     "number[reps[::-1]] = ",
+     ["tests/test_blocks.py::TestReduceFamily::test_n4_class_index_pinned"],
+     True),
+    ("the block entropy summed elementwise, not by dot", "block_bounds.py",
+     "h = 2.0 * float(p.dot(gradient))",
+     "h = 2.0 * float((p * gradient).sum())",
+     ["tests/test_block_bounds.py::test_evaluation_bits_pinned"], True),
     ("a count-form exponent one too small", "bounds.py",
      "    exps, counts = (np.concatenate(f) for f in zip(*forms))\n",
      "    exps, counts = (np.concatenate(f) for f in zip(*forms))\n"

@@ -1,4 +1,5 @@
 """Block bound assembly, optimization and profiles."""
+import hashlib
 import math
 
 import numpy as np
@@ -303,6 +304,60 @@ class TestBoundAndGradient:
         d = rep.as_dict()
         assert d["n"] == 2
         assert len(d["params"]["class_probabilities"]) == 6
+
+
+def _f8_digest(arrays):
+    """SHA-256 of the little-endian float64 bytes of the arrays in turn."""
+    return hashlib.sha256(b"".join(
+        np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays
+    )).hexdigest()
+
+
+# per weak family n: value_and_gradient at three Dirichlet points of seed
+# 40 + n (values as float.hex, one digest of the three gradients), then
+# the fixed point's value, iterations and probabilities
+EVALUATION_PINS = [
+    (1, ("0x1.8aeea2c3c9f96p-2", "0x1.68c6a0fa92fd2p-2",
+         "0x1.57d6637018ebbp-4"),
+     "f34693dc1bc64bff11798192c29c567fec3a06cbb80c8d453ba31794fbcffc69",
+     "0x1.91d6d83a67596p-2", 83,
+     "6965def8c9eca9923294b78bb1b824f9e77cc895fc30f8048fdcf0d0e9da4033"),
+    (2, ("0x1.6ded04fd031c7p-2", "0x1.5440f546079d9p-2",
+         "0x1.7715aa1a5b0c7p-2"),
+     "c2e6e966ccbc6c349fac81b59f7d10dd0c5e3ed925d62ddca2b448b470ba14b2",
+     "0x1.98571cee93568p-2", 41,
+     "802e8f7ccd107d724d293b7916c5d651499f809b79539cfd0aa60087d8c4350e"),
+    (3, ("0x1.64dd2df24feb0p-2", "0x1.6b6a88ecaf7e9p-2",
+         "0x1.6cce1a47be6a3p-2"),
+     "7cd4e484efcd82ad45fe7fc3f67c2afb2a3837dc5011b15f37a7181032ca82ba",
+     "0x1.9b091dde12e68p-2", 29,
+     "e3a1df52df17662fe198b077c904dfe90124fb020d8b864e05fe3a61c303698f"),
+    (4, ("0x1.7802552a93a3ep-2", "0x1.770f6b2b81012p-2",
+         "0x1.77e911e593632p-2"),
+     "4cee1eee519bedbd41236771aa5b91659139e3b9fa230513e2737696bcc603d1",
+     "0x1.9c7dbe36d59f0p-2", 23,
+     "601bdb4d7da645fc6b8f91f1fcef7509e9638250f20eed73d54455cf1abbd0e5"),
+]
+
+
+@pytest.mark.parametrize("n,values,gradients,value,iterations,probs",
+                         EVALUATION_PINS,
+                         ids=[f"n{pin[0]}" for pin in EVALUATION_PINS])
+def test_evaluation_bits_pinned(optima, n, values, gradients, value,
+                                iterations, probs):
+    # an arithmetic reordering that no tolerance sees moves these bits
+    dist, rep = optima[n]
+    fam = dist.family
+    for f in (fam, blocks.reduce_family(n, use_weak=False)):
+        assert (f.class_of.dtype, f.representatives.dtype,
+                f.multiplicities.dtype) == (np.int32, np.int64, np.int64)
+    rng = np.random.default_rng(40 + n)
+    got = [value_and_gradient(fam, raw / fam.multiplicities)
+           for raw in rng.dirichlet(np.ones(fam.class_count), size=3)]
+    assert tuple(v.hex() for v, _ in got) == values
+    assert _f8_digest(g for _, g in got) == gradients
+    assert (rep.value.hex(), rep.meta["iterations"]) == (value, iterations)
+    assert _f8_digest([dist.probs]) == probs
 
 
 class TestOptima:
