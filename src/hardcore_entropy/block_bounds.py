@@ -63,7 +63,7 @@ class BlockDistribution:
 
     def mask_probabilities(self) -> np.ndarray:
         """Per-arrangement probability of every raw mask."""
-        return self.probs.take(self.family.class_of)
+        return self.probs[self.family.class_of]
 
 
 def _evaluate(family: BlockFamily, probs):

@@ -78,10 +78,9 @@ def check_three_hex(pvec) -> np.ndarray:
     return optimize.on_simplex(p, (1, 3, 3, 1), "three-hex tiles")
 
 
-def entropy_three_hex(pvec, *, checked=False):
-    """Entropy of the three-hex occupancy distribution, per cluster;
-    checked=True takes tiles that `check_three_hex` returned as they are."""
-    p0, p1, p2, p3 = pvec if checked else check_three_hex(pvec)
+def entropy_three_hex(pvec):
+    """Entropy of the three-hex occupancy distribution, per cluster."""
+    p0, p1, p2, p3 = check_three_hex(pvec)
     return -(_xlogx(p0) + 3 * _xlogx(p1) + 3 * _xlogx(p2) + _xlogx(p3))
 
 
@@ -224,15 +223,13 @@ def _coin_stages(lattice, probs):
 
 
 def _three_hex_stages(lattice, x):
-    """The tiles p, as `check_three_hex` returns them, then U_s and H_s of
-    the three-hex scheme at columns x = (p0, p1, p2, p3) on honeycomb or
-    (p0, p1, p2, p3, q) on triangular: the tile stage has H3/3 per circle
-    site, and then come B(q) on triangular and B(1/2)."""
-    p, coins = check_three_hex(x[:4]), (*x[4:], 0.5)
-    return (p,
-            THREE_HEX_UNFORCED[lattice](p, p[0] + 2 * p[1] + p[2], coins[0]),
-            [entropy_three_hex(p, checked=True) / 3,
-             *map(entropy_bernoulli, coins)])
+    """U_s and H_s of the three-hex scheme at columns x = (p0, p1, p2, p3)
+    on honeycomb or (p0, p1, p2, p3, q) on triangular: the tile stage has
+    H3/3 per circle site, and then come B(q) on triangular and B(1/2)."""
+    pvec, coins = x[:4], (*x[4:], 0.5)
+    p = check_three_hex(pvec)
+    return (THREE_HEX_UNFORCED[lattice](p, p[0] + 2 * p[1] + p[2], coins[0]),
+            [entropy_three_hex(pvec) / 3, *map(entropy_bernoulli, coins)])
 
 
 def _one_row(values) -> np.ndarray:
@@ -303,14 +300,14 @@ def _three_hex(lattice):
 
     def report(x):
         cols = _one_row(x)
-        p, unforced, entropies = _three_hex_stages(lattice, cols)
+        p = check_three_hex(cols[:4])
         params = dict(zip(("p0", "p1", "p2", "p3", "q"), (*p, *cols[4:])))
         return _report(lattice, "three-hex", params,
                        (p[1] + 2 * p[2] + p[3], *cols[4:], 0.5),
-                       unforced, entropies)
+                       *_three_hex_stages(lattice, cols))
 
     return (optimize.Domain((_TILES, *(_UNIT,) * (k - 2))),
-            lambda x: _staged_value(*_three_hex_stages(lattice, x.T)[1:]),
+            lambda x: _staged_value(*_three_hex_stages(lattice, x.T)),
             report)
 
 

@@ -247,8 +247,8 @@ def _write_bundle(command: str, cfg: argparse.Namespace, reports: list,
     bundle["timing_seconds"] = round(time.perf_counter() - started, 6)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
-            # one write: json.dump writes every chunk of the text on its own
-            fh.write(json.dumps(bundle, indent=2, sort_keys=True) + "\n")
+            json.dump(bundle, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return bundle
 
 
