@@ -4,8 +4,9 @@
 Part 1 slides a 3x3 window over the even sublattice under three trial
 measures (the equalized single-site scheme and the optimized 2x2/3x3
 block schemes) and prints the distribution of the number of 1's seen.
-The means agree to within 0.01 while the variances grow with block
-size, and the 3x3 curve overtakes the flat one between k=3 and k=4.
+The densities (means per window site) agree to within 0.01 while the
+variances grow with block size, and the 3x3 curve overtakes the flat one
+between k=3 and k=4.
 
 Part 2 tabulates transfer-matrix strip entropies.  Free-boundary strips
 decrease toward the plane value with a ~1/width surface excess;
@@ -18,7 +19,7 @@ from hardcore_entropy.lattices import LATTICES, build_lattice
 
 if __name__ == "__main__":
     gens = {}
-    gens[1], _ = block_bounds.equalized_unit_generator(blocks.reduce_family(1))
+    gens[1], _ = block_bounds.equalized_unit_generator()
     for n in (2, 3):
         family = blocks.reduce_family(n)
         gens[n], _ = block_bounds.optimize_block_bound(family)
@@ -34,6 +35,13 @@ if __name__ == "__main__":
         print(f"generator {g}: mean {prof.mean():.4f} "
               f"(density {prof.mean() / 9:.4f}), "
               f"variance {prof.variance():.4f}")
+    densities = [prof.mean() / 9 for prof in profiles.values()]
+    assert max(densities) - min(densities) <= 0.01
+    assert profiles[1].variance() < profiles[2].variance() \
+        < profiles[3].variance()
+    diff = [b - f for b, f in zip(profiles[3].occupancy_probs,
+                                  profiles[1].occupancy_probs)]
+    assert [k for k in range(9) if diff[k] < 0.0 <= diff[k + 1]] == [3]
 
     print()
     print("width   free        periodic")

@@ -21,7 +21,8 @@ from itertools import product
 import numpy as np
 
 from . import optimize
-from .blocks import BlockFamily, _unforced_counts, cover_pairs, popcounts
+from .blocks import (BlockFamily, _unforced_counts, cover_pairs, popcounts,
+                     reduce_family)
 from .bounds import LN2, BoundReport, _staged_value, optimize_bound
 
 # a cover pair is a violation when p[big] exceeds p[small] by this much
@@ -226,8 +227,7 @@ def density_profile(n: int, generator: BlockDistribution) -> DensityProfile:
     return DensityProfile(n, acc / len(offsets))
 
 
-def equalized_unit_generator(family: BlockFamily, *,
-                             tol: float = optimize.TOL,
+def equalized_unit_generator(*, tol: float = optimize.TOL,
                              max_iter: int = optimize.MAX_ITER):
     """Single-site generator at the density-equalized square-lattice optimum.
 
@@ -237,8 +237,6 @@ def equalized_unit_generator(family: BlockFamily, *,
     fair flat reference is the two-stage scheme whose final coin is chosen
     to equalize the sublattice densities.  Returns (distribution, report).
     """
-    if family.n != 1:
-        raise ValueError("unit generator needs the 1x1 family")
     rep = optimize_bound("equalized", "square", tol=tol, max_iter=max_iter)
     p = rep.densities[0]
-    return BlockDistribution(family, np.array([1.0 - p, p])), rep
+    return BlockDistribution(reduce_family(1), np.array([1.0 - p, p])), rep

@@ -24,7 +24,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -111,8 +110,9 @@ OPTIONS = {
                        lambda m: m >= 1, "positive"),
     "out": Option(str, None, tuple(COMMANDS),
                   "write the JSON or CSV payload here"),
-    "cache_dir": Option(str, None, ("bound", "reduce", "profile"),
-                        "block-family cache (default: $HC_CACHE_DIR)"),
+    # reduce keeps the cache only because the benchmark workload in
+    # perfbench/workloads.py passes it (ROADMAP direction 1, then 3)
+    "cache_dir": Option(str, None, ("reduce",), "block-family cache"),
     "href": Option(float, oracles.PLANE_ENTROPY, ("verify",),
                    "reference entropy for the density interval",
                    lambda h: 0.0 < h < math.log(2.0), "in (0, ln 2)"),
@@ -201,8 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def build_run_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Merge defaults, config file, environment and flags (flags win) into
-    a namespace of exactly the options ``args.command`` reads."""
+    """Merge defaults, config file and flags (flags win) into a namespace
+    of exactly the options ``args.command`` reads."""
     flags = dict(vars(args))
     command, path = flags.pop("command"), flags.pop("config", None)
     common, own = load_config_file(path, command) if path else ({}, {})
@@ -210,20 +210,16 @@ def build_run_config(args: argparse.Namespace) -> argparse.Namespace:
     given = {**common, **explicit}
     if "width" in given and "max_width" in given:
         raise ConfigError("give --width or --max-width, not both")
-    if os.environ.get("HC_CACHE_DIR"):
-        given.setdefault("cache_dir", os.environ["HC_CACHE_DIR"])
     for name, value in given.items():
         opt = OPTIONS[name]
         if opt.valid and not opt.valid(value):
             raise ConfigError(f"{name.replace('_', '-')} must be "
                               f"{opt.rule}, not {value!r}")
-    # of bound's options only the block scheme reads n and cache_dir; a
-    # [common] key and $HC_CACHE_DIR stay silent defaults for the others
+    # of bound's options only the block scheme reads n; a [common] key
+    # stays a silent default for the others
     scheme = given.get("scheme", OPTIONS["scheme"].default)
-    unread = [name for name in ("n", "cache_dir") if name in explicit]
-    if command == "bound" and scheme != "block" and unread:
-        raise ConfigError(f"bound --scheme {scheme} does not read "
-                          + ", ".join(n.replace("_", "-") for n in unread))
+    if command == "bound" and scheme != "block" and "n" in explicit:
+        raise ConfigError(f"bound --scheme {scheme} does not read n")
     return argparse.Namespace(**{
         name: given.get(name, opt.default) for name, opt in OPTIONS.items()
         if command in opt.readers})
@@ -288,9 +284,8 @@ def cmd_bound(cfg: argparse.Namespace) -> int:
                           f"{', '.join(allowed)}")
     targets = allowed if cfg.lattice == "all" else (cfg.lattice,)
     if cfg.scheme == "block":
-        family = blocks.load_or_build_family(cfg.n, True, cfg.cache_dir)
         _, rep = block_bounds.optimize_block_bound(
-            family, tol=cfg.tol, max_iter=cfg.max_iter)
+            blocks.reduce_family(cfg.n), tol=cfg.tol, max_iter=cfg.max_iter)
         reports = [rep]
     else:
         reports = [bounds.optimize_bound(cfg.scheme, lat, tol=cfg.tol,
@@ -439,15 +434,14 @@ def cmd_profile(cfg: argparse.Namespace) -> int:
 
     profiles, reports = {}, []
     for g in sorted(set(sizes)):
-        family = blocks.load_or_build_family(g, True, cfg.cache_dir)
         if g == 1:
             # flat reference: the density-equalized single-site scheme,
             # comparable with the block optima whose densities agree
             dist, rep = block_bounds.equalized_unit_generator(
-                family, tol=cfg.tol, max_iter=cfg.max_iter)
+                tol=cfg.tol, max_iter=cfg.max_iter)
         else:
             dist, rep = block_bounds.optimize_block_bound(
-                family, tol=cfg.tol, max_iter=cfg.max_iter)
+                blocks.reduce_family(g), tol=cfg.tol, max_iter=cfg.max_iter)
         profiles[g] = block_bounds.density_profile(cfg.n, dist)
         reports.append(rep)
 

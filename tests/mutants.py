@@ -182,6 +182,15 @@ MUTANTS = [
      'tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")',
      "tmp = path",
      ["tests/test_blocks.py::TestCache"], True),
+    ("bound reads the family cache again", "cli.py",
+     '"cache_dir": Option(str, None, ("reduce",),',
+     '"cache_dir": Option(str, None, ("bound", "reduce"),',
+     ["tests/test_cli.py::test_non_block_scheme_rejects_block_options"],
+     True),
+    ("the unit generator builds the 2x2 family", "block_bounds.py",
+     "BlockDistribution(reduce_family(1), ",
+     "BlockDistribution(reduce_family(2), ",
+     ["tests/test_block_bounds.py::test_equalized_unit_generator"], True),
     ("self-test: a docstring edit", "oracles.py",
      '"""Entropy per site of an infinite strip',
      '"""The entropy per site of an infinite strip',

@@ -310,7 +310,7 @@ def test_criterion_10_monotonicity_at_optima(block_optima):
 
 
 def test_criterion_11_profile_shape(block_optima):
-    gen1, _ = block_bounds.equalized_unit_generator(blocks.reduce_family(1))
+    gen1, _ = block_bounds.equalized_unit_generator()
     gen2 = block_optima[2][0]
     gen3 = block_optima[3][0]
     profiles = {g: block_bounds.density_profile(3, gen)

@@ -249,7 +249,6 @@ def test_no_shared_class_member_is_test_only(monkeypatch):
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
-    monkeypatch.delenv("HC_CACHE_DIR", raising=False)
     for argv in RUNS:
         assert cli.main(argv) == 0, argv
     unused = sorted(f"{cls.__module__.removeprefix('hardcore_entropy.')}."

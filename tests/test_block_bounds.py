@@ -531,12 +531,11 @@ class TestDensityProfile:
 def test_equalized_unit_generator():
     from hardcore_entropy.block_bounds import equalized_unit_generator
 
-    gen, rep = equalized_unit_generator(FAMILIES[1])
+    gen, rep = equalized_unit_generator()
+    assert gen.n == 1
     assert rep.meta["converged"] and rep.scheme == "equalized"
     assert gen.even_density() == pytest.approx(0.2015, abs=5e-4)
     prof = density_profile(3, gen)
     assert prof.mean() / 9 == pytest.approx(gen.even_density(), abs=1e-12)
     # sits between the plain single-site curve and the block optima
     assert 1.27 < prof.variance() < 1.83
-    with pytest.raises(ValueError):
-        equalized_unit_generator(FAMILIES[2])

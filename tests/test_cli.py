@@ -274,56 +274,35 @@ def test_reduce_unusable_cache_dir_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_cache_dir_from_environment(tmp_path, monkeypatch, capsys):
-    cache = tmp_path / "envcache"
-    monkeypatch.setenv("HC_CACHE_DIR", str(cache))
-    assert run(["reduce", "--n", "1"]) == 0
-    assert (cache / "blocks_n1_weak_v2.npy").exists()
-    # only the commands that read cache_dir take it from the environment
-    out = tmp_path / "sample.json"
-    assert run(["sample", "--lattice", "square", "--params", "0.2",
-                "--dims", "8x8", "--out", str(out)]) == 0
-    assert "cache_dir" not in read_bundle(out)["config"]
-
-
 @pytest.mark.parametrize("scheme", ["closed", "equalized", "three-hex"])
-def test_non_block_scheme_rejects_block_options(tmp_path, monkeypatch,
-                                                capsys, scheme):
-    # only the block scheme reads n and cache_dir, given as a flag or as a
-    # [bound] key; a [common] key and $HC_CACHE_DIR stay silent defaults
+def test_non_block_scheme_rejects_block_options(tmp_path, capsys, scheme):
+    # only the block scheme reads n, given as a flag or as a [bound] key;
+    # no scheme reads cache_dir, which reduce alone keeps; a [common] key
+    # stays a silent default for both
     cache = tmp_path / "cache"
     ini = tmp_path / "bound.ini"
     base = ["bound", "--scheme", scheme, "--lattice", "honeycomb"]
-    for extra, key, unread in ((["--n", "4"], "n = 4", "n"),
-                               (["--cache-dir", str(cache)],
-                                f"cache-dir = {cache}", "cache-dir")):
-        assert run(base + extra) == 2
-        assert (f"bound --scheme {scheme} does not read {unread}"
+    assert run(base + ["--n", "4"]) == 2
+    assert (f"bound --scheme {scheme} does not read n"
+            in capsys.readouterr().err)
+    ini.write_text("[bound]\nn = 4\n", encoding="utf-8")
+    assert run(base + ["--config", str(ini)]) == 2
+    assert "does not read" in capsys.readouterr().err
+    for argv in (base, ["bound", "--scheme", "block", "--n", "1"]):
+        assert run(argv + ["--cache-dir", str(cache)]) == 2
+        assert ("unrecognized arguments: --cache-dir"
                 in capsys.readouterr().err)
-        ini.write_text(f"[bound]\n{key}\n", encoding="utf-8")
-        assert run(base + ["--config", str(ini)]) == 2
-        assert "does not read" in capsys.readouterr().err
-    assert not cache.exists()
-    ini.write_text(f"[common]\nn = 4\ncache-dir = {cache}\n",
-                   encoding="utf-8")
-    assert run(base + ["--config", str(ini)]) == 0
-    monkeypatch.setenv("HC_CACHE_DIR", str(cache))
-    assert run(base) == 0
+        ini.write_text(f"[bound]\ncache-dir = {cache}\n", encoding="utf-8")
+        assert run(argv + ["--config", str(ini)]) == 2
+        assert ("bound does not read config key 'cache-dir'"
+                in capsys.readouterr().err)
+        ini.write_text(f"[common]\nn = 4\ncache-dir = {cache}\n",
+                       encoding="utf-8")
+        assert run(argv + ["--config", str(ini)]) == 0
     assert not cache.exists()
     # the scheme may come from the config file too
     ini.write_text("[bound]\nscheme = block\n", encoding="utf-8")
     assert run(["bound", "--config", str(ini), "--n", "1"]) == 0
-
-
-def test_warm_cache_transparent_for_bound(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    cold = tmp_path / "cold.json"
-    warm = tmp_path / "warm.json"
-    args = ["bound", "--scheme", "block", "--n", "2",
-            "--cache-dir", str(cache)]
-    assert run(args + ["--out", str(cold)]) == 0
-    assert run(args + ["--out", str(warm)]) == 0
-    assert read_bundle(cold)["reports"] == read_bundle(warm)["reports"]
 
 
 # ---------------------------------------------------------------- verify
@@ -1047,8 +1026,7 @@ def _documented_exit_two(command, given):
         scheme, lattice = value("scheme"), value("lattice")
         return ((lattice != "all"
                  and lattice not in cli._SCHEME_LATTICES[scheme])
-                or (scheme != "block" and bool({"n", "cache_dir"}
-                                               & given.keys())))
+                or (scheme != "block" and "n" in given))
     if command == "profile":
         return max(map(int, value("generators").split(","))) > int(value("n"))
     if command == "strip":
@@ -1074,13 +1052,11 @@ def _documented_exit_two(command, given):
 @settings(derandomize=True, deadline=None, max_examples=40,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_exit_codes_over_the_option_table(tmp_path, monkeypatch, command,
-                                          data):
+def test_exit_codes_over_the_option_table(tmp_path, command, data):
     # a command with some of its options, one perhaps breaking its rule,
     # and perhaps a flag it does not read: the exit code keeps the
     # contract, exit 2 says why, and options that all keep their rules
     # exit 2 exactly where the README says they do
-    monkeypatch.delenv("HC_CACHE_DIR", raising=False)
     valid, broken = _option_values(tmp_path)
     names = [name for name, opt in cli.OPTIONS.items()
              if command in opt.readers]
@@ -1148,7 +1124,6 @@ def _modules_loaded(runs):
     # the package under test, wherever it was imported from
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("HC_CACHE_DIR", None)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -1197,7 +1172,6 @@ def test_unforced_forms_built_on_first_use_once():
     # the package under test, wherever it was imported from
     src = Path(hardcore_entropy.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("HC_CACHE_DIR", None)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -23,7 +23,6 @@ def test_demo_exits_zero(demo, tmp_path):
     # the package under test, wherever it was imported from
     src = Path(hardcore_entropy.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("HC_CACHE_DIR", None)
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
