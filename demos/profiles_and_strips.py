@@ -41,7 +41,8 @@ if __name__ == "__main__":
         < profiles[3].variance()
     diff = [b - f for b, f in zip(profiles[3].occupancy_probs,
                                   profiles[1].occupancy_probs)]
-    assert [k for k in range(9) if diff[k] < 0.0 <= diff[k + 1]] == [3]
+    assert [k for k in range(len(diff) - 1)
+            if diff[k] < 0.0 <= diff[k + 1]] == [3]
 
     print()
     print("width   free        periodic")
