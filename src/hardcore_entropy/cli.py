@@ -83,10 +83,6 @@ def _one_of(*values: str) -> tuple:
     return (lambda v: v in values), "one of " + ", ".join(values)
 
 
-_WIDTHS = ((lambda w: 1 <= w <= oracles.MAX_STRIP_WIDTH),
-           f"in 1..{oracles.MAX_STRIP_WIDTH}")
-
-
 OPTIONS = {
     "lattice": Option(str, "all", ("bound", "sample"),
                       "lattice; all (bound only) runs every lattice of "
@@ -122,10 +118,9 @@ OPTIONS = {
                    "torus dimensions, e.g. 128x128"),
     "generators": Option(str, "1,2,3", ("profile",),
                          "comma list of generator block sides"),
-    "width": Option(int, None, ("strip",), "single strip width",
-                    *_WIDTHS),
     "max_width": Option(int, 12, ("strip",), "tabulate widths 1..max",
-                        *_WIDTHS),
+                        lambda w: 1 <= w <= oracles.MAX_STRIP_WIDTH,
+                        f"in 1..{oracles.MAX_STRIP_WIDTH}"),
     "boundary": Option(str, "free", ("strip",), "strip boundary",
                        *_one_of("free", "periodic", "both")),
 }
@@ -208,8 +203,6 @@ def build_run_config(args: argparse.Namespace) -> argparse.Namespace:
     common, own = load_config_file(path, command) if path else ({}, {})
     explicit = {**own, **flags}
     given = {**common, **explicit}
-    if "width" in given and "max_width" in given:
-        raise ConfigError("give --width or --max-width, not both")
     for name, value in given.items():
         opt = OPTIONS[name]
         if opt.valid and not opt.valid(value):
@@ -534,12 +527,10 @@ def cmd_sample(cfg: argparse.Namespace) -> int:
 
 
 def cmd_strip(cfg: argparse.Namespace) -> int:
-    widths = ([cfg.width] if cfg.width is not None
-              else list(range(1, cfg.max_width + 1)))
     boundaries = (("free", "periodic") if cfg.boundary == "both"
                   else (cfg.boundary,))
     rows = [(w, b, f"{oracles.strip_entropy('square', w, boundary=b):.12f}")
-            for w in widths for b in boundaries]
+            for w in range(1, cfg.max_width + 1) for b in boundaries]
     _write_csv(cfg.out, ["width", "boundary", "entropy"], rows)
     return EXIT_OK
 

@@ -191,6 +191,14 @@ MUTANTS = [
      "BlockDistribution(reduce_family(1), ",
      "BlockDistribution(reduce_family(2), ",
      ["tests/test_block_bounds.py::test_equalized_unit_generator"], True),
+    ("strip tabulates to width 13 by default", "cli.py",
+     '"max_width": Option(int, 12, ("strip",),',
+     '"max_width": Option(int, 13, ("strip",),',
+     ["tests/test_readme.py::test_option_table_matches_options"], True),
+    ("the accepted plane value moves to 0.4076", "oracles.py",
+     "PLANE_ENTROPY = 0.4075",
+     "PLANE_ENTROPY = 0.4076",
+     ["tests/test_readme.py::test_option_table_matches_options"], True),
     ("self-test: a docstring edit", "oracles.py",
      '"""Entropy per site of an infinite strip',
      '"""The entropy per site of an infinite strip',

@@ -318,6 +318,9 @@ def test_three_hex_param_validation():
         entropy_three_hex((0.5, 0.1, 0.1, 0.1))  # not normalized
     with pytest.raises(ValueError):
         entropy_three_hex((1.3, -0.1, 0.0, 0.0))
+    for count in (3, 5):
+        with pytest.raises(ValueError, match=f"has {count} entries, not 4"):
+            bounds.check_three_hex([0.25] * count)
 
 
 @pytest.mark.parametrize("lattice", sorted(bounds.SCHEMES["three-hex"]))

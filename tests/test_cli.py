@@ -468,6 +468,19 @@ def test_profile_unit_generator_honours_starts_and_tol(monkeypatch,
     assert seen == [{"tol": 1e-8, "max_iter": 500}]
 
 
+def test_profile_equal_curves_have_no_crossing(capsys, monkeypatch):
+    # both generators given the 1x1 curve: no difference changes sign,
+    # so no crossing is reported
+    flat = block_bounds.density_profile(
+        2, block_bounds.equalized_unit_generator()[0])
+    monkeypatch.setattr(block_bounds, "density_profile",
+                        lambda n, dist: flat)
+    assert run(["profile", "--n", "2", "--generators", "1,2"]) == 0
+    err = capsys.readouterr().err
+    assert "# no upward crossing of generators 2 and 1" in err
+    assert "# crossing" not in err
+
+
 def test_profile_generator_larger_than_window(capsys):
     assert run(["profile", "--n", "2", "--generators", "3"]) == 2
 
@@ -514,6 +527,15 @@ def test_sample_one_tile_torus_has_finite_stderr(tmp_path, capsys, lattice,
                    or row["empirical"] != row["analytic"]), dims
         assert all(row["stderr"] > 0 for row in rows
                    if 0 < row["analytic"] < 1), dims
+
+
+def test_sample_violated_constraint_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_hard_core", lambda config: False)
+    out = tmp_path / "sample.json"
+    assert run(["sample", "--lattice", "square", "--params", "0.1702",
+                "--dims", "64x64", "--seed", "11", "--out", str(out)]) == 1
+    assert "hard-core constraint VIOLATED" in capsys.readouterr().out
+    assert read_bundle(out)["hard_core_valid"] is False
 
 
 def test_sample_requires_params(capsys):
@@ -715,35 +737,27 @@ def test_strip_printed_pinned(capsys):
 
 
 def test_strip_single_width(capsys):
-    assert run(["strip", "--width", "12", "--boundary", "periodic"]) == 0
+    assert run(["strip", "--max-width", "12", "--boundary", "periodic"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "width,boundary,entropy"
-    assert out[1].startswith("12,periodic,0.40749")
+    assert len(out) == 13
+    assert out[-1] == "12,periodic,0.407496377100"
 
 
 def test_strip_unconverged_power_iteration_exits_one(monkeypatch, capsys):
     # a numerical failure: no eigenvalue is printed from an unfinished loop
     monkeypatch.setattr(oracles, "_POWER_MAX_ITER", 1)
-    assert run(["strip", "--width", "14"]) == 1
+    assert run(["strip", "--max-width", "14"]) == 1
     captured = capsys.readouterr()
     assert "did not reach" in captured.err
     assert "14,free" not in captured.out
 
 
 def test_strip_width_out_of_range(capsys):
-    assert run(["strip", "--width", "15"]) == 2
-
-
-def test_strip_width_and_max_width_exit_two(tmp_path, capsys):
-    # one table or one width: neither may silently win, whether each
-    # comes from a flag or from the config file
-    ini = tmp_path / "strip.ini"
-    ini.write_text("[strip]\nmax-width = 5\n", encoding="utf-8")
-    for argv in (["--width", "2", "--max-width", "5"],
-                 ["--width", "2", "--config", str(ini)]):
-        assert run(["strip"] + argv) == 2
+    for width in ("0", "15"):
+        assert run(["strip", "--max-width", width]) == 2
         captured = capsys.readouterr()
-        assert "--width or --max-width" in captured.err
+        assert f"max-width must be in 1..14, not {width}" in captured.err
         assert captured.out == ""
 
 
@@ -901,6 +915,15 @@ def test_config_file_default_section_rejected(tmp_path, capsys):
     assert "[DEFAULT]" in capsys.readouterr().err
 
 
+def test_config_file_without_section_header_exits_two(tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text("max-width = 5\n", encoding="utf-8")
+    assert run(["strip", "--config", str(ini)]) == 2
+    captured = capsys.readouterr()
+    assert "error: malformed config file" in captured.err
+    assert captured.out == ""
+
+
 def test_config_file_missing(tmp_path, capsys):
     assert run(["bound", "--config", str(tmp_path / "absent.ini")]) == 2
 
@@ -991,7 +1014,6 @@ def _option_values(tmp_path):
         "dims": lattice.flatmap(dims),
         "generators": st.lists(ints(1, 3), min_size=1,
                                max_size=3).map(",".join),
-        "width": ints(1, 10),
         "max_width": ints(1, 10),
         "boundary": st.sampled_from(["free", "periodic", "both"]),
     }
@@ -1009,8 +1031,7 @@ def _option_values(tmp_path):
                    "0.1,0.1,0.1,0.1,0.1"],
         "dims": ["0x4", "8", "8x8x8", "ax8", "-4x8"],
         "generators": ["", "x", "0", "1,-2"],
-        "width": ["0", "15", "x"],
-        "max_width": ["0", "15"],
+        "max_width": ["0", "15", "x"],
         "boundary": ["open", "FREE"],
     }.items()}
     return valid, broken
@@ -1029,8 +1050,6 @@ def _documented_exit_two(command, given):
                 or (scheme != "block" and "n" in given))
     if command == "profile":
         return max(map(int, value("generators").split(","))) > int(value("n"))
-    if command == "strip":
-        return {"width", "max_width"} <= given.keys()
     if command != "sample":
         return False
     if value("lattice") == "all" or "params" not in given:
@@ -1143,8 +1162,8 @@ def test_no_command_loads_unneeded_modules(tmp_path):
                   ["bound", "--scheme", "equalized"],
                   ["bound", "--scheme", "three-hex"],
                   ["profile", "--n", "2", "--generators", "1"],
-                  ["strip", "--width", "2"],
-                  ["strip", "--width", "2", "--config", str(ini)]]):
+                  ["strip", "--max-width", "2"],
+                  ["strip", "--max-width", "2", "--config", str(ini)]]):
         seen = _modules_loaded(runs)
         assert len(seen) == 1 + len(runs)
         assert all(mods == [] for mods in seen.values()), seen
