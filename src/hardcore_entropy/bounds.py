@@ -141,17 +141,17 @@ def _unforced_forms(lattice) -> tuple:
     k = build_lattice(lattice).partite_count
     forms = []
     for stage in range(1, k):
-        sites, target = stage_window(lattice, stage)
+        _, stages, masks = stage_window(lattice, stage)
         drawn = np.zeros((1, 2 * k - 2), dtype=np.int8)
         ones = np.zeros(1, dtype=np.int64)
-        for j, (t, mask) in enumerate(sites):
+        for j, (t, mask) in enumerate(zip(stages[:-1], masks)):
             free = ones & mask == 0
             zero, one = drawn.copy(), drawn[free]
             zero[free, k - 1 + t] += 1
             one[:, t] += 1
             drawn = np.concatenate([zero, one])
             ones = np.concatenate([ones, ones[free] | 1 << j])
-        forms.append(np.unique(drawn[ones & target == 0], axis=0,
+        forms.append(np.unique(drawn[ones & masks[-1] == 0], axis=0,
                                return_counts=True))
     exps, counts = (np.concatenate(f) for f in zip(*forms))
     return counts, exps, np.cumsum([0] + [len(n) for _, n in forms[:-1]])

@@ -42,8 +42,8 @@ SCHEMA_VERSION = 8
 
 _SCHEME_LATTICES = {**bounds.SCHEMES, "block": ("square",)}
 
-# sampler torus sizes chosen even, divisible by 3 (triangular stacking)
-# and by 8 (tile-based standard errors)
+# sampler torus sides: multiples of 8 giving at least 16 tiles (tile-based
+# standard errors) and of the coloring period (3 on triangular)
 _DEFAULT_SAMPLE_DIMS = {
     "square": (128, 128),
     "honeycomb": (96, 96),
@@ -489,8 +489,7 @@ def cmd_sample(cfg: argparse.Namespace) -> int:
     # window and its target land on distinct torus sites
     w, h = dims
     for stage in range(1, build_lattice(cfg.lattice).partite_count):
-        target, window = lattices.influence_window(cfg.lattice, stage)
-        sites = (target, *window)
+        sites = lattices.stage_window(cfg.lattice, stage)[0]
         if len({(x % w, y % h, t) for x, y, t in sites}) < len(sites):
             raise ConfigError(
                 f"a {w}x{h} {cfg.lattice} torus is too small: the stage "

@@ -6,9 +6,9 @@ and a periodic stage coloring.  Sublattice labels, the torus side rule, the
 hard-core checker and the fill-in rule are all computed from those two
 fields, with no per-lattice code.  The fill-in rule is `earlier_neighbors`:
 a site stays 0 when a neighbor of an earlier stage carries a 1.  The
-sampler reads it on its sublattice planes, and the influence windows, from
-which `bounds` counts every unforced fraction U_s, are its closures on the
-infinite plane.
+sampler reads it on its sublattice planes, and the influence windows of
+`stage_window`, from which `bounds` counts every unforced fraction U_s, are
+its closures on the infinite plane.
 
 Every site is a plain tuple ``(x, y, t)``: ``t`` is the site within unit
 cell ``(x, y)``, and is 0 on the lattices with one site per cell (square,
@@ -128,11 +128,14 @@ def earlier_neighbors(spec: LatticeSpec, site) -> list:
 
 
 @cache
-def influence_window(lattice: str, stage: int) -> tuple:
-    """The target, the first stage-`stage` site of cell (0, 0) in (y, x, t)
-    order, and the plane sites whose values determine whether it is
-    unforced: its earlier neighbors, closed under taking earlier neighbors
-    of everything added (the target is no site's earlier neighbor)."""
+def stage_window(lattice: str, stage: int) -> tuple:
+    """Stage `stage`'s influence window, built once per (lattice, stage), as
+    three tuples of equal length: the sites (the window in stage order, then
+    the target), their stages and their masks.  The target is the first
+    stage-`stage` site of cell (0, 0) in (y, x, t) order, and the window is
+    its earlier neighbors, closed under taking theirs.  Assignment i of the
+    window gives site j bit j of i; a site's mask holds the bits of its
+    earlier neighbors, so i forces it to 0 iff i & mask != 0."""
     spec = build_lattice(lattice)
     if not 1 <= stage < spec.partite_count:
         raise ValueError(f"stage must be in 1..{spec.partite_count - 1}")
@@ -146,24 +149,13 @@ def influence_window(lattice: str, stage: int) -> tuple:
             if nb not in window:
                 window.append(nb)
                 frontier.append(nb)
-    return target, tuple(window)
-
-
-@cache
-def stage_window(lattice: str, stage: int) -> tuple:
-    """The stage's influence window in stage order as (stage, mask) pairs,
-    and the target's mask, built once per (lattice, stage).  An assignment
-    i of the window gives site j the value of bit j of i, and a site's
-    mask holds the bits of its earlier neighbors (all in the window, which
-    is closed under them): i forces the site to 0 iff i & mask != 0."""
-    spec = build_lattice(lattice)
-    target, window = influence_window(lattice, stage)
     order = sorted(window, key=lambda site: stage_of(spec, site))
-    bits = {site: 1 << j for j, site in enumerate(order)}
-    masks = [sum(bits[nb] for nb in earlier_neighbors(spec, site))
-             for site in (*order, target)]
-    stages = [stage_of(spec, site) for site in order]
-    return tuple(zip(stages, masks)), masks[-1]
+    sites = (*order, target)
+    bits = {site: 1 << j for j, site in enumerate(sites)}
+    stages = tuple(stage_of(spec, site) for site in sites)
+    masks = tuple(sum(bits[nb] for nb in earlier_neighbors(spec, site))
+                  for site in sites)
+    return sites, stages, masks
 
 
 @dataclass

@@ -296,14 +296,14 @@ def window_probability_exhaustive(lattice: str, params, stage: int) -> float:
     mask of earlier neighbors.
     """
     probs = stage_probabilities(lattice, params)
-    sites, target = stage_window(lattice, stage)
+    _, stages, masks = stage_window(lattice, stage)
     weights = np.ones(1)
-    for s, mask in sites:
+    for s, mask in zip(stages[:-1], masks):
         forced = np.arange(len(weights)) & mask != 0
         weights = np.concatenate([
             weights * np.where(forced, 1.0, 1 - probs[s]),
             weights * np.where(forced, 0.0, probs[s])])
-    return float(weights[np.arange(len(weights)) & target == 0].sum())
+    return float(weights[np.arange(len(weights)) & masks[-1] == 0].sum())
 
 
 # ------------------------------------------------------- blocking constants

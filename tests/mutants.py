@@ -39,9 +39,13 @@ MUTANTS = [
      "for dx, dy, t2 in spec.neighbors[t]\n",
      "for dx, dy, t2 in spec.neighbors[t][:-1]\n",
      ["tests/test_lattices.py"], True),
-    ("influence_window drops its last site", "lattices.py",
-     "return target, tuple(window)",
-     "return target, tuple(window[:-1])",
+    ("stage_window drops its last window site", "lattices.py",
+     "sites = (*order, target)",
+     "sites = (*order[:-1], target)",
+     ["tests/test_lattices.py"], True),
+    ("stage_window keeps discovery order", "lattices.py",
+     "sites = (*order, target)",
+     "sites = (*window, target)",
      ["tests/test_lattices.py"], True),
     ("verify_hard_core drops the first offset of each site", "lattices.py",
      "for dx, dy, t2 in offsets if",

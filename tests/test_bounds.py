@@ -12,7 +12,7 @@ from hardcore_entropy.bounds import (
     staged_bound,
 )
 from hardcore_entropy.lattices import (
-    LATTICES, build_lattice, influence_window,
+    LATTICES, build_lattice, stage_window,
 )
 from hardcore_entropy.oracles import (
     fill_in_sample, window_probability_exhaustive,
@@ -472,7 +472,7 @@ def test_optimizer_driver_rejects_wrong_lattice():
                  lambda: stage_unforced("hexagonal", (0.1,)),
                  lambda: staged_bound("hexagonal", (0.1,)),
                  lambda: fill_in_sample("hexagonal", (0.1,), (8, 8), 0),
-                 lambda: influence_window("hexagonal", 1),
+                 lambda: stage_window("hexagonal", 1),
                  lambda: window_probability_exhaustive("hexagonal", (0.1,),
                                                        1)):
         with pytest.raises(ValueError):

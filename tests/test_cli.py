@@ -1060,9 +1060,8 @@ def _documented_exit_two(command, given):
     # do not land on distinct torus sites
     w, h = map(int, given["dims"].split("x"))
     for stage in range(1, build_lattice(given["lattice"]).partite_count):
-        target, window = lattices.influence_window(given["lattice"], stage)
-        if len({(x % w, y % h, t) for x, y, t in (target, *window)}) \
-                <= len(window):
+        sites = lattices.stage_window(given["lattice"], stage)[0]
+        if len({(x % w, y % h, t) for x, y, t in sites}) < len(sites):
             return True
     return False
 

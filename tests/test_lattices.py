@@ -240,7 +240,9 @@ def test_influence_windows_are_closures(lattice):
     # each window is duplicate-free and is exactly the earlier-stage
     # closure of its target on the plane, taken here from the offsets and
     # the coloring alone; the target is the first site of its stage in
-    # cell (0, 0), in (y, x, t) order
+    # cell (0, 0), in (y, x, t) order, and comes last.  The window is in
+    # stage order, and each site's mask ORs the bits of its earlier
+    # neighbors
     spec = build_lattice(lattice)
     px, py = spec.period
 
@@ -248,7 +250,8 @@ def test_influence_windows_are_closures(lattice):
         return spec.coloring[t][y % py][x % px]
 
     for s in range(1, spec.partite_count):
-        target, window = lattices.influence_window(lattice, s)
+        sites, stages, masks = lattices.stage_window(lattice, s)
+        *window, target = sites
         first = [(x, y, t) for y in range(py) for x in range(px)
                  for t in range(spec.sites_per_cell) if stage(x, y, t) == s]
         assert target == first[0]
@@ -262,6 +265,17 @@ def test_influence_windows_are_closures(lattice):
                     closure.add(nb)
                     frontier.append(nb)
         assert set(window) == closure
+        assert stages == tuple(stage(*site) for site in sites)
+        assert list(stages) == sorted(stages)
+        bit = {site: 1 << j for j, site in enumerate(window)}
+        want = []
+        for x, y, t in sites:
+            want.append(0)
+            for dx, dy, t2 in spec.neighbors[t]:
+                nb = (x + dx, y + dy, t2)
+                if stage(*nb) < stage(x, y, t):
+                    want[-1] |= bit[nb]
+        assert masks == tuple(want)
 
 
 @pytest.mark.parametrize("lattice", LATTICES)

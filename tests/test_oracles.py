@@ -13,7 +13,7 @@ import strip_reference
 import window_reference
 from hardcore_entropy import bounds, oracles
 from hardcore_entropy.lattices import (
-    LATTICES, build_lattice, influence_window, verify_hard_core,
+    LATTICES, build_lattice, stage_window, verify_hard_core,
 )
 from hardcore_entropy import cli
 from hardcore_entropy.block_bounds import optimize_block_bound
@@ -252,7 +252,7 @@ class TestWindows:
             ("square_moore", 3): 16,
         }
         for (lattice, stage), want in sizes.items():
-            _, window = influence_window(lattice, stage)
+            window = stage_window(lattice, stage)[0][:-1]
             assert len(window) == want, (lattice, stage)
 
     @pytest.mark.parametrize("lattice",
@@ -323,9 +323,9 @@ class TestWindows:
 
     def test_stage_bounds_checked(self):
         with pytest.raises(ValueError, match="stage"):
-            influence_window("square", 2)
+            stage_window("square", 2)
         with pytest.raises(ValueError, match="stage"):
-            influence_window("square", 0)
+            stage_window("square", 0)
 
 
 class TestSampler:

@@ -7,13 +7,13 @@ A site's earlier neighbors come from the offset table directly."""
 import numpy as np
 
 from hardcore_entropy.bounds import stage_probabilities
-from hardcore_entropy.lattices import build_lattice, influence_window, stage_of
+from hardcore_entropy.lattices import build_lattice, stage_of, stage_window
 
 
 def window_probability_exhaustive(lattice: str, params, stage: int) -> float:
     spec = build_lattice(lattice)
     probs = stage_probabilities(lattice, params)
-    target, window = influence_window(lattice, stage)
+    *window, target = stage_window(lattice, stage)[0]
     m = len(window)
     order = sorted(window, key=lambda s: stage_of(spec, s))
     pos = {site: j for j, site in enumerate(order)}
