@@ -13,6 +13,7 @@ from hardcore_entropy import oracles
 
 if __name__ == "__main__":
     c_lower = oracles.blocking_constant_lower()
+    assert c_lower == Fraction(15, 8)
     print(f"blocking constant lower bound: {c_lower} = {float(c_lower):.4f}")
     print(f"  per-odd-site share: {oracles.blocking_share_per_odd_site()}")
 
@@ -24,6 +25,8 @@ if __name__ == "__main__":
     # to four decimals; a sharper reference would tighten the interval
     h_ref = oracles.PLANE_ENTROPY
     c_max, rho_min = oracles.blocking_constant_upper(h_ref)
+    # c_max above c_lower, and the interval nonempty
+    assert c_max > c_lower and rho_min < rho_upper
     print(f"with reference entropy {h_ref}: c_max = {c_max:.4f}")
     print(f"even-density interval: ({rho_min:.5f}, {float(rho_upper):.5f})")
 

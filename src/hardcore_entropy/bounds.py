@@ -14,10 +14,12 @@ Each formula is written once and broadcasts: its parameters are floats or
 equal-length columns, real or complex, one entry per point, so the
 optimizer evaluates a whole batch of points in one call and every entry
 is validated.  Nothing casts to float, so a complex-step point carries
-its derivative through every formula; the checks read real parts.  The
-report builders pass one-row columns, so a report's value is bit-for-bit
-the same formula as the optimizer's at the same point (numpy's vectorized
-power can round differently from a scalar one).
+its derivative through every formula; the checks read real parts.  A
+scheme is a domain and one stage map from parameter columns to the
+parameters, law densities, U_s and H_s: the optimizer maximizes
+`_staged_value` of it on batches, and `_report` reads it at one-row
+columns, so a report's value is bit-for-bit the optimizer's at the same
+point (numpy's vectorized power can round differently from a scalar one).
 
 Convention 0 * ln 0 = 0 throughout.
 """
@@ -217,19 +219,15 @@ def _staged_value(unforced, entropies):
     return sum(map(operator.mul, unforced, entropies)) / len(entropies)
 
 
-def _coin_stages(lattice, probs):
-    """U_s and H_s = h_B(p_s) of k coin stages B(p_s); p_s in [0, 1]."""
-    return _unforced(lattice, probs), [entropy_bernoulli(p) for p in probs]
-
-
-def _three_hex_stages(lattice, x):
-    """U_s and H_s of the three-hex scheme at columns x = (p0, p1, p2, p3)
-    on honeycomb or (p0, p1, p2, p3, q) on triangular: the tile stage has
-    H3/3 per circle site, and then come B(q) on triangular and B(1/2)."""
-    pvec, coins = x[:4], (*x[4:], 0.5)
-    p = check_three_hex(pvec)
-    return (THREE_HEX_UNFORCED[lattice](p, p[0] + 2 * p[1] + p[2], coins[0]),
-            [entropy_three_hex(pvec) / 3, *map(entropy_bernoulli, coins)])
+def _coin_stages(lattice, free):
+    """The stage map of k coin stages B(p_s), p_s in [0, 1]: `free` holds
+    the k - 1 stage probabilities (the final stage is B(1/2)) or all k,
+    and the map gives the parameters, the law densities p_s, U_s and H_s
+    = h_B(p_s)."""
+    k = build_lattice(lattice).partite_count
+    probs = (*free, 0.5)[:k]
+    return (dict(zip((*_PARAM_NAMES[:k - 1], "p_prime"), free)), probs,
+            _unforced(lattice, probs), [entropy_bernoulli(p) for p in probs])
 
 
 def _one_row(values) -> np.ndarray:
@@ -258,15 +256,9 @@ def staged_bound(lattice, probs) -> BoundReport:
     scheme "equalized".  Densities are p_s U_s per sublattice.
     """
     given = tuple(probs)
-    probs = stage_probabilities(lattice, given)
-    cols = _one_row(probs)
-    k = len(probs)
-    params = dict(zip(_PARAM_NAMES, probs[:k - 1]))
-    scheme = "closed"
-    if len(given) == k:
-        params["p_prime"] = probs[-1]
-        scheme = "equalized"
-    return _report(lattice, scheme, params, cols, *_coin_stages(lattice, cols))
+    cols = tuple(_one_row(stage_probabilities(lattice, given)))
+    scheme = "equalized" if len(given) == len(cols) else "closed"
+    return _report(lattice, scheme, *_coin_stages(lattice, cols[:len(given)]))
 
 
 # ------------------------------------------------------- optimizer drivers
@@ -278,40 +270,35 @@ _TILES = optimize.Simplex((1.0, 3.0, 3.0, 1.0))
 def _closed(lattice):
     k = build_lattice(lattice).partite_count
     return (optimize.Domain((_UNIT,) * (k - 1)),
-            lambda x: _staged_value(*_coin_stages(lattice, (*x.T, 0.5))),
-            lambda x: staged_bound(lattice, x))
+            lambda x: _coin_stages(lattice, x))
 
 
 def _equalized(lattice, cap):
     """The final stage is B(p') with p' = p / U_1(p), so both sublattice
     densities equal p; p' stays a probability only for p below cap."""
-    def stages(p):
-        return p, p / _unforced(lattice, (p,))[1]
-
     return (optimize.Domain((optimize.Box(0.0, cap),)),
-            lambda x: _staged_value(*_coin_stages(lattice, stages(x[:, 0]))),
-            lambda x: staged_bound(lattice, [v[0] for v in stages(x[:1])]))
+            lambda x: _coin_stages(
+                lattice, (x[0], x[0] / _unforced(lattice, x)[1])))
 
 
 def _three_hex(lattice):
-    """Three-tile clusters on the circle sites, then coin stages; the tile
-    law puts p1 + 2 p2 + p3 ones on a circle site."""
+    """Columns (p0, p1, p2, p3), and q on triangular: three-tile clusters
+    put p1 + 2 p2 + p3 ones on a circle site at H3/3 per site, then come
+    B(q) on triangular and B(1/2)."""
     k = build_lattice(lattice).partite_count
 
-    def report(x):
-        cols = _one_row(x)
-        p = check_three_hex(cols[:4])
-        params = dict(zip(("p0", "p1", "p2", "p3", "q"), (*p, *cols[4:])))
-        return _report(lattice, "three-hex", params,
-                       (p[1] + 2 * p[2] + p[3], *cols[4:], 0.5),
-                       *_three_hex_stages(lattice, cols))
+    def stages(x):
+        p, coins = check_three_hex(x[:4]), (*x[4:], 0.5)
+        return (dict(zip(("p0", "p1", "p2", "p3", "q"), (*p, *x[4:]))),
+                (p[1] + 2 * p[2] + p[3], *coins),
+                THREE_HEX_UNFORCED[lattice](p, p[0] + 2 * p[1] + p[2],
+                                            coins[0]),
+                [entropy_three_hex(x[:4]) / 3, *map(entropy_bernoulli, coins)])
 
-    return (optimize.Domain((_TILES, *(_UNIT,) * (k - 2))),
-            lambda x: _staged_value(*_three_hex_stages(lattice, x.T)),
-            report)
+    return optimize.Domain((_TILES, *(_UNIT,) * (k - 2))), stages
 
 
-# scheme -> lattice -> (domain, batched value, report at one point)
+# scheme -> lattice -> (domain, columns -> (params, densities, U_s, H_s))
 SCHEMES = {
     "closed": {lattice: _closed(lattice) for lattice in LATTICES},
     "equalized": {"square": _equalized("square", 0.275),
@@ -329,6 +316,8 @@ def optimize_bound(scheme, lattice, *, tol: float = TOL,
                           for name, lattices in SCHEMES.items())
         raise ValueError(f"no {scheme} bound on lattice {lattice!r}; "
                          f"supported lattices by scheme: {table}")
-    domain, value, report = SCHEMES[scheme][lattice]
-    res = optimize.maximize(value, domain, tol=tol, max_iter=max_iter)
-    return replace(report(res.argmax), meta=res.meta())
+    domain, stages = SCHEMES[scheme][lattice]
+    res = optimize.maximize(lambda x: _staged_value(*stages(x.T)[2:]),
+                            domain, tol=tol, max_iter=max_iter)
+    return replace(_report(lattice, scheme, *stages(_one_row(res.argmax))),
+                   meta=res.meta())

@@ -203,6 +203,21 @@ MUTANTS = [
      "PLANE_ENTROPY = 0.4075",
      "PLANE_ENTROPY = 0.4076",
      ["tests/test_readme.py::test_option_table_matches_options"], True),
+    ("the three-hex stage map puts p1 + p2 + p3 ones on a circle site",
+     "bounds.py",
+     "p[1] + 2 * p[2] + p[3]",
+     "p[1] + p[2] + p[3]",
+     ["tests/test_bounds.py::"
+      "test_three_hex_staged_bound_is_the_per_cluster_form"], True),
+    ("the equalized stage map skips p / U_1(p)", "bounds.py",
+     "(x[0], x[0] / _unforced(lattice, x)[1])",
+     "(x[0], x[0])",
+     ["tests/test_bounds.py::test_equalized_optimum_recovers_table"], True),
+    ("the coin stage map names every free probability from p, q, r",
+     "bounds.py",
+     '(*_PARAM_NAMES[:k - 1], "p_prime")',
+     "_PARAM_NAMES",
+     ["tests/test_bounds.py::test_staged_bound_params_and_scheme"], True),
     ("self-test: a docstring edit", "oracles.py",
      '"""Entropy per site of an infinite strip',
      '"""The entropy per site of an infinite strip',

@@ -200,15 +200,25 @@ def test_batched_staged_value_matches_staged_bound(
     k = build_lattice(lattice).partite_count
     width = k if explicit_final else k - 1
     x = np.array(batch)[:, :width]  # the optimizer's (m, size) layout
-    final = () if explicit_final else (0.5,)
     values = bounds._staged_value(*bounds._coin_stages(lattice,
-                                                       (*x.T, *final)))
+                                                       tuple(x.T))[2:])
     assert values.shape == (len(x),)
     for row, value in zip(x, values):
         assert value == staged_bound(lattice, tuple(row)).value
     x[bad_row % len(x), bad_stage % width] = bad
     with pytest.raises(ValueError, match="outside"):
-        bounds._staged_value(*bounds._coin_stages(lattice, (*x.T, *final)))
+        bounds._staged_value(*bounds._coin_stages(lattice, tuple(x.T))[2:])
+
+
+def scheme_value(stages, x):
+    """A scheme's batched value at rows x, as `optimize_bound` reads it."""
+    return bounds._staged_value(*stages(x.T)[2:])
+
+
+def scheme_report(scheme, lattice, point):
+    """A scheme's report at one point, as `optimize_bound` builds it."""
+    stages = bounds.SCHEMES[scheme][lattice][1]
+    return bounds._report(lattice, scheme, *stages(bounds._one_row(point)))
 
 
 _ENTRIES = [(scheme, lattice) for scheme, lattices in bounds.SCHEMES.items()
@@ -222,13 +232,13 @@ _ENTRIES = [(scheme, lattice) for scheme, lattices in bounds.SCHEMES.items()
 def test_batched_scheme_value_is_the_report_formula(entry, t):
     """At feasible points mapped from random unconstrained rows, row i of
     each scheme's batched value is its report's value at row i exactly:
-    the report is the optimizer's formula."""
-    domain, value, report = bounds.SCHEMES[entry[0]][entry[1]]
+    a batch row rounds as a one-row column does."""
+    domain, stages = bounds.SCHEMES[entry[0]][entry[1]]
     x = domain.to_interior(np.array(t)[:, :domain.size])
-    values = value(x)
+    values = scheme_value(stages, x)
     assert values.shape == (len(x),)
     for row, v in zip(x, values):
-        assert v == report(row).value
+        assert v == scheme_report(*entry, row).value
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -237,12 +247,12 @@ def test_batched_scheme_value_is_the_report_formula(entry, t):
 def test_batched_three_hex_rejects_infeasible_rows(lattice, batch, bad_row,
                                                    bad_column):
     """One infeasible row fails the whole batch of the three-hex formula."""
-    domain, value, _ = bounds.SCHEMES["three-hex"][lattice]
+    domain, stages = bounds.SCHEMES["three-hex"][lattice]
     x = np.array(batch)[:, :domain.size]
     total = x[:, 0] + 3 * x[:, 1] + 3 * x[:, 2] + x[:, 3]
     assume((total > 0).all())
     x[:, :4] /= total[:, None]
-    assert value(x).shape == (len(x),)
+    assert scheme_value(stages, x).shape == (len(x),)
     # a negative p_k or q, or (past the last column) p off its simplex
     i = bad_row % len(x)
     if bad_column < x.shape[1]:
@@ -250,12 +260,12 @@ def test_batched_three_hex_rejects_infeasible_rows(lattice, batch, bad_row,
     else:
         x[i, :4] *= 1.0 + 1e-9
     with pytest.raises(ValueError):
-        value(x)
+        scheme_value(stages, x)
 
 
 def three_hex_bound(lattice, *point):
     """The three-hex report at (p0, p1, p2, p3), and q on triangular."""
-    return bounds.SCHEMES["three-hex"][lattice][2](point)
+    return scheme_report("three-hex", lattice, point)
 
 
 _TILE_WEIGHTS = np.array([1.0, 3.0, 3.0, 1.0])

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hardcore_entropy import bounds, cli, optimize
-from hardcore_entropy.bounds import SCHEMES, staged_bound
+from hardcore_entropy.bounds import (
+    SCHEMES, _one_row, _report, _staged_value, staged_bound,
+)
 from hardcore_entropy.optimize import (
     STEP, Box, Domain, Simplex, maximize,
 )
@@ -21,14 +23,20 @@ def value_at(objective, res):
     return objective(res.argmax[None])[0]
 
 
+def scheme_value(scheme, lattice):
+    """The batched objective `optimize_bound` maximizes."""
+    stages = SCHEMES[scheme][lattice][1]
+    return lambda x: _staged_value(*stages(x.T)[2:])
+
+
 def closed(lattice):
     """The batched closed-form objective `optimize_bound` maximizes."""
-    return SCHEMES["closed"][lattice][1]
+    return scheme_value("closed", lattice)
 
 
 def three_hex(lattice):
     """The batched three-hex objective `optimize_bound` maximizes."""
-    return SCHEMES["three-hex"][lattice][1]
+    return scheme_value("three-hex", lattice)
 
 
 def test_quadratic_box():
@@ -338,7 +346,9 @@ def test_projected_gradient_small_at_three_hex_optimum():
     def obj(x):
         # probes are rescaled back onto the simplex, where the bound is
         # defined
-        return SCHEMES["three-hex"]["honeycomb"][2](x / (w @ x)).value
+        stages = SCHEMES["three-hex"]["honeycomb"][1]
+        return _report("honeycomb", "three-hex",
+                       *stages(_one_row(x / (w @ x)))).value
 
     opt = np.asarray(res.argmax)
     g = np.empty(4)
@@ -391,7 +401,7 @@ def test_known_optimum_recovery(name, obj, dom, val, params):
 
 def _equalized_value(lattice):
     """The batched equalized objective `optimize_bound` maximizes."""
-    return SCHEMES["equalized"][lattice][1]
+    return scheme_value("equalized", lattice)
 
 
 def test_equalized_optima_recovered():

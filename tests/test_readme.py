@@ -8,17 +8,22 @@ exit 0, and a trailing ``# comment`` is a claim about the line's output
 that must hold.  The option table has one row per entry of
 ``cli.OPTIONS``, with its default and readers.  The python block under
 "## Library entry points" runs line by line, and each trailing comment
-is the value of its line.
+is the value of its line.  The numbers of the README's prose in `PROSE`
+are what the calls beside them give, at their printed format.
 """
 import ast
+import math
 import os
 import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
 
-from hardcore_entropy import cli
-from hardcore_entropy.lattices import LATTICES
+import numpy as np
+import pytest
+
+from hardcore_entropy import block_bounds, blocks, bounds, cli, oracles
+from hardcore_entropy.lattices import LATTICES, build_lattice
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -139,3 +144,95 @@ def test_library_block_runs_as_written():
             assert _same(node, value, comment), (line, value)
         claims += 1
     assert claims == 11
+
+
+def _terms_per_stage():
+    """The number of count-form terms of each U_s, s >= 1, per lattice."""
+    for lattice in LATTICES:
+        counts, _, starts = bounds._unforced_forms(lattice)
+        yield from np.diff([*starts, len(counts)])
+
+
+def _block_optimum(n):
+    family = blocks.reduce_family(n)
+    return family, block_bounds.optimize_block_bound(family)[1]
+
+
+def _criterion_8():
+    """ln(lambda_12/lambda_11) and s_12 of the free square strip."""
+    s11, s12 = (oracles.strip_entropy("square", w) for w in (11, 12))
+    return 12 * s12 - 11 * s11, s12
+
+
+def _surface_excess():
+    ratio, s12 = _criterion_8()
+    excess = 12 * (s12 - ratio)
+    return excess, math.ceil(excess / 0.003)
+
+
+def _iterations():
+    return [bounds.optimize_bound(scheme, lattice).meta["iterations"]
+            for scheme, table in bounds.SCHEMES.items() for lattice in table]
+
+
+def _value(scheme):
+    return bounds.optimize_bound(scheme, "square").value
+
+
+# (README text with {} for each number, the call that gives the numbers,
+#  their printed format).  Timings and traced-memory figures are not
+#  here: they depend on the host and on warm-up.  The first 480x480
+#  square sample in a fresh process traces 7.0 bytes per site, later
+#  ones 3.7.
+PROSE = [
+    ("| `closed` | one Bernoulli parameter per stage | {} |",
+     lambda: [_value("closed")], ".4f"),
+    ("both sublattice densities agree | {} |",
+     lambda: [_value("equalized")], ".4f"),
+    ("symmetry-reduced | {} (n=3), {} (n=4) |",
+     lambda: [_block_optimum(n)[1].value for n in (3, 4)], ".4f"),
+    ("gives up about {}e-4 nats of `closed`",
+     lambda: [1e4 * (_value("closed") - _value("equalized"))], ".0f"),
+    ("from {} raw 3×3 blocks to {} classes ({} free variables)",
+     lambda: [(f := blocks.reduce_family(3)).class_of.size, f.class_count,
+              f.free_variables], "d"),
+    ("ln(λ₁₂/λ₁₁) = {}, which must lie within 0.003 of it, and requires "
+     "the free strip, {}, to lie",
+     _criterion_8, ".6f"),
+    ("surface excess of {}/width", lambda: _surface_excess()[:1], ".4f"),
+    ("would need width ≥ {},", lambda: _surface_excess()[1:], "d"),
+    ("periodic strip ({})",
+     lambda: [oracles.strip_entropy("square", 12, "periodic")], ".6f"),
+    ("caps each lattice's entropy: {} (square), {} (honeycomb), {} "
+     "(triangular), {} (kagome) and {} (square_moore)",
+     lambda: [oracles.strip_entropy(
+         lattice, oracles.MAX_STRIP_WIDTH // build_lattice(lattice)
+         .sites_per_cell) for lattice in LATTICES], ".6f"),
+    ("({} to {} terms per stage)",
+     lambda: [min(_terms_per_stage()), max(_terms_per_stage())], "d"),
+    ("converges each of them in {}–{} steps",
+     lambda: [min(_iterations()), max(_iterations())], "d"),
+    ("`bound --scheme block --n 4` ({} free variables) converges in {} "
+     "iterations",
+     lambda: [(r := _block_optimum(4))[0].free_variables,
+              r[1].meta["iterations"]], "d"),
+    # one period of torus rows fits the band up to this width on every
+    # lattice
+    ("at most {} KB on tori up to {} cells wide",
+     lambda: [oracles._BAND_BYTES / 1024, oracles._BAND_BYTES // max(
+         8 * build_lattice(lattice).sites_per_cell
+         * build_lattice(lattice).period[1] for lattice in LATTICES)],
+     ",g"),
+]
+
+
+@pytest.mark.parametrize("text,numbers,spec", PROSE, ids=[
+    "_".join(re.findall(r"[A-Za-z0-9]+", row[0])) for row in PROSE])
+def test_prose_numbers_hold(text, numbers, spec):
+    """The README states ``text`` with the numbers the call gives, at the
+    printed format."""
+    prose = " ".join(README.read_text(encoding="utf-8").split())
+    pattern = r"([-\d.,]+)".join(map(re.escape, text.split("{}")))
+    found = re.search(pattern, prose)
+    assert found, f"the README no longer says {text!r}"
+    assert list(found.groups()) == [format(v, spec) for v in numbers()]
