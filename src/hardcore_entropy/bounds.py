@@ -7,8 +7,8 @@ law of entropy H_s per site: a coin B(p_s), or three-tile clusters in the
 first stage of the three-hex schemes.  `_staged_value`, (1/k) sum_s U_s
 H_s over the k stages, is the one formula for every closed, equalized and
 three-hex bound.  The coin schemes' U_s are counted from the influence
-windows of the lattice table (`_unforced_forms`), the three-hex ones are
-`THREE_HEX_UNFORCED`.  All values are nats per full-lattice site.
+windows of the lattice table (`_unforced_forms`), the three-hex ones by
+hand in `_three_hex`.  All values are nats per full-lattice site.
 
 Each formula is written once and broadcasts: its parameters are floats or
 equal-length columns, real or complex, one entry per point, so the
@@ -77,13 +77,7 @@ def check_three_hex(pvec) -> np.ndarray:
     p = np.array(pvec, dtype=np.result_type(*pvec, 1.0))
     if len(p) != 4:
         raise ValueError(f"three-hex parameter has {len(p)} entries, not 4")
-    return optimize.on_simplex(p, (1, 3, 3, 1), "three-hex tiles")
-
-
-def entropy_three_hex(pvec):
-    """Entropy of the three-hex occupancy distribution, per cluster."""
-    p0, p1, p2, p3 = check_three_hex(pvec)
-    return -(_xlogx(p0) + 3 * _xlogx(p1) + 3 * _xlogx(p2) + _xlogx(p3))
+    return optimize.on_simplex(p, _TILES.weights, "three-hex tiles")
 
 
 @dataclass(frozen=True)
@@ -170,23 +164,6 @@ def _unforced(lattice, probs) -> tuple:
     terms = counts * np.multiply.reduce(x[..., None, :] ** exps, axis=-1)
     return (1.0, *np.add.reduceat(terms, starts, axis=-1).T)
 
-
-# Three-hex: tiles p = (p0, p1, p2, p3) per arrangement, as `check_three_hex`
-# returns them, fill the circle sites; a = p0 + 2 p1 + p2 is the chance a
-# tile is 0.  Of a cluster's 3 dots one touches only its tiles (p0), two a
-# tile of each of three clusters (a^3).  After B(q) on the dots, 3 a (p1 +
-# p0 (1-q)) (1 - a q)^2 of its 3 triangle sites stay unforced: P(the two
-# dots adjacent only to in-cluster tiles stay 0) times the joint chance of
-# the other two boundary dots, over the two arrangements leaving the site
-# uncovered; U_s is each count over 3.  The compact variant 3 (p1 + p0
-# (1-q)) a^3 (2-q)^2 of some derivations double-counts the shared-dot
-# correlation and misses the known optimum.
-THREE_HEX_UNFORCED = {
-    "honeycomb": lambda p, a, q: (1.0, (p[0] + 2 * a ** 3) / 3),
-    "triangular": lambda p, a, q: (
-        1.0, (p[0] + 2 * a ** 3) / 3,
-        a * (p[1] + p[0] * (1.0 - q)) * (1.0 - a * q) ** 2),
-}
 
 _PARAM_NAMES = ("p", "q", "r")
 
@@ -284,16 +261,32 @@ def _equalized(lattice, cap):
 def _three_hex(lattice):
     """Columns (p0, p1, p2, p3), and q on triangular: three-tile clusters
     put p1 + 2 p2 + p3 ones on a circle site at H3/3 per site, then come
-    B(q) on triangular and B(1/2)."""
+    B(q) on triangular and B(1/2).
+
+    p holds the tiles as `check_three_hex` returns them, and a = p0 + 2 p1 + p2
+    is the chance a tile is 0.  Of a cluster's 3 dots one touches only its
+    tiles (p0), two a tile of each of three clusters (a^3).  After B(q) on the
+    dots, 3 a (p1 + p0 (1-q)) (1 - a q)^2 of its 3 triangle sites stay
+    unforced: P(the two dots adjacent only to in-cluster tiles stay 0) times
+    the joint chance of the other two boundary dots, over the two arrangements
+    leaving the site uncovered; U_s is each count over 3.  The compact variant
+    3 (p1 + p0 (1-q)) a^3 (2-q)^2 of some derivations double-counts the
+    shared-dot correlation and misses the known optimum.  The honeycomb is the
+    triangular lattice without its triangle sublattice, so its forms are the
+    first two of triangular's.
+    """
     k = build_lattice(lattice).partite_count
 
     def stages(x):
         p, coins = check_three_hex(x[:4]), (*x[4:], 0.5)
+        a, q = p[0] + 2 * p[1] + p[2], coins[0]
+        unforced = (1.0, (p[0] + 2 * a ** 3) / 3,
+                    a * (p[1] + p[0] * (1.0 - q)) * (1.0 - a * q) ** 2)[:k]
+        h3 = -(_xlogx(p[0]) + 3 * _xlogx(p[1]) + 3 * _xlogx(p[2])
+               + _xlogx(p[3]))
         return (dict(zip(("p0", "p1", "p2", "p3", "q"), (*p, *x[4:]))),
-                (p[1] + 2 * p[2] + p[3], *coins),
-                THREE_HEX_UNFORCED[lattice](p, p[0] + 2 * p[1] + p[2],
-                                            coins[0]),
-                [entropy_three_hex(x[:4]) / 3, *map(entropy_bernoulli, coins)])
+                (p[1] + 2 * p[2] + p[3], *coins), unforced,
+                [h3 / 3, *map(entropy_bernoulli, coins)])
 
     return optimize.Domain((_TILES, *(_UNIT,) * (k - 2))), stages
 
@@ -304,7 +297,7 @@ SCHEMES = {
     "equalized": {"square": _equalized("square", 0.275),
                   "honeycomb": _equalized("honeycomb", 0.317)},
     "three-hex": {lattice: _three_hex(lattice)
-                  for lattice in THREE_HEX_UNFORCED},
+                  for lattice in ("honeycomb", "triangular")},
 }
 
 

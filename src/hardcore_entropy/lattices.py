@@ -162,8 +162,8 @@ def stage_window(lattice: str, stage: int) -> tuple:
 class TorusConfiguration:
     """A periodic 0/1 configuration on a finite torus.
 
-    `values` has shape (height, width, sites_per_cell), indexed
-    values[y, x, t].
+    `values` is a boolean array of shape (height, width, sites_per_cell),
+    indexed values[y, x, t].
     """
 
     lattice: str
@@ -186,7 +186,7 @@ class TorusConfiguration:
                 f"{spec.name} torus needs side lengths divisible by the "
                 f"coloring period {px}x{py}, got {w}x{h}")
         return cls(lattice,
-                   np.zeros((h, w, spec.sites_per_cell), dtype=np.int8))
+                   np.zeros((h, w, spec.sites_per_cell), dtype=bool))
 
 
 def verify_hard_core(config: TorusConfiguration) -> bool:
@@ -194,7 +194,7 @@ def verify_hard_core(config: TorusConfiguration) -> bool:
     once, from the end whose offset to the other has (t2, dy, dx) > (t, 0,
     0), on one contiguous plane per site of the cell (a view of `values`
     when there is one)."""
-    planes = np.ascontiguousarray(np.moveaxis(config.values.view(bool), -1, 0))
+    planes = np.ascontiguousarray(np.moveaxis(config.values, -1, 0))
     return not any(
         (planes[t] & np.roll(planes[t2], (-dy, -dx), axis=(0, 1))).any()
         for t, offsets in enumerate(build_lattice(config.lattice).neighbors)

@@ -141,10 +141,9 @@ _BAND_BYTES = 1 << 18
 
 
 def _tile_counts(x: np.ndarray) -> np.ndarray:
-    """Number of nonzero sites in each 8 x 8-cell tile of a 0/1 torus
-    array (bool or int8), as an (h/8, w/8) int64 array.  Exact: a tile
-    holds at most 8 * 8 * 3 = 192 sites (kagome), so the uint8 partial
-    sums cannot wrap."""
+    """Number of nonzero sites in each 8 x 8-cell tile of a boolean torus
+    array, as an (h/8, w/8) int64 array.  Exact: a tile holds at most
+    8 * 8 * 3 = 192 sites (kagome), so the uint8 partial sums cannot wrap."""
     h, w, c = x.shape
     rows = x.view(np.uint8).reshape(h // _TILE, _TILE, w * c).sum(
         axis=1, dtype=np.uint8)
@@ -224,10 +223,9 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
     analytic = stage_unforced(lattice, probs)
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(seed).spawn(len(probs))]
-    # `values` as bools (0 or 1, so valid), and its sublattice planes:
+    # the sublattice planes of `values`:
     # planes[:, oy, :, ox, t][Y, X] is site (X px + ox, Y py + oy, t)
-    values = config.values.view(bool)
-    planes = values.reshape(h // py, py, w // px, px, c)
+    planes = config.values.reshape(h // py, py, w // px, px, c)
     band = np.empty((min(h, max(1, _BAND_BYTES // (8 * w * c * py)) * py),
                      w, c))
     keep = np.empty(band.shape, dtype=bool)
@@ -261,7 +259,7 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
             streams[s].random(out=draw)
             np.less(draw, probs[s], out=kept)
             kept |= others[:len(kept)]
-            values[y0:y0 + len(kept)] &= kept
+            config.values[y0:y0 + len(kept)] &= kept
         n_placed, tiles_placed = ones()
         n_sites = len(mine) * (h // py) * (w // px)
         tile_sites = _tile_sites(spec, mine, h, w) if tiled else None

@@ -131,6 +131,10 @@ MUTANTS = [
      "operator.index",
      "int",
      ["tests/test_lattices.py"], True),
+    ("the torus is int8 again", "lattices.py",
+     "dtype=bool))",
+     "dtype=np.int8))",
+     ["tests/test_oracles.py::TestSampler::test_hard_core_and_stats"], True),
     ("the cli imports fractions at module level again", "cli.py",
      "import time\n",
      "import time\nfrom fractions import Fraction\n",
@@ -207,6 +211,21 @@ MUTANTS = [
      "bounds.py",
      "p[1] + 2 * p[2] + p[3]",
      "p[1] + p[2] + p[3]",
+     ["tests/test_bounds.py::"
+      "test_three_hex_staged_bound_is_the_per_cluster_form"], True),
+    ("the three-hex dots' form drops the lone dot", "bounds.py",
+     "(1.0, (p[0] + 2 * a ** 3) / 3,",
+     "(1.0, 2 * a ** 3 / 3,",
+     ["tests/test_bounds.py::"
+      "test_three_hex_staged_bound_is_the_per_cluster_form"], True),
+    ("H3 counts each one-one arrangement once", "bounds.py",
+     "3 * _xlogx(p[1])",
+     "_xlogx(p[1])",
+     ["tests/test_bounds.py::"
+      "test_three_hex_staged_bound_is_the_per_cluster_form"], True),
+    ("the three-hex forms stop one stage short", "bounds.py",
+     "(1.0 - a * q) ** 2)[:k]",
+     "(1.0 - a * q) ** 2)[:k - 1]",
      ["tests/test_bounds.py::"
       "test_three_hex_staged_bound_is_the_per_cluster_form"], True),
     ("the equalized stage map skips p / U_1(p)", "bounds.py",

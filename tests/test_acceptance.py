@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 import stage_unforced_reference
+import three_hex_reference
 from hardcore_entropy import block_bounds, blocks, bounds, oracles
 from hardcore_entropy.bounds import (
     LN2,
     entropy_bernoulli,
-    entropy_three_hex,
     optimize_bound,
     stage_probabilities,
 )
@@ -105,7 +105,7 @@ def test_criterion_02_typo_regressions():
     qq = th.params["q"]
     a = pvec[0] + 2 * pvec[1] + pvec[2]
     third = 3 * (pvec[1] + pvec[0] * (1 - qq)) * a ** 3 * (2 - qq) ** 2
-    wrong_third = (entropy_three_hex(pvec)
+    wrong_third = (three_hex_reference.cluster_entropy(pvec)
                    + (pvec[0] + 2 * a ** 3) * entropy_bernoulli(qq)
                    + third * LN2) / 9.0
 

@@ -8,8 +8,7 @@ import stage_unforced_reference
 import three_hex_reference
 from hardcore_entropy import bounds, optimize
 from hardcore_entropy.bounds import (
-    LN2, BoundReport, entropy_bernoulli, entropy_three_hex, stage_unforced,
-    staged_bound,
+    LN2, BoundReport, entropy_bernoulli, stage_unforced, staged_bound,
 )
 from hardcore_entropy.lattices import (
     LATTICES, build_lattice, stage_window,
@@ -325,9 +324,9 @@ def test_three_hex_staged_bound_is_the_per_cluster_form(lattice, raw, q,
 
 def test_three_hex_param_validation():
     with pytest.raises(ValueError):
-        entropy_three_hex((0.5, 0.1, 0.1, 0.1))  # not normalized
+        bounds.check_three_hex((0.5, 0.1, 0.1, 0.1))  # not normalized
     with pytest.raises(ValueError):
-        entropy_three_hex((1.3, -0.1, 0.0, 0.0))
+        bounds.check_three_hex((1.3, -0.1, 0.0, 0.0))
     for count in (3, 5):
         with pytest.raises(ValueError, match=f"has {count} entries, not 4"):
             bounds.check_three_hex([0.25] * count)

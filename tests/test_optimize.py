@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import three_hex_reference
 from hardcore_entropy import bounds, cli, optimize
 from hardcore_entropy.bounds import (
     SCHEMES, _one_row, _report, _staged_value, staged_bound,
@@ -429,7 +430,7 @@ def test_rejected_variant_formulas_fail_reference_values():
     """The squared-tail tripartite variant and the cubic-tail three-hex
     variant must NOT reproduce the known optima (regression guard for the
     corrected formulas)."""
-    from hardcore_entropy.bounds import LN2, entropy_bernoulli, entropy_three_hex
+    from hardcore_entropy.bounds import LN2, entropy_bernoulli
 
     def tripartite_squared_tail(p, q):
         return (entropy_bernoulli(p) + (1 - p) ** 3
@@ -450,7 +451,7 @@ def test_rejected_variant_formulas_fail_reference_values():
         pvec, q = tuple(x[:4]), x[4]
         p0, p1 = pvec[0], pvec[1]
         a = p0 + 2 * p1 + pvec[2]
-        return (entropy_three_hex(pvec)
+        return (three_hex_reference.cluster_entropy(pvec)
                 + (p0 + 2 * a ** 3) * entropy_bernoulli(q)
                 + 3 * (p1 + p0 * (1 - q)) * a ** 3 * (2 - q) ** 2 * LN2) / 9.0
 

@@ -439,14 +439,16 @@ class TestSampler:
                              ids=[c[0] for c in CASES])
     def test_peak_memory_per_site(self, lattice, params):
         # nothing torus-sized but `values` (1 byte per site): a float64
-        # draw per site (8 bytes) would not fit
+        # draw per site (8 bytes) would not fit.  numpy.random is loaded
+        # first, so the trace does not count its lazy import
+        np.random.default_rng(0)
         tracemalloc.start()
         try:
             config, _ = fill_in_sample(lattice, params, (480, 480), seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / config.values.size <= 8
+        assert peak / config.values.size <= 4
 
     def test_draws_in_few_bands(self, monkeypatch):
         # a stage draws its rows in bands of the most whole coloring

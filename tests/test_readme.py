@@ -182,8 +182,8 @@ def _value(scheme):
 # (README text with {} for each number, the call that gives the numbers,
 #  their printed format).  Timings and traced-memory figures are not
 #  here: they depend on the host and on warm-up.  The first 480x480
-#  square sample in a fresh process traces 7.0 bytes per site, later
-#  ones 3.7.
+#  square sample in a fresh process traces 7.0 bytes per site, 3.7
+#  once numpy.random is loaded.
 PROSE = [
     ("| `closed` | one Bernoulli parameter per stage | {} |",
      lambda: [_value("closed")], ".4f"),
