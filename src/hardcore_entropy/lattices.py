@@ -189,13 +189,25 @@ class TorusConfiguration:
                    np.zeros((h, w, spec.sites_per_cell), dtype=bool))
 
 
+def _torus_slices(shape, a: int, b: int) -> list:
+    """The (destination, source) index pairs, one per quadrant the torus
+    wrap cuts an (h, w) plane into, that read src[(Y + a) % h, (X + b) % w]
+    into position (Y, X)."""
+    def wrap(n, k):
+        return (slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(0, k))
+    h, w = shape
+    return [((yd, xd), (ys, xs))
+            for yd, ys in wrap(h, a % h) for xd, xs in wrap(w, b % w)]
+
+
 def verify_hard_core(config: TorusConfiguration) -> bool:
     """True iff no two adjacent sites both carry 1.  Each edge is read
     once, from the end whose offset to the other has (t2, dy, dx) > (t, 0,
     0), on one contiguous plane per site of the cell (a view of `values`
-    when there is one)."""
+    when there is one), one wrapped quadrant of a plane at a time."""
     planes = np.ascontiguousarray(np.moveaxis(config.values, -1, 0))
     return not any(
-        (planes[t] & np.roll(planes[t2], (-dy, -dx), axis=(0, 1))).any()
+        (planes[t][dst] & planes[t2][src]).any()
         for t, offsets in enumerate(build_lattice(config.lattice).neighbors)
-        for dx, dy, t2 in offsets if (t2, dy, dx) > (t, 0, 0))
+        for dx, dy, t2 in offsets if (t2, dy, dx) > (t, 0, 0)
+        for dst, src in _torus_slices(planes.shape[1:], dy, dx))

@@ -25,7 +25,8 @@ import numpy as np
 from .blocks import _or_table
 from .bounds import LN2, entropy_bernoulli, stage_probabilities, stage_unforced
 from .lattices import (
-    TorusConfiguration, build_lattice, earlier_neighbors, stage_window,
+    TorusConfiguration, _torus_slices, build_lattice, earlier_neighbors,
+    stage_window,
 )
 
 if TYPE_CHECKING:
@@ -199,19 +200,19 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
     period position (oy, ox, t), a strided view of `values`, and each
     position belongs to one stage.  Stage s first sets its planes to its
     unforced sites, those whose earlier neighbors (`earlier_neighbors` of
-    the period position), each read from a rolled plane, all hold 0; the
-    counts of `values` then grow by the stage's unforced sites.  Its
-    draws pass through one reused band of whole torus rows, at most
-    _BAND_BYTES on tori up to 10,922 cells wide, and are placed in three
-    contiguous passes over the band's rows of `values`: `keep` = draw <
-    p_s, `keep` |= the band's sites of the other stages (a mask tiled
-    once per stage from `spec.coloring`), `values` &= `keep`.  So the
-    stage-s sites keep their 1 where the draw is below p_s and every other
-    site keeps its value; the counts then grow by the sites placed.
-    `keep` and the mask take one byte per band site each, an eighth of the
-    band apiece.  Nothing torus-sized is allocated but `values` itself
-    (one byte per site); the scratch of one plane at a time adds at most
-    one more.
+    the period position), each ORed into one `blocked` plane quadrant by
+    wrapped quadrant, all hold 0; the counts of `values` then grow by the
+    stage's unforced sites.  Its draws pass through one reused band of
+    whole torus rows, at most _BAND_BYTES on tori up to 10,922 cells wide,
+    and are placed in three contiguous passes over the band's rows of
+    `values`: `keep` = draw < p_s, `keep` |= the band's sites of the other
+    stages (a mask tiled once per stage from `spec.coloring`), `values` &=
+    `keep`.  So the stage-s sites keep their 1 where the draw is below p_s
+    and every other site keeps its value; the counts then grow by the
+    sites placed.  `keep` and the mask take one byte per band site each,
+    an eighth of the band apiece.  Nothing torus-sized is allocated but
+    `values` itself (one byte per site) and `blocked`, allocated once per
+    call, one byte per site of a period position.
     """
     spec = build_lattice(lattice)
     probs = stage_probabilities(lattice, params)
@@ -229,6 +230,7 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
     band = np.empty((min(h, max(1, _BAND_BYTES // (8 * w * c * py)) * py),
                      w, c))
     keep = np.empty(band.shape, dtype=bool)
+    blocked = np.empty((h // py, w // px), dtype=bool)
     # the stage of each site of the period, as (py, px, c)
     period_stage = np.transpose(spec.coloring, (1, 2, 0))
 
@@ -245,11 +247,12 @@ def fill_in_sample(lattice: str, params, dims, seed: int):
     for s, label in enumerate(spec.fill_order):
         mine = np.argwhere(period_stage == s).tolist()  # (oy, ox, t)
         for oy, ox, t in mine:
-            blocked = np.zeros((h // py, w // px), dtype=bool)
+            blocked.fill(False)
             for nx, ny, t2 in earlier_neighbors(spec, (ox, oy, t)):
                 # blocked[Y, X] |= plane[Y + ny // py, X + nx // px]
-                blocked |= np.roll(planes[:, ny % py, :, nx % px, t2],
-                                   (-(ny // py), -(nx // px)), axis=(0, 1))
+                for dst, src in _torus_slices(blocked.shape,
+                                              ny // py, nx // px):
+                    blocked[dst] |= planes[:, ny % py, :, nx % px, t2][src]
             np.logical_not(blocked, out=planes[:, oy, :, ox, t])
         n_unforced, tiles_unforced = ones()
         # True at the band's sites of the other stages, which keep their value
@@ -287,21 +290,28 @@ def window_probability_exhaustive(lattice: str, params, stage: int) -> float:
     The window is dependency-closed (every non-initial-stage member has all
     its earlier neighbors inside), which makes the restricted measure the
     exact marginal.  Windows hold 2 to 16 sites.  The weights of all
-    assignments are built by doubling: after site j (sites in stage order,
-    bit j of the assignment index) they cover the 2^(j+1) assignments of
-    sites 0..j, the first half with site j at 0 and the second at 1.  An
-    assignment forces a site to 0 where it shares a bit with the site's
-    mask of earlier neighbors.
+    assignments are built by doubling in one array: after site j (sites in
+    stage order, bit j of the assignment index) its first 2^(j+1) entries
+    cover the assignments of sites 0..j, the first half with site j at 0
+    and the second at 1, written from the first half before it is scaled.
+    An assignment forces a site to 0 where it shares a bit with the site's
+    mask of earlier neighbors: the 1-half of each of the mask's bits.
     """
     probs = stage_probabilities(lattice, params)
     _, stages, masks = stage_window(lattice, stage)
-    weights = np.ones(1)
-    for s, mask in zip(stages[:-1], masks):
-        forced = np.arange(len(weights)) & mask != 0
-        weights = np.concatenate([
-            weights * np.where(forced, 1.0, 1 - probs[s]),
-            weights * np.where(forced, 0.0, probs[s])])
-    return float(weights[np.arange(len(weights)) & masks[-1] == 0].sum())
+    weights = np.ones(1 << (len(masks) - 1))
+    # the last mask is the target's: its flags pick the weights summed
+    for j, (s, mask) in enumerate(zip(stages, masks)):
+        free = np.ones(1 << j, dtype=bool)
+        for b in range(j):
+            if mask >> b & 1:
+                free.reshape(-1, 2, 1 << b)[:, 1] = False
+        if j < len(masks) - 1:
+            lo, hi = weights[:1 << j], weights[1 << j:2 << j]
+            hi.fill(0.0)
+            np.multiply(lo, probs[s], out=hi, where=free)
+            np.multiply(lo, 1 - probs[s], out=lo, where=free)
+    return float(weights[free].sum())
 
 
 # ------------------------------------------------------- blocking constants

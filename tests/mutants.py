@@ -120,9 +120,24 @@ MUTANTS = [
      "free = ones >= 0",
      ["tests/test_bounds.py"], True),
     ("the window oracle ignores forcing", "oracles.py",
-     "& mask != 0",
-     "& 0 != 0",
+     "out=hi, where=free)\n"
+     "            np.multiply(lo, 1 - probs[s], out=lo, where=free)\n",
+     "out=hi, where=True)\n"
+     "            np.multiply(lo, 1 - probs[s], out=lo, where=True)\n",
      ["tests/test_bounds.py", "tests/test_oracles.py"], True),
+    ("the window enumeration scales the lower half before writing the "
+     "upper half", "oracles.py",
+     "            np.multiply(lo, probs[s], out=hi, where=free)\n"
+     "            np.multiply(lo, 1 - probs[s], out=lo, where=free)\n",
+     "            np.multiply(lo, 1 - probs[s], out=lo, where=free)\n"
+     "            np.multiply(lo, probs[s], out=hi, where=free)\n",
+     ["tests/test_oracles.py::TestWindows::"
+      "test_matches_reference_enumeration"], True),
+    ("the torus wrap is off by one", "lattices.py",
+     "slice(0, k)",
+     "slice(1, k)",
+     ["tests/test_oracles.py::TestSampler",
+      "tests/test_lattices.py::test_checker_matches_exhaustive_scan"], True),
     ("the sampler's density row drops the stage probability", "oracles.py",
      "probs[s] * analytic[s]",
      "analytic[s]",

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,23 @@ def test_checker_matches_exhaustive_scan(lattice):
     for bits in pool:
         cfg = _config_from_bits(lattice, dims, int(bits), sites)
         assert verify_hard_core(cfg) == (not _scan_violation(spec, dims, cfg, sites))
+
+
+@pytest.mark.parametrize("lattice", LATTICES)
+def test_checker_peak_memory_per_site(lattice):
+    # the contiguous planes (one byte per site when a cell has c > 1
+    # sites) and one plane's AND (1/c byte per site) at a time, with a
+    # quarter byte per site to spare: a rolled copy of each neighbor
+    # plane would add another 1/c
+    cfg = TorusConfiguration.empty(lattice, (480, 480))
+    c = cfg.values.shape[-1]
+    tracemalloc.start()
+    try:
+        assert verify_hard_core(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / cfg.values.size <= (c > 1) + 1 / c + 0.25
 
 
 def test_verify_trivial_cases():

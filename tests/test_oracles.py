@@ -321,6 +321,20 @@ class TestWindows:
                         lattice, params, stage)
                     assert got == want, (params, stage)
 
+    def test_peak_memory_per_assignment(self):
+        # the weights (8 bytes per assignment) and their flags (1 byte),
+        # with room to spare: a second weight array would add 8
+        params = (0.1189, 0.1623, 0.2628)
+        window_probability_exhaustive("square_moore", params, 3)
+        tracemalloc.start()
+        try:
+            window_probability_exhaustive("square_moore", params, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stage_window("square_moore", 3)[0]) - 1 == 16
+        assert peak / (1 << 16) <= 12
+
     def test_stage_bounds_checked(self):
         with pytest.raises(ValueError, match="stage"):
             stage_window("square", 2)
